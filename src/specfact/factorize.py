@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CholeskyBreakdown,
@@ -45,6 +44,7 @@ from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _frobenius,
+    adjoint_product_coefficients,
     coefficients_from_values,
     default_grid_size,
     sample_on_grid,
@@ -100,17 +100,12 @@ def _residual_against(sigma: np.ndarray, factor_coeffs: np.ndarray) -> float:
     max_n ||sigma_n - (X X^*)_n||_F / (1 + max_n ||sigma_n||_F), over the
     union of both bands.
     """
-    c = factor_coeffs
-    deg = len(c) - 1
-    order = max(len(sigma) - 1, deg)
-    worst = 0.0
-    for n in range(order + 1):
-        acc = np.zeros((c.shape[1], c.shape[1]), dtype=np.complex128)
-        for k in range(0, deg - n + 1):
-            acc += c[k + n] @ c[k].conj().T
-        target = sigma[n] if n < len(sigma) else np.zeros_like(acc)
-        worst = max(worst, float(_frobenius(acc - target)))
-    return worst / _coefficient_scale(sigma)
+    product = adjoint_product_coefficients(factor_coeffs)
+    order = max(len(sigma), len(product))
+    gap = np.zeros((order,) + sigma.shape[1:], dtype=np.complex128)
+    gap[: len(sigma)] = sigma
+    gap[: len(product)] -= product
+    return float(_frobenius(gap).max()) / _coefficient_scale(sigma)
 
 
 def _grid_spectrum_stats(S: HermitianLaurentPolynomial, K: int):
@@ -149,19 +144,19 @@ def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
     return warnings
 
 
-def _solve_right_adjoint_lower(L: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Solve Y L^* = X for Y with L lower triangular."""
-    return scipy.linalg.solve_triangular(L, X.conj().T, lower=True).conj().T
-
-
 def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     """Streaming banded block Cholesky of the block-Toeplitz matrix of S.
 
-    Row i of the Cholesky factor only couples to rows i-m..i-1, so a rolling
-    window of m+1 block rows suffices.  Because leading principal submatrices
-    factor nestedly, convergence checkpoints at N = 4(m+1) * 2^k reuse one
-    sweep: successive last-row estimates of (rho_0..rho_m) are compared until
-    they differ by less than residual_tol (relative to the coefficient scale).
+    Row i of the Cholesky factor holds blocks (L_i, C_{i,1}, ..., C_{i,m}),
+    where L_i is the lower-triangular pivot and C_{i,d} couples row i to row
+    i-d.  The row is kept as one r x (m+1)r block row ``W``, so
+    ``C_{i,d} = (sigma_d - sum_{e>d} C_{i,e} C_{i-d,e-d}^*) L_{i-d}^{-*}`` is two
+    matmuls over slices of ``W``.  A ring of the last m+1 rows stores each
+    row's adjoint ``W^*`` and its pivot's ``L^{-*}``, formed once when the
+    pivot is factored.  Because leading principal submatrices factor
+    nestedly, convergence checkpoints at N = 4(m+1) * 2^k reuse one sweep:
+    successive last-row estimates of (rho_0..rho_m) are compared until they
+    differ by less than residual_tol (relative to the coefficient scale).
     """
     m, r = S.m, S.r
     sigma = S.coeffs
@@ -175,41 +170,44 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
         n *= 2
     checkpoints.add(cap)
 
-    rows = [np.zeros((m + 1, r, r), dtype=np.complex128) for _ in range(m + 1)]
+    eye = np.eye(r, dtype=np.complex128)
+    row_adj = [None] * (m + 1)
+    pivot_inv_adj = [None] * (m + 1)
     prev_est = None
     for i in range(cap):
-        cur = np.zeros((m + 1, r, r), dtype=np.complex128)
+        W = np.zeros((r, (m + 1) * r), dtype=np.complex128)
         dmax = min(i, m)
         for d in range(dmax, 0, -1):
-            row_j = rows[(i - d) % (m + 1)]
-            X = np.array(sigma[d])
-            for e in range(d + 1, dmax + 1):
-                X -= cur[e] @ row_j[e - d].conj().T
-            cur[d] = _solve_right_adjoint_lower(row_j[0], X)
-        X = np.array(sigma[0])
-        for e in range(1, dmax + 1):
-            X -= cur[e] @ cur[e].conj().T
+            j = (i - d) % (m + 1)
+            coupled = W[:, (d + 1) * r:(dmax + 1) * r] @ row_adj[j][r:(dmax - d + 1) * r]
+            W[:, d * r:(d + 1) * r] = (sigma[d] - coupled) @ pivot_inv_adj[j]
+        tail = W[:, r:(dmax + 1) * r]
+        X = sigma[0] - tail @ tail.conj().T
         X = 0.5 * (X + X.conj().T)
         try:
-            cur[0] = np.linalg.cholesky(X)
+            L = np.linalg.cholesky(X)
         except np.linalg.LinAlgError:
             raise CholeskyBreakdown(
                 f"pivot block at Toeplitz row {i} is not positive definite; "
                 "the spectrum is indefinite or degenerate on the circle"
             ) from None
-        rows[i % (m + 1)] = cur
+        W[:, :r] = L
+        slot = i % (m + 1)
+        row_adj[slot] = W.conj().T
+        pivot_inv_adj[slot] = np.linalg.solve(L, eye).conj().T
 
         if i + 1 in checkpoints:
+            cur = W.reshape(r, m + 1, r).transpose(1, 0, 2)
             if prev_est is not None:
                 diff = float(_frobenius(cur - prev_est).max()) / scale
                 if diff < opts.residual_tol:
-                    return cur, i + 1
+                    return cur.copy(), i + 1
             prev_est = cur.copy()
 
     raise NoConvergence(
         f"Bauer sweep hit the block cap ({cap}) before the last-row estimate settled",
-        best_factor=MatrixPolynomial(cur),
-        achieved_residual=_residual_against(sigma, cur),
+        best_factor=MatrixPolynomial(prev_est),
+        achieved_residual=_residual_against(sigma, prev_est),
         iterations=cap,
     )
 

@@ -270,6 +270,16 @@ def coefficients_from_samples(f: SampledMatrixFunction, lo: int, hi: int) -> np.
     return coefficients_from_values(f.samples, lo, hi)
 
 
+def adjoint_product_coefficients(c: np.ndarray) -> np.ndarray:
+    """Coefficients n = 0..m of ``X X^*`` for a causal stack ``c`` of degree m:
+    ``sum_k c_{k+n} c_k^*``, one einsum per lag."""
+    m = len(c) - 1
+    out = np.empty((m + 1,) + c.shape[1:], dtype=np.complex128)
+    for n in range(m + 1):
+        out[n] = np.einsum("kij,klj->il", c[n:], c[: m + 1 - n].conj())
+    return out
+
+
 def multiply_by_adjoint(x: MatrixPolynomial) -> HermitianLaurentPolynomial:
     """The spectrum induced by a causal factor: ``S = X X^*`` on |z| = 1.
 
@@ -279,11 +289,7 @@ def multiply_by_adjoint(x: MatrixPolynomial) -> HermitianLaurentPolynomial:
     """
     if x.is_zero():
         raise ValueError("cannot form the induced spectrum of the zero polynomial")
-    c = x.coeffs
-    m = x.m
-    sigma = np.empty((m + 1, x.r, x.r), dtype=np.complex128)
-    for n in range(m + 1):
-        sigma[n] = np.einsum("kij,klj->il", c[n:], c[: m + 1 - n].conj())
+    sigma = adjoint_product_coefficients(x.coeffs)
     # sigma_0 is Hermitian in exact arithmetic; remove summation-order noise.
     sigma[0] = 0.5 * (sigma[0] + sigma[0].conj().T)
     return HermitianLaurentPolynomial(sigma)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     IdenticallyZeroDeterminant,
@@ -40,7 +39,6 @@ from .laurent import (
     _frobenius,
     _next_pow2,
     coefficients_from_values,
-    evaluate_at,
     sample_on_grid,
     unit_circle_grid,
 )
@@ -97,18 +95,35 @@ def default_verify_grid(m: int) -> int:
     return _next_pow2(max(256, 8 * (m + 1)))
 
 
-def _min_eigenvalue_at(S: HermitianLaurentPolynomial, theta: float) -> float:
-    value = evaluate_at(S, np.exp(1j * theta))
-    value = 0.5 * (value + value.conj().T)
-    return float(np.linalg.eigvalsh(value)[0])
+# Zoom refinement of the grid minimizer: each level evaluates this many
+# equally spaced angles across the bracket, then re-centres a bracket of two
+# spacings on the best one.  Six levels of 17 shrink the spacing by 8**6, to
+# below 1e-7 rad on every grid of 256 or more points.
+ZOOM_POINTS = 17
+ZOOM_LEVELS = 6
+
+
+def _values_at_angles(S: HermitianLaurentPolynomial, theta: np.ndarray) -> np.ndarray:
+    """Values S(exp(i theta)) at a vector of angles, one matmul over the
+    coefficient stack; exactly Hermitian, since sigma_0 is symmetrized and the
+    rest is a sum of a tail and its adjoint."""
+    r = S.r
+    powers = np.exp(1j * np.outer(theta, np.arange(1, S.m + 1)))
+    tail = (powers @ S.coeffs[1:].reshape(S.m, r * r)).reshape(len(theta), r, r)
+    sigma0 = 0.5 * (S.coeffs[0] + S.coeffs[0].conj().T)
+    return sigma0 + tail + tail.conj().transpose(0, 2, 1)
 
 
 def check_positivity(S: HermitianLaurentPolynomial, K: int | None = None):
     """Minimum eigenvalue and minimum |det| of S over the circle.
 
-    Scans the K-point grid, then refines around the grid minimizer with a
-    bounded scalar search so a boundary zero that falls between grid points
-    is still seen as (numerically) zero.
+    Scans the K-point grid, then zooms in on the grid minimizer theta_j: each
+    of ``ZOOM_LEVELS`` levels evaluates S at ``ZOOM_POINTS`` angles across
+    the bracket (first ``[theta_j - 2 pi/K, theta_j + 2 pi/K]``), takes the
+    batch's smallest eigenvalues and re-centres on their argmin, so a
+    boundary zero that falls between grid points is still seen as
+    (numerically) zero.  The minimum |det| also includes the value at the
+    refined minimizer.
     """
     if K is None:
         K = default_verify_grid(S.m)
@@ -116,19 +131,18 @@ def check_positivity(S: HermitianLaurentPolynomial, K: int | None = None):
     values = 0.5 * (values + values.conj().transpose(0, 2, 1))
     eigs = np.linalg.eigvalsh(values)
     dets = np.abs(np.linalg.det(values))
-    j = int(np.argmin(eigs[:, 0]))
-    width = 2.0 * np.pi / K
-    theta_j = 2.0 * np.pi * j / K
-    refined = minimize_scalar(
-        lambda t: _min_eigenvalue_at(S, t),
-        bounds=(theta_j - width, theta_j + width),
-        method="bounded",
-        options={"xatol": 1e-7, "maxiter": 80},
-    )
-    min_eig = min(float(eigs[:, 0].min()), float(refined.fun))
-    value_star = evaluate_at(S, np.exp(1j * refined.x))
-    value_star = 0.5 * (value_star + value_star.conj().T)
-    min_det = min(float(dets.min()), float(abs(np.linalg.det(value_star))))
+    min_eig = float(eigs[:, 0].min())
+    center = 2.0 * np.pi * int(np.argmin(eigs[:, 0])) / K
+    half_width = 2.0 * np.pi / K
+    for _ in range(ZOOM_LEVELS):
+        theta = center + np.linspace(-half_width, half_width, ZOOM_POINTS)
+        batch = _values_at_angles(S, theta)
+        low = np.linalg.eigvalsh(batch)[:, 0]
+        best = int(np.argmin(low))
+        min_eig = min(min_eig, float(low[best]))
+        center = theta[best]
+        half_width *= 2.0 / (ZOOM_POINTS - 1)
+    min_det = min(float(dets.min()), float(abs(np.linalg.det(batch[best]))))
     return min_eig, min_det
 
 

@@ -1,6 +1,7 @@
 """CLI exit codes, output contracts, and the end-to-end pipeline."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -8,7 +9,17 @@ import sys
 import numpy as np
 import pytest
 
+import specfact
 from specfact.cli import main
+from specfact.errors import (
+    CholeskyBreakdown,
+    DegenerateDeterminant,
+    NoConvergence,
+    NotPositiveDefinite,
+    OddBoundaryMultiplicity,
+    SingularIterate,
+    SingularLeadingCoefficient,
+)
 from specfact.fileio import read_factor
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -73,6 +84,26 @@ class TestFactorCommand:
         assert any("did not converge" in w for w in metadata["warnings"])
         truth, _ = read_factor(FIXTURES / "boundary_r2m2_seed19.truth")
         assert np.max(np.abs(x.coeffs - truth.coeffs)) < 1e-2
+
+    @pytest.mark.parametrize("error, code", [
+        (NotPositiveDefinite, 2),
+        (DegenerateDeterminant, 2),
+        (CholeskyBreakdown, 2),
+        (OddBoundaryMultiplicity, 2),
+        (SingularIterate, 2),
+        (SingularLeadingCoefficient, 2),
+        (NoConvergence, 3),
+    ])
+    def test_escaping_error_exit_code(self, tmp_path, monkeypatch, capsys, error, code):
+        spectrum = tmp_path / "s.spectrum"
+        write_scalar_spectrum(spectrum)
+
+        def raise_error(*args, **kwargs):
+            raise error("planted failure")
+
+        monkeypatch.setattr("specfact.cli.factor", raise_error)
+        assert main(["factor", str(spectrum), str(tmp_path / "out")]) == code
+        assert "planted failure" in capsys.readouterr().err
 
     def test_fixture_bundle_recovers_truth(self, tmp_path):
         out = tmp_path / "out.factor"
@@ -194,3 +225,23 @@ class TestPipeline:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "algorithm=" in proc.stdout
+
+    def test_commands_never_import_scipy(self, tmp_path):
+        # The runtime is numpy only; scipy would add about half a second to
+        # every command's start.
+        script = (
+            "import sys\n"
+            "from specfact.cli import main\n"
+            "assert main(['gen', '2', '2', 'p', '--seed', '3']) == 0\n"
+            "assert main(['factor', 'p.spectrum', 'p.factor']) == 0\n"
+            "assert main(['verify', 'p.spectrum', 'p.factor', '--json']) == 0\n"
+            "loaded = sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.'))\n"
+            "assert not loaded, loaded\n"
+        )
+        package_root = str(pathlib.Path(specfact.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

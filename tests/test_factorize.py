@@ -14,6 +14,7 @@ from specfact.errors import (
 )
 from specfact.factorize import (
     FactorizationOptions,
+    _residual_against,
     bauer_factor,
     canonical_normalize,
     factor,
@@ -33,6 +34,18 @@ def coeff_gap(a: MatrixPolynomial, b: MatrixPolynomial) -> float:
     if a.m != b.m:
         return float("inf")
     return float(np.max(np.sqrt(np.sum(np.abs(a.coeffs - b.coeffs) ** 2, axis=(1, 2)))))
+
+
+def forward_error(x: MatrixPolynomial, truth: MatrixPolynomial) -> float:
+    """max_n ||rho_n - rho_n^true||_F / (1 + max_n ||rho_n^true||_F), with the
+    shorter stack zero-padded."""
+    n = max(len(x.coeffs), len(truth.coeffs))
+    a = np.zeros((n, x.r, x.r), dtype=complex)
+    b = np.zeros_like(a)
+    a[: len(x.coeffs)] = x.coeffs
+    b[: len(truth.coeffs)] = truth.coeffs
+    norm = lambda c: np.sqrt(np.sum(np.abs(c) ** 2, axis=(1, 2)))
+    return float(norm(a - b).max() / (1.0 + norm(b).max()))
 
 
 S_SCALAR = scalar_laurent(5.0, 2.0)  # 5 + 2z + 2/z = (2 + z)(2 + 1/z)
@@ -118,6 +131,13 @@ class TestBauer:
         x = bauer_factor(bundle.spectrum, opts)
         canon, _ = canonical_normalize(x)
         assert coeff_gap(canon, bundle.ground_truth) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("r, m, margin", [(4, 8, 0.1), (3, 4, 0.05)])
+    def test_forward_error_against_oracle(self, r, m, margin, seed):
+        bundle = generate_instance(r, m, seed=seed, root_margin=margin)
+        canon, _ = canonical_normalize(bauer_factor(bundle.spectrum))
+        assert forward_error(canon, bundle.ground_truth) <= 1e-10
 
     def test_breakdown_on_indefinite_band(self):
         with pytest.raises(CholeskyBreakdown):
@@ -259,3 +279,27 @@ def test_factor_residual_and_outerness_property(seed, m, r):
     assert check_factorization(bundle.spectrum, result.factor) <= 1e-9
     min_modulus, _ = check_outer_determinant(result.factor)
     assert min_modulus >= 1 - 1e-6
+
+
+def loop_residual(sigma, c):
+    """Reference for the residual: one r x r matmul per (lag, index) pair."""
+    order = max(len(sigma), len(c))
+    worst = 0.0
+    for n in range(order):
+        acc = np.zeros(sigma.shape[1:], dtype=complex)
+        for k in range(len(c) - n):
+            acc += c[k + n] @ c[k].conj().T
+        if n < len(sigma):
+            acc -= sigma[n]
+        worst = max(worst, float(np.linalg.norm(acc)))
+    scale = 1.0 + max(float(np.linalg.norm(s)) for s in sigma)
+    return worst / scale
+
+
+@pytest.mark.parametrize("sigma_len, factor_len", [(1, 1), (3, 3), (2, 5), (6, 2)])
+@pytest.mark.parametrize("r", [1, 3])
+def test_residual_matches_loop_reference(sigma_len, factor_len, r):
+    rng = np.random.default_rng(100 * sigma_len + 10 * factor_len + r)
+    draw = lambda n: rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
+    sigma, c = draw(sigma_len), draw(factor_len)
+    assert _residual_against(sigma, c) == pytest.approx(loop_residual(sigma, c), rel=1e-12)
