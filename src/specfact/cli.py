@@ -107,7 +107,7 @@ def _cmd_factor(args) -> int:
         best = exc.best_factor
         if best is not None:
             try:
-                write_factor(args.output, best, algorithm=args.algorithm,
+                write_factor(args.output, best, algorithm=exc.algorithm,
                              residual=exc.achieved_residual,
                              warnings=[f"did not converge: {exc}"])
             except OSError as io_exc:

@@ -47,13 +47,14 @@ class RetryExhausted(SpectralFactorError):
 class NoConvergence(SpectralFactorError):
     """An iterative factorization hit its cap before reaching tolerance.
 
-    Carries the best iterate seen so far together with its residual so callers
-    can still inspect or persist the partial answer.
+    Carries the best iterate seen so far, its residual and the name of the
+    algorithm that produced it, so callers can still inspect or persist it.
     """
 
     def __init__(self, message, best_factor=None, achieved_residual=float("inf"),
-                 iterations=0):
+                 iterations=0, algorithm=None):
         super().__init__(message)
         self.best_factor = best_factor
         self.achieved_residual = achieved_residual
         self.iterations = iterations
+        self.algorithm = algorithm

@@ -15,6 +15,9 @@ coefficientwise:
 * :func:`wilson_factor` -- Newton-type iteration
   ``X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+`` on a unit-circle grid, where
   ``[.]_+`` keeps half the index-0 Fourier coefficient plus indices 1..m.
+  The product with ``X_k`` is formed on the grid too, and ``X_k`` counts as
+  singular when its worst grid 1-norm condition number, taken from its
+  pointwise inverse, exceeds ``NEWTON_COND_MAX``.
   Quadratically convergent near the solution.
 * :func:`scalar_root_factor` -- for r = 1 only: factor through the roots of
   ``z^m S(z)``, which pair as (a, 1/conj(a)); the factor collects the roots
@@ -44,6 +47,8 @@ from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _frobenius,
+    _hermitian_scan,
+    _inverse_on_grid,
     adjoint_product_coefficients,
     coefficients_from_values,
     default_grid_size,
@@ -58,6 +63,9 @@ BOUNDARY_ROOT_TOL = 1e-7
 
 # Condition-number cap on rho_0 for canonical normalization.
 LEADING_COND_MAX = 1e12
+
+# Grid 1-norm condition-number cap before a Newton iterate counts as singular.
+NEWTON_COND_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -108,23 +116,11 @@ def _residual_against(sigma: np.ndarray, factor_coeffs: np.ndarray) -> float:
     return float(_frobenius(gap).max()) / _coefficient_scale(sigma)
 
 
-def _grid_spectrum_stats(S: HermitianLaurentPolynomial, K: int):
-    """(min eigenvalue, max ||S(z_j)||_F, min |det|, max |det|) over the grid."""
-    samples = sample_on_grid(S, K).samples
-    samples = 0.5 * (samples + samples.conj().transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(samples)
-    dets = np.abs(np.linalg.det(samples))
-    return (
-        float(eigs.min()),
-        float(_frobenius(samples).max()),
-        float(dets.min()),
-        float(dets.max()),
-    )
-
-
 def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
     """Enforce the factorization hypotheses on the grid; returns warnings."""
-    min_eig, scale, min_det, max_det = _grid_spectrum_stats(S, K)
+    eigs, dets = _hermitian_scan(sample_on_grid(S, K).samples)
+    min_eig, max_det = float(eigs.min()), float(dets.max())
+    scale = float(np.sqrt(np.sum(eigs**2, axis=-1)).max())  # max_j ||S(z_j)||_F
     if min_eig < -1e-10 * scale:
         raise NotPositiveDefinite(
             f"spectrum has grid eigenvalue {min_eig:.3e} below -1e-10 * scale "
@@ -209,6 +205,7 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
         best_factor=MatrixPolynomial(prev_est),
         achieved_residual=_residual_against(sigma, prev_est),
         iterations=cap,
+        algorithm="bauer",
     )
 
 
@@ -217,24 +214,6 @@ def bauer_factor(S: HermitianLaurentPolynomial,
     """Spectral factor via banded block-Toeplitz Cholesky (last-row estimate)."""
     coeffs, _ = _bauer_core(S, opts)
     return MatrixPolynomial(coeffs)
-
-
-def _causal_half_window(values: np.ndarray, m: int) -> np.ndarray:
-    """Fourier window [0, m] of grid values with the index-0 term halved."""
-    c = coefficients_from_values(values, 0, m)
-    c = np.array(c)
-    c[0] *= 0.5
-    return c
-
-
-def _polynomial_product_truncated(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients 0..m of the product of two coefficient stacks."""
-    r = a.shape[1]
-    out = np.zeros((m + 1, r, r), dtype=np.complex128)
-    for n in range(m + 1):
-        for k in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
-            out[n] += a[k] @ b[n - k]
-    return out
 
 
 def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
@@ -263,33 +242,27 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
 
     best = chi
     best_residual = _residual_against(sigma, chi)
+    # Only buf[: m + 1] is ever written, so the rest stays zero.
     buf = np.zeros((K, r, r), dtype=np.complex128)
     polish_pending = False
     for iteration in range(1, opts.max_newton_iters + 1):
-        buf[:] = 0.0
         buf[: m + 1] = chi
         chi_vals = sample_values_on_grid(buf)
-        cond = np.linalg.cond(chi_vals)
-        if not np.all(np.isfinite(cond)) or cond.max() > 1e12:
+        inverse, cond = _inverse_on_grid(chi_vals)
+        if cond > NEWTON_COND_MAX:
             raise SingularIterate(
                 f"iterate {iteration} is numerically singular on the grid "
-                f"(max condition number {cond.max():.3e})"
+                f"(max condition number {cond:.3e})"
             )
-        try:
-            half = np.linalg.solve(chi_vals, S_vals)
-            G = np.linalg.solve(chi_vals, half.conj().transpose(0, 2, 1))
-            G = G.conj().transpose(0, 2, 1) + eye
-        except np.linalg.LinAlgError:
-            raise SingularIterate(
-                f"iterate {iteration} is singular at a grid point"
-            ) from None
+        G = inverse @ S_vals @ inverse.conj().transpose(0, 2, 1) + eye
 
-        plus = _causal_half_window(G, m)
-        chi_next = _polynomial_product_truncated(chi, plus, m)
+        # [G]_+ (window [0, m], index-0 term halved) times X_k on the grid; the
+        # product has degree 2m < K, so its window [0, m] comes back unaliased.
+        buf[: m + 1] = coefficients_from_values(G, 0, m)
+        buf[0] *= 0.5
+        chi_next = coefficients_from_values(chi_vals @ sample_values_on_grid(buf), 0, m)
 
-        step = float(_frobenius(chi_next - chi).max()) / (
-            1.0 + float(_frobenius(chi).max())
-        )
+        step = float(_frobenius(chi_next - chi).max()) / _coefficient_scale(chi)
         residual = _residual_against(sigma, chi_next)
         chi = chi_next
         if residual < best_residual:
@@ -309,6 +282,7 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
         best_factor=MatrixPolynomial(best),
         achieved_residual=best_residual,
         iterations=opts.max_newton_iters,
+        algorithm="wilson",
     )
 
 
@@ -495,6 +469,7 @@ def factor(S: HermitianLaurentPolynomial,
                     best_factor=_canonical_or_raw(best.coeffs),
                     achieved_residual=best_failure.achieved_residual,
                     iterations=best_failure.iterations,
+                    algorithm=best_failure.algorithm,
                 ) from None
             warnings.append(f"{name} did not converge ({exc}); falling back")
 

@@ -233,6 +233,26 @@ def sample_values_on_grid(coeff_buffer: np.ndarray) -> np.ndarray:
     return np.fft.ifft(coeff_buffer, axis=0) * K
 
 
+def _inverse_on_grid(values: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """Pointwise inverses of a (K, r, r) stack and the worst 1-norm condition
+    number ``||A||_1 ||A^{-1}||_1`` over it: ``inf`` at a singular point or a
+    non-finite inverse (the inverses are ``None`` when inversion fails)."""
+    try:
+        inverse = np.linalg.inv(values)
+    except np.linalg.LinAlgError:
+        return None, float("inf")
+    column_sums = lambda a: np.abs(a).sum(axis=-2).max(axis=-1)
+    worst = float((column_sums(values) * column_sums(inverse)).max())
+    return inverse, worst if np.isfinite(worst) else float("inf")
+
+
+def _hermitian_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, per point) and |det| of sampled spectrum values,
+    symmetrized first so roundoff cannot make a point non-Hermitian."""
+    values = 0.5 * (values + values.conj().transpose(0, 2, 1))
+    return np.linalg.eigvalsh(values), np.abs(np.linalg.det(values))
+
+
 def sample_on_grid(p, K: int) -> SampledMatrixFunction:
     """Sample a polynomial on the K-point unit-circle grid via FFT.
 

@@ -17,6 +17,8 @@ All functions are rational with known band or degree bounds, so a
 sufficiently fine grid is decisive up to conditioning; every "almost
 everywhere on the circle" statement is checked on ``K = max(256, 8(m+1))``
 points by default, with a grid-doubling cross-check on the anticausal mass.
+Checks that divide by a factor use its pointwise grid inverse, whose worst
+1-norm condition number must stay below ``GRID_COND_MAX``.
 Failures inside :func:`verify_all` are reported as failed entries, never
 raised.
 """
@@ -32,18 +34,21 @@ from .errors import (
     SingularFactorOnGrid,
     SpectralFactorError,
 )
-from .factorize import _residual_against
+from .factorize import _coefficient_scale, _residual_against
 from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _frobenius,
+    _hermitian_scan,
+    _inverse_on_grid,
     _next_pow2,
     coefficients_from_values,
     sample_on_grid,
     unit_circle_grid,
 )
 
-# Grid condition-number cap before a factor counts as singular on the grid.
+# Cap on the worst grid 1-norm condition number ||X(z_j)||_1 ||X(z_j)^{-1}||_1,
+# taken from the pointwise inverse, before a factor counts as singular.
 GRID_COND_MAX = 1e10
 
 # Roots of det X inside this band around |z| = 1 are boundary-ambiguous.
@@ -127,10 +132,7 @@ def check_positivity(S: HermitianLaurentPolynomial, K: int | None = None):
     """
     if K is None:
         K = default_verify_grid(S.m)
-    values = sample_on_grid(S, K).samples
-    values = 0.5 * (values + values.conj().transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(values)
-    dets = np.abs(np.linalg.det(values))
+    eigs, dets = _hermitian_scan(sample_on_grid(S, K).samples)
     min_eig = float(eigs[:, 0].min())
     center = 2.0 * np.pi * int(np.argmin(eigs[:, 0])) / K
     half_width = 2.0 * np.pi / K
@@ -206,16 +208,16 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
         K = default_verify_grid(m)
     S_vals = sample_on_grid(S, K).samples
     x_vals = sample_on_grid(x, K).samples
-    cond = np.linalg.cond(x_vals)
-    if not np.all(np.isfinite(cond)) or cond.max() > GRID_COND_MAX:
+    inverse, cond = _inverse_on_grid(x_vals)
+    if cond > GRID_COND_MAX:
         raise SingularFactorOnGrid(
-            f"factor condition number {cond.max():.3e} on the grid exceeds "
+            f"factor condition number {cond:.3e} on the grid exceeds "
             f"{GRID_COND_MAX:.1e}"
         )
     z_m = unit_circle_grid(K) ** m
-    left = np.linalg.solve(x_vals, z_m[:, None, None] * S_vals)
+    left = inverse @ (z_m[:, None, None] * S_vals)
     right = z_m[:, None, None] * x_vals.conj().transpose(0, 2, 1)
-    scale = 1.0 + float(_frobenius(S.coeffs).max())
+    scale = _coefficient_scale(S.coeffs)
     pointwise_gap = float(_frobenius(left - right).max()) / scale
 
     window = coefficients_from_values(left, -(K // 2), K // 2 - 1)
@@ -239,13 +241,13 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
         K = default_verify_grid(max(x1.m, x2.m))
     v1 = sample_on_grid(x1, K).samples
     v2 = sample_on_grid(x2, K).samples
-    cond = np.linalg.cond(v1)
-    if not np.all(np.isfinite(cond)) or cond.max() > GRID_COND_MAX:
+    inverse, cond = _inverse_on_grid(v1)
+    if cond > GRID_COND_MAX:
         raise SingularFactorOnGrid(
-            f"left factor condition number {cond.max():.3e} on the grid exceeds "
+            f"left factor condition number {cond:.3e} on the grid exceeds "
             f"{GRID_COND_MAX:.1e}"
         )
-    U = np.linalg.solve(v1, v2)
+    U = inverse @ v2
     mean = U.mean(axis=0)
     constancy_gap = float(_frobenius(U - mean).max())
     eye = np.eye(x1.r)
@@ -266,7 +268,7 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     K = opts.grid_K if opts.grid_K is not None else default_verify_grid(S.m)
     entries: list[CheckEntry] = []
 
-    scale = 1.0 + float(_frobenius(S.coeffs).max())
+    scale = _coefficient_scale(S.coeffs)
     try:
         min_eig, min_det = check_positivity(S, K)
         violation = max(0.0, -min_eig) / scale

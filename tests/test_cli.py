@@ -1,5 +1,6 @@
 """CLI exit codes, output contracts, and the end-to-end pipeline."""
 
+import functools
 import json
 import os
 import pathlib
@@ -20,6 +21,7 @@ from specfact.errors import (
     SingularIterate,
     SingularLeadingCoefficient,
 )
+from specfact.factorize import FactorizationOptions
 from specfact.fileio import read_factor
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -84,6 +86,19 @@ class TestFactorCommand:
         assert any("did not converge" in w for w in metadata["warnings"])
         truth, _ = read_factor(FIXTURES / "boundary_r2m2_seed19.truth")
         assert np.max(np.abs(x.coeffs - truth.coeffs)) < 1e-2
+
+    def test_no_convergence_metadata_names_algorithm_not_flag(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # Under the default flag ("auto") Wilson stalls first and Bauer falls
+        # back; with these caps Wilson's iterate is the better one and is the
+        # one written, so the metadata must say "wilson", not "auto".
+        monkeypatch.setattr("specfact.cli.FactorizationOptions", functools.partial(
+            FactorizationOptions, max_newton_iters=8, max_toeplitz_blocks=4))
+        out = tmp_path / "s.factor"
+        code = main(["factor", str(FIXTURES / "boundary_r2m2_seed19.spectrum"), str(out)])
+        assert code == 3
+        _, metadata = read_factor(out)
+        assert metadata["algorithm"] == "wilson"
 
     @pytest.mark.parametrize("error, code", [
         (NotPositiveDefinite, 2),

@@ -12,17 +12,25 @@ from specfact.errors import (
     OddBoundaryMultiplicity,
     SingularLeadingCoefficient,
 )
+from specfact import factorize
 from specfact.factorize import (
     FactorizationOptions,
     _residual_against,
+    _wilson_core,
     bauer_factor,
     canonical_normalize,
     factor,
     scalar_root_factor,
     wilson_factor,
 )
-from specfact.laurent import HermitianLaurentPolynomial, MatrixPolynomial, multiply_by_adjoint
-from specfact.testgen import generate_instance
+from specfact.laurent import (
+    HermitianLaurentPolynomial,
+    MatrixPolynomial,
+    default_grid_size,
+    multiply_by_adjoint,
+    sample_on_grid,
+)
+from specfact.testgen import generate_boundary_instance, generate_instance
 from specfact.verify import check_factorization, check_outer_determinant
 
 
@@ -105,6 +113,21 @@ class TestFactorDispatch:
         exc = excinfo.value
         assert exc.best_factor is not None
         assert np.isfinite(exc.achieved_residual)
+
+    @pytest.mark.parametrize("algorithm, newton_iters, blocks, expected", [
+        ("wilson", 2, 16, "wilson"),
+        ("bauer", 2, 16, "bauer"),
+        ("auto", 2, 16, "bauer"),   # Bauer's iterate has the lower residual
+        ("auto", 8, 4, "wilson"),   # Wilson's iterate has the lower residual
+    ])
+    def test_no_convergence_names_the_algorithm_of_its_iterate(
+            self, algorithm, newton_iters, blocks, expected):
+        spectrum = generate_boundary_instance(2, 2, seed=19).spectrum
+        opts = FactorizationOptions(algorithm=algorithm, max_newton_iters=newton_iters,
+                                    max_toeplitz_blocks=blocks)
+        with pytest.raises(NoConvergence) as excinfo:
+            factor(spectrum, opts)
+        assert excinfo.value.algorithm == expected
 
     def test_invalid_options(self):
         with pytest.raises(ValueError):
@@ -303,3 +326,52 @@ def test_residual_matches_loop_reference(sigma_len, factor_len, r):
     draw = lambda n: rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
     sigma, c = draw(sigma_len), draw(factor_len)
     assert _residual_against(sigma, c) == pytest.approx(loop_residual(sigma, c), rel=1e-12)
+
+
+def loop_product(a, b, m):
+    """Reference for the Newton update's product: coefficients 0..m of
+    a(z) b(z), one r x r matmul per pair of indices."""
+    r = a.shape[1]
+    out = np.zeros((m + 1, r, r), dtype=np.complex128)
+    for n in range(m + 1):
+        for k in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
+            out[n] += a[k] @ b[n - k]
+    return out
+
+
+def reference_newton_step(S, chi):
+    """X_k [X_k^{-1} S X_k^{-*} + I]_+ with grid solves for the inner term and
+    the product taken in coefficient space."""
+    m, r = S.m, S.r
+    K = default_grid_size(m)
+    S_vals = sample_on_grid(S, K).samples
+    chi_vals = sample_on_grid(MatrixPolynomial(chi), K).samples
+    half = np.linalg.solve(chi_vals, S_vals)
+    G = np.linalg.solve(chi_vals, half.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+    plus = np.fft.fft(G + np.eye(r), axis=0)[: m + 1] / K
+    plus[0] *= 0.5
+    return loop_product(chi, plus, m)
+
+
+@pytest.mark.parametrize("m", [0, 4, 32])
+@pytest.mark.parametrize("r", [1, 3])
+def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
+    rng = np.random.default_rng(10 * m + r)
+    draw = rng.standard_normal((m + 1, r, r)) + 1j * rng.standard_normal((m + 1, r, r))
+    S = multiply_by_adjoint(MatrixPolynomial(draw))
+    # Every iterate passes through the residual: record the start and the
+    # one update, and report no progress so nothing stops early.
+    iterates = []
+
+    def record(sigma, c):
+        iterates.append(np.array(c))
+        return 1.0
+
+    monkeypatch.setattr(factorize, "_residual_against", record)
+    try:
+        _wilson_core(S, FactorizationOptions(max_newton_iters=1, residual_tol=1e-30))
+    except NoConvergence:
+        pass
+    start, update = iterates
+    expected = reference_newton_step(S, start)
+    assert np.linalg.norm(update - expected) <= 1e-12 * np.linalg.norm(expected)

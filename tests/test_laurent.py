@@ -8,6 +8,7 @@ from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     SampledMatrixFunction,
+    _inverse_on_grid,
     coefficients_from_samples,
     default_grid_size,
     evaluate_at,
@@ -105,6 +106,32 @@ class TestSampleOnGrid:
         S = scalar_laurent(*np.r_[4.0, np.ones(5)])
         with pytest.raises(ValueError, match="alias"):
             sample_on_grid(S, 8)
+
+
+class TestInverseOnGrid:
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_matches_numpy_inverse_and_one_norm_condition(self, r):
+        rng = np.random.default_rng(40 + r)
+        values = rng.standard_normal((16, r, r)) + 1j * rng.standard_normal((16, r, r))
+        inverse, cond = _inverse_on_grid(values)
+        np.testing.assert_allclose(inverse, np.linalg.inv(values), rtol=1e-12, atol=1e-12)
+        assert cond == pytest.approx(float(np.linalg.cond(values, 1).max()), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_exactly_singular_point_is_infinite(self, r):
+        # 1 - z in the first channel vanishes exactly at the grid point z = 1.
+        coeffs = np.zeros((2, r, r), dtype=complex)
+        coeffs[0] = np.eye(r)
+        coeffs[1, 0, 0] = -1.0
+        values = sample_on_grid(MatrixPolynomial(coeffs), 8).samples
+        assert np.all(values[0, 0] == 0)
+        _, cond = _inverse_on_grid(values)
+        assert cond == float("inf")
+
+    def test_non_finite_inverse_is_infinite(self):
+        values = np.full((4, 1, 1), 1e-320, dtype=complex)
+        _, cond = _inverse_on_grid(values)
+        assert cond == float("inf")
 
 
 class TestCoefficientsFromSamples:
