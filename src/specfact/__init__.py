@@ -24,8 +24,6 @@ from .errors import (
 from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
-    SampledMatrixFunction,
-    coefficients_from_samples,
     default_grid_size,
     evaluate_at,
     multiply_by_adjoint,
@@ -72,8 +70,6 @@ __all__ = [
     "SpectralFactorError",
     "HermitianLaurentPolynomial",
     "MatrixPolynomial",
-    "SampledMatrixFunction",
-    "coefficients_from_samples",
     "default_grid_size",
     "evaluate_at",
     "multiply_by_adjoint",

@@ -52,6 +52,7 @@ from .laurent import (
     adjoint_product_coefficients,
     coefficients_from_values,
     default_grid_size,
+    default_verify_grid,
     sample_on_grid,
     sample_values_on_grid,
 )
@@ -118,7 +119,7 @@ def _residual_against(sigma: np.ndarray, factor_coeffs: np.ndarray) -> float:
 
 def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
     """Enforce the factorization hypotheses on the grid; returns warnings."""
-    eigs, dets = _hermitian_scan(sample_on_grid(S, K).samples)
+    eigs, dets = _hermitian_scan(sample_on_grid(S, K))
     min_eig, max_det = float(eigs.min()), float(dets.max())
     scale = float(np.sqrt(np.sum(eigs**2, axis=-1)).max())  # max_j ||S(z_j)||_F
     if min_eig < -1e-10 * scale:
@@ -227,7 +228,7 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     m, r = S.m, S.r
     sigma = S.coeffs
     K = opts.grid_K if opts.grid_K is not None else default_grid_size(m)
-    S_vals = sample_on_grid(S, K).samples
+    S_vals = sample_on_grid(S, K)
     eye = np.eye(r, dtype=np.complex128)
 
     sigma0 = 0.5 * (sigma[0] + sigma[0].conj().T)
@@ -426,19 +427,12 @@ def factor(S: HermitianLaurentPolynomial,
     ``NoConvergence`` (carrying the canonicalized best iterate) when every
     attempted algorithm exhausts its cap.
     """
-    check_K = opts.grid_K if opts.grid_K is not None else max(256, default_grid_size(S.m))
+    check_K = opts.grid_K if opts.grid_K is not None else default_verify_grid(S.m)
     warnings = _require_factorable(S, check_K)
 
-    if opts.algorithm == "wilson":
-        attempts = ["wilson"]
-    elif opts.algorithm == "bauer":
-        attempts = ["bauer"]
-    elif opts.algorithm == "scalar_roots":
-        if S.r != 1:
-            raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
-        attempts = ["scalar_roots"]
-    else:
-        attempts = ["wilson", "bauer"]
+    if opts.algorithm == "scalar_roots" and S.r != 1:
+        raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
+    attempts = ("wilson", "bauer") if opts.algorithm == "auto" else (opts.algorithm,)
 
     best_failure: NoConvergence | None = None
     raw = None

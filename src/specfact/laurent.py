@@ -1,16 +1,15 @@
 """Matrix Laurent polynomials on the unit circle.
 
 Data model and arithmetic for the two polynomial families the factorization
-works with, plus the FFT bridge between coefficient space and values on a
-uniform unit-circle grid:
+works with, plus the FFT bridge between coefficient space and values on the
+uniform unit-circle grid ``z_j = exp(2*pi*i*j/K)`` (sampling returns the
+``(K, r, r)`` value array; coefficient recovery reads one back):
 
 * :class:`HermitianLaurentPolynomial` -- a para-Hermitian spectrum
   ``S(z) = sum_{n=-m}^{m} sigma_n z^n`` with ``sigma_{-n} = sigma_n^*``.
   Only the nonnegative-index coefficients are stored; the negative side is
   always derived, so the symmetry cannot be broken by construction.
 * :class:`MatrixPolynomial` -- a causal factor ``X(z) = sum_{n=0}^{m} rho_n z^n``.
-* :class:`SampledMatrixFunction` -- values on the grid ``z_j = exp(2*pi*i*j/K)``,
-  the FFT dual of the coefficient representation.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -48,6 +47,13 @@ def default_grid_size(m: int) -> int:
     return _next_pow2(8 * (m + 1))
 
 
+def default_verify_grid(m: int) -> int:
+    """The one check grid: ``default_grid_size(m)``, but at least 256 points.
+    Used by the hypothesis precheck of ``factor()``, by every verify check and
+    by the generator's condition estimate."""
+    return _next_pow2(max(256, 8 * (m + 1)))
+
+
 def _as_coefficient_stack(coeffs) -> np.ndarray:
     """Coerce to a complex (m+1, r, r) stack and validate finiteness."""
     a = np.asarray(coeffs, dtype=np.complex128)
@@ -71,9 +77,13 @@ def trim_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """Drop trailing coefficients whose norm is below the trim threshold.
 
     Always keeps index 0, so the zero polynomial trims to a single zero
-    coefficient.
+    coefficient.  Raises ``ValueError`` when a coefficient norm overflows to
+    ``inf`` (entries beyond about 1e154), which would otherwise trim away
+    every coefficient above index 0.
     """
     norms = _frobenius(coeffs)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("coefficient norms overflow double precision")
     threshold = TRIM_RTOL * (norms.max() if norms.size else 0.0)
     last = 0
     for n in range(len(coeffs) - 1, -1, -1):
@@ -151,33 +161,6 @@ class HermitianLaurentPolynomial:
         return self.coeffs[-n].conj().T
 
 
-@dataclass(frozen=True, eq=False)
-class SampledMatrixFunction:
-    """Values of a matrix function on the grid ``z_j = exp(2*pi*i*j/K)``."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.samples, dtype=np.complex128)
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise ValueError(f"samples must form a (K, r, r) stack, got {a.shape}")
-        if not _is_power_of_two(a.shape[0]) or a.shape[0] < 2:
-            raise ValueError(f"grid size K={a.shape[0]} must be a power of two >= 2")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("samples contain non-finite entries")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "samples", a)
-
-    @property
-    def K(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.samples.shape[1]
-
-
 def unit_circle_grid(K: int) -> np.ndarray:
     """The K-point grid ``z_j = exp(2*pi*i*j/K)``."""
     return np.exp(2j * np.pi * np.arange(K) / K)
@@ -221,8 +204,7 @@ def _band_coefficient_buffer(p, K: int) -> np.ndarray:
     buf = np.zeros((K, r, r), dtype=np.complex128)
     buf[: p.m + 1] = p.coeffs
     if isinstance(p, HermitianLaurentPolynomial):
-        for n in range(1, p.m + 1):
-            buf[K - n] = p.coeffs[n].conj().T
+        buf[K - p.m :] = p.coeffs[p.m : 0 : -1].conj().transpose(0, 2, 1)
     return buf
 
 
@@ -253,8 +235,9 @@ def _hermitian_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigvalsh(values), np.abs(np.linalg.det(values))
 
 
-def sample_on_grid(p, K: int) -> SampledMatrixFunction:
-    """Sample a polynomial on the K-point unit-circle grid via FFT.
+def sample_on_grid(p, K: int) -> np.ndarray:
+    """Values ``p(z_j)`` on the K-point unit-circle grid, a (K, r, r) array,
+    via FFT.
 
     K must be a power of two with K >= 2m+2 so the band [-m, m] fits without
     aliasing.
@@ -265,7 +248,10 @@ def sample_on_grid(p, K: int) -> SampledMatrixFunction:
         raise ValueError(
             f"grid size K={K} aliases a band of order m={p.m}; need K >= {2 * p.m + 2}"
         )
-    return SampledMatrixFunction(sample_values_on_grid(_band_coefficient_buffer(p, K)))
+    values = sample_values_on_grid(_band_coefficient_buffer(p, K))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("samples contain non-finite entries")
+    return values
 
 
 def coefficients_from_values(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -279,15 +265,6 @@ def coefficients_from_values(values: np.ndarray, lo: int, hi: int) -> np.ndarray
     spectrum = np.fft.fft(values, axis=0) / K
     idx = [n % K for n in range(lo, hi + 1)]
     return spectrum[idx]
-
-
-def coefficients_from_samples(f: SampledMatrixFunction, lo: int, hi: int) -> np.ndarray:
-    """Fourier coefficients c_lo..c_hi of the interpolant through ``f``.
-
-    Exact (to roundoff) whenever ``f`` sampled a Laurent polynomial whose band
-    lies inside [lo, hi].
-    """
-    return coefficients_from_values(f.samples, lo, hi)
 
 
 def adjoint_product_coefficients(c: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .factorize import canonical_normalize
 from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
-    default_grid_size,
+    default_verify_grid,
     multiply_by_adjoint,
     sample_on_grid,
 )
@@ -66,13 +66,12 @@ def _draw_coefficients(stream: SplitMix64, r: int, m: int) -> np.ndarray:
 
 
 def _condition_estimate(S: HermitianLaurentPolynomial) -> float:
-    K = max(256, default_grid_size(S.m))
-    values = sample_on_grid(S, K).samples
+    values = sample_on_grid(S, default_verify_grid(S.m))
     return float(np.linalg.cond(values).max())
 
 
 def _margin_of(x: MatrixPolynomial) -> float:
-    min_modulus, roots = check_outer_determinant(x)
+    min_modulus, _ = check_outer_determinant(x)
     if not np.isfinite(min_modulus):
         return float("inf")
     return min_modulus - 1.0

@@ -15,8 +15,11 @@ factor ``X`` on a finite unit-circle grid:
 
 All functions are rational with known band or degree bounds, so a
 sufficiently fine grid is decisive up to conditioning; every "almost
-everywhere on the circle" statement is checked on ``K = max(256, 8(m+1))``
-points by default, with a grid-doubling cross-check on the anticausal mass.
+everywhere on the circle" statement is checked by default on the one check
+grid, :func:`~specfact.laurent.default_verify_grid` (the smallest power of two
+>= max(256, 8(m+1)), the grid ``factor()``'s hypothesis precheck and the
+generator's condition estimate use too), with a grid-doubling cross-check on
+the anticausal mass.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.
 Failures inside :func:`verify_all` are reported as failed entries, never
@@ -43,6 +46,7 @@ from .laurent import (
     _inverse_on_grid,
     _next_pow2,
     coefficients_from_values,
+    default_verify_grid,
     sample_on_grid,
     unit_circle_grid,
 )
@@ -54,17 +58,22 @@ GRID_COND_MAX = 1e10
 # Roots of det X inside this band around |z| = 1 are boundary-ambiguous.
 OUTER_BOUNDARY_BAND = 1e-6
 
+# Tolerances of the verify_all entries other than the factorization residual:
+# causal-identity gap and anticausal mass, the mass change when the grid
+# doubles, the det-root deficit below |z| = 1, the negative eigenvalue of S.
+CAUSAL_IDENTITY_TOL = 1e-8
+MASS_STABILITY_TOL = 1e-9
+OUTER_TOL = 1e-6
+POSITIVITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Tolerances and grid override for :func:`verify_all`."""
+    """Grid override and factorization-residual tolerance for
+    :func:`verify_all`; the other tolerances are module constants."""
 
     grid_K: int | None = None
     residual_tol: float = 1e-9
-    causal_identity_tol: float = 1e-8
-    mass_stability_tol: float = 1e-9
-    outer_tol: float = 1e-6
-    positivity_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,10 +103,6 @@ class VerificationReport:
     @property
     def has_warnings(self) -> bool:
         return any(entry.warning for entry in self.checks)
-
-
-def default_verify_grid(m: int) -> int:
-    return _next_pow2(max(256, 8 * (m + 1)))
 
 
 # Zoom refinement of the grid minimizer: each level evaluates this many
@@ -132,7 +137,7 @@ def check_positivity(S: HermitianLaurentPolynomial, K: int | None = None):
     """
     if K is None:
         K = default_verify_grid(S.m)
-    eigs, dets = _hermitian_scan(sample_on_grid(S, K).samples)
+    eigs, dets = _hermitian_scan(sample_on_grid(S, K))
     min_eig = float(eigs[:, 0].min())
     center = 2.0 * np.pi * int(np.argmin(eigs[:, 0])) / K
     half_width = 2.0 * np.pi / K
@@ -165,10 +170,8 @@ def determinant_polynomial(x: MatrixPolynomial) -> np.ndarray:
     sampling and coefficient recovery."""
     bound = x.r * x.m
     K = _next_pow2(max(8, 2 * (bound + 1)))
-    values = sample_on_grid(x, K).samples
-    dets = np.linalg.det(values)
-    coeffs = np.fft.fft(dets) / K
-    return coeffs[: bound + 1]
+    dets = np.linalg.det(sample_on_grid(x, K))
+    return coefficients_from_values(dets, 0, bound)
 
 
 def check_outer_determinant(x: MatrixPolynomial):
@@ -206,8 +209,8 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     m = S.m
     if K is None:
         K = default_verify_grid(m)
-    S_vals = sample_on_grid(S, K).samples
-    x_vals = sample_on_grid(x, K).samples
+    S_vals = sample_on_grid(S, K)
+    x_vals = sample_on_grid(x, K)
     inverse, cond = _inverse_on_grid(x_vals)
     if cond > GRID_COND_MAX:
         raise SingularFactorOnGrid(
@@ -220,11 +223,9 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     scale = _coefficient_scale(S.coeffs)
     pointwise_gap = float(_frobenius(left - right).max()) / scale
 
-    window = coefficients_from_values(left, -(K // 2), K // 2 - 1)
-    norms = _frobenius(window)
-    causal = np.zeros(K, dtype=bool)
-    causal[K // 2 : K // 2 + m + 1] = True  # window index K//2 holds n = 0
-    anticausal_mass = float(np.sqrt(np.sum(norms[~causal] ** 2))) / scale
+    # Indices m+1..K-1 are, modulo K, every index outside the window [0, m].
+    norms = _frobenius(coefficients_from_values(left, 0, K - 1))
+    anticausal_mass = float(np.sqrt(np.sum(norms[m + 1 :] ** 2))) / scale
     return pointwise_gap, anticausal_mass
 
 
@@ -239,8 +240,8 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
         raise ValueError(f"dimension mismatch: r={x1.r} vs r={x2.r}")
     if K is None:
         K = default_verify_grid(max(x1.m, x2.m))
-    v1 = sample_on_grid(x1, K).samples
-    v2 = sample_on_grid(x2, K).samples
+    v1 = sample_on_grid(x1, K)
+    v2 = sample_on_grid(x2, K)
     inverse, cond = _inverse_on_grid(v1)
     if cond > GRID_COND_MAX:
         raise SingularFactorOnGrid(
@@ -275,15 +276,15 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
         near_singular = min_eig <= 1e-8 * scale
         entries.append(CheckEntry(
             name="positivity",
-            passed=violation <= opts.positivity_tol,
+            passed=violation <= POSITIVITY_TOL,
             measured=violation,
-            tolerance=opts.positivity_tol,
+            tolerance=POSITIVITY_TOL,
             detail=f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
                    + ("; nearly singular on the circle" if near_singular else ""),
-            warning=near_singular and violation <= opts.positivity_tol,
+            warning=near_singular and violation <= POSITIVITY_TOL,
         ))
     except SpectralFactorError as exc:
-        entries.append(CheckEntry("positivity", False, 0.0, opts.positivity_tol,
+        entries.append(CheckEntry("positivity", False, 0.0, POSITIVITY_TOL,
                                   detail=str(exc)))
 
     try:
@@ -314,45 +315,45 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
         boundary = bool(np.any(np.abs(np.abs(roots) - 1.0) <= OUTER_BOUNDARY_BAND))
         entries.append(CheckEntry(
             name="outer-determinant",
-            passed=deficit <= opts.outer_tol,
+            passed=deficit <= OUTER_TOL,
             measured=deficit,
-            tolerance=opts.outer_tol,
+            tolerance=OUTER_TOL,
             detail=f"min det-root modulus {min_root:.6g} over {len(roots)} root(s)"
                    + ("; root(s) on the boundary band" if boundary else ""),
-            warning=boundary and deficit <= opts.outer_tol,
+            warning=boundary and deficit <= OUTER_TOL,
         ))
     except SpectralFactorError as exc:
-        entries.append(CheckEntry("outer-determinant", False, 0.0, opts.outer_tol,
+        entries.append(CheckEntry("outer-determinant", False, 0.0, OUTER_TOL,
                                   detail=str(exc)))
 
     try:
         gap, mass = check_causal_identity(S, x, K)
         entries.append(CheckEntry(
             name="causal-identity",
-            passed=gap <= opts.causal_identity_tol,
+            passed=gap <= CAUSAL_IDENTITY_TOL,
             measured=gap,
-            tolerance=opts.causal_identity_tol,
+            tolerance=CAUSAL_IDENTITY_TOL,
             detail=f"pointwise gap of X^-1 z^m S = z^m X* on K={K}",
         ))
         entries.append(CheckEntry(
             name="anticausal-mass",
-            passed=mass <= opts.causal_identity_tol,
+            passed=mass <= CAUSAL_IDENTITY_TOL,
             measured=mass,
-            tolerance=opts.causal_identity_tol,
+            tolerance=CAUSAL_IDENTITY_TOL,
             detail=f"Fourier mass outside the causal window [0, {S.m}]",
         ))
         _, mass2 = check_causal_identity(S, x, 2 * K)
         drift = abs(mass2 - mass)
         entries.append(CheckEntry(
             name="anticausal-mass-stability",
-            passed=drift <= opts.mass_stability_tol,
+            passed=drift <= MASS_STABILITY_TOL,
             measured=drift,
-            tolerance=opts.mass_stability_tol,
+            tolerance=MASS_STABILITY_TOL,
             detail=f"anticausal mass change when doubling the grid to {2 * K}",
         ))
     except SpectralFactorError as exc:
         for name in ("causal-identity", "anticausal-mass", "anticausal-mass-stability"):
-            entries.append(CheckEntry(name, False, 0.0, opts.causal_identity_tol,
+            entries.append(CheckEntry(name, False, 0.0, CAUSAL_IDENTITY_TOL,
                                       detail=str(exc)))
 
     return VerificationReport(checks=entries)

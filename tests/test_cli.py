@@ -59,6 +59,14 @@ class TestFactorCommand:
         assert main(["factor", str(spectrum), str(tmp_path / "out")]) == 1
         assert "Hermitian symmetry" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_coefficients_exit_one(self, tmp_path, capsys):
+        spectrum = tmp_path / "huge.spectrum"
+        spectrum.write_text('{"r": 1, "m": 1, "coeffs": {"0": [[[3e155,0]]], '
+                            '"1": [[[1e155,0]]]}}')
+        assert main(["factor", str(spectrum), str(tmp_path / "out")]) == 1
+        assert "overflow" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["factor", str(tmp_path / "nope"), str(tmp_path / "out")]) == 1
 

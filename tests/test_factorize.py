@@ -344,8 +344,8 @@ def reference_newton_step(S, chi):
     the product taken in coefficient space."""
     m, r = S.m, S.r
     K = default_grid_size(m)
-    S_vals = sample_on_grid(S, K).samples
-    chi_vals = sample_on_grid(MatrixPolynomial(chi), K).samples
+    S_vals = sample_on_grid(S, K)
+    chi_vals = sample_on_grid(MatrixPolynomial(chi), K)
     half = np.linalg.solve(chi_vals, S_vals)
     G = np.linalg.solve(chi_vals, half.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
     plus = np.fft.fft(G + np.eye(r), axis=0)[: m + 1] / K

@@ -8,6 +8,8 @@ from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     multiply_by_adjoint,
+    sample_on_grid,
+    unit_circle_grid,
 )
 from specfact.testgen import generate_instance
 from specfact.verify import (
@@ -173,6 +175,49 @@ class TestCausalIdentity:
             gap, _ = check_causal_identity(bundle.spectrum, perturbed)
             residual = check_factorization(bundle.spectrum, perturbed)
             assert residual <= 100 * gap
+
+
+def reference_anticausal_mass(S, x, K):
+    """Anticausal mass read from the re-centred window [-K/2, K/2) of the
+    left side's Fourier coefficients, with a mask over the causal indices."""
+    m = S.m
+    z_m = unit_circle_grid(K) ** m
+    left = np.linalg.inv(sample_on_grid(x, K)) @ (z_m[:, None, None] * sample_on_grid(S, K))
+    window = (np.fft.fft(left, axis=0) / K)[np.arange(-(K // 2), K // 2) % K]
+    norms = np.sqrt(np.sum(np.abs(window) ** 2, axis=(1, 2)))
+    causal = np.zeros(K, dtype=bool)
+    causal[K // 2 : K // 2 + m + 1] = True  # window index K//2 holds n = 0
+    scale = 1.0 + np.sqrt(np.sum(np.abs(S.coeffs) ** 2, axis=(1, 2))).max()
+    return float(np.sqrt(np.sum(norms[~causal] ** 2))) / scale
+
+
+def _anticausal_pairs():
+    rng = np.random.default_rng(17)
+    # An exact non-outer factor still satisfies the identity: mass ~ 0.
+    pairs = [pytest.param(S_SCALAR, X_NON_OUTER, False, id="scalar-non-outer")]
+    for r, m, seed in [(1, 3, 2), (2, 4, 3), (3, 2, 5), (4, 8, 7)]:
+        bundle = generate_instance(r, m, seed=seed)
+        truth = bundle.ground_truth.coeffs
+        noise = rng.standard_normal(truth.shape) + 1j * rng.standard_normal(truth.shape)
+        pairs += [
+            pytest.param(bundle.spectrum, bundle.ground_truth, False, id=f"truth-r{r}m{m}"),
+            pytest.param(bundle.spectrum, MatrixPolynomial(truth + 1e-6 * noise), False,
+                         id=f"perturbed-r{r}m{m}"),
+            # Reversing the stack inverts every det root into the open disk and
+            # no longer factors S, so the mass is large.
+            pytest.param(bundle.spectrum, MatrixPolynomial(truth[::-1]), True,
+                         id=f"non-outer-r{r}m{m}"),
+        ]
+    return pairs
+
+
+@pytest.mark.parametrize("S, x, large_mass", _anticausal_pairs())
+@pytest.mark.parametrize("K", [256, 512])
+def test_anticausal_mass_matches_recentred_window(S, x, large_mass, K):
+    _, mass = check_causal_identity(S, x, K)
+    assert mass == pytest.approx(reference_anticausal_mass(S, x, K), rel=1e-12, abs=1e-20)
+    if large_mass:
+        assert mass > 1e-3
 
 
 class TestConstantUnitaryEquivalence:
