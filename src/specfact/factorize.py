@@ -11,7 +11,9 @@ coefficientwise:
 
 * :func:`bauer_factor` -- block Cholesky of growing banded block-Toeplitz
   matrices; the last block row converges (linearly) to the factor
-  coefficients.  Robust, no initial guess.
+  coefficients.  Each row comes from the carried inverse adjoint of the
+  trailing m x m block of the factor, at a fixed number of numpy calls per
+  row whatever m is.  Robust, no initial guess.
 * :func:`wilson_factor` -- Newton-type iteration
   ``X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+`` on a unit-circle grid, where
   ``[.]_+`` keeps half the index-0 Fourier coefficient plus indices 1..m.
@@ -144,16 +146,18 @@ def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
 def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     """Streaming banded block Cholesky of the block-Toeplitz matrix of S.
 
-    Row i of the Cholesky factor holds blocks (L_i, C_{i,1}, ..., C_{i,m}),
-    where L_i is the lower-triangular pivot and C_{i,d} couples row i to row
-    i-d.  The row is kept as one r x (m+1)r block row ``W``, so
-    ``C_{i,d} = (sigma_d - sum_{e>d} C_{i,e} C_{i-d,e-d}^*) L_{i-d}^{-*}`` is two
-    matmuls over slices of ``W``.  A ring of the last m+1 rows stores each
-    row's adjoint ``W^*`` and its pivot's ``L^{-*}``, formed once when the
-    pivot is factored.  Because leading principal submatrices factor
-    nestedly, convergence checkpoints at N = 4(m+1) * 2^k reuse one sweep:
-    successive last-row estimates of (rho_0..rho_m) are compared until they
-    differ by less than residual_tol (relative to the coefficient scale).
+    Row i of the Cholesky factor is the pivot L_i and the couplings
+    ``c_i = [C_{i,m}, ..., C_{i,1}]`` to rows i-m..i-1, which solve
+    ``c_i B_i^* = t`` for ``t = [sigma_m, ..., sigma_1]`` and B_i the trailing
+    m x m block of the factor so far.  The sweep carries ``M_i = B_i^{-*}``
+    (block upper triangular, from the identity; the first m rows use only
+    the last i blocks of t), so a row is ``c_i = t M_i`` and
+    ``L_i = chol(sigma_0 - c_i c_i^*)``.  The trailing block of a triangular
+    inverse is the inverse of the trailing block, so M_{i+1} is M_i shifted
+    by one block plus one new block column.  Leading principal submatrices
+    factor nestedly, so checkpoints at N = 4(m+1) * 2^k reuse one sweep: the
+    last-row estimates of (rho_0..rho_m) are compared until they differ by
+    less than residual_tol (relative to the coefficient scale).
     """
     m, r = S.m, S.r
     sigma = S.coeffs
@@ -167,39 +171,35 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
         n *= 2
     checkpoints.add(cap)
 
-    eye = np.eye(r, dtype=np.complex128)
-    row_adj = [None] * (m + 1)
-    pivot_inv_adj = [None] * (m + 1)
+    sigma0 = 0.5 * (sigma[0] + sigma[0].conj().T)
+    t = sigma[m:0:-1].transpose(1, 0, 2).reshape(r, m * r)
+    M = np.eye(m * r, dtype=np.complex128)
     prev_est = None
     for i in range(cap):
-        W = np.zeros((r, (m + 1) * r), dtype=np.complex128)
-        dmax = min(i, m)
-        for d in range(dmax, 0, -1):
-            j = (i - d) % (m + 1)
-            coupled = W[:, (d + 1) * r:(dmax + 1) * r] @ row_adj[j][r:(dmax - d + 1) * r]
-            W[:, d * r:(d + 1) * r] = (sigma[d] - coupled) @ pivot_inv_adj[j]
-        tail = W[:, r:(dmax + 1) * r]
-        X = sigma[0] - tail @ tail.conj().T
-        X = 0.5 * (X + X.conj().T)
+        k = max(m - i, 0) * r
+        c = t[:, k:] @ M[k:]
+        c_adj = c.conj().T
         try:
-            L = np.linalg.cholesky(X)
+            L = np.linalg.cholesky(sigma0 - c @ c_adj)
         except np.linalg.LinAlgError:
             raise CholeskyBreakdown(
                 f"pivot block at Toeplitz row {i} is not positive definite; "
                 "the spectrum is indefinite or degenerate on the circle"
             ) from None
-        W[:, :r] = L
-        slot = i % (m + 1)
-        row_adj[slot] = W.conj().T
-        pivot_inv_adj[slot] = np.linalg.solve(L, eye).conj().T
+        pivot_inv_adj = np.linalg.inv(L).conj().T
+        if m:
+            # M's last block row stays zero off the diagonal through the shift.
+            M[:-r, :-r] = M[r:, r:]
+            M[:-r, -r:] = M[:-r, :-r] @ (c_adj[r:] @ -pivot_inv_adj)
+            M[-r:, -r:] = pivot_inv_adj
 
         if i + 1 in checkpoints:
-            cur = W.reshape(r, m + 1, r).transpose(1, 0, 2)
+            cur = np.concatenate([L[None], c.reshape(r, m, r).transpose(1, 0, 2)[::-1]])
             if prev_est is not None:
                 diff = float(_frobenius(cur - prev_est).max()) / scale
                 if diff < opts.residual_tol:
-                    return cur.copy(), i + 1
-            prev_est = cur.copy()
+                    return cur, i + 1
+            prev_est = cur
 
     raise NoConvergence(
         f"Bauer sweep hit the block cap ({cap}) before the last-row estimate settled",

@@ -81,7 +81,8 @@ def trim_coefficients(coeffs: np.ndarray) -> np.ndarray:
     ``inf`` (entries beyond about 1e154), which would otherwise trim away
     every coefficient above index 0.
     """
-    norms = _frobenius(coeffs)
+    with np.errstate(over="ignore"):
+        norms = _frobenius(coeffs)
     if not np.all(np.isfinite(norms)):
         raise ValueError("coefficient norms overflow double precision")
     threshold = TRIM_RTOL * (norms.max() if norms.size else 0.0)
@@ -263,8 +264,7 @@ def coefficients_from_values(values: np.ndarray, lo: int, hi: int) -> np.ndarray
             f"coefficient window [{lo}, {hi}] is wider than the grid (K={K})"
         )
     spectrum = np.fft.fft(values, axis=0) / K
-    idx = [n % K for n in range(lo, hi + 1)]
-    return spectrum[idx]
+    return spectrum[np.arange(lo, hi + 1) % K]
 
 
 def adjoint_product_coefficients(c: np.ndarray) -> np.ndarray:

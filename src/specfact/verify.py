@@ -328,6 +328,8 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
 
     try:
         gap, mass = check_causal_identity(S, x, K)
+        _, mass2 = check_causal_identity(S, x, 2 * K)
+        drift = abs(mass2 - mass)
         entries.append(CheckEntry(
             name="causal-identity",
             passed=gap <= CAUSAL_IDENTITY_TOL,
@@ -342,8 +344,6 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
             tolerance=CAUSAL_IDENTITY_TOL,
             detail=f"Fourier mass outside the causal window [0, {S.m}]",
         ))
-        _, mass2 = check_causal_identity(S, x, 2 * K)
-        drift = abs(mass2 - mass)
         entries.append(CheckEntry(
             name="anticausal-mass-stability",
             passed=drift <= MASS_STABILITY_TOL,

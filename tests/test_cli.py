@@ -22,7 +22,8 @@ from specfact.errors import (
     SingularLeadingCoefficient,
 )
 from specfact.factorize import FactorizationOptions
-from specfact.fileio import read_factor
+from specfact.fileio import read_factor, write_factor, write_spectrum
+from specfact.laurent import MatrixPolynomial, multiply_by_adjoint
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -59,7 +60,7 @@ class TestFactorCommand:
         assert main(["factor", str(spectrum), str(tmp_path / "out")]) == 1
         assert "Hermitian symmetry" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_coefficients_exit_one(self, tmp_path, capsys):
         spectrum = tmp_path / "huge.spectrum"
         spectrum.write_text('{"r": 1, "m": 1, "coeffs": {"0": [[[3e155,0]]], '
@@ -170,6 +171,18 @@ class TestVerifyCommand:
         assert doc["overall"] is True
         names = [c["name"] for c in doc["checks"]]
         assert "factorization" in names and "outer-determinant" in names
+
+    def test_json_lists_each_check_once_when_the_doubled_grid_is_singular(
+            self, tmp_path, capsys):
+        # The factor is well conditioned on K = 256 but singular at a node of 2K.
+        x = MatrixPolynomial(np.array(
+            [np.eye(2), np.diag([0, -np.exp(-1j * np.pi / 256)])], dtype=complex))
+        write_spectrum(tmp_path / "s.spectrum", multiply_by_adjoint(x))
+        write_factor(tmp_path / "x.factor", x)
+        assert main(["verify", str(tmp_path / "s.spectrum"), str(tmp_path / "x.factor"),
+                     "--json"]) == 4
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert len(names) == len(set(names)) == 7
 
     def test_dimension_mismatch_exits_one(self, tmp_path):
         spectrum = tmp_path / "s.spectrum"

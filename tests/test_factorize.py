@@ -15,6 +15,7 @@ from specfact.errors import (
 from specfact import factorize
 from specfact.factorize import (
     FactorizationOptions,
+    _bauer_core,
     _residual_against,
     _wilson_core,
     bauer_factor,
@@ -375,3 +376,103 @@ def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
     start, update = iterates
     expected = reference_newton_step(S, start)
     assert np.linalg.norm(update - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def loop_bauer(S, opts):
+    """Reference for the Bauer sweep: each row back-substitutes its m coupling
+    blocks one at a time against a ring of the last m+1 rows and their
+    pivots' inverse adjoints.  Same checkpoints, stopping rule and errors as
+    ``_bauer_core``; returns ``(estimate, blocks)``."""
+    m, r = S.m, S.r
+    sigma = S.coeffs
+    scale = 1.0 + float(np.sqrt(np.sum(np.abs(sigma) ** 2, axis=(1, 2))).max())
+    cap = opts.max_toeplitz_blocks
+    checkpoints = {cap}
+    n = 4 * (m + 1)
+    while n < cap:
+        checkpoints.add(n)
+        n *= 2
+    eye = np.eye(r, dtype=complex)
+    row_adj, pivot_inv_adj = [None] * (m + 1), [None] * (m + 1)
+    prev_est = None
+    for i in range(cap):
+        W = np.zeros((r, (m + 1) * r), dtype=complex)
+        dmax = min(i, m)
+        for d in range(dmax, 0, -1):
+            j = (i - d) % (m + 1)
+            coupled = W[:, (d + 1) * r:(dmax + 1) * r] @ row_adj[j][r:(dmax - d + 1) * r]
+            W[:, d * r:(d + 1) * r] = (sigma[d] - coupled) @ pivot_inv_adj[j]
+        tail = W[:, r:(dmax + 1) * r]
+        X = sigma[0] - tail @ tail.conj().T
+        try:
+            L = np.linalg.cholesky(0.5 * (X + X.conj().T))
+        except np.linalg.LinAlgError:
+            raise CholeskyBreakdown(f"pivot block at Toeplitz row {i}") from None
+        W[:, :r] = L
+        row_adj[i % (m + 1)] = W.conj().T
+        pivot_inv_adj[i % (m + 1)] = np.linalg.solve(L, eye).conj().T
+        if i + 1 in checkpoints:
+            cur = W.reshape(r, m + 1, r).transpose(1, 0, 2).copy()
+            if prev_est is not None:
+                diff = float(np.sqrt(np.sum(np.abs(cur - prev_est) ** 2, axis=(1, 2))).max())
+                if diff / scale < opts.residual_tol:
+                    return cur, i + 1
+            prev_est = cur
+    raise NoConvergence("cap", best_factor=MatrixPolynomial(prev_est),
+                        achieved_residual=_residual_against(sigma, prev_est),
+                        iterations=cap, algorithm="bauer")
+
+
+def relative_gap(a, b):
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("margin", [0.2, 0.05])
+@pytest.mark.parametrize("m", [0, 1, 2, 4, 8])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_bauer_sweep_matches_back_substitution(r, m, margin):
+    S = generate_instance(r, m, seed=10 * r + m, root_margin=margin).spectrum
+    opts = FactorizationOptions()
+    estimate, blocks = _bauer_core(S, opts)
+    reference, reference_blocks = loop_bauer(S, opts)
+    assert blocks == reference_blocks
+    assert relative_gap(estimate, reference) <= 1e-12
+
+
+# Caps 1 and 8 stop before a second checkpoint, 40 and 100 after one or more.
+@pytest.mark.parametrize("cap", [1, 8, 40, 100])
+@pytest.mark.parametrize("r, m", [(1, 1), (2, 3), (3, 8)])
+def test_bauer_best_iterate_at_the_cap_matches_back_substitution(r, m, cap):
+    S = generate_instance(r, m, seed=r + m, root_margin=0.05).spectrum
+    opts = FactorizationOptions(residual_tol=1e-30, max_toeplitz_blocks=cap)
+    with pytest.raises(NoConvergence) as got:
+        _bauer_core(S, opts)
+    with pytest.raises(NoConvergence) as want:
+        loop_bauer(S, opts)
+    assert got.value.algorithm == "bauer" and got.value.iterations == cap
+    assert relative_gap(got.value.best_factor.coeffs, want.value.best_factor.coeffs) <= 1e-12
+    assert got.value.achieved_residual == pytest.approx(want.value.achieved_residual,
+                                                         rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [[[1.0]], [[0.6]]],  # S(-1) < 0: the Toeplitz sections turn indefinite at order 5
+    [[[1.0, 0.1], [0.1, 2.0]], [[0.6, 0.0], [0.0, 0.3]]],
+])
+def test_bauer_breaks_down_at_the_back_substitution_row(coeffs):
+    S = HermitianLaurentPolynomial(np.array(coeffs, dtype=complex))
+    opts = FactorizationOptions()
+    with pytest.raises(CholeskyBreakdown) as got:
+        _bauer_core(S, opts)
+    with pytest.raises(CholeskyBreakdown) as want:
+        loop_bauer(S, opts)
+    row = lambda exc: int(str(exc.value).split("Toeplitz row ")[1].split()[0])
+    assert row(got) == row(want) > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("r, m", [(1, 8), (2, 4), (3, 2)])
+def test_bauer_forward_error_near_the_circle(r, m, seed):
+    bundle = generate_instance(r, m, seed=seed, root_margin=0.02)
+    canon, _ = canonical_normalize(bauer_factor(bundle.spectrum))
+    assert forward_error(canon, bundle.ground_truth) <= 1e-10

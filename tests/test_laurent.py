@@ -205,7 +205,7 @@ class TestInvariants:
 
     # Entries past ~1.3e154 overflow the squared Frobenius norms; trimming
     # against an infinite norm would silently drop every coefficient above 0.
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("cls", [MatrixPolynomial, HermitianLaurentPolynomial])
     def test_rejects_coefficients_whose_norm_overflows(self, cls):
         with pytest.raises(ValueError, match="overflow"):

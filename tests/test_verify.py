@@ -298,6 +298,20 @@ class TestVerifyAll:
         by_name = {entry.name: entry for entry in report.checks}
         assert by_name["positivity"].warning
 
+    def test_each_check_listed_once_when_only_the_doubled_grid_is_singular(self):
+        # det X has a root a 1/512 turn off the K = 256 nodes: X passes the
+        # condition cap on K but is singular at a node of 2K.
+        x = MatrixPolynomial(np.array(
+            [np.eye(2), np.diag([0, -np.exp(-1j * np.pi / 256)])], dtype=complex))
+        report = verify_all(multiply_by_adjoint(x), x)
+        causal = ("causal-identity", "anticausal-mass", "anticausal-mass-stability")
+        names = [entry.name for entry in report.checks]
+        assert sorted(names) == sorted(
+            ("positivity", "factorization", "degree", "outer-determinant") + causal)
+        failed = [entry for entry in report.checks if entry.name in causal]
+        assert not any(entry.passed for entry in failed)
+        assert all("condition" in entry.detail for entry in failed)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             verify_all(S_SCALAR, MatrixPolynomial(np.eye(2, dtype=complex)[None]))
