@@ -32,6 +32,7 @@ strictly positive diagonal.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +49,11 @@ from .errors import (
 from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _coefficient_scale,
     _frobenius,
     _hermitian_scan,
     _inverse_on_grid,
-    adjoint_product_coefficients,
+    _residual_against,
     coefficients_from_values,
     default_grid_size,
     default_verify_grid,
@@ -99,24 +101,6 @@ class FactorizationResult:
     iterations_or_blocks: int
     achieved_residual: float
     warnings: list[str] = field(default_factory=list)
-
-
-def _coefficient_scale(sigma: np.ndarray) -> float:
-    return 1.0 + float(_frobenius(sigma).max())
-
-
-def _residual_against(sigma: np.ndarray, factor_coeffs: np.ndarray) -> float:
-    """Relative coefficientwise mismatch of the factorization identity.
-
-    max_n ||sigma_n - (X X^*)_n||_F / (1 + max_n ||sigma_n||_F), over the
-    union of both bands.
-    """
-    product = adjoint_product_coefficients(factor_coeffs)
-    order = max(len(sigma), len(product))
-    gap = np.zeros((order,) + sigma.shape[1:], dtype=np.complex128)
-    gap[: len(sigma)] = sigma
-    gap[: len(product)] -= product
-    return float(_frobenius(gap).max()) / _coefficient_scale(sigma)
 
 
 def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
@@ -406,15 +390,6 @@ def canonical_normalize(x: MatrixPolynomial) -> tuple[MatrixPolynomial, np.ndarr
     return MatrixPolynomial(x.coeffs @ U), U
 
 
-def _canonical_or_raw(coeffs: np.ndarray) -> MatrixPolynomial:
-    poly = MatrixPolynomial(coeffs)
-    try:
-        poly, _ = canonical_normalize(poly)
-    except SingularLeadingCoefficient:
-        pass
-    return poly
-
-
 def factor(S: HermitianLaurentPolynomial,
            opts: FactorizationOptions = FactorizationOptions()) -> FactorizationResult:
     """Compute the canonical causal spectral factor of S.
@@ -423,9 +398,9 @@ def factor(S: HermitianLaurentPolynomial,
     first and falls back to the Toeplitz sweep if it stalls.  The returned
     factor is canonical; ``achieved_residual`` is the relative coefficientwise
     mismatch of the factorization identity.  Raises ``NotPositiveDefinite`` or
-    ``DegenerateDeterminant`` when the hypotheses fail on the grid, and
-    ``NoConvergence`` (carrying the canonicalized best iterate) when every
-    attempted algorithm exhausts its cap.
+    ``DegenerateDeterminant`` when the hypotheses fail on the grid; if every
+    attempt fails, ``NoConvergence`` of the stalled attempt with the smallest
+    residual (best iterate canonicalized), else the last ``SingularIterate``.
     """
     check_K = opts.grid_K if opts.grid_K is not None else default_verify_grid(S.m)
     warnings = _require_factorable(S, check_K)
@@ -434,11 +409,8 @@ def factor(S: HermitianLaurentPolynomial,
         raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
     attempts = ("wilson", "bauer") if opts.algorithm == "auto" else (opts.algorithm,)
 
-    best_failure: NoConvergence | None = None
-    raw = None
-    name_used = None
-    count = 0
-    for position, name in enumerate(attempts):
+    failures: list[NoConvergence | SingularIterate] = []
+    for name in attempts:
         try:
             if name == "scalar_roots":
                 raw, extra = _scalar_roots_core(S, opts)
@@ -448,24 +420,25 @@ def factor(S: HermitianLaurentPolynomial,
                 raw, count = _wilson_core(S, opts)
             else:
                 raw, count = _bauer_core(S, opts)
-            name_used = name
             break
         except (NoConvergence, SingularIterate) as exc:
-            if isinstance(exc, NoConvergence):
-                if best_failure is None or exc.achieved_residual < best_failure.achieved_residual:
-                    best_failure = exc
-            if position == len(attempts) - 1:
-                if best_failure is None:
-                    raise
-                best = best_failure.best_factor
-                raise NoConvergence(
-                    str(best_failure),
-                    best_factor=_canonical_or_raw(best.coeffs),
-                    achieved_residual=best_failure.achieved_residual,
-                    iterations=best_failure.iterations,
-                    algorithm=best_failure.algorithm,
-                ) from None
+            failures.append(exc)
             warnings.append(f"{name} did not converge ({exc}); falling back")
+    else:
+        stalled = [exc for exc in failures if isinstance(exc, NoConvergence)]
+        if not stalled:
+            raise failures[-1]
+        best = min(stalled, key=lambda exc: exc.achieved_residual)
+        best_factor = best.best_factor
+        with contextlib.suppress(SingularLeadingCoefficient):
+            best_factor, _ = canonical_normalize(best_factor)
+        raise NoConvergence(
+            str(best),
+            best_factor=best_factor,
+            achieved_residual=best.achieved_residual,
+            iterations=best.iterations,
+            algorithm=best.algorithm,
+        )
 
     poly, _ = canonical_normalize(MatrixPolynomial(raw))
     residual = _residual_against(S.coeffs, poly.coeffs)
@@ -480,7 +453,7 @@ def factor(S: HermitianLaurentPolynomial,
         )
     return FactorizationResult(
         factor=poly,
-        algorithm_used=name_used,
+        algorithm_used=name,
         iterations_or_blocks=count,
         achieved_residual=residual,
         warnings=warnings,

@@ -49,8 +49,8 @@ def default_grid_size(m: int) -> int:
 
 def default_verify_grid(m: int) -> int:
     """The one check grid: ``default_grid_size(m)``, but at least 256 points.
-    Used by the hypothesis precheck of ``factor()``, by every verify check and
-    by the generator's condition estimate."""
+    Used by the hypothesis precheck of ``factor()``, by every verify check
+    that samples S or a factor and by the generator's condition estimate."""
     return _next_pow2(max(256, 8 * (m + 1)))
 
 
@@ -153,27 +153,31 @@ class HermitianLaurentPolynomial:
     def m(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> np.ndarray:
-        """sigma_n for any index in [-m, m]; the negative side is derived."""
-        if abs(n) > self.m:
-            return np.zeros((self.r, self.r), dtype=np.complex128)
-        if n >= 0:
-            return self.coeffs[n]
-        return self.coeffs[-n].conj().T
-
 
 def unit_circle_grid(K: int) -> np.ndarray:
     """The K-point grid ``z_j = exp(2*pi*i*j/K)``."""
     return np.exp(2j * np.pi * np.arange(K) / K)
 
 
-def evaluate_at(p, z: complex) -> np.ndarray:
-    """Evaluate a polynomial at one point by Horner recursion.
+def _values_at_angles(S: HermitianLaurentPolynomial, theta: np.ndarray) -> np.ndarray:
+    """Values S(exp(i theta)) at a vector of angles, one matmul over the
+    coefficient stack; exactly Hermitian, since sigma_0 is symmetrized and the
+    rest is a sum of a tail and its adjoint."""
+    r = S.r
+    powers = np.exp(1j * np.outer(theta, np.arange(1, S.m + 1)))
+    tail = (powers @ S.coeffs[1:].reshape(S.m, r * r)).reshape(len(theta), r, r)
+    sigma0 = 0.5 * (S.coeffs[0] + S.coeffs[0].conj().T)
+    return sigma0 + tail + tail.conj().transpose(0, 2, 1)
 
-    ``MatrixPolynomial`` accepts any finite z.  ``HermitianLaurentPolynomial``
-    requires |z| = 1 (to ``UNIT_CIRCLE_ATOL``) because the negative powers are
-    evaluated as conjugates; the result is then Hermitian up to the sigma_0
-    tolerance.
+
+def evaluate_at(p, z: complex) -> np.ndarray:
+    """Evaluate a polynomial at one point.
+
+    ``MatrixPolynomial`` accepts any finite z and is evaluated by Horner
+    recursion.  ``HermitianLaurentPolynomial`` requires |z| = 1 (to
+    ``UNIT_CIRCLE_ATOL``) because the negative powers are evaluated as
+    conjugates; it is evaluated at the angle of z, where the result is
+    exactly Hermitian.
     """
     z = complex(z)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
@@ -188,14 +192,7 @@ def evaluate_at(p, z: complex) -> np.ndarray:
             raise ValueError(
                 f"Laurent evaluation needs |z| = 1, got |z| = {abs(z)!r}"
             )
-        if p.m == 0:
-            return np.array(p.coeffs[0])
-        # causal tail sum_{n>=1} sigma_n z^n via Horner, then S = sigma_0 + tail + tail*.
-        acc = np.array(p.coeffs[p.m])
-        for n in range(p.m - 1, 0, -1):
-            acc = acc * z + p.coeffs[n]
-        acc = acc * z
-        return p.coeffs[0] + acc + acc.conj().T
+        return _values_at_angles(p, np.angle([z]))[0]
     raise TypeError(f"cannot evaluate object of type {type(p).__name__}")
 
 
@@ -275,6 +272,24 @@ def adjoint_product_coefficients(c: np.ndarray) -> np.ndarray:
     for n in range(m + 1):
         out[n] = np.einsum("kij,klj->il", c[n:], c[: m + 1 - n].conj())
     return out
+
+
+def _coefficient_scale(sigma: np.ndarray) -> float:
+    return 1.0 + float(_frobenius(sigma).max())
+
+
+def _residual_against(sigma: np.ndarray, factor_coeffs: np.ndarray) -> float:
+    """Relative coefficientwise mismatch of the factorization identity.
+
+    max_n ||sigma_n - (X X^*)_n||_F / (1 + max_n ||sigma_n||_F), over the
+    union of both bands.
+    """
+    product = adjoint_product_coefficients(factor_coeffs)
+    order = max(len(sigma), len(product))
+    gap = np.zeros((order,) + sigma.shape[1:], dtype=np.complex128)
+    gap[: len(sigma)] = sigma
+    gap[: len(product)] -= product
+    return float(_frobenius(gap).max()) / _coefficient_scale(sigma)
 
 
 def multiply_by_adjoint(x: MatrixPolynomial) -> HermitianLaurentPolynomial:

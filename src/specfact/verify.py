@@ -14,12 +14,13 @@ factor ``X`` on a finite unit-circle grid:
 * agreement of two factors up to one constant unitary matrix.
 
 All functions are rational with known band or degree bounds, so a
-sufficiently fine grid is decisive up to conditioning; every "almost
-everywhere on the circle" statement is checked by default on the one check
-grid, :func:`~specfact.laurent.default_verify_grid` (the smallest power of two
+sufficiently fine grid is decisive up to conditioning.  The checks that sample
+S or a factor run by default on the one check grid,
+:func:`~specfact.laurent.default_verify_grid` (the smallest power of two
 >= max(256, 8(m+1)), the grid ``factor()``'s hypothesis precheck and the
 generator's condition estimate use too), with a grid-doubling cross-check on
-the anticausal mass.
+the anticausal mass.  The outer check instead samples det X on its own grid,
+the smallest power of two >= max(8, 2(r m + 1)).
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.
 Failures inside :func:`verify_all` are reported as failed entries, never
@@ -37,14 +38,16 @@ from .errors import (
     SingularFactorOnGrid,
     SpectralFactorError,
 )
-from .factorize import _coefficient_scale, _residual_against
 from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _coefficient_scale,
     _frobenius,
     _hermitian_scan,
     _inverse_on_grid,
     _next_pow2,
+    _residual_against,
+    _values_at_angles,
     coefficients_from_values,
     default_verify_grid,
     sample_on_grid,
@@ -111,17 +114,6 @@ class VerificationReport:
 # below 1e-7 rad on every grid of 256 or more points.
 ZOOM_POINTS = 17
 ZOOM_LEVELS = 6
-
-
-def _values_at_angles(S: HermitianLaurentPolynomial, theta: np.ndarray) -> np.ndarray:
-    """Values S(exp(i theta)) at a vector of angles, one matmul over the
-    coefficient stack; exactly Hermitian, since sigma_0 is symmetrized and the
-    rest is a sum of a tail and its adjoint."""
-    r = S.r
-    powers = np.exp(1j * np.outer(theta, np.arange(1, S.m + 1)))
-    tail = (powers @ S.coeffs[1:].reshape(S.m, r * r)).reshape(len(theta), r, r)
-    sigma0 = 0.5 * (S.coeffs[0] + S.coeffs[0].conj().T)
-    return sigma0 + tail + tail.conj().transpose(0, 2, 1)
 
 
 def check_positivity(S: HermitianLaurentPolynomial, K: int | None = None):
@@ -256,104 +248,79 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
     return constancy_gap, unitarity_gap
 
 
+def _measure_positivity(S, x, K, scale):
+    min_eig, min_det = check_positivity(S, K)
+    near_singular = min_eig <= 1e-8 * scale
+    detail = (f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
+              + ("; nearly singular on the circle" if near_singular else ""))
+    return [(max(0.0, -min_eig) / scale, detail, near_singular)]
+
+
+def _measure_factorization(S, x, K, scale):
+    return [(check_factorization(S, x), "relative coefficientwise residual of S = X X*",
+             False)]
+
+
+def _measure_degree(S, x, K, scale):
+    deg_S, deg_x, _ = check_degree(S, x)
+    return [(float(max(0, deg_x - deg_S)),
+             f"order of S = {deg_S}, degree of factor = {deg_x}", False)]
+
+
+def _measure_outer(S, x, K, scale):
+    min_root, roots = check_outer_determinant(x)
+    deficit = max(0.0, 1.0 - min_root) if np.isfinite(min_root) else 0.0
+    boundary = bool(np.any(np.abs(np.abs(roots) - 1.0) <= OUTER_BOUNDARY_BAND))
+    detail = (f"min det-root modulus {min_root:.6g} over {len(roots)} root(s)"
+              + ("; root(s) on the boundary band" if boundary else ""))
+    return [(deficit, detail, boundary)]
+
+
+def _measure_causal(S, x, K, scale):
+    gap, mass = check_causal_identity(S, x, K)
+    _, mass2 = check_causal_identity(S, x, 2 * K)
+    return [
+        (gap, f"pointwise gap of X^-1 z^m S = z^m X* on K={K}", False),
+        (mass, f"Fourier mass outside the causal window [0, {S.m}]", False),
+        (abs(mass2 - mass), f"anticausal mass change when doubling the grid to {2 * K}",
+         False),
+    ]
+
+
 def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
                opts: VerifyOptions = VerifyOptions()) -> VerificationReport:
     """Run every (S, X) check and collect a report.
 
-    Check errors become failed entries rather than exceptions, so reports for
-    bad inputs are complete.  Overall pass is the conjunction of the
-    non-warning entries.
+    Each check measures one value per entry; an entry passes when its value
+    is at most its tolerance, and a warning is kept only on a pass.  A
+    ``SpectralFactorError`` fails every entry of its check, each with its own
+    tolerance, so reports for bad inputs are complete.  Overall pass is the
+    conjunction of the non-warning entries.
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
     K = opts.grid_K if opts.grid_K is not None else default_verify_grid(S.m)
-    entries: list[CheckEntry] = []
-
     scale = _coefficient_scale(S.coeffs)
-    try:
-        min_eig, min_det = check_positivity(S, K)
-        violation = max(0.0, -min_eig) / scale
-        near_singular = min_eig <= 1e-8 * scale
-        entries.append(CheckEntry(
-            name="positivity",
-            passed=violation <= POSITIVITY_TOL,
-            measured=violation,
-            tolerance=POSITIVITY_TOL,
-            detail=f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
-                   + ("; nearly singular on the circle" if near_singular else ""),
-            warning=near_singular and violation <= POSITIVITY_TOL,
-        ))
-    except SpectralFactorError as exc:
-        entries.append(CheckEntry("positivity", False, 0.0, POSITIVITY_TOL,
-                                  detail=str(exc)))
-
-    try:
-        residual = check_factorization(S, x)
-        entries.append(CheckEntry(
-            name="factorization",
-            passed=residual <= opts.residual_tol,
-            measured=residual,
-            tolerance=opts.residual_tol,
-            detail="relative coefficientwise residual of S = X X*",
-        ))
-    except SpectralFactorError as exc:
-        entries.append(CheckEntry("factorization", False, 0.0, opts.residual_tol,
-                                  detail=str(exc)))
-
-    deg_S, deg_x, degree_ok = check_degree(S, x)
-    entries.append(CheckEntry(
-        name="degree",
-        passed=degree_ok,
-        measured=float(max(0, deg_x - deg_S)),
-        tolerance=0.0,
-        detail=f"order of S = {deg_S}, degree of factor = {deg_x}",
-    ))
-
-    try:
-        min_root, roots = check_outer_determinant(x)
-        deficit = max(0.0, 1.0 - min_root) if np.isfinite(min_root) else 0.0
-        boundary = bool(np.any(np.abs(np.abs(roots) - 1.0) <= OUTER_BOUNDARY_BAND))
-        entries.append(CheckEntry(
-            name="outer-determinant",
-            passed=deficit <= OUTER_TOL,
-            measured=deficit,
-            tolerance=OUTER_TOL,
-            detail=f"min det-root modulus {min_root:.6g} over {len(roots)} root(s)"
-                   + ("; root(s) on the boundary band" if boundary else ""),
-            warning=boundary and deficit <= OUTER_TOL,
-        ))
-    except SpectralFactorError as exc:
-        entries.append(CheckEntry("outer-determinant", False, 0.0, OUTER_TOL,
-                                  detail=str(exc)))
-
-    try:
-        gap, mass = check_causal_identity(S, x, K)
-        _, mass2 = check_causal_identity(S, x, 2 * K)
-        drift = abs(mass2 - mass)
-        entries.append(CheckEntry(
-            name="causal-identity",
-            passed=gap <= CAUSAL_IDENTITY_TOL,
-            measured=gap,
-            tolerance=CAUSAL_IDENTITY_TOL,
-            detail=f"pointwise gap of X^-1 z^m S = z^m X* on K={K}",
-        ))
-        entries.append(CheckEntry(
-            name="anticausal-mass",
-            passed=mass <= CAUSAL_IDENTITY_TOL,
-            measured=mass,
-            tolerance=CAUSAL_IDENTITY_TOL,
-            detail=f"Fourier mass outside the causal window [0, {S.m}]",
-        ))
-        entries.append(CheckEntry(
-            name="anticausal-mass-stability",
-            passed=drift <= MASS_STABILITY_TOL,
-            measured=drift,
-            tolerance=MASS_STABILITY_TOL,
-            detail=f"anticausal mass change when doubling the grid to {2 * K}",
-        ))
-    except SpectralFactorError as exc:
-        for name in ("causal-identity", "anticausal-mass", "anticausal-mass-stability"):
-            entries.append(CheckEntry(name, False, 0.0, CAUSAL_IDENTITY_TOL,
-                                      detail=str(exc)))
-
+    checks = (
+        (_measure_positivity, {"positivity": POSITIVITY_TOL}),
+        (_measure_factorization, {"factorization": opts.residual_tol}),
+        (_measure_degree, {"degree": 0.0}),
+        (_measure_outer, {"outer-determinant": OUTER_TOL}),
+        (_measure_causal, {"causal-identity": CAUSAL_IDENTITY_TOL,
+                           "anticausal-mass": CAUSAL_IDENTITY_TOL,
+                           "anticausal-mass-stability": MASS_STABILITY_TOL}),
+    )
+    entries: list[CheckEntry] = []
+    for measure, tolerances in checks:
+        try:
+            measurements = measure(S, x, K, scale)
+        except SpectralFactorError as exc:
+            entries.extend(CheckEntry(name, False, 0.0, tolerance, detail=str(exc))
+                           for name, tolerance in tolerances.items())
+            continue
+        for (name, tolerance), (measured, detail, warning) in zip(
+                tolerances.items(), measurements, strict=True):
+            passed = measured <= tolerance
+            entries.append(CheckEntry(name, passed, measured, tolerance, detail,
+                                      warning and passed))
     return VerificationReport(checks=entries)

@@ -3,9 +3,10 @@
 ``perfbench/tracing.py`` wraps ``(module, attribute)`` pairs by
 ``setattr``; a name that a refactor removes makes ``--trace 1`` fail with
 ``AttributeError``.  The file is loaded by path, so nothing else under
-``perfbench/`` is imported.  ``specfact factor`` runs with runtime warnings
-turned into errors, so a numpy warning between input file and exit code
-fails its tests.
+``perfbench/`` is imported.  ``scripts/make_fixtures.py``, loaded the same
+way, must write the committed golden fixtures byte for byte.
+``specfact factor`` runs with runtime warnings turned into errors, so a numpy
+warning between input file and exit code fails its tests.
 """
 
 import importlib
@@ -16,7 +17,9 @@ import sys
 
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+MAKE_FIXTURES = ROOT / "scripts" / "make_fixtures.py"
 
 
 def test_every_traced_name_is_bound(monkeypatch):
@@ -66,3 +69,16 @@ def test_overflowing_spectrum_reports_only_its_own_error(tmp_path):
     assert run.stderr.splitlines() == [
         f"specfact: error: spectrum file {spectrum}: coefficient norms overflow double precision"
     ]
+
+
+def test_make_fixtures_reproduces_the_committed_fixtures(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "FIXTURES", tmp_path)
+    module.main()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in FIXTURES.iterdir())
+    assert len(written) == 6
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

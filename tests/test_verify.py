@@ -311,6 +311,10 @@ class TestVerifyAll:
         failed = [entry for entry in report.checks if entry.name in causal]
         assert not any(entry.passed for entry in failed)
         assert all("condition" in entry.detail for entry in failed)
+        # A failed entry keeps the tolerance it carries when the check runs.
+        running = {entry.name: entry.tolerance
+                   for entry in verify_all(S_SCALAR, X_GOOD).checks}
+        assert all(entry.tolerance == running[entry.name] for entry in failed)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
