@@ -171,7 +171,10 @@ def _cmd_verify(args) -> int:
             f"dimension mismatch: spectrum r={spectrum.r}, factor r={candidate.r}", 1
         )
     opts = VerifyOptions(grid_K=args.grid, residual_tol=args.tol)
-    report = verify_all(spectrum, candidate, opts)
+    try:
+        report = verify_all(spectrum, candidate, opts)
+    except ValueError as exc:
+        return _fail(str(exc), 1)
     if args.json:
         print(_report_json(report), end="")
     else:

@@ -12,7 +12,8 @@ class NotPositiveDefinite(SpectralFactorError):
 
 
 class DegenerateDeterminant(SpectralFactorError):
-    """det S vanishes identically on the grid; no outer factor exists."""
+    """max |det S| on the grid is at or below 1e-13 scale^r: det S is too small
+    against the spectrum's scale to factor (rank-deficient or ill-conditioned)."""
 
 
 class CholeskyBreakdown(SpectralFactorError):

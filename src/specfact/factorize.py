@@ -114,9 +114,11 @@ def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
             f"(scale {scale:.3e})"
         )
     # A rank-deficient spectrum leaves only LU roundoff in the determinant.
-    if max_det <= 1e-13 * scale**S.r:
+    det_floor = 1e-13 * scale**S.r
+    if max_det <= det_floor:
         raise DegenerateDeterminant(
-            f"det S is numerically identically zero on the grid (max |det| = {max_det:.3e})"
+            f"max |det S| on the grid is {max_det:.3e}, at or below "
+            f"1e-13 * scale^{S.r} = {det_floor:.3e} (scale {scale:.3e})"
         )
     warnings = []
     if min_eig <= 1e-8 * scale:
@@ -201,13 +203,24 @@ def bauer_factor(S: HermitianLaurentPolynomial,
     return MatrixPolynomial(coeffs)
 
 
+def _residual_on_grid(sigma: np.ndarray, chi_vals: np.ndarray, scale: float) -> float:
+    """``_residual_against(sigma, chi)`` from the grid values of chi: the band
+    [-m, m] of ``X X^*`` fits on the Newton grid unaliased, so its
+    coefficients 0..m come from one FFT of ``chi_vals chi_vals^H``."""
+    product = chi_vals @ chi_vals.conj().transpose(0, 2, 1)
+    gap = sigma - coefficients_from_values(product, 0, len(sigma) - 1)
+    return float(_frobenius(gap).max()) / scale
+
+
 def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     """Newton iteration for the causal factor on a unit-circle grid.
 
     X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+ truncated to degree m, started
     from the constant lower Cholesky factor of sigma_0 (the circle average of
     S, positive definite under the preconditions).  Stops when successive
-    iterates or the factorization residual drop below residual_tol.
+    iterates or the factorization residual drop below residual_tol.  Each
+    iterate is sampled once: its grid values give its residual and serve the
+    next iteration.
     """
     m, r = S.m, S.r
     sigma = S.coeffs
@@ -225,14 +238,15 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
             "Newton initialization is impossible"
         ) from None
 
-    best = chi
-    best_residual = _residual_against(sigma, chi)
+    scale = _coefficient_scale(sigma)
     # Only buf[: m + 1] is ever written, so the rest stays zero.
     buf = np.zeros((K, r, r), dtype=np.complex128)
+    buf[: m + 1] = chi
+    chi_vals = sample_values_on_grid(buf)
+    best = chi
+    best_residual = _residual_on_grid(sigma, chi_vals, scale)
     polish_pending = False
     for iteration in range(1, opts.max_newton_iters + 1):
-        buf[: m + 1] = chi
-        chi_vals = sample_values_on_grid(buf)
         inverse, cond = _inverse_on_grid(chi_vals)
         if cond > NEWTON_COND_MAX:
             raise SingularIterate(
@@ -248,7 +262,9 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
         chi_next = coefficients_from_values(chi_vals @ sample_values_on_grid(buf), 0, m)
 
         step = float(_frobenius(chi_next - chi).max()) / _coefficient_scale(chi)
-        residual = _residual_against(sigma, chi_next)
+        buf[: m + 1] = chi_next
+        chi_vals = sample_values_on_grid(buf)
+        residual = _residual_on_grid(sigma, chi_vals, scale)
         chi = chi_next
         if residual < best_residual:
             best, best_residual = chi, residual
@@ -261,6 +277,7 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
 
     if polish_pending:
         return chi, opts.max_newton_iters
+    best_residual = _residual_against(sigma, best)
     raise NoConvergence(
         f"Newton iteration hit the cap ({opts.max_newton_iters}) at residual "
         f"{best_residual:.3e}",

@@ -233,19 +233,24 @@ def _hermitian_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigvalsh(values), np.abs(np.linalg.det(values))
 
 
+def _require_grid(K: int, m: int) -> None:
+    """Raise ``ValueError`` unless K is a power of two with K >= 2m+2, so a
+    band [-m, m] fits on the K-point grid without aliasing."""
+    if not _is_power_of_two(K):
+        raise ValueError(f"grid size K={K} must be a power of two")
+    if K < 2 * m + 2:
+        raise ValueError(
+            f"grid size K={K} aliases a band of order m={m}; need K >= {2 * m + 2}"
+        )
+
+
 def sample_on_grid(p, K: int) -> np.ndarray:
     """Values ``p(z_j)`` on the K-point unit-circle grid, a (K, r, r) array,
     via FFT.
 
-    K must be a power of two with K >= 2m+2 so the band [-m, m] fits without
-    aliasing.
+    K must pass :func:`_require_grid` for the order of p.
     """
-    if not _is_power_of_two(K):
-        raise ValueError(f"grid size K={K} must be a power of two")
-    if K < 2 * p.m + 2:
-        raise ValueError(
-            f"grid size K={K} aliases a band of order m={p.m}; need K >= {2 * p.m + 2}"
-        )
+    _require_grid(K, p.m)
     values = sample_values_on_grid(_band_coefficient_buffer(p, K))
     if not np.all(np.isfinite(values)):
         raise ValueError("samples contain non-finite entries")

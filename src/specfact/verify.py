@@ -19,8 +19,10 @@ S or a factor run by default on the one check grid,
 :func:`~specfact.laurent.default_verify_grid` (the smallest power of two
 >= max(256, 8(m+1)), the grid ``factor()``'s hypothesis precheck and the
 generator's condition estimate use too), with a grid-doubling cross-check on
-the anticausal mass.  The outer check instead samples det X on its own grid,
-the smallest power of two >= max(8, 2(r m + 1)).
+the anticausal mass.  :func:`verify_all` samples S and X once, on the doubled
+grid 2K, and inverts X there once; its K-grid checks read the even points of
+those samples, which are the K-point grid.  The outer check instead samples
+det X on its own grid, the smallest power of two >= max(8, 2(r m + 1)).
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.
 Failures inside :func:`verify_all` are reported as failed entries, never
@@ -46,6 +48,7 @@ from .laurent import (
     _hermitian_scan,
     _inverse_on_grid,
     _next_pow2,
+    _require_grid,
     _residual_against,
     _values_at_angles,
     coefficients_from_values,
@@ -129,7 +132,13 @@ def check_positivity(S: HermitianLaurentPolynomial, K: int | None = None):
     """
     if K is None:
         K = default_verify_grid(S.m)
-    eigs, dets = _hermitian_scan(sample_on_grid(S, K))
+    return _positivity_scan(S, sample_on_grid(S, K))
+
+
+def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
+    """:func:`check_positivity` on the values of S at the K-point grid."""
+    K = len(S_vals)
+    eigs, dets = _hermitian_scan(S_vals)
     min_eig = float(eigs[:, 0].min())
     center = 2.0 * np.pi * int(np.argmin(eigs[:, 0])) / K
     half_width = 2.0 * np.pi / K
@@ -201,24 +210,31 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     m = S.m
     if K is None:
         K = default_verify_grid(m)
-    S_vals = sample_on_grid(S, K)
-    x_vals = sample_on_grid(x, K)
+    left, gaps = _causal_identity_on_grid(S, sample_on_grid(S, K), sample_on_grid(x, K))
+    scale = _coefficient_scale(S.coeffs)
+    return float(gaps.max()) / scale, _anticausal_mass(left, m, scale)
+
+
+def _causal_identity_on_grid(S: HermitianLaurentPolynomial, S_vals: np.ndarray,
+                             x_vals: np.ndarray):
+    """The left side ``X^{-1} z^m S`` on the grid the values sit on, from one
+    guarded pointwise inverse of X, and its Frobenius gap to the right side
+    ``z^m X^*`` at each grid point."""
     inverse, cond = _inverse_on_grid(x_vals)
     if cond > GRID_COND_MAX:
         raise SingularFactorOnGrid(
             f"factor condition number {cond:.3e} on the grid exceeds "
             f"{GRID_COND_MAX:.1e}"
         )
-    z_m = unit_circle_grid(K) ** m
-    left = inverse @ (z_m[:, None, None] * S_vals)
-    right = z_m[:, None, None] * x_vals.conj().transpose(0, 2, 1)
-    scale = _coefficient_scale(S.coeffs)
-    pointwise_gap = float(_frobenius(left - right).max()) / scale
+    z_m = (unit_circle_grid(len(x_vals)) ** S.m)[:, None, None]
+    left = inverse @ (z_m * S_vals)
+    return left, _frobenius(left - z_m * x_vals.conj().transpose(0, 2, 1))
 
+
+def _anticausal_mass(left: np.ndarray, m: int, scale: float) -> float:
     # Indices m+1..K-1 are, modulo K, every index outside the window [0, m].
-    norms = _frobenius(coefficients_from_values(left, 0, K - 1))
-    anticausal_mass = float(np.sqrt(np.sum(norms[m + 1 :] ** 2))) / scale
-    return pointwise_gap, anticausal_mass
+    norms = _frobenius(coefficients_from_values(left, 0, len(left) - 1))
+    return float(np.sqrt(np.sum(norms[m + 1 :] ** 2))) / scale
 
 
 def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomial,
@@ -248,26 +264,26 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
     return constancy_gap, unitarity_gap
 
 
-def _measure_positivity(S, x, K, scale):
-    min_eig, min_det = check_positivity(S, K)
+def _measure_positivity(S, x, S2K, scale):
+    min_eig, min_det = _positivity_scan(S, S2K[::2])
     near_singular = min_eig <= 1e-8 * scale
     detail = (f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
               + ("; nearly singular on the circle" if near_singular else ""))
     return [(max(0.0, -min_eig) / scale, detail, near_singular)]
 
 
-def _measure_factorization(S, x, K, scale):
+def _measure_factorization(S, x, S2K, scale):
     return [(check_factorization(S, x), "relative coefficientwise residual of S = X X*",
              False)]
 
 
-def _measure_degree(S, x, K, scale):
+def _measure_degree(S, x, S2K, scale):
     deg_S, deg_x, _ = check_degree(S, x)
     return [(float(max(0, deg_x - deg_S)),
              f"order of S = {deg_S}, degree of factor = {deg_x}", False)]
 
 
-def _measure_outer(S, x, K, scale):
+def _measure_outer(S, x, S2K, scale):
     min_root, roots = check_outer_determinant(x)
     deficit = max(0.0, 1.0 - min_root) if np.isfinite(min_root) else 0.0
     boundary = bool(np.any(np.abs(np.abs(roots) - 1.0) <= OUTER_BOUNDARY_BAND))
@@ -276,9 +292,12 @@ def _measure_outer(S, x, K, scale):
     return [(deficit, detail, boundary)]
 
 
-def _measure_causal(S, x, K, scale):
-    gap, mass = check_causal_identity(S, x, K)
-    _, mass2 = check_causal_identity(S, x, 2 * K)
+def _measure_causal(S, x, S2K, scale):
+    K = len(S2K) // 2
+    left, gaps = _causal_identity_on_grid(S, S2K, sample_on_grid(x, len(S2K)))
+    gap = float(gaps[::2].max()) / scale
+    mass = _anticausal_mass(left[::2], S.m, scale)
+    mass2 = _anticausal_mass(left, S.m, scale)
     return [
         (gap, f"pointwise gap of X^-1 z^m S = z^m X* on K={K}", False),
         (mass, f"Fourier mass outside the causal window [0, {S.m}]", False),
@@ -295,11 +314,15 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     is at most its tolerance, and a warning is kept only on a pass.  A
     ``SpectralFactorError`` fails every entry of its check, each with its own
     tolerance, so reports for bad inputs are complete.  Overall pass is the
-    conjunction of the non-warning entries.
+    conjunction of the non-warning entries.  A grid size that
+    ``sample_on_grid`` rejects for S or X at K raises its ``ValueError``.
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
     K = opts.grid_K if opts.grid_K is not None else default_verify_grid(S.m)
+    _require_grid(K, S.m)
+    _require_grid(K, x.m)
+    S2K = sample_on_grid(S, 2 * K)
     scale = _coefficient_scale(S.coeffs)
     checks = (
         (_measure_positivity, {"positivity": POSITIVITY_TOL}),
@@ -313,7 +336,7 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     entries: list[CheckEntry] = []
     for measure, tolerances in checks:
         try:
-            measurements = measure(S, x, K, scale)
+            measurements = measure(S, x, S2K, scale)
         except SpectralFactorError as exc:
             entries.extend(CheckEntry(name, False, 0.0, tolerance, detail=str(exc))
                            for name, tolerance in tolerances.items())

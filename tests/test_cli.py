@@ -192,6 +192,15 @@ class TestVerifyCommand:
                                '[[[1,0],[0,0]],[[0,0],[1,0]]]}}')
         assert main(["verify", str(spectrum), str(factor_file)]) == 1
 
+    @pytest.mark.parametrize("grid", ["7", "8"])
+    def test_rejected_grid_exits_one(self, tmp_path, capsys, grid):
+        prefix = tmp_path / "inst"
+        assert main(["gen", "2", "4", str(prefix), "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "inst.spectrum"),
+                     str(tmp_path / "inst.truth"), "--grid", grid]) == 1
+        assert capsys.readouterr().err.startswith(f"specfact: error: grid size K={grid} ")
+
     def test_fixture_pair_exits_zero(self):
         assert main(["verify", str(FIXTURES / "bundle_r2m3_seed11.spectrum"),
                      str(FIXTURES / "bundle_r2m3_seed11.truth")]) == 0

@@ -17,6 +17,7 @@ from specfact.factorize import (
     FactorizationOptions,
     _bauer_core,
     _residual_against,
+    _residual_on_grid,
     _wilson_core,
     bauer_factor,
     canonical_normalize,
@@ -27,6 +28,8 @@ from specfact.factorize import (
 from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _coefficient_scale,
+    coefficients_from_values,
     default_grid_size,
     multiply_by_adjoint,
     sample_on_grid,
@@ -98,8 +101,11 @@ class TestFactorDispatch:
 
     def test_degenerate_determinant(self):
         S = HermitianLaurentPolynomial(np.array([[[1, 0], [0, 0]]], dtype=complex))
-        with pytest.raises(DegenerateDeterminant):
+        with pytest.raises(DegenerateDeterminant) as caught:
             factor(S)
+        # The message states what is measured: max |det S| against its floor.
+        assert "max |det S| on the grid is 0.000e+00" in str(caught.value)
+        assert "1e-13 * scale^2 = 1.000e-13" in str(caught.value)
 
     def test_scalar_roots_rejects_matrix_input(self):
         S = HermitianLaurentPolynomial(np.eye(2, dtype=complex)[None])
@@ -360,15 +366,15 @@ def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
     rng = np.random.default_rng(10 * m + r)
     draw = rng.standard_normal((m + 1, r, r)) + 1j * rng.standard_normal((m + 1, r, r))
     S = multiply_by_adjoint(MatrixPolynomial(draw))
-    # Every iterate passes through the residual: record the start and the
-    # one update, and report no progress so nothing stops early.
+    # Every iterate's grid values pass through the grid residual: record the
+    # start and the one update, and report no progress so nothing stops early.
     iterates = []
 
-    def record(sigma, c):
-        iterates.append(np.array(c))
+    def record(sigma, chi_vals, scale):
+        iterates.append(coefficients_from_values(chi_vals, 0, m))
         return 1.0
 
-    monkeypatch.setattr(factorize, "_residual_against", record)
+    monkeypatch.setattr(factorize, "_residual_on_grid", record)
     try:
         _wilson_core(S, FactorizationOptions(max_newton_iters=1, residual_tol=1e-30))
     except NoConvergence:
@@ -376,6 +382,21 @@ def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
     start, update = iterates
     expected = reference_newton_step(S, start)
     assert np.linalg.norm(update - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("m", [0, 4, 32])
+@pytest.mark.parametrize("r", [1, 3])
+def test_grid_residual_matches_coefficient_residual(r, m):
+    rng = np.random.default_rng(100 + 10 * m + r)
+    shape = (m + 1, r, r)
+    draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sigma = multiply_by_adjoint(MatrixPolynomial(draw)).coeffs
+    K = default_grid_size(m)
+    for spread in (1e-8, 1e-3, 1.0):
+        chi = draw + spread * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        chi_vals = sample_on_grid(MatrixPolynomial(chi), K)
+        grid = _residual_on_grid(sigma, chi_vals, _coefficient_scale(sigma))
+        assert abs(grid - _residual_against(sigma, chi)) <= 1e-14
 
 
 def loop_bauer(S, opts):

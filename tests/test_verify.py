@@ -1,5 +1,7 @@
 """Verifier checks: each identity, its failure modes, and their couplings."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,19 @@ def test_anticausal_mass_matches_recentred_window(S, x, large_mass, K):
         assert mass > 1e-3
 
 
+@pytest.mark.parametrize("S, x, large_mass", _anticausal_pairs())
+def test_verify_all_causal_entries_match_the_public_check(S, x, large_mass):
+    # verify_all reads K-grid values off one 2K sampling and one 2K inversion.
+    K = 256
+    gap, mass = check_causal_identity(S, x, K)
+    _, mass2 = check_causal_identity(S, x, 2 * K)
+    by_name = {entry.name: entry.measured
+               for entry in verify_all(S, x, VerifyOptions(grid_K=K)).checks}
+    assert abs(by_name["causal-identity"] - gap) <= 1e-13
+    assert abs(by_name["anticausal-mass"] - mass) <= 1e-13
+    assert abs(by_name["anticausal-mass-stability"] - abs(mass2 - mass)) <= 1e-13
+
+
 class TestConstantUnitaryEquivalence:
     def test_equal_factors(self):
         constancy, unitarity = check_constant_unitary_equivalence(X_GOOD, X_GOOD)
@@ -319,6 +334,16 @@ class TestVerifyAll:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             verify_all(S_SCALAR, MatrixPolynomial(np.eye(2, dtype=complex)[None]))
+
+    @pytest.mark.parametrize("K", [7, 8])
+    def test_rejects_every_grid_sample_on_grid_rejects(self, K):
+        # At m = 4, K = 8 aliases the band although 2K = 16 would not.
+        S = generate_instance(2, 4, seed=3).spectrum
+        with pytest.raises(ValueError) as expected:
+            sample_on_grid(S, K)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            verify_all(S, MatrixPolynomial(np.eye(2, dtype=complex)[None]),
+                       VerifyOptions(grid_K=K))
 
     def test_custom_tolerances(self):
         report = verify_all(S_SCALAR, X_GOOD, VerifyOptions(residual_tol=1e-16))
