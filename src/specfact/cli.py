@@ -94,13 +94,13 @@ def _fail(message: str, code: int) -> int:
 def _cmd_factor(args) -> int:
     try:
         spectrum = read_spectrum(args.input)
+        opts = FactorizationOptions(
+            algorithm=_ALGORITHM_FLAGS[args.algorithm],
+            residual_tol=args.tol,
+            grid_K=args.grid,
+        )
     except (OSError, ValueError) as exc:
         return _fail(str(exc), 1)
-    opts = FactorizationOptions(
-        algorithm=_ALGORITHM_FLAGS[args.algorithm],
-        residual_tol=args.tol,
-        grid_K=args.grid,
-    )
     try:
         result = factor(spectrum, opts)
     except NoConvergence as exc:

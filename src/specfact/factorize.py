@@ -17,9 +17,11 @@ coefficientwise:
 * :func:`wilson_factor` -- Newton-type iteration
   ``X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+`` on a unit-circle grid, where
   ``[.]_+`` keeps half the index-0 Fourier coefficient plus indices 1..m.
-  The product with ``X_k`` is formed on the grid too, and ``X_k`` counts as
-  singular when its worst grid 1-norm condition number, taken from its
-  pointwise inverse, exceeds ``NEWTON_COND_MAX``.
+  Only the rational inner term needs the grid: the product with ``X_k`` and
+  the residual band of ``X_k X_k^*`` are products of degree-m polynomials,
+  formed in coefficient space.  ``X_k`` counts as singular when its worst
+  grid 1-norm condition number, taken from its pointwise inverse, exceeds
+  ``NEWTON_COND_MAX``.
   Quadratically convergent near the solution.
 * :func:`scalar_root_factor` -- for r = 1 only: factor through the roots of
   ``z^m S(z)``, which pair as (a, 1/conj(a)); the factor collects the roots
@@ -49,6 +51,7 @@ from .errors import (
 from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _causal_product_window,
     _coefficient_scale,
     _frobenius,
     _hermitian_scan,
@@ -203,13 +206,12 @@ def bauer_factor(S: HermitianLaurentPolynomial,
     return MatrixPolynomial(coeffs)
 
 
-def _residual_on_grid(sigma: np.ndarray, chi_vals: np.ndarray, scale: float) -> float:
-    """``_residual_against(sigma, chi)`` from the grid values of chi: the band
-    [-m, m] of ``X X^*`` fits on the Newton grid unaliased, so its
-    coefficients 0..m come from one FFT of ``chi_vals chi_vals^H``."""
-    product = chi_vals @ chi_vals.conj().transpose(0, 2, 1)
-    gap = sigma - coefficients_from_values(product, 0, len(sigma) - 1)
-    return float(_frobenius(gap).max()) / scale
+def _newton_residual(sigma: np.ndarray, chi: np.ndarray, scale: float) -> float:
+    """``_residual_against(sigma, chi)`` for stacks of one length m+1:
+    coefficients 0..m of ``X X^*`` are coefficients m..2m of the causal
+    product ``X(z) z^m X^*(z)``, whose stack is chi reversed and adjoined."""
+    band = _causal_product_window(chi, chi[::-1].conj().transpose(0, 2, 1), len(chi) - 1)
+    return float(_frobenius(sigma - band).max()) / scale
 
 
 def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
@@ -218,9 +220,11 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+ truncated to degree m, started
     from the constant lower Cholesky factor of sigma_0 (the circle average of
     S, positive definite under the preconditions).  Stops when successive
-    iterates or the factorization residual drop below residual_tol.  Each
-    iterate is sampled once: its grid values give its residual and serve the
-    next iteration.
+    iterates or the factorization residual drop below residual_tol.  An
+    iteration samples its iterate once (one inverse FFT) for the guarded grid
+    inverse and G, and takes one FFT of G for ``[G]_+``; the update
+    ``X_k [G]_+`` and the residual band of ``X_k X_k^*`` come from
+    ``_causal_product_window``, off the grid.
     """
     m, r = S.m, S.r
     sigma = S.coeffs
@@ -241,13 +245,12 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     scale = _coefficient_scale(sigma)
     # Only buf[: m + 1] is ever written, so the rest stays zero.
     buf = np.zeros((K, r, r), dtype=np.complex128)
-    buf[: m + 1] = chi
-    chi_vals = sample_values_on_grid(buf)
     best = chi
-    best_residual = _residual_on_grid(sigma, chi_vals, scale)
+    best_residual = _newton_residual(sigma, chi, scale)
     polish_pending = False
     for iteration in range(1, opts.max_newton_iters + 1):
-        inverse, cond = _inverse_on_grid(chi_vals)
+        buf[: m + 1] = chi
+        inverse, cond = _inverse_on_grid(sample_values_on_grid(buf))
         if cond > NEWTON_COND_MAX:
             raise SingularIterate(
                 f"iterate {iteration} is numerically singular on the grid "
@@ -255,16 +258,13 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
             )
         G = inverse @ S_vals @ inverse.conj().transpose(0, 2, 1) + eye
 
-        # [G]_+ (window [0, m], index-0 term halved) times X_k on the grid; the
-        # product has degree 2m < K, so its window [0, m] comes back unaliased.
-        buf[: m + 1] = coefficients_from_values(G, 0, m)
-        buf[0] *= 0.5
-        chi_next = coefficients_from_values(chi_vals @ sample_values_on_grid(buf), 0, m)
+        # [G]_+: the window [0, m] of G with its index-0 term halved.
+        plus = coefficients_from_values(G, 0, m)
+        plus[0] *= 0.5
+        chi_next = _causal_product_window(chi, plus, 0)
 
         step = float(_frobenius(chi_next - chi).max()) / _coefficient_scale(chi)
-        buf[: m + 1] = chi_next
-        chi_vals = sample_values_on_grid(buf)
-        residual = _residual_on_grid(sigma, chi_vals, scale)
+        residual = _newton_residual(sigma, chi_next, scale)
         chi = chi_next
         if residual < best_residual:
             best, best_residual = chi, residual

@@ -99,9 +99,10 @@ def _parse_document(text: str, label: str) -> dict:
         if key not in doc:
             raise ValueError(f"{label}: missing required field '{key}'")
     r, m = doc["r"], doc["m"]
-    if not isinstance(r, int) or r < 1:
+    # bool is a subclass of int, but "r": true is not a dimension.
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ValueError(f"{label}: r must be a positive integer")
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"{label}: m must be a nonnegative integer")
     if not isinstance(doc["coeffs"], dict):
         raise ValueError(f"{label}: coeffs must be an object keyed by index")

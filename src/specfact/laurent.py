@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 # A trailing coefficient counts as zero when its Frobenius norm is below this
 # fraction of the largest coefficient norm; degrees are always reported trimmed.
@@ -228,9 +229,11 @@ def _inverse_on_grid(values: np.ndarray) -> tuple[np.ndarray | None, float]:
 
 def _hermitian_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, per point) and |det| of sampled spectrum values,
-    symmetrized first so roundoff cannot make a point non-Hermitian."""
+    symmetrized first so roundoff cannot make a point non-Hermitian; |det| is
+    the product of the absolute eigenvalues."""
     values = 0.5 * (values + values.conj().transpose(0, 2, 1))
-    return np.linalg.eigvalsh(values), np.abs(np.linalg.det(values))
+    eigs = np.linalg.eigvalsh(values)
+    return eigs, np.abs(eigs).prod(axis=-1)
 
 
 def _require_grid(K: int, m: int) -> None:
@@ -277,6 +280,26 @@ def adjoint_product_coefficients(c: np.ndarray) -> np.ndarray:
     for n in range(m + 1):
         out[n] = np.einsum("kij,klj->il", c[n:], c[: m + 1 - n].conj())
     return out
+
+
+def _causal_product_window(a: np.ndarray, b: np.ndarray, lo: int) -> np.ndarray:
+    """Coefficients lo..lo+m (lo >= 0) of ``A(z) B(z)`` for two causal
+    (m+1, r, r) stacks: ``sum_k a_k b_{n-k}``.
+
+    One matmul of A's block row, reversed, against the block-Hankel view
+    ``H[k, j] = b_{lo+k+j-m}`` of a zero-padded copy of B; the view reads
+    pad entries lo..lo+2m, all inside the pad.
+    """
+    m1, r = a.shape[:2]
+    m = m1 - 1
+    pad = np.zeros((r, lo + 2 * m + 1, r), dtype=np.complex128)
+    pad[:, m : 2 * m + 1] = b.transpose(1, 0, 2)
+    row_stride, lag_stride, col_stride = pad.strides
+    hankel = as_strided(pad[:, lo:], shape=(m1, r, m1, r),
+                        strides=(lag_stride, row_stride, lag_stride, col_stride))
+    row = a[::-1].transpose(1, 0, 2).reshape(r, m1 * r)
+    product = row @ hankel.reshape(m1 * r, m1 * r)
+    return product.reshape(r, m1, r).transpose(1, 0, 2)
 
 
 def _coefficient_scale(sigma: np.ndarray) -> float:

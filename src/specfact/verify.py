@@ -144,13 +144,12 @@ def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
     half_width = 2.0 * np.pi / K
     for _ in range(ZOOM_LEVELS):
         theta = center + np.linspace(-half_width, half_width, ZOOM_POINTS)
-        batch = _values_at_angles(S, theta)
-        low = np.linalg.eigvalsh(batch)[:, 0]
-        best = int(np.argmin(low))
-        min_eig = min(min_eig, float(low[best]))
+        batch_eigs = np.linalg.eigvalsh(_values_at_angles(S, theta))
+        best = int(np.argmin(batch_eigs[:, 0]))
+        min_eig = min(min_eig, float(batch_eigs[best, 0]))
         center = theta[best]
         half_width *= 2.0 / (ZOOM_POINTS - 1)
-    min_det = min(float(dets.min()), float(abs(np.linalg.det(batch[best]))))
+    min_det = min(float(dets.min()), float(np.abs(batch_eigs[best]).prod()))
     return min_eig, min_det
 
 

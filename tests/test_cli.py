@@ -77,6 +77,28 @@ class TestFactorCommand:
         assert main(["factor", str(spectrum), str(tmp_path / "out")]) == 2
         assert "eigenvalue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "0", "residual_tol must be positive"),
+        ("--tol", "-1", "residual_tol must be positive"),
+        ("--tol", "nan", "residual_tol must be positive"),
+        ("--grid", "0", "grid_K must be >= 2"),
+        ("--grid", "1", "grid_K must be >= 2"),
+    ])
+    def test_rejected_option_exits_one(self, tmp_path, capsys, flag, value, message):
+        spectrum = tmp_path / "s.spectrum"
+        write_scalar_spectrum(spectrum)
+        assert main(["factor", str(spectrum), str(tmp_path / "out"), flag, value]) == 1
+        assert capsys.readouterr().err == f"specfact: error: {message}\n"
+
+    @pytest.mark.parametrize("field", ["r", "m"])
+    def test_boolean_dimension_exits_one(self, tmp_path, capsys, field):
+        doc = {"r": 1, "m": 0, "coeffs": {"0": [[[1, 0]]]}}
+        doc[field] = True
+        spectrum = tmp_path / "bool.spectrum"
+        spectrum.write_text(json.dumps(doc))
+        assert main(["factor", str(spectrum), str(tmp_path / "out")]) == 1
+        assert f": {field} must be a " in capsys.readouterr().err
+
     def test_degenerate_determinant_exits_two(self, tmp_path):
         spectrum = tmp_path / "rank.spectrum"
         spectrum.write_text('{"r": 2, "m": 0, "coeffs": {"0": '

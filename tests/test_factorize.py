@@ -16,8 +16,8 @@ from specfact import factorize
 from specfact.factorize import (
     FactorizationOptions,
     _bauer_core,
+    _newton_residual,
     _residual_against,
-    _residual_on_grid,
     _wilson_core,
     bauer_factor,
     canonical_normalize,
@@ -28,8 +28,8 @@ from specfact.factorize import (
 from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _causal_product_window,
     _coefficient_scale,
-    coefficients_from_values,
     default_grid_size,
     multiply_by_adjoint,
     sample_on_grid,
@@ -366,15 +366,15 @@ def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
     rng = np.random.default_rng(10 * m + r)
     draw = rng.standard_normal((m + 1, r, r)) + 1j * rng.standard_normal((m + 1, r, r))
     S = multiply_by_adjoint(MatrixPolynomial(draw))
-    # Every iterate's grid values pass through the grid residual: record the
-    # start and the one update, and report no progress so nothing stops early.
+    # Every iterate passes through the Newton residual: record the start and
+    # the one update, and report no progress so nothing stops early.
     iterates = []
 
-    def record(sigma, chi_vals, scale):
-        iterates.append(coefficients_from_values(chi_vals, 0, m))
+    def record(sigma, chi, scale):
+        iterates.append(np.array(chi))
         return 1.0
 
-    monkeypatch.setattr(factorize, "_residual_on_grid", record)
+    monkeypatch.setattr(factorize, "_newton_residual", record)
     try:
         _wilson_core(S, FactorizationOptions(max_newton_iters=1, residual_tol=1e-30))
     except NoConvergence:
@@ -391,12 +391,26 @@ def test_grid_residual_matches_coefficient_residual(r, m):
     shape = (m + 1, r, r)
     draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     sigma = multiply_by_adjoint(MatrixPolynomial(draw)).coeffs
-    K = default_grid_size(m)
     for spread in (1e-8, 1e-3, 1.0):
         chi = draw + spread * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        chi_vals = sample_on_grid(MatrixPolynomial(chi), K)
-        grid = _residual_on_grid(sigma, chi_vals, _coefficient_scale(sigma))
-        assert abs(grid - _residual_against(sigma, chi)) <= 1e-14
+        banded = _newton_residual(sigma, chi, _coefficient_scale(sigma))
+        assert abs(banded - _residual_against(sigma, chi)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [0, 4, 32])
+@pytest.mark.parametrize("r", [1, 3, 8])
+def test_causal_product_window_matches_loop_references(r, m):
+    rng = np.random.default_rng(200 + 10 * m + r)
+    draw = lambda: rng.standard_normal((m + 1, r, r)) + 1j * rng.standard_normal((m + 1, r, r))
+    a, b = draw(), draw()
+    for lo in (0, m):
+        expected = loop_product(a, b, lo + m)[lo:]
+        window = _causal_product_window(a, b, lo)
+        assert np.linalg.norm(window - expected) <= 1e-12 * np.linalg.norm(expected)
+    sigma = multiply_by_adjoint(MatrixPolynomial(draw())).coeffs
+    banded = _newton_residual(sigma, a, _coefficient_scale(sigma))
+    assert abs(banded - loop_residual(sigma, a)) <= 1e-14
+    assert abs(banded - _residual_against(sigma, a)) <= 1e-14
 
 
 def loop_bauer(S, opts):

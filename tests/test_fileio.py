@@ -1,5 +1,6 @@
 """File formats: bit-exact round trips, validation, golden fixtures."""
 
+import json
 import pathlib
 
 import numpy as np
@@ -105,6 +106,16 @@ class TestSpectrumValidation:
         path.write_text('{"r": 1, "coeffs": {}}')
         with pytest.raises(ValueError, match="missing required field"):
             read_spectrum(path)
+
+    @pytest.mark.parametrize("field", ["r", "m"])
+    @pytest.mark.parametrize("reader", [read_spectrum, read_factor])
+    def test_boolean_dimension_rejected(self, tmp_path, reader, field):
+        doc = {"r": 1, "m": 0, "coeffs": {"0": [[[1, 0]]]}}
+        doc[field] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f": {field} must be a"):
+            reader(path)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.spectrum"
