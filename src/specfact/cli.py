@@ -170,8 +170,8 @@ def _cmd_verify(args) -> int:
         return _fail(
             f"dimension mismatch: spectrum r={spectrum.r}, factor r={candidate.r}", 1
         )
-    opts = VerifyOptions(grid_K=args.grid, residual_tol=args.tol)
     try:
+        opts = VerifyOptions(grid_K=args.grid, residual_tol=args.tol)
         report = verify_all(spectrum, candidate, opts)
     except ValueError as exc:
         return _fail(str(exc), 1)

@@ -19,9 +19,9 @@ coefficientwise:
   ``[.]_+`` keeps half the index-0 Fourier coefficient plus indices 1..m.
   Only the rational inner term needs the grid: the product with ``X_k`` and
   the residual band of ``X_k X_k^*`` are products of degree-m polynomials,
-  formed in coefficient space.  ``X_k`` counts as singular when its worst
-  grid 1-norm condition number, taken from its pointwise inverse, exceeds
-  ``NEWTON_COND_MAX``.
+  formed in coefficient space by ``laurent._causal_product_window``.
+  ``X_k`` counts as singular when its worst grid 1-norm condition number,
+  taken from its pointwise inverse, exceeds ``NEWTON_COND_MAX``.
   Quadratically convergent near the solution.
 * :func:`scalar_root_factor` -- for r = 1 only: factor through the roots of
   ``z^m S(z)``, which pair as (a, 1/conj(a)); the factor collects the roots
@@ -30,6 +30,11 @@ coefficientwise:
 :func:`canonical_normalize` maps any factor to the unique representative of
 its unitary equivalence class whose value at z = 0 is lower triangular with
 strictly positive diagonal.
+
+Every residual here -- each Newton iterate's, the best iterate's in
+``NoConvergence`` and ``factor()``'s ``achieved_residual`` -- is
+``laurent._residual_against``, the one ``S = X X^*`` residual that
+``verify.check_factorization`` reports too.
 """
 
 from __future__ import annotations
@@ -144,23 +149,16 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     ``L_i = chol(sigma_0 - c_i c_i^*)``.  The trailing block of a triangular
     inverse is the inverse of the trailing block, so M_{i+1} is M_i shifted
     by one block plus one new block column.  Leading principal submatrices
-    factor nestedly, so checkpoints at N = 4(m+1) * 2^k reuse one sweep: the
-    last-row estimates of (rho_0..rho_m) are compared until they differ by
-    less than residual_tol (relative to the coefficient scale).
+    factor nestedly, so checkpoints at N = 4(m+1) * 2^k and at the cap reuse
+    one sweep: the last-row estimates of (rho_0..rho_m) are compared until
+    they differ by less than residual_tol (relative to the coefficient scale).
     """
     m, r = S.m, S.r
     sigma = S.coeffs
     scale = _coefficient_scale(sigma)
     cap = int(opts.max_toeplitz_blocks)
-    first_checkpoint = 4 * (m + 1)
-    checkpoints = set()
-    n = first_checkpoint
-    while n < cap:
-        checkpoints.add(n)
-        n *= 2
-    checkpoints.add(cap)
+    checkpoint = min(4 * (m + 1), cap)
 
-    sigma0 = 0.5 * (sigma[0] + sigma[0].conj().T)
     t = sigma[m:0:-1].transpose(1, 0, 2).reshape(r, m * r)
     M = np.eye(m * r, dtype=np.complex128)
     prev_est = None
@@ -169,7 +167,7 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
         c = t[:, k:] @ M[k:]
         c_adj = c.conj().T
         try:
-            L = np.linalg.cholesky(sigma0 - c @ c_adj)
+            L = np.linalg.cholesky(sigma[0] - c @ c_adj)
         except np.linalg.LinAlgError:
             raise CholeskyBreakdown(
                 f"pivot block at Toeplitz row {i} is not positive definite; "
@@ -182,13 +180,14 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
             M[:-r, -r:] = M[:-r, :-r] @ (c_adj[r:] @ -pivot_inv_adj)
             M[-r:, -r:] = pivot_inv_adj
 
-        if i + 1 in checkpoints:
+        if i + 1 == checkpoint:
             cur = np.concatenate([L[None], c.reshape(r, m, r).transpose(1, 0, 2)[::-1]])
             if prev_est is not None:
                 diff = float(_frobenius(cur - prev_est).max()) / scale
                 if diff < opts.residual_tol:
                     return cur, i + 1
             prev_est = cur
+            checkpoint = min(2 * checkpoint, cap)
 
     raise NoConvergence(
         f"Bauer sweep hit the block cap ({cap}) before the last-row estimate settled",
@@ -206,14 +205,6 @@ def bauer_factor(S: HermitianLaurentPolynomial,
     return MatrixPolynomial(coeffs)
 
 
-def _newton_residual(sigma: np.ndarray, chi: np.ndarray, scale: float) -> float:
-    """``_residual_against(sigma, chi)`` for stacks of one length m+1:
-    coefficients 0..m of ``X X^*`` are coefficients m..2m of the causal
-    product ``X(z) z^m X^*(z)``, whose stack is chi reversed and adjoined."""
-    band = _causal_product_window(chi, chi[::-1].conj().transpose(0, 2, 1), len(chi) - 1)
-    return float(_frobenius(sigma - band).max()) / scale
-
-
 def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     """Newton iteration for the causal factor on a unit-circle grid.
 
@@ -223,8 +214,8 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     iterates or the factorization residual drop below residual_tol.  An
     iteration samples its iterate once (one inverse FFT) for the guarded grid
     inverse and G, and takes one FFT of G for ``[G]_+``; the update
-    ``X_k [G]_+`` and the residual band of ``X_k X_k^*`` come from
-    ``_causal_product_window``, off the grid.
+    ``X_k [G]_+`` and, through ``_residual_against``, the residual band of
+    ``X_k X_k^*`` come from ``_causal_product_window``, off the grid.
     """
     m, r = S.m, S.r
     sigma = S.coeffs
@@ -232,21 +223,19 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     S_vals = sample_on_grid(S, K)
     eye = np.eye(r, dtype=np.complex128)
 
-    sigma0 = 0.5 * (sigma[0] + sigma[0].conj().T)
     try:
         chi = np.zeros((m + 1, r, r), dtype=np.complex128)
-        chi[0] = np.linalg.cholesky(sigma0)
+        chi[0] = np.linalg.cholesky(sigma[0])
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(
             "sigma_0 (the circle average of S) is not positive definite; "
             "Newton initialization is impossible"
         ) from None
 
-    scale = _coefficient_scale(sigma)
     # Only buf[: m + 1] is ever written, so the rest stays zero.
     buf = np.zeros((K, r, r), dtype=np.complex128)
     best = chi
-    best_residual = _newton_residual(sigma, chi, scale)
+    best_residual = _residual_against(sigma, chi)
     polish_pending = False
     for iteration in range(1, opts.max_newton_iters + 1):
         buf[: m + 1] = chi
@@ -264,7 +253,7 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
         chi_next = _causal_product_window(chi, plus, 0)
 
         step = float(_frobenius(chi_next - chi).max()) / _coefficient_scale(chi)
-        residual = _newton_residual(sigma, chi_next, scale)
+        residual = _residual_against(sigma, chi_next)
         chi = chi_next
         if residual < best_residual:
             best, best_residual = chi, residual
@@ -277,7 +266,6 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
 
     if polish_pending:
         return chi, opts.max_newton_iters
-    best_residual = _residual_against(sigma, best)
     raise NoConvergence(
         f"Newton iteration hit the cap ({opts.max_newton_iters}) at residual "
         f"{best_residual:.3e}",

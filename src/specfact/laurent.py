@@ -11,6 +11,11 @@ uniform unit-circle grid ``z_j = exp(2*pi*i*j/K)`` (sampling returns the
   always derived, so the symmetry cannot be broken by construction.
 * :class:`MatrixPolynomial` -- a causal factor ``X(z) = sum_{n=0}^{m} rho_n z^n``.
 
+Products of causal stacks are formed in coefficient space by one kernel,
+``_causal_product_window``; the factorization residual takes the band of
+``X X^*`` from it.  :func:`multiply_by_adjoint` alone keeps its own per-lag
+sum, because the golden fixtures pin its bytes.
+
 All values are immutable after construction and every operation is a pure
 function.
 """
@@ -128,8 +133,9 @@ class HermitianLaurentPolynomial:
 
     Stores ``sigma_n`` for ``n = 0..m`` only; ``sigma_{-n}`` is always the
     conjugate transpose of ``sigma_n``.  Requires ``sigma_0`` Hermitian to
-    ``HERMITIAN_ATOL`` per entry, which makes ``S(z)`` Hermitian at every
-    point of the unit circle.
+    ``HERMITIAN_ATOL`` per entry and stores it symmetrized,
+    ``(sigma_0 + sigma_0^*) / 2``, so it is exactly Hermitian and so is
+    ``S(z)`` at every point of the unit circle.
     """
 
     coeffs: np.ndarray
@@ -143,6 +149,7 @@ class HermitianLaurentPolynomial:
                 f"(max |entry - conj transpose| = {asym:.3e} > {HERMITIAN_ATOL:.1e})"
             )
         stack = trim_coefficients(stack).copy()
+        stack[0] = 0.5 * (stack[0] + stack[0].conj().T)
         stack.setflags(write=False)
         object.__setattr__(self, "coeffs", stack)
 
@@ -162,13 +169,12 @@ def unit_circle_grid(K: int) -> np.ndarray:
 
 def _values_at_angles(S: HermitianLaurentPolynomial, theta: np.ndarray) -> np.ndarray:
     """Values S(exp(i theta)) at a vector of angles, one matmul over the
-    coefficient stack; exactly Hermitian, since sigma_0 is symmetrized and the
-    rest is a sum of a tail and its adjoint."""
+    coefficient stack; exactly Hermitian, since sigma_0 is stored symmetrized
+    and the rest is a sum of a tail and its adjoint."""
     r = S.r
     powers = np.exp(1j * np.outer(theta, np.arange(1, S.m + 1)))
     tail = (powers @ S.coeffs[1:].reshape(S.m, r * r)).reshape(len(theta), r, r)
-    sigma0 = 0.5 * (S.coeffs[0] + S.coeffs[0].conj().T)
-    return sigma0 + tail + tail.conj().transpose(0, 2, 1)
+    return S.coeffs[0] + tail + tail.conj().transpose(0, 2, 1)
 
 
 def evaluate_at(p, z: complex) -> np.ndarray:
@@ -272,16 +278,6 @@ def coefficients_from_values(values: np.ndarray, lo: int, hi: int) -> np.ndarray
     return spectrum[np.arange(lo, hi + 1) % K]
 
 
-def adjoint_product_coefficients(c: np.ndarray) -> np.ndarray:
-    """Coefficients n = 0..m of ``X X^*`` for a causal stack ``c`` of degree m:
-    ``sum_k c_{k+n} c_k^*``, one einsum per lag."""
-    m = len(c) - 1
-    out = np.empty((m + 1,) + c.shape[1:], dtype=np.complex128)
-    for n in range(m + 1):
-        out[n] = np.einsum("kij,klj->il", c[n:], c[: m + 1 - n].conj())
-    return out
-
-
 def _causal_product_window(a: np.ndarray, b: np.ndarray, lo: int) -> np.ndarray:
     """Coefficients lo..lo+m (lo >= 0) of ``A(z) B(z)`` for two causal
     (m+1, r, r) stacks: ``sum_k a_k b_{n-k}``.
@@ -310,9 +306,12 @@ def _residual_against(sigma: np.ndarray, factor_coeffs: np.ndarray) -> float:
     """Relative coefficientwise mismatch of the factorization identity.
 
     max_n ||sigma_n - (X X^*)_n||_F / (1 + max_n ||sigma_n||_F), over the
-    union of both bands.
+    union of both bands.  Coefficients 0..m of ``X X^*`` are coefficients
+    m..2m of the causal product ``X(z) z^m X^*(z)``, whose stack is X's
+    reversed and adjoined.
     """
-    product = adjoint_product_coefficients(factor_coeffs)
+    c = factor_coeffs
+    product = _causal_product_window(c, c[::-1].conj().transpose(0, 2, 1), len(c) - 1)
     order = max(len(sigma), len(product))
     gap = np.zeros((order,) + sigma.shape[1:], dtype=np.complex128)
     gap[: len(sigma)] = sigma
@@ -329,7 +328,10 @@ def multiply_by_adjoint(x: MatrixPolynomial) -> HermitianLaurentPolynomial:
     """
     if x.is_zero():
         raise ValueError("cannot form the induced spectrum of the zero polynomial")
-    sigma = adjoint_product_coefficients(x.coeffs)
-    # sigma_0 is Hermitian in exact arithmetic; remove summation-order noise.
-    sigma[0] = 0.5 * (sigma[0] + sigma[0].conj().T)
+    c, m = x.coeffs, x.m
+    # One einsum per lag, not _causal_product_window: the golden fixtures and
+    # the bytes `specfact gen` writes are pinned to this summation order.
+    sigma = np.empty_like(c)
+    for n in range(m + 1):
+        sigma[n] = np.einsum("kij,klj->il", c[n:], c[: m + 1 - n].conj())
     return HermitianLaurentPolynomial(sigma)

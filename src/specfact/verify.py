@@ -81,6 +81,10 @@ class VerifyOptions:
     grid_K: int | None = None
     residual_tol: float = 1e-9
 
+    def __post_init__(self):
+        if not (self.residual_tol > 0):
+            raise ValueError("residual_tol must be positive")
+
 
 @dataclass(frozen=True)
 class CheckEntry:
@@ -154,7 +158,8 @@ def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
 
 
 def check_factorization(S: HermitianLaurentPolynomial, x: MatrixPolynomial) -> float:
-    """Relative coefficientwise residual of the identity S = X X^*."""
+    """Relative coefficientwise residual of the identity S = X X^*, the same
+    ``_residual_against`` that ``factor()`` reports."""
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
     return _residual_against(S.coeffs, x.coeffs)

@@ -105,6 +105,14 @@ def test_criterion_1_ground_truth_recovery(sweep):
                f"{worst_residual:.3e}, factor time {sweep.factor_seconds:.1f} s")
 
 
+def test_sweep_runs_wilson_for_a_fixed_iteration_count(sweep):
+    # Wilson converges on every sweep instance in 1,433 iterations in total;
+    # a change to the Newton step or its stopping rule shows up here.
+    results = [record.result for record in sweep.records]
+    assert ({result.algorithm_used for result in results}, len(results),
+            sum(result.iterations_or_blocks for result in results)) == ({"wilson"}, 200, 1433)
+
+
 def test_criterion_2_degree_preservation(sweep):
     mismatches = [
         (record.bundle.spectrum.m, record.result.factor.m)

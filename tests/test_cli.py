@@ -223,6 +223,16 @@ class TestVerifyCommand:
                      str(tmp_path / "inst.truth"), "--grid", grid]) == 1
         assert capsys.readouterr().err.startswith(f"specfact: error: grid size K={grid} ")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["table", "json"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_rejected_tolerance_exits_one(self, tmp_path, capsys, value, json_flag):
+        prefix = tmp_path / "inst"
+        assert main(["gen", "2", "3", str(prefix)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "inst.spectrum"), str(tmp_path / "inst.truth"),
+                     "--tol", value, *json_flag]) == 1
+        assert capsys.readouterr() == ("", "specfact: error: residual_tol must be positive\n")
+
     def test_fixture_pair_exits_zero(self):
         assert main(["verify", str(FIXTURES / "bundle_r2m3_seed11.spectrum"),
                      str(FIXTURES / "bundle_r2m3_seed11.truth")]) == 0

@@ -16,7 +16,6 @@ from specfact import factorize
 from specfact.factorize import (
     FactorizationOptions,
     _bauer_core,
-    _newton_residual,
     _residual_against,
     _wilson_core,
     bauer_factor,
@@ -29,7 +28,6 @@ from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _causal_product_window,
-    _coefficient_scale,
     default_grid_size,
     multiply_by_adjoint,
     sample_on_grid,
@@ -326,13 +324,28 @@ def loop_residual(sigma, c):
     return worst / scale
 
 
-@pytest.mark.parametrize("sigma_len, factor_len", [(1, 1), (3, 3), (2, 5), (6, 2)])
+# Random stacks of unequal lengths, and spectra induced by a degree-m factor
+# against that factor perturbed by each spread.
+@pytest.mark.parametrize("sigma_len, factor_len, spreads", [
+    pytest.param(s, f, (), id=f"{s}-{f}") for s, f in [(1, 1), (3, 3), (2, 5), (6, 2)]
+] + [
+    pytest.param(m + 1, m + 1, (1e-8, 1e-3, 1.0), id=f"induced-m{m}") for m in (0, 4, 32)
+])
 @pytest.mark.parametrize("r", [1, 3])
-def test_residual_matches_loop_reference(sigma_len, factor_len, r):
+def test_residual_matches_loop_reference(sigma_len, factor_len, spreads, r):
     rng = np.random.default_rng(100 * sigma_len + 10 * factor_len + r)
     draw = lambda n: rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
-    sigma, c = draw(sigma_len), draw(factor_len)
-    assert _residual_against(sigma, c) == pytest.approx(loop_residual(sigma, c), rel=1e-12)
+    if spreads:
+        c = draw(factor_len)
+        sigma = multiply_by_adjoint(MatrixPolynomial(c)).coeffs
+        pairs = [(sigma, c + spread * draw(factor_len)) for spread in spreads]
+    else:
+        pairs = [(draw(sigma_len), draw(factor_len))]
+    # approx's default absolute floor of 1e-12 would swamp the near-zero
+    # residuals of small spreads; they keep an absolute bound of 1e-14.
+    for sigma, c in pairs:
+        assert _residual_against(sigma, c) == pytest.approx(loop_residual(sigma, c),
+                                                             rel=1e-12, abs=1e-14)
 
 
 def loop_product(a, b, m):
@@ -366,15 +379,15 @@ def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
     rng = np.random.default_rng(10 * m + r)
     draw = rng.standard_normal((m + 1, r, r)) + 1j * rng.standard_normal((m + 1, r, r))
     S = multiply_by_adjoint(MatrixPolynomial(draw))
-    # Every iterate passes through the Newton residual: record the start and
-    # the one update, and report no progress so nothing stops early.
+    # Every iterate passes through the residual: record the start and the one
+    # update, and report no progress so nothing stops early.
     iterates = []
 
-    def record(sigma, chi, scale):
+    def record(sigma, chi):
         iterates.append(np.array(chi))
         return 1.0
 
-    monkeypatch.setattr(factorize, "_newton_residual", record)
+    monkeypatch.setattr(factorize, "_residual_against", record)
     try:
         _wilson_core(S, FactorizationOptions(max_newton_iters=1, residual_tol=1e-30))
     except NoConvergence:
@@ -382,19 +395,6 @@ def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
     start, update = iterates
     expected = reference_newton_step(S, start)
     assert np.linalg.norm(update - expected) <= 1e-12 * np.linalg.norm(expected)
-
-
-@pytest.mark.parametrize("m", [0, 4, 32])
-@pytest.mark.parametrize("r", [1, 3])
-def test_grid_residual_matches_coefficient_residual(r, m):
-    rng = np.random.default_rng(100 + 10 * m + r)
-    shape = (m + 1, r, r)
-    draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    sigma = multiply_by_adjoint(MatrixPolynomial(draw)).coeffs
-    for spread in (1e-8, 1e-3, 1.0):
-        chi = draw + spread * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        banded = _newton_residual(sigma, chi, _coefficient_scale(sigma))
-        assert abs(banded - _residual_against(sigma, chi)) <= 1e-14
 
 
 @pytest.mark.parametrize("m", [0, 4, 32])
@@ -408,9 +408,7 @@ def test_causal_product_window_matches_loop_references(r, m):
         window = _causal_product_window(a, b, lo)
         assert np.linalg.norm(window - expected) <= 1e-12 * np.linalg.norm(expected)
     sigma = multiply_by_adjoint(MatrixPolynomial(draw())).coeffs
-    banded = _newton_residual(sigma, a, _coefficient_scale(sigma))
-    assert abs(banded - loop_residual(sigma, a)) <= 1e-14
-    assert abs(banded - _residual_against(sigma, a)) <= 1e-14
+    assert abs(_residual_against(sigma, a) - loop_residual(sigma, a)) <= 1e-14
 
 
 def loop_bauer(S, opts):

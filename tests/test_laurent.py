@@ -187,6 +187,14 @@ class TestInvariants:
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianLaurentPolynomial(np.array([[[0, 1], [0, 0]]], dtype=complex))
 
+    def test_sigma0_within_tolerance_is_stored_exactly_hermitian(self):
+        sigma0 = np.array([[2.0, 0.5 + 1e-13j], [0.5 + 3e-13, 1.0 + 2e-13j]])
+        coeffs = np.array([sigma0, [[0.1, 0.2], [0.3, 0.4]]], dtype=complex)
+        stored = HermitianLaurentPolynomial(coeffs).coeffs
+        assert np.array_equal(stored[0], stored[0].conj().T)
+        assert np.array_equal(stored[1], coeffs[1])
+        assert np.array_equal(coeffs[0], sigma0)
+
     def test_rejects_nonfinite_coefficients(self):
         with pytest.raises(ValueError, match="finite"):
             MatrixPolynomial(np.array([[[np.inf]]], dtype=complex))
