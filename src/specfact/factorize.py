@@ -19,7 +19,9 @@ coefficientwise:
   ``[.]_+`` keeps half the index-0 Fourier coefficient plus indices 1..m.
   Only the rational inner term needs the grid: the product with ``X_k`` and
   the residual band of ``X_k X_k^*`` are products of degree-m polynomials,
-  formed in coefficient space by ``laurent._causal_product_window``.
+  formed in coefficient space by ``laurent._causal_product_window``.  The
+  first step, from the constant ``X_0 = chol(sigma_0)``, needs no grid at
+  all: ``X_1 = [X_0, sigma_1 X_0^{-*}, ..., sigma_m X_0^{-*}]``.
   ``X_k`` counts as singular when its worst grid 1-norm condition number,
   taken from its pointwise inverse, exceeds ``NEWTON_COND_MAX``.
   Quadratically convergent near the solution.
@@ -96,6 +98,8 @@ class FactorizationOptions:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if not (self.residual_tol > 0):
             raise ValueError("residual_tol must be positive")
+        if not np.isfinite(self.residual_tol):
+            raise ValueError("residual_tol must be finite")
         if self.max_toeplitz_blocks < 1 or self.max_newton_iters < 1:
             raise ValueError("iteration and size caps must be >= 1")
         if self.grid_K is not None and self.grid_K < 2:
@@ -112,8 +116,29 @@ class FactorizationResult:
 
 
 def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
-    """Enforce the factorization hypotheses on the grid; returns warnings."""
-    eigs, dets = _hermitian_scan(sample_on_grid(S, K))
+    """Enforce the factorization hypotheses on the grid; returns warnings.
+
+    A healthy spectrum is certified by one batched Cholesky of
+    ``S(z_j) - 1e-8 * scale * I``: success at every point puts every grid
+    eigenvalue above the warning threshold, and since
+    ``det(S - dI) <= det S`` a largest shifted determinant above the floor
+    bounds max |det S| from below.  Anything else is decided by the
+    eigen-scan, which words every error and warning.
+    """
+    values = sample_on_grid(S, K)
+    values = 0.5 * (values + values.conj().transpose(0, 2, 1))
+    scale = float(_frobenius(values).max())
+    try:
+        lower = np.linalg.cholesky(values - 1e-8 * scale * np.eye(S.r))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        diagonal = np.diagonal(lower, axis1=-2, axis2=-1).real
+        if float((diagonal.prod(axis=-1) ** 2).max()) > 1e-13 * scale**S.r:
+            return []
+
+    # Symmetrizing exactly Hermitian values again leaves them unchanged.
+    eigs, dets = _hermitian_scan(values)
     min_eig, max_det = float(eigs.min()), float(dets.max())
     scale = float(np.sqrt(np.sum(eigs**2, axis=-1)).max())  # max_j ||S(z_j)||_F
     if min_eig < -1e-10 * scale:
@@ -205,6 +230,18 @@ def bauer_factor(S: HermitianLaurentPolynomial,
     return MatrixPolynomial(coeffs)
 
 
+def _guarded_inverse(values: np.ndarray, iteration: int) -> np.ndarray:
+    """Pointwise inverses of a Newton iterate's grid values, or
+    ``SingularIterate`` past ``NEWTON_COND_MAX``."""
+    inverse, cond = _inverse_on_grid(values)
+    if cond > NEWTON_COND_MAX:
+        raise SingularIterate(
+            f"iterate {iteration} is numerically singular on the grid "
+            f"(max condition number {cond:.3e})"
+        )
+    return inverse
+
+
 def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     """Newton iteration for the causal factor on a unit-circle grid.
 
@@ -215,7 +252,11 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     iteration samples its iterate once (one inverse FFT) for the guarded grid
     inverse and G, and takes one FFT of G for ``[G]_+``; the update
     ``X_k [G]_+`` and, through ``_residual_against``, the residual band of
-    ``X_k X_k^*`` come from ``_causal_product_window``, off the grid.
+    ``X_k X_k^*`` come from ``_causal_product_window``, off the grid.  The
+    first iteration is exact in coefficient space: from ``X_0 = L``,
+    ``G = L^{-1} S L^{-*} + I`` is a Laurent polynomial with ``G_0 = 2I``,
+    so ``X_1 = [L, sigma_1 L^{-*}, ..., sigma_m L^{-*}]``; its guard inverts
+    L alone, the value of X_0 at every grid point.
     """
     m, r = S.m, S.r
     sigma = S.coeffs
@@ -238,19 +279,18 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     best_residual = _residual_against(sigma, chi)
     polish_pending = False
     for iteration in range(1, opts.max_newton_iters + 1):
-        buf[: m + 1] = chi
-        inverse, cond = _inverse_on_grid(sample_values_on_grid(buf))
-        if cond > NEWTON_COND_MAX:
-            raise SingularIterate(
-                f"iterate {iteration} is numerically singular on the grid "
-                f"(max condition number {cond:.3e})"
-            )
-        G = inverse @ S_vals @ inverse.conj().transpose(0, 2, 1) + eye
-
-        # [G]_+: the window [0, m] of G with its index-0 term halved.
-        plus = coefficients_from_values(G, 0, m)
-        plus[0] *= 0.5
-        chi_next = _causal_product_window(chi, plus, 0)
+        if iteration == 1:
+            inverse = _guarded_inverse(chi[:1], iteration)
+            chi_next = sigma @ inverse[0].conj().T
+            chi_next[0] = chi[0]
+        else:
+            buf[: m + 1] = chi
+            inverse = _guarded_inverse(sample_values_on_grid(buf), iteration)
+            G = inverse @ S_vals @ inverse.conj().transpose(0, 2, 1) + eye
+            # [G]_+: the window [0, m] of G with its index-0 term halved.
+            plus = coefficients_from_values(G, 0, m)
+            plus[0] *= 0.5
+            chi_next = _causal_product_window(chi, plus, 0)
 
         step = float(_frobenius(chi_next - chi).max()) / _coefficient_scale(chi)
         residual = _residual_against(sigma, chi_next)

@@ -268,13 +268,16 @@ def sample_on_grid(p, K: int) -> np.ndarray:
 
 def coefficients_from_values(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Fourier coefficients c_lo..c_hi of the trigonometric interpolant of raw
-    grid values; indices wrap modulo K."""
+    grid values; indices wrap modulo K.  A window inside [0, K-1] comes back
+    as a view of the transform; only a wrapping window is gathered."""
     K = values.shape[0]
     if hi - lo >= K:
         raise ValueError(
             f"coefficient window [{lo}, {hi}] is wider than the grid (K={K})"
         )
     spectrum = np.fft.fft(values, axis=0) / K
+    if 0 <= lo and hi < K:
+        return spectrum[lo : hi + 1]
     return spectrum[np.arange(lo, hi + 1) % K]
 
 

@@ -84,6 +84,8 @@ class VerifyOptions:
     def __post_init__(self):
         if not (self.residual_tol > 0):
             raise ValueError("residual_tol must be positive")
+        if not np.isfinite(self.residual_tol):
+            raise ValueError("residual_tol must be finite")
 
 
 @dataclass(frozen=True)

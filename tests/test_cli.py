@@ -81,6 +81,7 @@ class TestFactorCommand:
         ("--tol", "0", "residual_tol must be positive"),
         ("--tol", "-1", "residual_tol must be positive"),
         ("--tol", "nan", "residual_tol must be positive"),
+        ("--tol", "inf", "residual_tol must be finite"),
         ("--grid", "0", "grid_K must be >= 2"),
         ("--grid", "1", "grid_K must be >= 2"),
     ])
@@ -224,14 +225,15 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith(f"specfact: error: grid size K={grid} ")
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["table", "json"])
-    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_rejected_tolerance_exits_one(self, tmp_path, capsys, value, json_flag):
         prefix = tmp_path / "inst"
         assert main(["gen", "2", "3", str(prefix)]) == 0
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "inst.spectrum"), str(tmp_path / "inst.truth"),
                      "--tol", value, *json_flag]) == 1
-        assert capsys.readouterr() == ("", "specfact: error: residual_tol must be positive\n")
+        rule = "finite" if value == "inf" else "positive"
+        assert capsys.readouterr() == ("", f"specfact: error: residual_tol must be {rule}\n")
 
     def test_fixture_pair_exits_zero(self):
         assert main(["verify", str(FIXTURES / "bundle_r2m3_seed11.spectrum"),

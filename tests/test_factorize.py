@@ -10,6 +10,7 @@ from specfact.errors import (
     NotPositiveDefinite,
     DegenerateDeterminant,
     OddBoundaryMultiplicity,
+    SingularIterate,
     SingularLeadingCoefficient,
 )
 from specfact import factorize
@@ -29,6 +30,7 @@ from specfact.laurent import (
     MatrixPolynomial,
     _causal_product_window,
     default_grid_size,
+    default_verify_grid,
     multiply_by_adjoint,
     sample_on_grid,
 )
@@ -141,6 +143,8 @@ class TestFactorDispatch:
             FactorizationOptions(residual_tol=0.0)
         with pytest.raises(ValueError):
             FactorizationOptions(max_newton_iters=0)
+        with pytest.raises(ValueError, match="^residual_tol must be finite$"):
+            FactorizationOptions(residual_tol=float("inf"))
 
 
 class TestBauer:
@@ -196,6 +200,13 @@ class TestWilson:
     def test_requires_positive_definite_average(self):
         with pytest.raises(NotPositiveDefinite):
             wilson_factor(scalar_laurent(0.0, 1.0))
+
+    def test_first_step_guards_the_cholesky_start(self):
+        # X_0 = diag(1, 1e-13) has 1-norm condition number 1e13 at every grid point.
+        S = HermitianLaurentPolynomial(np.diag([1.0, 1e-26]).astype(complex)[None])
+        with pytest.raises(SingularIterate, match=r"^iterate 1 is numerically singular "
+                           r"on the grid \(max condition number 1\.000e\+13\)$"):
+            wilson_factor(S)
 
     def test_agreement_with_bauer_after_canonicalization(self):
         for seed in range(8):
@@ -373,14 +384,9 @@ def reference_newton_step(S, chi):
     return loop_product(chi, plus, m)
 
 
-@pytest.mark.parametrize("m", [0, 4, 32])
-@pytest.mark.parametrize("r", [1, 3])
-def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
-    rng = np.random.default_rng(10 * m + r)
-    draw = rng.standard_normal((m + 1, r, r)) + 1j * rng.standard_normal((m + 1, r, r))
-    S = multiply_by_adjoint(MatrixPolynomial(draw))
-    # Every iterate passes through the residual: record the start and the one
-    # update, and report no progress so nothing stops early.
+def wilson_iterates(monkeypatch, S, iterations):
+    """X_0..X_iterations of Wilson's loop.  Every iterate passes through the
+    residual: record each one, and report no progress so nothing stops early."""
     iterates = []
 
     def record(sigma, chi):
@@ -389,12 +395,47 @@ def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
 
     monkeypatch.setattr(factorize, "_residual_against", record)
     try:
-        _wilson_core(S, FactorizationOptions(max_newton_iters=1, residual_tol=1e-30))
+        _wilson_core(S, FactorizationOptions(max_newton_iters=iterations,
+                                             residual_tol=1e-30))
     except NoConvergence:
         pass
-    start, update = iterates
+    return iterates
+
+
+@pytest.mark.parametrize("m", [0, 4, 32])
+@pytest.mark.parametrize("r", [1, 3])
+def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
+    rng = np.random.default_rng(10 * m + r)
+    draw = rng.standard_normal((m + 1, r, r)) + 1j * rng.standard_normal((m + 1, r, r))
+    S = multiply_by_adjoint(MatrixPolynomial(draw))
+    # The first step is closed-form; the second is the first grid update.
+    _, start, update = wilson_iterates(monkeypatch, S, 2)
     expected = reference_newton_step(S, start)
     assert np.linalg.norm(update - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("m", [0, 4])
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_first_newton_step_matches_the_grid_step(monkeypatch, r, m):
+    rng = np.random.default_rng(300 + 10 * m + r)
+    draw = rng.standard_normal((m + 1, r, r)) + 1j * rng.standard_normal((m + 1, r, r))
+    for S in (multiply_by_adjoint(MatrixPolynomial(draw)),
+              generate_instance(r, m, seed=r + m).spectrum):
+        start, first = wilson_iterates(monkeypatch, S, 1)
+        expected = reference_newton_step(S, start)
+        assert np.linalg.norm(first - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("m", [0, 4])
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_wilson_samples_every_iterate_but_the_first(monkeypatch, r, m):
+    S = generate_instance(r, m, seed=10 * r + m).spectrum
+    calls = []
+    sample = factorize.sample_values_on_grid
+    monkeypatch.setattr(factorize, "sample_values_on_grid",
+                        lambda buf: calls.append(len(buf)) or sample(buf))
+    _, iterations = _wilson_core(S, FactorizationOptions())
+    assert len(calls) == iterations - 1
 
 
 @pytest.mark.parametrize("m", [0, 4, 32])
@@ -509,3 +550,94 @@ def test_bauer_forward_error_near_the_circle(r, m, seed):
     bundle = generate_instance(r, m, seed=seed, root_margin=0.02)
     canon, _ = canonical_normalize(bauer_factor(bundle.spectrum))
     assert forward_error(canon, bundle.ground_truth) <= 1e-10
+
+
+def eigen_precheck(S, K):
+    """Reference for ``_require_factorable``: the hypotheses decided from the
+    grid eigenvalues alone, with the same messages and warning."""
+    values = sample_on_grid(S, K)
+    eigs = np.linalg.eigvalsh(0.5 * (values + values.conj().transpose(0, 2, 1)))
+    min_eig, max_det = float(eigs.min()), float(np.abs(eigs).prod(axis=-1).max())
+    scale = float(np.sqrt(np.sum(eigs**2, axis=-1)).max())
+    if min_eig < -1e-10 * scale:
+        raise NotPositiveDefinite(
+            f"spectrum has grid eigenvalue {min_eig:.3e} below -1e-10 * scale "
+            f"(scale {scale:.3e})"
+        )
+    det_floor = 1e-13 * scale**S.r
+    if max_det <= det_floor:
+        raise DegenerateDeterminant(
+            f"max |det S| on the grid is {max_det:.3e}, at or below "
+            f"1e-13 * scale^{S.r} = {det_floor:.3e} (scale {scale:.3e})"
+        )
+    if min_eig <= 1e-8 * scale:
+        return ["spectrum is nearly singular on the unit circle; convergence and "
+                "tolerances degrade near boundary zeros"]
+    return []
+
+
+def precheck_outcome(check, S):
+    K = default_verify_grid(S.m)
+    try:
+        return "returned", check(S, K)
+    except (NotPositiveDefinite, DegenerateDeterminant) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def grid_extremes(S):
+    values = sample_on_grid(S, default_verify_grid(S.m))
+    eigs = np.linalg.eigvalsh(0.5 * (values + values.conj().transpose(0, 2, 1)))
+    return float(eigs.min()), float(np.sqrt(np.sum(eigs**2, axis=-1)).max())
+
+
+def shifted_to_threshold(S, factor_of_threshold):
+    """S + cI with its smallest grid eigenvalue at factor * 1e-8 * scale."""
+    coeffs = np.array(S.coeffs)
+    for _ in range(4):
+        min_eig, scale = grid_extremes(HermitianLaurentPolynomial(coeffs))
+        coeffs[0] += (factor_of_threshold * 1e-8 * scale - min_eig) * np.eye(S.r)
+    return HermitianLaurentPolynomial(coeffs)
+
+
+def precheck_cases():
+    sweep = [(r, m) for r in (1, 2, 3, 4) for m in range(9)]
+    cases = [pytest.param(lambda r=r, m=m, i=i: generate_instance(r, m, seed=i).spectrum,
+                          id=f"sweep-r{r}m{m}") for i, (r, m) in enumerate(sweep)]
+    cases += [pytest.param(lambda r=r, m=m, q=q: generate_instance(
+                               r, m, seed=r + m, root_margin=q).spectrum,
+                           id=f"margin{q}-r{r}m{m}")
+              for q in (0.05, 0.02) for r, m in [(1, 8), (2, 4), (3, 2), (4, 4)]]
+    cases += [pytest.param(lambda r=r, m=m: generate_boundary_instance(r, m, seed=1).spectrum,
+                           id=f"boundary-r{r}m{m}")
+              for r in (1, 2, 3) for m in (1, 2, 3)]
+    cases += [
+        pytest.param(lambda: scalar_laurent(1.0, 0.6), id="indefinite-scalar"),
+        pytest.param(lambda: HermitianLaurentPolynomial(
+            np.array([np.eye(2), 0.8 * np.eye(2)], dtype=complex)), id="indefinite-r2"),
+        # A factor with its third column zeroed induces a rank-2 spectrum.
+        pytest.param(lambda: multiply_by_adjoint(MatrixPolynomial(
+            generate_instance(3, 2, seed=5).ground_truth.coeffs * [1, 1, 0])),
+            id="rank-deficient-r3"),
+        # Every eigenvalue clears the warning threshold, but det S does not
+        # clear its floor: only the certificate's determinant test rejects it.
+        pytest.param(lambda: HermitianLaurentPolynomial(
+            np.diag([1.0, 1.1e-8, 1.1e-8]).astype(complex)[None]), id="small-det-r3"),
+        # A double root of det S at z = 1, a grid point: the warning.
+        pytest.param(lambda: scalar_laurent(2.0, -1.0), id="grid-root-scalar"),
+        pytest.param(lambda: HermitianLaurentPolynomial(
+            np.array([np.diag([2.0, 1.0]), np.diag([-1.0, 0.0])], dtype=complex)),
+            id="grid-root-r2"),
+    ]
+    cases += [pytest.param(lambda r=r, m=m, f=f: shifted_to_threshold(
+                               generate_instance(r, m, seed=r * m).spectrum, f),
+                           id=f"threshold-{side}-r{r}m{m}")
+              for side, f in [("below", 1 - 1e-6), ("above", 1 + 1e-6)]
+              for r, m in [(1, 4), (2, 3), (4, 8)]]
+    return cases
+
+
+@pytest.mark.parametrize("build", precheck_cases())
+def test_certificate_precheck_matches_eigen_precheck(build):
+    S = build()
+    assert (precheck_outcome(factorize._require_factorable, S)
+            == precheck_outcome(eigen_precheck, S))

@@ -71,6 +71,19 @@ def test_overflowing_spectrum_reports_only_its_own_error(tmp_path):
     ]
 
 
+def test_indefinite_spectrum_reports_only_its_own_error(tmp_path):
+    # S(-1) = -0.6 I: the Cholesky certificate fails, and the eigen-scan names it.
+    spectrum = tmp_path / "indefinite.spectrum"
+    spectrum.write_text('{"r": 2, "m": 1, "coeffs": {"0": [[[1,0],[0,0]],[[0,0],[1,0]]], '
+                        '"1": [[[0.8,0],[0,0]],[[0,0],[0.8,0]]]}}')
+    run = factor_with_runtime_warnings_as_errors(spectrum, tmp_path / "x.factor")
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [
+        "specfact: error: spectrum has grid eigenvalue -6.000e-01 below -1e-10 * scale "
+        "(scale 3.677e+00)"
+    ]
+
+
 def test_make_fixtures_reproduces_the_committed_fixtures(monkeypatch, tmp_path):
     spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
     module = importlib.util.module_from_spec(spec)
