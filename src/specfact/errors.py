@@ -17,7 +17,7 @@ class DegenerateDeterminant(SpectralFactorError):
 
 
 class CholeskyBreakdown(SpectralFactorError):
-    """A pivot block in the block-Toeplitz Cholesky sweep is not positive definite."""
+    """A pivot of Bauer's doubling recursion is not positive definite."""
 
 
 class SingularIterate(SpectralFactorError):

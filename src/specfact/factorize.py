@@ -9,21 +9,14 @@ computes that factor by two independent algorithms and fixes the unitary
 freedom by a canonical normalization, so the two routes can be compared
 coefficientwise:
 
-* :func:`bauer_factor` -- block Cholesky of growing banded block-Toeplitz
-  matrices; the last block row converges (linearly) to the factor
-  coefficients.  Each row comes from the carried inverse adjoint of the
-  trailing m x m block of the factor, at a fixed number of numpy calls per
-  row whatever m is.  Robust, no initial guess.
+* :func:`bauer_factor` -- Bauer's route: the last block row of the Cholesky
+  factor of the infinite banded block-Toeplitz matrix of S, reached by a
+  doubling recursion on its Schur complement in log2 many steps instead of
+  one row at a time.  Robust, no initial guess.
 * :func:`wilson_factor` -- Newton-type iteration
   ``X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+`` on a unit-circle grid, where
   ``[.]_+`` keeps half the index-0 Fourier coefficient plus indices 1..m.
-  Only the rational inner term needs the grid: the product with ``X_k`` and
-  the residual band of ``X_k X_k^*`` are products of degree-m polynomials,
-  formed in coefficient space by ``laurent._causal_product_window``.  The
-  first step, from the constant ``X_0 = chol(sigma_0)``, needs no grid at
-  all: ``X_1 = [X_0, sigma_1 X_0^{-*}, ..., sigma_m X_0^{-*}]``.
-  ``X_k`` counts as singular when its worst grid 1-norm condition number,
-  taken from its pointwise inverse, exceeds ``NEWTON_COND_MAX``.
+  Only the rational inner term needs the grid; the first step needs none.
   Quadratically convergent near the solution.
 * :func:`scalar_root_factor` -- for r = 1 only: factor through the roots of
   ``z^m S(z)``, which pair as (a, 1/conj(a)); the factor collects the roots
@@ -58,6 +51,7 @@ from .errors import (
 from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _band_coefficient_buffer,
     _causal_product_window,
     _coefficient_scale,
     _frobenius,
@@ -82,6 +76,14 @@ LEADING_COND_MAX = 1e12
 # Grid 1-norm condition-number cap before a Newton iterate counts as singular.
 NEWTON_COND_MAX = 1e12
 
+# Step cap of Bauer's doubling; step k stands for max(m, 1) * 2^k block rows.
+DOUBLING_MAX_STEPS = 64
+
+# Below this relative change of Bauer's Schur complement, a change that stops
+# decreasing or a failed pivot is roundoff (a det root on the circle brings
+# both at about 1e-8); a grid eigenvalue -d of S fails one at ~sqrt(d/scale).
+DOUBLING_ROUNDOFF = 1e-6
+
 
 @dataclass(frozen=True)
 class FactorizationOptions:
@@ -89,7 +91,6 @@ class FactorizationOptions:
 
     algorithm: str = "auto"
     residual_tol: float = 1e-9
-    max_toeplitz_blocks: int = 2**14
     max_newton_iters: int = 60
     grid_K: int | None = None
 
@@ -100,8 +101,8 @@ class FactorizationOptions:
             raise ValueError("residual_tol must be positive")
         if not np.isfinite(self.residual_tol):
             raise ValueError("residual_tol must be finite")
-        if self.max_toeplitz_blocks < 1 or self.max_newton_iters < 1:
-            raise ValueError("iteration and size caps must be >= 1")
+        if self.max_newton_iters < 1:
+            raise ValueError("max_newton_iters must be >= 1")
         if self.grid_K is not None and self.grid_K < 2:
             raise ValueError("grid_K must be >= 2")
 
@@ -110,7 +111,7 @@ class FactorizationOptions:
 class FactorizationResult:
     factor: MatrixPolynomial
     algorithm_used: str
-    iterations_or_blocks: int
+    iterations_or_blocks: int  # Newton iterations; Bauer doubling steps; 0 for roots
     achieved_residual: float
     warnings: list[str] = field(default_factory=list)
 
@@ -162,71 +163,80 @@ def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
     return warnings
 
 
-def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
-    """Streaming banded block Cholesky of the block-Toeplitz matrix of S.
+def _doubling_cholesky(matrix: np.ndarray, steps: int, g: int) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        raise CholeskyBreakdown(
+            f"Bauer doubling pivot at step {steps} ({g * 2**steps} Toeplitz block rows) is not "
+            "positive definite; the spectrum is indefinite or degenerate on the circle"
+        ) from None
 
-    Row i of the Cholesky factor is the pivot L_i and the couplings
-    ``c_i = [C_{i,m}, ..., C_{i,1}]`` to rows i-m..i-1, which solve
-    ``c_i B_i^* = t`` for ``t = [sigma_m, ..., sigma_1]`` and B_i the trailing
-    m x m block of the factor so far.  The sweep carries ``M_i = B_i^{-*}``
-    (block upper triangular, from the identity; the first m rows use only
-    the last i blocks of t), so a row is ``c_i = t M_i`` and
-    ``L_i = chol(sigma_0 - c_i c_i^*)``.  The trailing block of a triangular
-    inverse is the inverse of the trailing block, so M_{i+1} is M_i shifted
-    by one block plus one new block column.  Leading principal submatrices
-    factor nestedly, so checkpoints at N = 4(m+1) * 2^k and at the cap reuse
-    one sweep: the last-row estimates of (rho_0..rho_m) are compared until
-    they differ by less than residual_tol (relative to the coefficient scale).
+
+def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
+    """Bauer's limit by doubling; returns ``(coefficients, steps, warnings)``.
+
+    In blocks of g = max(m, 1) rows the Toeplitz matrix is block tridiagonal,
+    ``A0 = [sigma_{a-b}]`` on and ``A1 = [sigma_{g+a-b}]`` below the diagonal.
+    From ``Q = A0, P = 0, A = A1^*`` each step sets ``Q -= A^* W^{-1} A``,
+    ``P += A W^{-1} A^*``, ``A = A W^{-1} A`` for ``W = Q - P``; after k steps
+    Q is Bauer's Schur complement at g * 2^k rows (Meini, Math. Comp. 71,
+    2002).  The last block row of chol(Q) is rho_{g-1}..rho_0, and
+    ``rho_m = sigma_m rho_0^{-*}``.  The run stops one step after the relative
+    change of Q drops below residual_tol, or, converging linearly with a det
+    root on the circle (Chiang et al., SIAM J. Matrix Anal. Appl. 31, 2009),
+    on a stall below ``DOUBLING_ROUNDOFF``, keeping the iterate before it.
     """
     m, r = S.m, S.r
-    sigma = S.coeffs
-    scale = _coefficient_scale(sigma)
-    cap = int(opts.max_toeplitz_blocks)
-    checkpoint = min(4 * (m + 1), cap)
+    g = max(m, 1)
+    # sigma_n at index n mod 3g: lags -(g-1)..2g-1 read zero past m.
+    stack = _band_coefficient_buffer(S, 3 * g)
+    lags = np.subtract.outer(np.arange(g), np.arange(g))
+    A0, A1 = (stack[lags + shift].transpose(0, 2, 1, 3).reshape(g * r, g * r)
+              for shift in (0, g))
 
-    t = sigma[m:0:-1].transpose(1, 0, 2).reshape(r, m * r)
-    M = np.eye(m * r, dtype=np.complex128)
-    prev_est = None
-    for i in range(cap):
-        k = max(m - i, 0) * r
-        c = t[:, k:] @ M[k:]
-        c_adj = c.conj().T
+    Q, P, A = A0, np.zeros_like(A0), A1.conj().T
+    steps, change, converged, stalled = 0, np.inf, False, False
+    while not (converged or stalled or steps == DOUBLING_MAX_STEPS):
         try:
-            L = np.linalg.cholesky(sigma[0] - c @ c_adj)
-        except np.linalg.LinAlgError:
-            raise CholeskyBreakdown(
-                f"pivot block at Toeplitz row {i} is not positive definite; "
-                "the spectrum is indefinite or degenerate on the circle"
-            ) from None
-        pivot_inv_adj = np.linalg.inv(L).conj().T
-        if m:
-            # M's last block row stays zero off the diagonal through the shift.
-            M[:-r, :-r] = M[r:, r:]
-            M[:-r, -r:] = M[:-r, :-r] @ (c_adj[r:] @ -pivot_inv_adj)
-            M[-r:, -r:] = pivot_inv_adj
+            lower = _doubling_cholesky(Q - P, steps, g)
+        except CholeskyBreakdown:
+            if change >= DOUBLING_ROUNDOFF:
+                raise
+            stalled = True
+            break
+        # L^{-1} A and L^{-1} A^* for W = L L^*, so Q and P stay Hermitian.
+        left, right = np.split(np.linalg.solve(lower, np.hstack([A, A.conj().T])), 2, axis=1)
+        drop = left.conj().T @ left
+        converged = change < opts.residual_tol
+        previous, change = change, float(np.linalg.norm(drop) / np.linalg.norm(Q - drop))
+        stalled = not converged and previous <= change < DOUBLING_ROUNDOFF
+        if not stalled:
+            Q, P, A = Q - drop, P + right.conj().T @ right, right.conj().T @ left
+            steps += 1
 
-        if i + 1 == checkpoint:
-            cur = np.concatenate([L[None], c.reshape(r, m, r).transpose(1, 0, 2)[::-1]])
-            if prev_est is not None:
-                diff = float(_frobenius(cur - prev_est).max()) / scale
-                if diff < opts.residual_tol:
-                    return cur, i + 1
-            prev_est = cur
-            checkpoint = min(2 * checkpoint, cap)
-
-    raise NoConvergence(
-        f"Bauer sweep hit the block cap ({cap}) before the last-row estimate settled",
-        best_factor=MatrixPolynomial(prev_est),
-        achieved_residual=_residual_against(sigma, prev_est),
-        iterations=cap,
-        algorithm="bauer",
-    )
+    row = _doubling_cholesky(Q, steps, g)[-r:].reshape(r, g, r).transpose(1, 0, 2)
+    coeffs = np.concatenate([row[::-1], np.zeros((m + 1 - g, r, r))])
+    if m:
+        coeffs[m] = np.linalg.solve(coeffs[0], S.coeffs[m].conj().T).conj().T
+    if not (converged or stalled):
+        raise NoConvergence(
+            f"Bauer doubling hit the step cap ({steps}) at relative change {change:.3e}",
+            best_factor=MatrixPolynomial(coeffs),
+            achieved_residual=_residual_against(S.coeffs, coeffs),
+            iterations=steps,
+            algorithm="bauer",
+        )
+    return coeffs, steps, [
+        f"Bauer doubling stopped on roundoff after step {steps}: its relative change "
+        f"stalled at {change:.3e}, above the tolerance {opts.residual_tol:.1e}"
+    ] if stalled else []
 
 
 def bauer_factor(S: HermitianLaurentPolynomial,
                  opts: FactorizationOptions = FactorizationOptions()) -> MatrixPolynomial:
-    """Spectral factor via banded block-Toeplitz Cholesky (last-row estimate)."""
-    coeffs, _ = _bauer_core(S, opts)
+    """Spectral factor as Bauer's limit, by the doubling recursion."""
+    coeffs, _, _ = _bauer_core(S, opts)
     return MatrixPolynomial(coeffs)
 
 
@@ -344,7 +354,7 @@ def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions
     boundary cluster, scaled to reproduce sigma_m exactly.
     """
     if S.r != 1:
-        raise ValueError("root-based factorization applies to scalar spectra only")
+        raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
     m = S.m
     sigma = S.coeffs[:, 0, 0]
     if m == 0:
@@ -440,7 +450,7 @@ def factor(S: HermitianLaurentPolynomial,
     """Compute the canonical causal spectral factor of S.
 
     Dispatches on ``opts.algorithm``; ``auto`` tries the Newton iteration
-    first and falls back to the Toeplitz sweep if it stalls.  The returned
+    first and falls back to Bauer's doubling if it stalls.  The returned
     factor is canonical; ``achieved_residual`` is the relative coefficientwise
     mismatch of the factorization identity.  Raises ``NotPositiveDefinite`` or
     ``DegenerateDeterminant`` when the hypotheses fail on the grid; if every
@@ -450,8 +460,6 @@ def factor(S: HermitianLaurentPolynomial,
     check_K = opts.grid_K if opts.grid_K is not None else default_verify_grid(S.m)
     warnings = _require_factorable(S, check_K)
 
-    if opts.algorithm == "scalar_roots" and S.r != 1:
-        raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
     attempts = ("wilson", "bauer") if opts.algorithm == "auto" else (opts.algorithm,)
 
     failures: list[NoConvergence | SingularIterate] = []
@@ -464,7 +472,8 @@ def factor(S: HermitianLaurentPolynomial,
             elif name == "wilson":
                 raw, count = _wilson_core(S, opts)
             else:
-                raw, count = _bauer_core(S, opts)
+                raw, count, extra = _bauer_core(S, opts)
+                warnings.extend(extra)
             break
         except (NoConvergence, SingularIterate) as exc:
             failures.append(exc)
@@ -491,10 +500,6 @@ def factor(S: HermitianLaurentPolynomial,
         warnings.append(
             f"achieved residual {residual:.3e} exceeds the requested tolerance "
             f"{opts.residual_tol:.1e}"
-        )
-    if poly.m > S.m:
-        warnings.append(
-            f"factor degree {poly.m} exceeds spectrum order {S.m} after trimming"
         )
     return FactorizationResult(
         factor=poly,

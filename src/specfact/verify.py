@@ -221,17 +221,22 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     return float(gaps.max()) / scale, _anticausal_mass(left, m, scale)
 
 
+def _guarded_inverse_on_grid(values: np.ndarray, name: str) -> np.ndarray:
+    """Pointwise grid inverses, or ``SingularFactorOnGrid`` past ``GRID_COND_MAX``."""
+    inverse, cond = _inverse_on_grid(values)
+    if cond > GRID_COND_MAX:
+        raise SingularFactorOnGrid(
+            f"{name} condition number {cond:.3e} on the grid exceeds {GRID_COND_MAX:.1e}"
+        )
+    return inverse
+
+
 def _causal_identity_on_grid(S: HermitianLaurentPolynomial, S_vals: np.ndarray,
                              x_vals: np.ndarray):
     """The left side ``X^{-1} z^m S`` on the grid the values sit on, from one
     guarded pointwise inverse of X, and its Frobenius gap to the right side
     ``z^m X^*`` at each grid point."""
-    inverse, cond = _inverse_on_grid(x_vals)
-    if cond > GRID_COND_MAX:
-        raise SingularFactorOnGrid(
-            f"factor condition number {cond:.3e} on the grid exceeds "
-            f"{GRID_COND_MAX:.1e}"
-        )
+    inverse = _guarded_inverse_on_grid(x_vals, "factor")
     z_m = (unit_circle_grid(len(x_vals)) ** S.m)[:, None, None]
     left = inverse @ (z_m * S_vals)
     return left, _frobenius(left - z_m * x_vals.conj().transpose(0, 2, 1))
@@ -256,13 +261,7 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
         K = default_verify_grid(max(x1.m, x2.m))
     v1 = sample_on_grid(x1, K)
     v2 = sample_on_grid(x2, K)
-    inverse, cond = _inverse_on_grid(v1)
-    if cond > GRID_COND_MAX:
-        raise SingularFactorOnGrid(
-            f"left factor condition number {cond:.3e} on the grid exceeds "
-            f"{GRID_COND_MAX:.1e}"
-        )
-    U = inverse @ v2
+    U = _guarded_inverse_on_grid(v1, "left factor") @ v2
     mean = U.mean(axis=0)
     constancy_gap = float(_frobenius(U - mean).max())
     eye = np.eye(x1.r)

@@ -113,6 +113,16 @@ def test_sweep_runs_wilson_for_a_fixed_iteration_count(sweep):
             sum(result.iterations_or_blocks for result in results)) == ({"wilson"}, 200, 1433)
 
 
+def test_sweep_runs_bauer_for_a_fixed_step_count(sweep):
+    # Forced Bauer takes 1,136 doubling steps over the sweep, each run one
+    # step past the first relative change of Q below 1e-9; a change to the
+    # recursion or its stopping rule shows up here.
+    results = [factor(record.bundle.spectrum, FactorizationOptions(algorithm="bauer"))
+               for record in sweep.records]
+    assert (sum(result.iterations_or_blocks for result in results),
+            [w for result in results for w in result.warnings]) == (1136, [])
+
+
 def test_criterion_2_degree_preservation(sweep):
     mismatches = [
         (record.bundle.spectrum.m, record.result.factor.m)
@@ -225,6 +235,7 @@ def test_criterion_7_boundary_degeneracy():
              (4, 4), (2, 6)]
     warning_grade = 0
     handled = 0
+    worst_bauer_error = 0.0
     for index, (r, m) in enumerate(cases):
         bundle = generate_boundary_instance(r, m, seed=2000 + index)
         report = verify_all(bundle.spectrum, bundle.ground_truth)
@@ -239,10 +250,16 @@ def test_criterion_7_boundary_degeneracy():
         except NoConvergence as exc:
             if exc.best_factor is not None:
                 handled += 1
-    passed = warning_grade == len(cases) and handled == len(cases)
-    _criterion(7, "boundary instances warn and never crash", passed,
+        # Bauer's doubling reaches the factor itself, to about 1e-8.
+        via_bauer = factor(bundle.spectrum, FactorizationOptions(algorithm="bauer"))
+        worst_bauer_error = max(worst_bauer_error,
+                                coefficient_error(via_bauer.factor, bundle.ground_truth))
+    passed = (warning_grade == len(cases) and handled == len(cases)
+              and worst_bauer_error <= 1e-6)
+    _criterion(7, "boundary instances warn, never crash, and Bauer factors them", passed,
                f"{warning_grade}/{len(cases)} warning-grade positivity, "
-               f"{handled}/{len(cases)} factored at 1e-4 or reported best iterate")
+               f"{handled}/{len(cases)} factored at 1e-4 or reported best iterate, "
+               f"forced Bauer forward error {worst_bauer_error:.3e}")
 
 
 def test_criterion_8_determinism_and_round_trip(sweep, tmp_path):

@@ -122,10 +122,12 @@ class TestFactorCommand:
     def test_no_convergence_metadata_names_algorithm_not_flag(self, tmp_path, monkeypatch,
                                                              capsys):
         # Under the default flag ("auto") Wilson stalls first and Bauer falls
-        # back; with these caps Wilson's iterate is the better one and is the
-        # one written, so the metadata must say "wilson", not "auto".
+        # back; with these caps (one doubling step, 4 Toeplitz block rows)
+        # Wilson's iterate is the better one and is the one written, so the
+        # metadata must say "wilson", not "auto".
         monkeypatch.setattr("specfact.cli.FactorizationOptions", functools.partial(
-            FactorizationOptions, max_newton_iters=8, max_toeplitz_blocks=4))
+            FactorizationOptions, max_newton_iters=8))
+        monkeypatch.setattr("specfact.factorize.DOUBLING_MAX_STEPS", 1)
         out = tmp_path / "s.factor"
         code = main(["factor", str(FIXTURES / "boundary_r2m2_seed19.spectrum"), str(out)])
         assert code == 3

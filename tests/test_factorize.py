@@ -121,17 +121,18 @@ class TestFactorDispatch:
         assert exc.best_factor is not None
         assert np.isfinite(exc.achieved_residual)
 
-    @pytest.mark.parametrize("algorithm, newton_iters, blocks, expected", [
-        ("wilson", 2, 16, "wilson"),
-        ("bauer", 2, 16, "bauer"),
-        ("auto", 2, 16, "bauer"),   # Bauer's iterate has the lower residual
-        ("auto", 8, 4, "wilson"),   # Wilson's iterate has the lower residual
+    # Doubling steps 3 and 1 stand for 16 and 4 Toeplitz block rows (m = 2).
+    @pytest.mark.parametrize("algorithm, newton_iters, steps, expected", [
+        ("wilson", 2, 3, "wilson"),
+        ("bauer", 2, 3, "bauer"),
+        ("auto", 2, 3, "bauer"),   # Bauer's iterate has the lower residual
+        ("auto", 8, 1, "wilson"),  # Wilson's iterate has the lower residual
     ])
     def test_no_convergence_names_the_algorithm_of_its_iterate(
-            self, algorithm, newton_iters, blocks, expected):
+            self, monkeypatch, algorithm, newton_iters, steps, expected):
         spectrum = generate_boundary_instance(2, 2, seed=19).spectrum
-        opts = FactorizationOptions(algorithm=algorithm, max_newton_iters=newton_iters,
-                                    max_toeplitz_blocks=blocks)
+        monkeypatch.setattr(factorize, "DOUBLING_MAX_STEPS", steps)
+        opts = FactorizationOptions(algorithm=algorithm, max_newton_iters=newton_iters)
         with pytest.raises(NoConvergence) as excinfo:
             factor(spectrum, opts)
         assert excinfo.value.algorithm == expected
@@ -157,10 +158,10 @@ class TestBauer:
         x = bauer_factor(scalar_laurent(4.0))
         assert x.coeffs[0, 0, 0] == pytest.approx(2.0)
 
-    def test_converges_within_block_budget(self):
+    def test_converges_within_block_budget(self, monkeypatch):
         bundle = generate_instance(2, 2, seed=3, root_margin=0.5)
-        opts = FactorizationOptions(max_toeplitz_blocks=256, residual_tol=1e-9)
-        x = bauer_factor(bundle.spectrum, opts)
+        monkeypatch.setattr(factorize, "DOUBLING_MAX_STEPS", 7)  # 2 * 2^7 = 256 block rows
+        x = bauer_factor(bundle.spectrum, FactorizationOptions(residual_tol=1e-9))
         canon, _ = canonical_normalize(x)
         assert coeff_gap(canon, bundle.ground_truth) < 1e-8
 
@@ -175,11 +176,11 @@ class TestBauer:
         with pytest.raises(CholeskyBreakdown):
             bauer_factor(scalar_laurent(0.0, 1.0))
 
-    def test_block_cap_raises_no_convergence(self):
-        # Cap low enough that the checkpoint estimates cannot settle.
-        opts = FactorizationOptions(residual_tol=1e-30, max_toeplitz_blocks=12)
+    def test_block_cap_raises_no_convergence(self, monkeypatch):
+        # Cap low enough that the doubling cannot settle: 3 steps, 8 block rows.
+        monkeypatch.setattr(factorize, "DOUBLING_MAX_STEPS", 3)
         with pytest.raises(NoConvergence) as excinfo:
-            bauer_factor(S_SCALAR, opts)
+            bauer_factor(S_SCALAR, FactorizationOptions(residual_tol=1e-30))
         assert excinfo.value.best_factor is not None
         assert excinfo.value.achieved_residual < 1e-2  # cap hit, iterate still usable
 
@@ -452,15 +453,17 @@ def test_causal_product_window_matches_loop_references(r, m):
     assert abs(_residual_against(sigma, a) - loop_residual(sigma, a)) <= 1e-14
 
 
-def loop_bauer(S, opts):
-    """Reference for the Bauer sweep: each row back-substitutes its m coupling
+def loop_bauer(S, opts, cap):
+    """Reference for Bauer's limit, row by row: each row of the block Cholesky
+    factor of the banded block-Toeplitz matrix back-substitutes its m coupling
     blocks one at a time against a ring of the last m+1 rows and their
-    pivots' inverse adjoints.  Same checkpoints, stopping rule and errors as
-    ``_bauer_core``; returns ``(estimate, blocks)``."""
+    pivots' inverse adjoints.  The last-row estimates at 4(m+1) * 2^k rows and
+    at the cap are compared until they differ by less than residual_tol;
+    returns ``(estimate, blocks)``, or raises ``NoConvergence`` with the
+    estimate at ``cap`` rows."""
     m, r = S.m, S.r
     sigma = S.coeffs
     scale = 1.0 + float(np.sqrt(np.sum(np.abs(sigma) ** 2, axis=(1, 2))).max())
-    cap = opts.max_toeplitz_blocks
     checkpoints = {cap}
     n = 4 * (m + 1)
     while n < cap:
@@ -506,27 +509,30 @@ def relative_gap(a, b):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_bauer_sweep_matches_back_substitution(r, m, margin):
     S = generate_instance(r, m, seed=10 * r + m, root_margin=margin).spectrum
-    opts = FactorizationOptions()
-    estimate, blocks = _bauer_core(S, opts)
-    reference, reference_blocks = loop_bauer(S, opts)
-    assert blocks == reference_blocks
+    estimate, _, warnings = _bauer_core(S, FactorizationOptions())
+    reference, _ = loop_bauer(S, FactorizationOptions(residual_tol=1e-13), cap=2**14)
+    assert not warnings
     assert relative_gap(estimate, reference) <= 1e-12
 
 
-# Caps 1 and 8 stop before a second checkpoint, 40 and 100 after one or more.
-@pytest.mark.parametrize("cap", [1, 8, 40, 100])
+# After k doubling steps rho_0..rho_{m-1} are the last-row estimate at
+# m * 2^k rows; rho_m is read off sigma_m = rho_m rho_0^*.
+@pytest.mark.parametrize("steps", [1, 2, 3, 4])
 @pytest.mark.parametrize("r, m", [(1, 1), (2, 3), (3, 8)])
-def test_bauer_best_iterate_at_the_cap_matches_back_substitution(r, m, cap):
+def test_bauer_best_iterate_at_the_cap_matches_back_substitution(monkeypatch, r, m, steps):
     S = generate_instance(r, m, seed=r + m, root_margin=0.05).spectrum
-    opts = FactorizationOptions(residual_tol=1e-30, max_toeplitz_blocks=cap)
+    opts = FactorizationOptions(residual_tol=1e-30)
+    monkeypatch.setattr(factorize, "DOUBLING_MAX_STEPS", steps)
     with pytest.raises(NoConvergence) as got:
         _bauer_core(S, opts)
     with pytest.raises(NoConvergence) as want:
-        loop_bauer(S, opts)
-    assert got.value.algorithm == "bauer" and got.value.iterations == cap
-    assert relative_gap(got.value.best_factor.coeffs, want.value.best_factor.coeffs) <= 1e-12
-    assert got.value.achieved_residual == pytest.approx(want.value.achieved_residual,
-                                                         rel=1e-9, abs=1e-15)
+        loop_bauer(S, opts, cap=m * 2**steps)
+    coeffs = got.value.best_factor.coeffs
+    assert got.value.algorithm == "bauer" and got.value.iterations == steps
+    assert relative_gap(coeffs[:m], want.value.best_factor.coeffs[:m]) <= 1e-12
+    rho_m = S.coeffs[m] @ np.linalg.inv(coeffs[0]).conj().T
+    assert relative_gap(coeffs[m], rho_m) <= 1e-12
+    assert got.value.achieved_residual == _residual_against(S.coeffs, coeffs)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -536,12 +542,19 @@ def test_bauer_best_iterate_at_the_cap_matches_back_substitution(r, m, cap):
 def test_bauer_breaks_down_at_the_back_substitution_row(coeffs):
     S = HermitianLaurentPolynomial(np.array(coeffs, dtype=complex))
     opts = FactorizationOptions()
-    with pytest.raises(CholeskyBreakdown) as got:
+    with pytest.raises(CholeskyBreakdown):
         _bauer_core(S, opts)
-    with pytest.raises(CholeskyBreakdown) as want:
-        loop_bauer(S, opts)
-    row = lambda exc: int(str(exc.value).split("Toeplitz row ")[1].split()[0])
-    assert row(got) == row(want) > 0
+    with pytest.raises(CholeskyBreakdown):
+        loop_bauer(S, opts, cap=2**14)
+
+
+def test_bauer_stops_on_roundoff_with_a_det_root_on_the_circle():
+    # The change of the Schur complement halves each step, then stalls near
+    # 1e-8, above the default tolerance 1e-9.
+    bundle = generate_boundary_instance(1, 1, seed=2000)
+    result = factor(bundle.spectrum, FactorizationOptions(algorithm="bauer"))
+    assert any("stopped on roundoff" in w for w in result.warnings)
+    assert forward_error(result.factor, bundle.ground_truth) <= 1e-8
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -15,7 +15,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from specfact.fileio import read_factor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -36,21 +39,28 @@ def test_every_traced_name_is_bound(monkeypatch):
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
-# The boundary fixture's det roots sit on the circle: Wilson stalls, Bauer
-# burns its block cap, and the CLI writes the best iterate and exits 3.
+# The boundary fixture's det roots sit on the circle: Wilson stalls, and
+# Bauer's doubling takes over, stops on roundoff with a warning and writes a
+# factor within 1e-8 of the truth, so the CLI exits 0.
 FIXTURE_EXIT_CODES = {
     "bundle_r2m3_seed11.spectrum": 0,
     "scalar_basic.spectrum": 0,
-    "boundary_r2m2_seed19.spectrum": 3,
+    "boundary_r2m2_seed19.spectrum": 0,
 }
 
 
-def factor_with_runtime_warnings_as_errors(spectrum, out):
+def factor_with_runtime_warnings_as_errors(spectrum, out, *options):
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "specfact", "factor",
-         str(spectrum), str(out)],
+         str(spectrum), str(out), *options],
         capture_output=True, text=True, timeout=120,
     )
+
+
+def gap_to_truth(out, name):
+    x, _ = read_factor(out)
+    truth, _ = read_factor(FIXTURES / name.replace(".spectrum", ".truth"))
+    return float(np.max(np.abs(x.coeffs - truth.coeffs)))
 
 
 @pytest.mark.parametrize("name, code", sorted(FIXTURE_EXIT_CODES.items()))
@@ -58,6 +68,17 @@ def test_factor_on_fixtures_raises_no_runtime_warning(tmp_path, name, code):
     run = factor_with_runtime_warnings_as_errors(FIXTURES / name, tmp_path / "x.factor")
     assert run.returncode == code, run.stderr
     assert "Warning" not in run.stderr
+    assert gap_to_truth(tmp_path / "x.factor", name) <= 1e-8
+
+
+def test_forced_bauer_on_the_boundary_fixture_raises_no_runtime_warning(tmp_path):
+    name = "boundary_r2m2_seed19.spectrum"
+    run = factor_with_runtime_warnings_as_errors(FIXTURES / name, tmp_path / "x.factor",
+                                                 "--algorithm", "bauer")
+    assert run.returncode == 0, run.stderr
+    assert "Warning" not in run.stderr
+    assert "stopped on roundoff" in run.stdout
+    assert gap_to_truth(tmp_path / "x.factor", name) <= 1e-8
 
 
 def test_overflowing_spectrum_reports_only_its_own_error(tmp_path):

@@ -162,7 +162,7 @@ class TestCausalIdentity:
 
     def test_singular_factor_on_grid(self):
         # det(1 - z) vanishes at the grid point z = 1.
-        with pytest.raises(SingularFactorOnGrid):
+        with pytest.raises(SingularFactorOnGrid, match="^factor condition number "):
             check_causal_identity(scalar_laurent(2.0, -1.0), scalar_poly(1.0, -1.0))
 
     def test_gap_bounds_residual(self):
@@ -257,6 +257,11 @@ class TestConstantUnitaryEquivalence:
         # genuinely non-constant inner function.
         constancy, _ = check_constant_unitary_equivalence(X_GOOD, X_NON_OUTER)
         assert constancy > 0.1
+
+    def test_singular_left_factor_on_grid(self):
+        # det(1 - z) vanishes at the grid point z = 1.
+        with pytest.raises(SingularFactorOnGrid, match="^left factor condition number "):
+            check_constant_unitary_equivalence(scalar_poly(1.0, -1.0), X_GOOD)
 
     def test_swap_symmetry(self):
         # Swapping the arguments must not flip the verdict at 10x tolerance.
