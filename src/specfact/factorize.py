@@ -16,7 +16,13 @@ coefficientwise:
 * :func:`wilson_factor` -- Newton-type iteration
   ``X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+`` on a unit-circle grid, where
   ``[.]_+`` keeps half the index-0 Fourier coefficient plus indices 1..m.
-  Only the rational inner term needs the grid; the first step needs none.
+  Only the rational inner term needs the grid: the product with ``X_k`` and
+  the residual band of ``X_k X_k^*`` are products of degree-m polynomials,
+  formed in coefficient space by ``laurent._causal_product_window``.  The
+  first step, from the constant ``X_0 = chol(sigma_0)``, needs no grid at
+  all: ``X_1 = [X_0, sigma_1 X_0^{-*}, ..., sigma_m X_0^{-*}]``.
+  ``X_k`` counts as singular when its worst grid 1-norm condition number,
+  taken from its pointwise inverse, exceeds ``NEWTON_COND_MAX``.
   Quadratically convergent near the solution.
 * :func:`scalar_root_factor` -- for r = 1 only: factor through the roots of
   ``z^m S(z)``, which pair as (a, 1/conj(a)); the factor collects the roots
@@ -78,6 +84,12 @@ NEWTON_COND_MAX = 1e12
 
 # Step cap of Bauer's doubling; step k stands for max(m, 1) * 2^k block rows.
 DOUBLING_MAX_STEPS = 64
+
+# Bauer's budget under auto, in Toeplitz block rows.  With a det root on the
+# circle the doubling needs 2^23 rows or more to meet 1e-9, so auto reports
+# no convergence there (exit 3, the exit perfbench's smoke check runs on such
+# a spectrum), and only a forced bauer runs on to factor it.
+AUTO_BAUER_BLOCK_ROWS = 2**14
 
 # Below this relative change of Bauer's Schur complement, a change that stops
 # decreasing or a failed pivot is roundoff (a det root on the circle brings
@@ -173,7 +185,8 @@ def _doubling_cholesky(matrix: np.ndarray, steps: int, g: int) -> np.ndarray:
         ) from None
 
 
-def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
+def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
+                max_rows: int | None = None):
     """Bauer's limit by doubling; returns ``(coefficients, steps, warnings)``.
 
     In blocks of g = max(m, 1) rows the Toeplitz matrix is block tridiagonal,
@@ -186,9 +199,13 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     change of Q drops below residual_tol, or, converging linearly with a det
     root on the circle (Chiang et al., SIAM J. Matrix Anal. Appl. 31, 2009),
     on a stall below ``DOUBLING_ROUNDOFF``, keeping the iterate before it.
+    Given ``max_rows``, it also stops before g * 2^k exceeds that many rows.
     """
     m, r = S.m, S.r
     g = max(m, 1)
+    cap = DOUBLING_MAX_STEPS
+    if max_rows is not None:
+        cap = min(cap, (max_rows // g).bit_length() - 1)
     # sigma_n at index n mod 3g: lags -(g-1)..2g-1 read zero past m.
     stack = _band_coefficient_buffer(S, 3 * g)
     lags = np.subtract.outer(np.arange(g), np.arange(g))
@@ -197,7 +214,7 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
 
     Q, P, A = A0, np.zeros_like(A0), A1.conj().T
     steps, change, converged, stalled = 0, np.inf, False, False
-    while not (converged or stalled or steps == DOUBLING_MAX_STEPS):
+    while not (converged or stalled or steps >= cap):
         try:
             lower = _doubling_cholesky(Q - P, steps, g)
         except CholeskyBreakdown:
@@ -354,7 +371,7 @@ def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions
     boundary cluster, scaled to reproduce sigma_m exactly.
     """
     if S.r != 1:
-        raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
+        raise ValueError("root-based factorization applies to scalar spectra only")
     m = S.m
     sigma = S.coeffs[:, 0, 0]
     if m == 0:
@@ -450,7 +467,8 @@ def factor(S: HermitianLaurentPolynomial,
     """Compute the canonical causal spectral factor of S.
 
     Dispatches on ``opts.algorithm``; ``auto`` tries the Newton iteration
-    first and falls back to Bauer's doubling if it stalls.  The returned
+    first and falls back to Bauer's doubling, within ``AUTO_BAUER_BLOCK_ROWS``
+    Toeplitz block rows, if it stalls.  The returned
     factor is canonical; ``achieved_residual`` is the relative coefficientwise
     mismatch of the factorization identity.  Raises ``NotPositiveDefinite`` or
     ``DegenerateDeterminant`` when the hypotheses fail on the grid; if every
@@ -460,6 +478,8 @@ def factor(S: HermitianLaurentPolynomial,
     check_K = opts.grid_K if opts.grid_K is not None else default_verify_grid(S.m)
     warnings = _require_factorable(S, check_K)
 
+    if opts.algorithm == "scalar_roots" and S.r != 1:
+        raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
     attempts = ("wilson", "bauer") if opts.algorithm == "auto" else (opts.algorithm,)
 
     failures: list[NoConvergence | SingularIterate] = []
@@ -472,7 +492,8 @@ def factor(S: HermitianLaurentPolynomial,
             elif name == "wilson":
                 raw, count = _wilson_core(S, opts)
             else:
-                raw, count, extra = _bauer_core(S, opts)
+                budget = AUTO_BAUER_BLOCK_ROWS if opts.algorithm == "auto" else None
+                raw, count, extra = _bauer_core(S, opts, budget)
                 warnings.extend(extra)
             break
         except (NoConvergence, SingularIterate) as exc:
@@ -500,6 +521,10 @@ def factor(S: HermitianLaurentPolynomial,
         warnings.append(
             f"achieved residual {residual:.3e} exceeds the requested tolerance "
             f"{opts.residual_tol:.1e}"
+        )
+    if poly.m > S.m:
+        warnings.append(
+            f"factor degree {poly.m} exceeds spectrum order {S.m} after trimming"
         )
     return FactorizationResult(
         factor=poly,

@@ -39,6 +39,10 @@ HERMITIAN_ATOL = 1e-12
 UNIT_CIRCLE_ATOL = 1e-9
 
 
+def _is_power_of_two(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
+
+
 def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
@@ -241,7 +245,7 @@ def _hermitian_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _require_grid(K: int, m: int) -> None:
     """Raise ``ValueError`` unless K is a power of two with K >= 2m+2, so a
     band [-m, m] fits on the K-point grid without aliasing."""
-    if K < 1 or K & (K - 1):
+    if not _is_power_of_two(K):
         raise ValueError(f"grid size K={K} must be a power of two")
     if K < 2 * m + 2:
         raise ValueError(

@@ -555,6 +555,21 @@ def test_bauer_stops_on_roundoff_with_a_det_root_on_the_circle():
     result = factor(bundle.spectrum, FactorizationOptions(algorithm="bauer"))
     assert any("stopped on roundoff" in w for w in result.warnings)
     assert forward_error(result.factor, bundle.ground_truth) <= 1e-8
+    # auto's fallback stops at 2^14 block rows, 14 steps at m = 1.
+    with pytest.raises(NoConvergence) as excinfo:
+        factor(bundle.spectrum)
+    assert (excinfo.value.algorithm, excinfo.value.iterations) == ("bauer", 14)
+
+
+@pytest.mark.parametrize("r, m, margin", [(1, 1, 0.2), (2, 3, 0.02), (4, 16, 0.02)])
+def test_bauer_meets_a_tolerance_below_roundoff_without_a_stall(r, m, margin):
+    # The change is the norm of A^* W^{-1} A, which squares each step off the
+    # circle, so it falls below 1e-17 instead of levelling off at roundoff.
+    bundle = generate_instance(r, m, seed=0, root_margin=margin)
+    result = factor(bundle.spectrum,
+                    FactorizationOptions(algorithm="bauer", residual_tol=1e-17))
+    assert not any("stopped on roundoff" in w for w in result.warnings)
+    assert forward_error(result.factor, bundle.ground_truth) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))

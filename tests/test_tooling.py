@@ -39,14 +39,17 @@ def test_every_traced_name_is_bound(monkeypatch):
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
-# The boundary fixture's det roots sit on the circle: Wilson stalls, and
-# Bauer's doubling takes over, stops on roundoff with a warning and writes a
-# factor within 1e-8 of the truth, so the CLI exits 0.
-FIXTURE_EXIT_CODES = {
-    "bundle_r2m3_seed11.spectrum": 0,
-    "scalar_basic.spectrum": 0,
-    "boundary_r2m2_seed19.spectrum": 0,
-}
+# (fixture, extra options, exit code, a line of stdout).  The boundary
+# fixture's det roots sit on the circle: under auto, Wilson stalls and Bauer's
+# doubling runs out of its fallback budget, so the CLI writes the best iterate
+# and exits 3; forced Bauer runs on until it stops on roundoff and writes a
+# factor within 1e-8 of the truth.
+FACTOR_RUNS = [
+    ("boundary_r2m2_seed19.spectrum", (), 3, "no convergence: best iterate written"),
+    ("boundary_r2m2_seed19.spectrum", ("--algorithm", "bauer"), 0, "stopped on roundoff"),
+    ("bundle_r2m3_seed11.spectrum", (), 0, "algorithm=wilson"),
+    ("scalar_basic.spectrum", (), 0, "algorithm=wilson"),
+]
 
 
 def factor_with_runtime_warnings_as_errors(spectrum, out, *options):
@@ -57,28 +60,18 @@ def factor_with_runtime_warnings_as_errors(spectrum, out, *options):
     )
 
 
-def gap_to_truth(out, name):
-    x, _ = read_factor(out)
-    truth, _ = read_factor(FIXTURES / name.replace(".spectrum", ".truth"))
-    return float(np.max(np.abs(x.coeffs - truth.coeffs)))
-
-
-@pytest.mark.parametrize("name, code", sorted(FIXTURE_EXIT_CODES.items()))
-def test_factor_on_fixtures_raises_no_runtime_warning(tmp_path, name, code):
-    run = factor_with_runtime_warnings_as_errors(FIXTURES / name, tmp_path / "x.factor")
+@pytest.mark.parametrize("name, options, code, line", FACTOR_RUNS, ids=[
+    "-".join([name, *options[1:], str(code)]) for name, options, code, _ in FACTOR_RUNS])
+def test_factor_on_fixtures_raises_no_runtime_warning(tmp_path, name, options, code, line):
+    run = factor_with_runtime_warnings_as_errors(FIXTURES / name, tmp_path / "x.factor",
+                                                 *options)
     assert run.returncode == code, run.stderr
     assert "Warning" not in run.stderr
-    assert gap_to_truth(tmp_path / "x.factor", name) <= 1e-8
-
-
-def test_forced_bauer_on_the_boundary_fixture_raises_no_runtime_warning(tmp_path):
-    name = "boundary_r2m2_seed19.spectrum"
-    run = factor_with_runtime_warnings_as_errors(FIXTURES / name, tmp_path / "x.factor",
-                                                 "--algorithm", "bauer")
-    assert run.returncode == 0, run.stderr
-    assert "Warning" not in run.stderr
-    assert "stopped on roundoff" in run.stdout
-    assert gap_to_truth(tmp_path / "x.factor", name) <= 1e-8
+    assert line in run.stdout
+    if code == 0:
+        x, _ = read_factor(tmp_path / "x.factor")
+        truth, _ = read_factor(FIXTURES / name.replace(".spectrum", ".truth"))
+        assert np.max(np.abs(x.coeffs - truth.coeffs)) <= 1e-8
 
 
 def test_overflowing_spectrum_reports_only_its_own_error(tmp_path):
