@@ -5,8 +5,8 @@ positive semidefinite on the unit circle with ``det S`` not identically zero,
 there is a causal polynomial factor ``X`` of degree at most ``m`` with
 ``S = X X^*`` on the circle, ``det X`` free of zeros inside the open unit
 disk, and ``X`` unique up to a constant unitary right factor.  This module
-computes that factor by two independent algorithms and fixes the unitary
-freedom by a canonical normalization, so the two routes can be compared
+computes that factor by three independent routes and fixes the unitary
+freedom by a canonical normalization, so the routes can be compared
 coefficientwise:
 
 * :func:`bauer_factor` -- Bauer's route: the last block row of the Cholesky
@@ -32,6 +32,10 @@ coefficientwise:
 its unitary equivalence class whose value at z = 0 is lower triangular with
 strictly positive diagonal.
 
+Each route has one core, ``(S, opts) -> (coefficients, count, warnings)``,
+returning exactly m + 1 coefficients; the table ``_ATTEMPTS`` maps each
+algorithm name to the cores :func:`factor` tries in order.
+
 Every residual here -- each Newton iterate's, the best iterate's in
 ``NoConvergence`` and ``factor()``'s ``achieved_residual`` -- is
 ``laurent._residual_against``, the one ``S = X X^*`` residual that
@@ -41,6 +45,7 @@ Every residual here -- each Newton iterate's, the best iterate's in
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +76,6 @@ from .laurent import (
     sample_values_on_grid,
 )
 
-ALGORITHMS = ("auto", "bauer", "wilson", "scalar_roots")
-
 # Roots of det X this close to the unit circle are treated as boundary cases.
 BOUNDARY_ROOT_TOL = 1e-7
 
@@ -81,6 +84,9 @@ LEADING_COND_MAX = 1e12
 
 # Grid 1-norm condition-number cap before a Newton iterate counts as singular.
 NEWTON_COND_MAX = 1e12
+
+# Iteration cap of the Newton (Wilson) route.
+NEWTON_MAX_ITERS = 60
 
 # Step cap of Bauer's doubling; step k stands for max(m, 1) * 2^k block rows.
 DOUBLING_MAX_STEPS = 64
@@ -99,11 +105,14 @@ DOUBLING_ROUNDOFF = 1e-6
 
 @dataclass(frozen=True)
 class FactorizationOptions:
-    """Knobs for :func:`factor` and the individual algorithms."""
+    """Knobs for :func:`factor` and the individual routes: the row of
+    ``_ATTEMPTS`` to run, the tolerance that stops the Newton and doubling
+    routes (``factor()`` warns above it), and a grid override for the
+    hypothesis check and the Newton iteration.  The iteration caps are the
+    module constants ``NEWTON_MAX_ITERS`` and ``DOUBLING_MAX_STEPS``."""
 
     algorithm: str = "auto"
     residual_tol: float = 1e-9
-    max_newton_iters: int = 60
     grid_K: int | None = None
 
     def __post_init__(self):
@@ -113,8 +122,6 @@ class FactorizationOptions:
             raise ValueError("residual_tol must be positive")
         if not np.isfinite(self.residual_tol):
             raise ValueError("residual_tol must be finite")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be >= 1")
         if self.grid_K is not None and self.grid_K < 2:
             raise ValueError("grid_K must be >= 2")
 
@@ -250,13 +257,6 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
     ] if stalled else []
 
 
-def bauer_factor(S: HermitianLaurentPolynomial,
-                 opts: FactorizationOptions = FactorizationOptions()) -> MatrixPolynomial:
-    """Spectral factor as Bauer's limit, by the doubling recursion."""
-    coeffs, _, _ = _bauer_core(S, opts)
-    return MatrixPolynomial(coeffs)
-
-
 def _guarded_inverse(values: np.ndarray, iteration: int) -> np.ndarray:
     """Pointwise inverses of a Newton iterate's grid values, or
     ``SingularIterate`` past ``NEWTON_COND_MAX``."""
@@ -270,12 +270,13 @@ def _guarded_inverse(values: np.ndarray, iteration: int) -> np.ndarray:
 
 
 def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
-    """Newton iteration for the causal factor on a unit-circle grid.
+    """Newton iteration; returns ``(coefficients, iterations, [])``.
 
     X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+ truncated to degree m, started
     from the constant lower Cholesky factor of sigma_0 (the circle average of
     S, positive definite under the preconditions).  Stops when successive
-    iterates or the factorization residual drop below residual_tol.  An
+    iterates or the factorization residual drop below residual_tol, or
+    raises ``NoConvergence`` after ``NEWTON_MAX_ITERS`` iterations.  An
     iteration samples its iterate once (one inverse FFT) for the guarded grid
     inverse and G, and takes one FFT of G for ``[G]_+``; the update
     ``X_k [G]_+`` and, through ``_residual_against``, the residual band of
@@ -305,7 +306,7 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     best = chi
     best_residual = _residual_against(sigma, chi)
     polish_pending = False
-    for iteration in range(1, opts.max_newton_iters + 1):
+    for iteration in range(1, NEWTON_MAX_ITERS + 1):
         if iteration == 1:
             inverse = _guarded_inverse(chi[:1], iteration)
             chi_next = sigma @ inverse[0].conj().T
@@ -325,29 +326,22 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
         if residual < best_residual:
             best, best_residual = chi, residual
         if polish_pending or residual < 1e-13:
-            return chi, iteration
+            return chi, iteration, []
         if step < opts.residual_tol or residual < opts.residual_tol:
             # One more contraction pass: quadratic convergence turns a
             # just-under-tolerance residual into a machine-level one.
             polish_pending = True
 
     if polish_pending:
-        return chi, opts.max_newton_iters
+        return chi, NEWTON_MAX_ITERS, []
     raise NoConvergence(
-        f"Newton iteration hit the cap ({opts.max_newton_iters}) at residual "
+        f"Newton iteration hit the cap ({NEWTON_MAX_ITERS}) at residual "
         f"{best_residual:.3e}",
         best_factor=MatrixPolynomial(best),
         achieved_residual=best_residual,
-        iterations=opts.max_newton_iters,
+        iterations=NEWTON_MAX_ITERS,
         algorithm="wilson",
     )
-
-
-def wilson_factor(S: HermitianLaurentPolynomial,
-                  opts: FactorizationOptions = FactorizationOptions()) -> MatrixPolynomial:
-    """Spectral factor via the grid Newton iteration."""
-    coeffs, _ = _wilson_core(S, opts)
-    return MatrixPolynomial(coeffs)
 
 
 def _cluster_boundary_roots(roots: list[complex]) -> list[list[complex]]:
@@ -364,21 +358,21 @@ def _cluster_boundary_roots(roots: list[complex]) -> list[list[complex]]:
 
 
 def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
-    """Root-based factorization of a scalar spectrum.
+    """Root-based factorization; returns ``(coefficients, 0, warnings)``.
 
     z^m S(z) is a degree-2m polynomial whose roots pair as (a, 1/conj(a));
     the causal factor takes the roots with |a| > 1 plus half of every
     boundary cluster, scaled to reproduce sigma_m exactly.
     """
     if S.r != 1:
-        raise ValueError("root-based factorization applies to scalar spectra only")
+        raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
     m = S.m
     sigma = S.coeffs[:, 0, 0]
     if m == 0:
         s0 = sigma[0].real
         if s0 <= 0:
             raise NotPositiveDefinite(f"constant scalar spectrum {s0:.3e} is not positive")
-        return np.sqrt(s0).reshape(1, 1, 1).astype(np.complex128), []
+        return np.sqrt(s0).reshape(1, 1, 1).astype(np.complex128), 0, []
 
     # Coefficients of z^m S(z), low to high: sigma_{-m}..sigma_m.
     full = np.concatenate([sigma[m:0:-1].conj(), sigma])
@@ -424,15 +418,36 @@ def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions
     monic_sigma_m = np.conj(monic[0])
     amplitude = np.sqrt(abs(target / monic_sigma_m))
     coeffs = (amplitude * monic).reshape(m + 1, 1, 1)
-    return coeffs.astype(np.complex128), warnings
+    return coeffs.astype(np.complex128), 0, warnings
+
+
+# Each algorithm's routes, in the order factor() tries them.
+_ATTEMPTS = {
+    "auto": (("wilson", _wilson_core),
+             ("bauer", functools.partial(_bauer_core, max_rows=AUTO_BAUER_BLOCK_ROWS))),
+    "bauer": (("bauer", _bauer_core),),
+    "wilson": (("wilson", _wilson_core),),
+    "scalar_roots": (("scalar_roots", _scalar_roots_core),),
+}
+ALGORITHMS = tuple(_ATTEMPTS)
+
+
+def bauer_factor(S: HermitianLaurentPolynomial,
+                 opts: FactorizationOptions = FactorizationOptions()) -> MatrixPolynomial:
+    """Spectral factor as Bauer's limit, by the doubling recursion."""
+    return MatrixPolynomial(_bauer_core(S, opts)[0])
+
+
+def wilson_factor(S: HermitianLaurentPolynomial,
+                  opts: FactorizationOptions = FactorizationOptions()) -> MatrixPolynomial:
+    """Spectral factor via the grid Newton iteration."""
+    return MatrixPolynomial(_wilson_core(S, opts)[0])
 
 
 def scalar_root_factor(S: HermitianLaurentPolynomial,
                        opts: FactorizationOptions = FactorizationOptions()) -> MatrixPolynomial:
-    """Spectral factor of an r=1 spectrum through companion-matrix roots."""
-    coeffs, _ = _scalar_roots_core(S, opts)
-    factor_poly, _ = canonical_normalize(MatrixPolynomial(coeffs))
-    return factor_poly
+    """Canonical spectral factor of an r=1 spectrum through companion-matrix roots."""
+    return canonical_normalize(MatrixPolynomial(_scalar_roots_core(S, opts)[0]))[0]
 
 
 def canonical_normalize(x: MatrixPolynomial) -> tuple[MatrixPolynomial, np.ndarray]:
@@ -466,11 +481,11 @@ def factor(S: HermitianLaurentPolynomial,
            opts: FactorizationOptions = FactorizationOptions()) -> FactorizationResult:
     """Compute the canonical causal spectral factor of S.
 
-    Dispatches on ``opts.algorithm``; ``auto`` tries the Newton iteration
-    first and falls back to Bauer's doubling, within ``AUTO_BAUER_BLOCK_ROWS``
-    Toeplitz block rows, if it stalls.  The returned
-    factor is canonical; ``achieved_residual`` is the relative coefficientwise
-    mismatch of the factorization identity.  Raises ``NotPositiveDefinite`` or
+    Runs the routes of ``_ATTEMPTS[opts.algorithm]`` in order until one
+    returns; ``auto`` tries the Newton iteration first and falls back to
+    Bauer's doubling if it stalls.  The returned factor is canonical;
+    ``achieved_residual`` is the relative coefficientwise mismatch of the
+    factorization identity.  Raises ``NotPositiveDefinite`` or
     ``DegenerateDeterminant`` when the hypotheses fail on the grid; if every
     attempt fails, ``NoConvergence`` of the stalled attempt with the smallest
     residual (best iterate canonicalized), else the last ``SingularIterate``.
@@ -478,23 +493,11 @@ def factor(S: HermitianLaurentPolynomial,
     check_K = opts.grid_K if opts.grid_K is not None else default_verify_grid(S.m)
     warnings = _require_factorable(S, check_K)
 
-    if opts.algorithm == "scalar_roots" and S.r != 1:
-        raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
-    attempts = ("wilson", "bauer") if opts.algorithm == "auto" else (opts.algorithm,)
-
     failures: list[NoConvergence | SingularIterate] = []
-    for name in attempts:
+    for name, core in _ATTEMPTS[opts.algorithm]:
         try:
-            if name == "scalar_roots":
-                raw, extra = _scalar_roots_core(S, opts)
-                warnings.extend(extra)
-                count = 0
-            elif name == "wilson":
-                raw, count = _wilson_core(S, opts)
-            else:
-                budget = AUTO_BAUER_BLOCK_ROWS if opts.algorithm == "auto" else None
-                raw, count, extra = _bauer_core(S, opts, budget)
-                warnings.extend(extra)
+            raw, count, extra = core(S, opts)
+            warnings.extend(extra)
             break
         except (NoConvergence, SingularIterate) as exc:
             failures.append(exc)
@@ -504,16 +507,9 @@ def factor(S: HermitianLaurentPolynomial,
         if not stalled:
             raise failures[-1]
         best = min(stalled, key=lambda exc: exc.achieved_residual)
-        best_factor = best.best_factor
         with contextlib.suppress(SingularLeadingCoefficient):
-            best_factor, _ = canonical_normalize(best_factor)
-        raise NoConvergence(
-            str(best),
-            best_factor=best_factor,
-            achieved_residual=best.achieved_residual,
-            iterations=best.iterations,
-            algorithm=best.algorithm,
-        )
+            best.best_factor, _ = canonical_normalize(best.best_factor)
+        raise best
 
     poly, _ = canonical_normalize(MatrixPolynomial(raw))
     residual = _residual_against(S.coeffs, poly.coeffs)
@@ -521,10 +517,6 @@ def factor(S: HermitianLaurentPolynomial,
         warnings.append(
             f"achieved residual {residual:.3e} exceeds the requested tolerance "
             f"{opts.residual_tol:.1e}"
-        )
-    if poly.m > S.m:
-        warnings.append(
-            f"factor degree {poly.m} exceeds spectrum order {S.m} after trimming"
         )
     return FactorizationResult(
         factor=poly,

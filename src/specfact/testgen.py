@@ -103,16 +103,33 @@ def _build_ground_truth(stream: SplitMix64, r: int, m: int,
     return canonical
 
 
-def generate_instance(r: int, m: int, seed: int,
-                      root_margin: float = 0.2) -> InstanceBundle:
-    """Deterministic problem instance with det roots at modulus >= 1 + margin."""
-    if r < 1 or m < 0:
-        raise ValueError("need r >= 1 and m >= 0")
-    if not (root_margin > 0):
-        raise ValueError("root_margin must be positive")
+def _boundary_truth(stream: SplitMix64, r: int, m: int) -> MatrixPolynomial | None:
+    """One attempt at a canonical factor with one det root on the circle."""
+    base = _build_ground_truth(stream, r, m - 1, 0.2)
+    if base is None:
+        return None
+    channel = stream.integer(r)
+    theta0 = 2.0 * np.pi * stream.uniform()
+    phase = np.exp(-1j * theta0)
+
+    coeffs = np.zeros((m + 1, r, r), dtype=np.complex128)
+    coeffs[: m] += base.coeffs
+    coeffs[:, :, channel] *= 1.0 / np.sqrt(2.0)
+    coeffs[1:, :, channel] += base.coeffs[:, :, channel] * (phase / np.sqrt(2.0))
+    truth = MatrixPolynomial(coeffs)
+    if truth.m != m:
+        return None
+    try:
+        truth, _ = canonical_normalize(truth)
+    except SingularLeadingCoefficient:
+        return None
+    return truth
+
+
+def _bundle(seed: int, build, what: str, boundary: bool = False) -> InstanceBundle:
+    """Bundle of the first attempt whose ``build(stream)`` returns a factor."""
     for attempt in range(MAX_ATTEMPTS):
-        stream = _attempt_stream(seed, attempt)
-        truth = _build_ground_truth(stream, r, m, root_margin)
+        truth = build(_attempt_stream(seed, attempt))
         if truth is None:
             continue
         spectrum = multiply_by_adjoint(truth)
@@ -122,11 +139,22 @@ def generate_instance(r: int, m: int, seed: int,
             seed=seed,
             root_margin=_margin_of(truth),
             condition_estimate=_condition_estimate(spectrum),
+            boundary=boundary,
         )
     raise RetryExhausted(
-        f"{MAX_ATTEMPTS} degenerate draws in a row for (r={r}, m={m}, "
-        f"seed={seed}); try another seed"
+        f"{MAX_ATTEMPTS} degenerate draws in a row for {what}; try another seed"
     )
+
+
+def generate_instance(r: int, m: int, seed: int,
+                      root_margin: float = 0.2) -> InstanceBundle:
+    """Deterministic problem instance with det roots at modulus >= 1 + margin."""
+    if r < 1 or m < 0:
+        raise ValueError("need r >= 1 and m >= 0")
+    if not (root_margin > 0):
+        raise ValueError("root_margin must be positive")
+    return _bundle(seed, lambda stream: _build_ground_truth(stream, r, m, root_margin),
+                   f"(r={r}, m={m}, seed={seed})")
 
 
 def generate_boundary_instance(r: int, m: int, seed: int) -> InstanceBundle:
@@ -140,36 +168,5 @@ def generate_boundary_instance(r: int, m: int, seed: int) -> InstanceBundle:
     """
     if r < 1 or m < 1:
         raise ValueError("boundary instances need r >= 1 and m >= 1")
-    for attempt in range(MAX_ATTEMPTS):
-        stream = _attempt_stream(seed, attempt)
-        base = _build_ground_truth(stream, r, m - 1, 0.2)
-        if base is None:
-            continue
-        channel = stream.integer(r)
-        theta0 = 2.0 * np.pi * stream.uniform()
-        phase = np.exp(-1j * theta0)
-
-        coeffs = np.zeros((m + 1, r, r), dtype=np.complex128)
-        coeffs[: m] += base.coeffs
-        coeffs[:, :, channel] *= 1.0 / np.sqrt(2.0)
-        coeffs[1:, :, channel] += base.coeffs[:, :, channel] * (phase / np.sqrt(2.0))
-        truth = MatrixPolynomial(coeffs)
-        if truth.m != m:
-            continue
-        try:
-            truth, _ = canonical_normalize(truth)
-        except SingularLeadingCoefficient:
-            continue
-        spectrum = multiply_by_adjoint(truth)
-        return InstanceBundle(
-            spectrum=spectrum,
-            ground_truth=truth,
-            seed=seed,
-            root_margin=_margin_of(truth),
-            condition_estimate=_condition_estimate(spectrum),
-            boundary=True,
-        )
-    raise RetryExhausted(
-        f"{MAX_ATTEMPTS} degenerate draws in a row for boundary (r={r}, m={m}, "
-        f"seed={seed}); try another seed"
-    )
+    return _bundle(seed, lambda stream: _boundary_truth(stream, r, m),
+                   f"boundary (r={r}, m={m}, seed={seed})", boundary=True)

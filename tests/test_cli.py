@@ -1,6 +1,5 @@
 """CLI exit codes, output contracts, and the end-to-end pipeline."""
 
-import functools
 import json
 import os
 import pathlib
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import specfact
+from specfact import cli, factorize
 from specfact.cli import main
 from specfact.errors import (
     CholeskyBreakdown,
@@ -21,7 +21,6 @@ from specfact.errors import (
     SingularIterate,
     SingularLeadingCoefficient,
 )
-from specfact.factorize import FactorizationOptions
 from specfact.fileio import read_factor, write_factor, write_spectrum
 from specfact.laurent import MatrixPolynomial, multiply_by_adjoint
 
@@ -52,6 +51,10 @@ class TestFactorCommand:
         assert main(["factor", str(spectrum), str(out), "--algorithm", flag]) == 0
         x, _ = read_factor(out)
         assert np.max(np.abs(x.coeffs[:, 0, 0] - [2.0, 1.0])) < 1e-8
+
+    def test_every_algorithm_has_exactly_one_flag(self):
+        # A route added to factorize's table without a CLI flag fails here.
+        assert sorted(cli._ALGORITHM_FLAGS.values()) == sorted(factorize.ALGORITHMS)
 
     def test_non_hermitian_file_exits_one(self, tmp_path, capsys):
         spectrum = tmp_path / "bad.spectrum"
@@ -125,8 +128,7 @@ class TestFactorCommand:
         # back; with these caps (one doubling step, 4 Toeplitz block rows)
         # Wilson's iterate is the better one and is the one written, so the
         # metadata must say "wilson", not "auto".
-        monkeypatch.setattr("specfact.cli.FactorizationOptions", functools.partial(
-            FactorizationOptions, max_newton_iters=8))
+        monkeypatch.setattr("specfact.factorize.NEWTON_MAX_ITERS", 8)
         monkeypatch.setattr("specfact.factorize.DOUBLING_MAX_STEPS", 1)
         out = tmp_path / "s.factor"
         code = main(["factor", str(FIXTURES / "boundary_r2m2_seed19.spectrum"), str(out)])

@@ -107,14 +107,19 @@ class TestFactorDispatch:
         assert "max |det S| on the grid is 0.000e+00" in str(caught.value)
         assert "1e-13 * scale^2 = 1.000e-13" in str(caught.value)
 
-    def test_scalar_roots_rejects_matrix_input(self):
+    @pytest.mark.parametrize("entry", [
+        lambda S: factor(S, FactorizationOptions(algorithm="scalar_roots")),
+        scalar_root_factor,
+    ], ids=["factor", "scalar_root_factor"])
+    def test_scalar_roots_rejects_matrix_input(self, entry):
         S = HermitianLaurentPolynomial(np.eye(2, dtype=complex)[None])
-        with pytest.raises(ValueError, match="scalar"):
-            factor(S, FactorizationOptions(algorithm="scalar_roots"))
+        with pytest.raises(ValueError,
+                           match=r"^scalar_roots requires a scalar \(r = 1\) spectrum$"):
+            entry(S)
 
-    def test_no_convergence_carries_best_iterate(self):
-        opts = FactorizationOptions(algorithm="wilson", residual_tol=1e-30,
-                                    max_newton_iters=3)
+    def test_no_convergence_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(factorize, "NEWTON_MAX_ITERS", 3)
+        opts = FactorizationOptions(algorithm="wilson", residual_tol=1e-30)
         with pytest.raises(NoConvergence) as excinfo:
             factor(S_SCALAR, opts)
         exc = excinfo.value
@@ -132,18 +137,21 @@ class TestFactorDispatch:
             self, monkeypatch, algorithm, newton_iters, steps, expected):
         spectrum = generate_boundary_instance(2, 2, seed=19).spectrum
         monkeypatch.setattr(factorize, "DOUBLING_MAX_STEPS", steps)
-        opts = FactorizationOptions(algorithm=algorithm, max_newton_iters=newton_iters)
+        monkeypatch.setattr(factorize, "NEWTON_MAX_ITERS", newton_iters)
         with pytest.raises(NoConvergence) as excinfo:
-            factor(spectrum, opts)
+            factor(spectrum, FactorizationOptions(algorithm=algorithm))
         assert excinfo.value.algorithm == expected
+        # factor() re-raises the best iterate canonicalized.
+        rho0 = excinfo.value.best_factor.coeffs[0]
+        assert np.max(np.abs(np.triu(rho0, k=1))) < 1e-10
+        assert np.all(np.diag(rho0).real > 0)
+        assert np.max(np.abs(np.diag(rho0).imag)) < 1e-10
 
     def test_invalid_options(self):
         with pytest.raises(ValueError):
             FactorizationOptions(algorithm="newton")
         with pytest.raises(ValueError):
             FactorizationOptions(residual_tol=0.0)
-        with pytest.raises(ValueError):
-            FactorizationOptions(max_newton_iters=0)
         with pytest.raises(ValueError, match="^residual_tol must be finite$"):
             FactorizationOptions(residual_tol=float("inf"))
 
@@ -189,7 +197,7 @@ class TestWilson:
     def test_identity_fixed_point(self):
         from specfact.factorize import _wilson_core
         S = HermitianLaurentPolynomial(np.eye(2, dtype=complex)[None])
-        coeffs, iterations = _wilson_core(S, FactorizationOptions())
+        coeffs, iterations, _ = _wilson_core(S, FactorizationOptions())
         assert iterations <= 1
         assert np.max(np.abs(coeffs[0] - np.eye(2))) < 1e-14
 
@@ -225,8 +233,8 @@ class TestScalarRoots:
     def test_boundary_double_root(self):
         # 2 + z + 1/z = (1 + z)(1 + 1/z): double det root at -1.
         from specfact.factorize import _scalar_roots_core
-        coeffs, warnings = _scalar_roots_core(scalar_laurent(2.0, 1.0),
-                                              FactorizationOptions())
+        coeffs, _, warnings = _scalar_roots_core(scalar_laurent(2.0, 1.0),
+                                                 FactorizationOptions())
         assert np.allclose(coeffs[:, 0, 0], [1.0, 1.0], atol=1e-7)
         assert warnings
 
@@ -395,9 +403,9 @@ def wilson_iterates(monkeypatch, S, iterations):
         return 1.0
 
     monkeypatch.setattr(factorize, "_residual_against", record)
+    monkeypatch.setattr(factorize, "NEWTON_MAX_ITERS", iterations)
     try:
-        _wilson_core(S, FactorizationOptions(max_newton_iters=iterations,
-                                             residual_tol=1e-30))
+        _wilson_core(S, FactorizationOptions(residual_tol=1e-30))
     except NoConvergence:
         pass
     return iterates
@@ -435,7 +443,7 @@ def test_wilson_samples_every_iterate_but_the_first(monkeypatch, r, m):
     sample = factorize.sample_values_on_grid
     monkeypatch.setattr(factorize, "sample_values_on_grid",
                         lambda buf: calls.append(len(buf)) or sample(buf))
-    _, iterations = _wilson_core(S, FactorizationOptions())
+    _, iterations, _ = _wilson_core(S, FactorizationOptions())
     assert len(calls) == iterations - 1
 
 
