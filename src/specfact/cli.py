@@ -2,12 +2,12 @@
 
 Exit codes are a stable contract:
 
-* factor: 0 success, 1 parse/I-O error, 2 spectrum not factorable
+* factor: 0 success, 1 usage, parse or I/O error, 2 spectrum not factorable
   (indefinite or degenerate determinant), 3 no convergence (the best iterate
   is still written, flagged in metadata).
-* verify: 0 all checks pass (warnings allowed, noted), 1 parse/dimension
-  error, 4 any hard failure.
-* gen: 0 success, 1 invalid parameters.
+* verify: 0 all checks pass (warnings allowed, noted), 1 usage, parse or
+  dimension error, 4 any hard failure.
+* gen: 0 success, 1 usage error or invalid parameters.
 """
 
 from __future__ import annotations
@@ -49,8 +49,17 @@ _FACTOR_EXIT_CODES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1, not 2 ("not factorable"), on a missing argument, an unknown flag
+    or a malformed number; the subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specfact",
         description="Factor, verify, and generate matrix spectral factorization problems.",
     )
@@ -62,15 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--algorithm", choices=sorted(_ALGORITHM_FLAGS), default="auto")
     p_factor.add_argument("--tol", type=float, default=1e-9, metavar="REAL",
                           help="relative residual tolerance (default 1e-9)")
-    p_factor.add_argument("--grid", type=int, default=None, metavar="K",
-                          help="unit-circle grid size override (power of two)")
 
     p_verify = sub.add_parser("verify", help="check a (spectrum, factor) file pair")
     p_verify.add_argument("spectrum", help="spectrum file")
     p_verify.add_argument("factor", help="factor file")
     p_verify.add_argument("--tol", type=float, default=1e-9, metavar="REAL",
                           help="factorization residual tolerance (default 1e-9)")
-    p_verify.add_argument("--grid", type=int, default=None, metavar="K")
     p_verify.add_argument("--json", action="store_true",
                           help="print the report as JSON instead of a table")
 
@@ -94,11 +100,8 @@ def _fail(message: str, code: int) -> int:
 def _cmd_factor(args) -> int:
     try:
         spectrum = read_spectrum(args.input)
-        opts = FactorizationOptions(
-            algorithm=_ALGORITHM_FLAGS[args.algorithm],
-            residual_tol=args.tol,
-            grid_K=args.grid,
-        )
+        opts = FactorizationOptions(algorithm=_ALGORITHM_FLAGS[args.algorithm],
+                                    residual_tol=args.tol)
     except (OSError, ValueError) as exc:
         return _fail(str(exc), 1)
     try:
@@ -166,13 +169,8 @@ def _cmd_verify(args) -> int:
         candidate, _ = read_factor(args.factor)
     except (OSError, ValueError) as exc:
         return _fail(str(exc), 1)
-    if spectrum.r != candidate.r:
-        return _fail(
-            f"dimension mismatch: spectrum r={spectrum.r}, factor r={candidate.r}", 1
-        )
     try:
-        opts = VerifyOptions(grid_K=args.grid, residual_tol=args.tol)
-        report = verify_all(spectrum, candidate, opts)
+        report = verify_all(spectrum, candidate, VerifyOptions(residual_tol=args.tol))
     except ValueError as exc:
         return _fail(str(exc), 1)
     if args.json:

@@ -14,13 +14,14 @@ coefficientwise:
   doubling recursion on its Schur complement in log2 many steps instead of
   one row at a time.  Robust, no initial guess.
 * :func:`wilson_factor` -- Newton-type iteration
-  ``X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+`` on a unit-circle grid, where
-  ``[.]_+`` keeps half the index-0 Fourier coefficient plus indices 1..m.
-  Only the rational inner term needs the grid: the product with ``X_k`` and
-  the residual band of ``X_k X_k^*`` are products of degree-m polynomials,
-  formed in coefficient space by ``laurent._causal_product_window``.  The
-  first step, from the constant ``X_0 = chol(sigma_0)``, needs no grid at
-  all: ``X_1 = [X_0, sigma_1 X_0^{-*}, ..., sigma_m X_0^{-*}]``.
+  ``X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+`` on the unit-circle grid of
+  ``default_grid_size(m)`` points, where ``[.]_+`` keeps half the index-0
+  Fourier coefficient plus indices 1..m.  Only the rational inner term needs
+  the grid: the product with ``X_k`` and the residual band of ``X_k X_k^*``
+  are products of degree-m polynomials, formed in coefficient space by
+  ``laurent._causal_product_window``.  The first step, from the constant
+  ``X_0 = chol(sigma_0)``, needs no grid at all:
+  ``X_1 = [X_0, sigma_1 X_0^{-*}, ..., sigma_m X_0^{-*}]``.
   ``X_k`` counts as singular when its worst grid 1-norm condition number,
   taken from its pointwise inverse, exceeds ``NEWTON_COND_MAX``.
   Quadratically convergent near the solution.
@@ -106,14 +107,13 @@ DOUBLING_ROUNDOFF = 1e-6
 @dataclass(frozen=True)
 class FactorizationOptions:
     """Knobs for :func:`factor` and the individual routes: the row of
-    ``_ATTEMPTS`` to run, the tolerance that stops the Newton and doubling
-    routes (``factor()`` warns above it), and a grid override for the
-    hypothesis check and the Newton iteration.  The iteration caps are the
-    module constants ``NEWTON_MAX_ITERS`` and ``DOUBLING_MAX_STEPS``."""
+    ``_ATTEMPTS`` to run and the tolerance that stops the Newton and doubling
+    routes (``factor()`` warns above it).  Every grid follows from the order
+    of S; the iteration caps are the module constants ``NEWTON_MAX_ITERS``
+    and ``DOUBLING_MAX_STEPS``."""
 
     algorithm: str = "auto"
     residual_tol: float = 1e-9
-    grid_K: int | None = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -122,8 +122,6 @@ class FactorizationOptions:
             raise ValueError("residual_tol must be positive")
         if not np.isfinite(self.residual_tol):
             raise ValueError("residual_tol must be finite")
-        if self.grid_K is not None and self.grid_K < 2:
-            raise ValueError("grid_K must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -288,7 +286,7 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     """
     m, r = S.m, S.r
     sigma = S.coeffs
-    K = opts.grid_K if opts.grid_K is not None else default_grid_size(m)
+    K = default_grid_size(m)
     S_vals = sample_on_grid(S, K)
     eye = np.eye(r, dtype=np.complex128)
 
@@ -486,12 +484,12 @@ def factor(S: HermitianLaurentPolynomial,
     Bauer's doubling if it stalls.  The returned factor is canonical;
     ``achieved_residual`` is the relative coefficientwise mismatch of the
     factorization identity.  Raises ``NotPositiveDefinite`` or
-    ``DegenerateDeterminant`` when the hypotheses fail on the grid; if every
-    attempt fails, ``NoConvergence`` of the stalled attempt with the smallest
-    residual (best iterate canonicalized), else the last ``SingularIterate``.
+    ``DegenerateDeterminant`` when the hypotheses fail on the check grid
+    ``default_verify_grid(S.m)``; if every attempt fails, ``NoConvergence`` of
+    the stalled attempt with the smallest residual (best iterate
+    canonicalized), else the last ``SingularIterate``.
     """
-    check_K = opts.grid_K if opts.grid_K is not None else default_verify_grid(S.m)
-    warnings = _require_factorable(S, check_K)
+    warnings = _require_factorable(S, default_verify_grid(S.m))
 
     failures: list[NoConvergence | SingularIterate] = []
     for name, core in _ATTEMPTS[opts.algorithm]:

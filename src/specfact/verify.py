@@ -18,11 +18,12 @@ sufficiently fine grid is decisive up to conditioning.  The checks that sample
 S or a factor run by default on the one check grid,
 :func:`~specfact.laurent.default_verify_grid` (the smallest power of two
 >= max(256, 8(m+1)), the grid ``factor()``'s hypothesis precheck and the
-generator's condition estimate use too), with a grid-doubling cross-check on
-the anticausal mass.  :func:`verify_all` samples S and X once, on the doubled
-grid 2K, and inverts X there once; its K-grid checks read the even points of
-those samples, which are the K-point grid.  The outer check instead samples
-det X on its own grid, the smallest power of two >= max(8, 2(r m + 1)).
+generator's condition estimate use too) at the larger of the orders of S and
+X, with a grid-doubling cross-check on the anticausal mass.  :func:`verify_all`
+takes no grid: it samples S and X once, on the doubled grid 2K, and inverts X
+there once; its K-grid checks read the even points of those samples, which
+are the K-point grid.  The outer check instead samples det X on its own grid,
+the smallest power of two >= max(8, 2(r m + 1)).
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.
 Failures inside :func:`verify_all` are reported as failed entries, never
@@ -48,7 +49,6 @@ from .laurent import (
     _hermitian_scan,
     _inverse_on_grid,
     _next_pow2,
-    _require_grid,
     _residual_against,
     _values_at_angles,
     coefficients_from_values,
@@ -75,10 +75,9 @@ POSITIVITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Grid override and factorization-residual tolerance for
-    :func:`verify_all`; the other tolerances are module constants."""
+    """Factorization-residual tolerance for :func:`verify_all`; the other
+    tolerances are module constants."""
 
-    grid_K: int | None = None
     residual_tol: float = 1e-9
 
     def __post_init__(self):
@@ -213,12 +212,11 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
-    m = S.m
     if K is None:
-        K = default_verify_grid(m)
+        K = default_verify_grid(max(S.m, x.m))
     left, gaps = _causal_identity_on_grid(S, sample_on_grid(S, K), sample_on_grid(x, K))
     scale = _coefficient_scale(S.coeffs)
-    return float(gaps.max()) / scale, _anticausal_mass(left, m, scale)
+    return float(gaps.max()) / scale, _anticausal_mass(left, S.m, scale)
 
 
 def _guarded_inverse_on_grid(values: np.ndarray, name: str) -> np.ndarray:
@@ -319,15 +317,13 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     is at most its tolerance, and a warning is kept only on a pass.  A
     ``SpectralFactorError`` fails every entry of its check, each with its own
     tolerance, so reports for bad inputs are complete.  Overall pass is the
-    conjunction of the non-warning entries.  A grid size that
-    ``sample_on_grid`` rejects for S or X at K raises its ``ValueError``.
+    conjunction of the non-warning entries.  K is
+    ``default_verify_grid(max(S.m, x.m))``, so a factor of any degree is
+    sampled without aliasing.  A dimension mismatch raises ``ValueError``.
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
-    K = opts.grid_K if opts.grid_K is not None else default_verify_grid(S.m)
-    _require_grid(K, S.m)
-    _require_grid(K, x.m)
-    S2K = sample_on_grid(S, 2 * K)
+    S2K = sample_on_grid(S, 2 * default_verify_grid(max(S.m, x.m)))
     scale = _coefficient_scale(S.coeffs)
     checks = (
         (_measure_positivity, {"positivity": POSITIVITY_TOL}),

@@ -85,8 +85,6 @@ class TestFactorCommand:
         ("--tol", "-1", "residual_tol must be positive"),
         ("--tol", "nan", "residual_tol must be positive"),
         ("--tol", "inf", "residual_tol must be finite"),
-        ("--grid", "0", "grid_K must be >= 2"),
-        ("--grid", "1", "grid_K must be >= 2"),
     ])
     def test_rejected_option_exits_one(self, tmp_path, capsys, flag, value, message):
         spectrum = tmp_path / "s.spectrum"
@@ -211,22 +209,28 @@ class TestVerifyCommand:
         names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
         assert len(names) == len(set(names)) == 7
 
-    def test_dimension_mismatch_exits_one(self, tmp_path):
+    def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         spectrum = tmp_path / "s.spectrum"
         write_scalar_spectrum(spectrum)
         factor_file = tmp_path / "x.factor"
         factor_file.write_text('{"r": 2, "m": 0, "coeffs": {"0": '
                                '[[[1,0],[0,0]],[[0,0],[1,0]]]}}')
         assert main(["verify", str(spectrum), str(factor_file)]) == 1
+        assert capsys.readouterr().err == (
+            "specfact: error: dimension mismatch: spectrum r=1, factor r=2\n")
 
-    @pytest.mark.parametrize("grid", ["7", "8"])
-    def test_rejected_grid_exits_one(self, tmp_path, capsys, grid):
-        prefix = tmp_path / "inst"
-        assert main(["gen", "2", "4", str(prefix), "--seed", "3"]) == 0
-        capsys.readouterr()
-        assert main(["verify", str(tmp_path / "inst.spectrum"),
-                     str(tmp_path / "inst.truth"), "--grid", grid]) == 1
-        assert capsys.readouterr().err.startswith(f"specfact: error: grid size K={grid} ")
+    def test_high_degree_factor_exits_four(self, tmp_path, capsys):
+        # Degree 200 against an order-1 spectrum: sampled on the factor's own
+        # check grid, it fails the degree check instead of aliasing.
+        truth, _ = read_factor(FIXTURES / "scalar_basic.truth")
+        coeffs = np.zeros((201, 1, 1), dtype=complex)
+        coeffs[:2] = truth.coeffs
+        coeffs[200] = 1e-3
+        write_factor(tmp_path / "x.factor", MatrixPolynomial(coeffs))
+        assert main(["verify", str(FIXTURES / "scalar_basic.spectrum"),
+                     str(tmp_path / "x.factor"), "--json"]) == 4
+        status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert status["degree"] == "fail"
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["table", "json"])
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -289,6 +293,26 @@ class TestGenCommand:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["factor", "in.spectrum"],
+        ["factor", str(FIXTURES / "bundle_r2m3_seed11.spectrum"), "out", "--grid", "8"],
+        ["verify", "s.spectrum"],
+        ["verify", str(FIXTURES / "bundle_r2m3_seed11.spectrum"),
+         str(FIXTURES / "bundle_r2m3_seed11.truth"), "--grid", "8"],
+        ["gen", "1", "x", "p"],
+        ["gen", "1", "1", "p", "--seed", "1.5"],
+    ], ids=["no-command", "factor-missing", "factor-unknown-flag", "verify-missing",
+            "verify-unknown-flag", "gen-bad-int", "gen-bad-seed"])
+    def test_usage_error_exits_one(self, tmp_path, monkeypatch, capsys, argv):
+        # argparse's own 2 would read as "not factorable" on factor.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_gen_factor_verify_round_trip(self, tmp_path):
         prefix = tmp_path / "p"
         assert main(["gen", "3", "3", str(prefix), "--seed", "13"]) == 0

@@ -1,7 +1,5 @@
 """Verifier checks: each identity, its failure modes, and their couplings."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from specfact.errors import IdenticallyZeroDeterminant, SingularFactorOnGrid
 from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    default_verify_grid,
     multiply_by_adjoint,
     sample_on_grid,
     unit_circle_grid,
@@ -224,12 +223,13 @@ def test_anticausal_mass_matches_recentred_window(S, x, large_mass, K):
 
 @pytest.mark.parametrize("S, x, large_mass", _anticausal_pairs())
 def test_verify_all_causal_entries_match_the_public_check(S, x, large_mass):
-    # verify_all reads K-grid values off one 2K sampling and one 2K inversion.
-    K = 256
-    gap, mass = check_causal_identity(S, x, K)
+    # verify_all reads K-grid values off one 2K sampling and one 2K inversion;
+    # both default to the check grid of the larger order, 256 on every pair.
+    K = default_verify_grid(max(S.m, x.m))
+    assert K == 256
+    gap, mass = check_causal_identity(S, x)
     _, mass2 = check_causal_identity(S, x, 2 * K)
-    by_name = {entry.name: entry.measured
-               for entry in verify_all(S, x, VerifyOptions(grid_K=K)).checks}
+    by_name = {entry.name: entry.measured for entry in verify_all(S, x).checks}
     assert abs(by_name["causal-identity"] - gap) <= 1e-13
     assert abs(by_name["anticausal-mass"] - mass) <= 1e-13
     assert abs(by_name["anticausal-mass-stability"] - abs(mass2 - mass)) <= 1e-13
@@ -340,15 +340,17 @@ class TestVerifyAll:
         with pytest.raises(ValueError, match="mismatch"):
             verify_all(S_SCALAR, MatrixPolynomial(np.eye(2, dtype=complex)[None]))
 
-    @pytest.mark.parametrize("K", [7, 8])
-    def test_rejects_every_grid_sample_on_grid_rejects(self, K):
-        # At m = 4, K = 8 aliases the band although 2K = 16 would not.
-        S = generate_instance(2, 4, seed=3).spectrum
-        with pytest.raises(ValueError) as expected:
-            sample_on_grid(S, K)
-        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            verify_all(S, MatrixPolynomial(np.eye(2, dtype=complex)[None]),
-                       VerifyOptions(grid_K=K))
+    def test_high_degree_factor_fails_the_degree_check(self):
+        # A factor of degree 200 against an order-1 spectrum is sampled on
+        # its own check grid, so it is reported, not rejected as aliasing.
+        x = np.zeros((201, 1, 1), dtype=complex)
+        x[:2] = X_GOOD.coeffs
+        x[200] = 1e-3
+        report = verify_all(S_SCALAR, MatrixPolynomial(x))
+        by_name = {entry.name: entry for entry in report.checks}
+        assert not by_name["degree"].passed
+        assert by_name["degree"].measured == 199
+        assert not report.overall
 
     def test_custom_tolerances(self):
         report = verify_all(S_SCALAR, X_GOOD, VerifyOptions(residual_tol=1e-16))
