@@ -15,16 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    CholeskyBreakdown,
-    DegenerateDeterminant,
-    NoConvergence,
-    NotPositiveDefinite,
-    OddBoundaryMultiplicity,
-    SingularIterate,
-    SingularLeadingCoefficient,
-    SpectralFactorError,
-)
+from .errors import NoConvergence, SpectralFactorError
 from .factorize import FactorizationOptions, factor
 from .fileio import dumps_document, read_factor, read_spectrum, write_factor, write_spectrum
 from .testgen import generate_boundary_instance, generate_instance
@@ -32,21 +23,6 @@ from .verify import VerificationReport, VerifyOptions, verify_all
 
 _ALGORITHM_FLAGS = {"auto": "auto", "bauer": "bauer", "wilson": "wilson",
                     "roots": "scalar_roots"}
-
-# Exit code of ``specfact factor`` for every library error ``factor()`` can
-# raise.  A singular Newton iterate or leading coefficient on a spectrum that
-# passed the grid checks means det S (nearly) vanishes on the circle, so it
-# counts as not factorable like the explicit hypothesis failures.
-# ``NoConvergence`` also writes the best iterate before exiting.
-_FACTOR_EXIT_CODES = {
-    NotPositiveDefinite: 2,
-    DegenerateDeterminant: 2,
-    CholeskyBreakdown: 2,
-    OddBoundaryMultiplicity: 2,
-    SingularIterate: 2,
-    SingularLeadingCoefficient: 2,
-    NoConvergence: 3,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,9 +93,13 @@ def _cmd_factor(args) -> int:
                 return _fail(str(io_exc), 1)
             print(f"no convergence: best iterate written to {args.output} "
                   f"(residual {exc.achieved_residual:.3e})")
-        return _fail(str(exc), _FACTOR_EXIT_CODES[NoConvergence])
-    except (SpectralFactorError, ValueError) as exc:
-        return _fail(str(exc), _FACTOR_EXIT_CODES.get(type(exc), 1))
+        return _fail(str(exc), 3)
+    except SpectralFactorError as exc:
+        # Every other library error, a singular Newton iterate or leading
+        # coefficient included, means the spectrum is not factorable.
+        return _fail(str(exc), 2)
+    except ValueError as exc:
+        return _fail(str(exc), 1)
     try:
         write_factor(args.output, result.factor, algorithm=result.algorithm_used,
                      residual=result.achieved_residual, warnings=result.warnings)

@@ -272,9 +272,11 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
 
     X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+ truncated to degree m, started
     from the constant lower Cholesky factor of sigma_0 (the circle average of
-    S, positive definite under the preconditions).  Stops when successive
-    iterates or the factorization residual drop below residual_tol, or
-    raises ``NoConvergence`` after ``NEWTON_MAX_ITERS`` iterations.  An
+    S, positive definite under the preconditions).  Once successive iterates
+    or the factorization residual drop below residual_tol it makes one more
+    contraction pass and stops, however small that residual already is, so
+    where it stops does not hang on roundoff; it raises ``NoConvergence``
+    after ``NEWTON_MAX_ITERS`` iterations.  An
     iteration samples its iterate once (one inverse FFT) for the guarded grid
     inverse and G, and takes one FFT of G for ``[G]_+``; the update
     ``X_k [G]_+`` and, through ``_residual_against``, the residual band of
@@ -323,7 +325,7 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
         chi = chi_next
         if residual < best_residual:
             best, best_residual = chi, residual
-        if polish_pending or residual < 1e-13:
+        if polish_pending:
             return chi, iteration, []
         if step < opts.residual_tol or residual < opts.residual_tol:
             # One more contraction pass: quadratic convergence turns a

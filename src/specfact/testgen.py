@@ -24,6 +24,7 @@ from .factorize import canonical_normalize
 from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _hermitian_scan,
     default_verify_grid,
     multiply_by_adjoint,
     sample_on_grid,
@@ -66,8 +67,9 @@ def _draw_coefficients(stream: SplitMix64, r: int, m: int) -> np.ndarray:
 
 
 def _condition_estimate(S: HermitianLaurentPolynomial) -> float:
-    values = sample_on_grid(S, default_verify_grid(S.m))
-    return float(np.linalg.cond(values).max())
+    """Worst 2-norm condition number of S on the check grid, max |eig| / min |eig|."""
+    eigs = np.abs(_hermitian_scan(sample_on_grid(S, default_verify_grid(S.m)))[0])
+    return float((eigs.max(axis=-1) / eigs.min(axis=-1)).max())
 
 
 def _margin_of(x: MatrixPolynomial) -> float:

@@ -14,16 +14,18 @@ factor ``X`` on a finite unit-circle grid:
 * agreement of two factors up to one constant unitary matrix.
 
 All functions are rational with known band or degree bounds, so a
-sufficiently fine grid is decisive up to conditioning.  The checks that sample
-S or a factor run by default on the one check grid,
+sufficiently fine grid is decisive up to conditioning.  No check takes a grid:
+the ones that sample S or a factor run on the one check grid K,
 :func:`~specfact.laurent.default_verify_grid` (the smallest power of two
 >= max(256, 8(m+1)), the grid ``factor()``'s hypothesis precheck and the
 generator's condition estimate use too) at the larger of the orders of S and
-X, with a grid-doubling cross-check on the anticausal mass.  :func:`verify_all`
-takes no grid: it samples S and X once, on the doubled grid 2K, and inverts X
-there once; its K-grid checks read the even points of those samples, which
-are the K-point grid.  The outer check instead samples det X on its own grid,
-the smallest power of two >= max(8, 2(r m + 1)).
+X.  The causal check samples S and X once, on the doubled grid 2K, and
+inverts X there once; it returns the gap and the anticausal mass on the K
+grid, which is the even points of those samples, and how far the mass moves
+on the full 2K grid.  :func:`verify_all` samples S on 2K once and hands those
+values to every check; its causal entries are that same triple.  The outer
+check instead samples det X on its own grid, the smallest power of two
+>= max(8, 2(r m + 1)).
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.
 Failures inside :func:`verify_all` are reported as failed entries, never
@@ -124,10 +126,10 @@ ZOOM_POINTS = 17
 ZOOM_LEVELS = 6
 
 
-def check_positivity(S: HermitianLaurentPolynomial, K: int | None = None):
+def check_positivity(S: HermitianLaurentPolynomial):
     """Minimum eigenvalue and minimum |det| of S over the circle.
 
-    Scans the K-point grid, then zooms in on the grid minimizer theta_j: each
+    Scans the check grid K, then zooms in on the grid minimizer theta_j: each
     of ``ZOOM_LEVELS`` levels evaluates S at ``ZOOM_POINTS`` angles across
     the bracket (first ``[theta_j - 2 pi/K, theta_j + 2 pi/K]``), takes the
     batch's smallest eigenvalues and re-centres on their argmin, so a
@@ -135,9 +137,7 @@ def check_positivity(S: HermitianLaurentPolynomial, K: int | None = None):
     (numerically) zero.  The minimum |det| also includes the value at the
     refined minimizer.
     """
-    if K is None:
-        K = default_verify_grid(S.m)
-    return _positivity_scan(S, sample_on_grid(S, K))
+    return _positivity_scan(S, sample_on_grid(S, default_verify_grid(S.m)))
 
 
 def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
@@ -200,23 +200,30 @@ def check_outer_determinant(x: MatrixPolynomial):
     return float(np.abs(roots).min()), roots
 
 
-def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
-                          K: int | None = None):
-    """Gap in ``X(z)^{-1} z^m S(z) = z^m X(z)^*`` and the anticausal mass.
+def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
+    """Gap in ``X(z)^{-1} z^m S(z) = z^m X(z)^*``, the anticausal mass, and its
+    change when the grid doubles: ``verify_all``'s three causal entries.
 
-    ``pointwise_gap`` is the worst grid Frobenius gap between the two sides,
-    relative to the coefficient scale of S.  ``anticausal_mass`` is the root
-    sum of squares of the Fourier coefficients of the left side at indices
+    ``gap`` is the worst Frobenius gap between the two sides on the check
+    grid K, relative to the coefficient scale of S.  ``mass`` is the root sum
+    of squares of the K-grid Fourier coefficients of the left side at indices
     outside [0, m]: numerically zero exactly when the left side is a causal
-    polynomial of degree at most m.
+    polynomial of degree at most m.  ``mass_change`` is ``|mass_2K - mass|``.
+    S and X are sampled once, on 2K, and X is inverted there once, so a
+    factor singular at any 2K node raises ``SingularFactorOnGrid``.
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
-    if K is None:
-        K = default_verify_grid(max(S.m, x.m))
-    left, gaps = _causal_identity_on_grid(S, sample_on_grid(S, K), sample_on_grid(x, K))
-    scale = _coefficient_scale(S.coeffs)
-    return float(gaps.max()) / scale, _anticausal_mass(left, S.m, scale)
+    S2K = sample_on_grid(S, 2 * default_verify_grid(max(S.m, x.m)))
+    return _causal_triple(S, x, S2K, _coefficient_scale(S.coeffs))
+
+
+def _causal_triple(S, x, S2K, scale):
+    """:func:`check_causal_identity` on the values of S at the 2K grid."""
+    left, gaps = _causal_identity_on_grid(S, S2K, sample_on_grid(x, len(S2K)))
+    mass = _anticausal_mass(left[::2], S.m, scale)
+    return (float(gaps[::2].max()) / scale, mass,
+            abs(_anticausal_mass(left, S.m, scale) - mass))
 
 
 def _guarded_inverse_on_grid(values: np.ndarray, name: str) -> np.ndarray:
@@ -246,8 +253,7 @@ def _anticausal_mass(left: np.ndarray, m: int, scale: float) -> float:
     return float(np.sqrt(np.sum(norms[m + 1 :] ** 2))) / scale
 
 
-def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomial,
-                                       K: int | None = None):
+def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomial):
     """How far ``U(z) = X1(z)^{-1} X2(z)`` is from one constant unitary matrix.
 
     Both gaps small certifies that the factors induce the same spectrum and
@@ -255,8 +261,7 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
     """
     if x1.r != x2.r:
         raise ValueError(f"dimension mismatch: r={x1.r} vs r={x2.r}")
-    if K is None:
-        K = default_verify_grid(max(x1.m, x2.m))
+    K = default_verify_grid(max(x1.m, x2.m))
     v1 = sample_on_grid(x1, K)
     v2 = sample_on_grid(x2, K)
     U = _guarded_inverse_on_grid(v1, "left factor") @ v2
@@ -296,15 +301,12 @@ def _measure_outer(S, x, S2K, scale):
 
 
 def _measure_causal(S, x, S2K, scale):
+    gap, mass, mass_change = _causal_triple(S, x, S2K, scale)
     K = len(S2K) // 2
-    left, gaps = _causal_identity_on_grid(S, S2K, sample_on_grid(x, len(S2K)))
-    gap = float(gaps[::2].max()) / scale
-    mass = _anticausal_mass(left[::2], S.m, scale)
-    mass2 = _anticausal_mass(left, S.m, scale)
     return [
         (gap, f"pointwise gap of X^-1 z^m S = z^m X* on K={K}", False),
         (mass, f"Fourier mass outside the causal window [0, {S.m}]", False),
-        (abs(mass2 - mass), f"anticausal mass change when doubling the grid to {2 * K}",
+        (mass_change, f"anticausal mass change when doubling the grid to {2 * K}",
          False),
     ]
 

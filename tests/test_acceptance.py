@@ -28,7 +28,6 @@ from specfact.testgen import InstanceBundle, generate_boundary_instance, generat
 from specfact.verify import (
     check_causal_identity,
     check_constant_unitary_equivalence,
-    default_verify_grid,
     verify_all,
 )
 
@@ -106,11 +105,12 @@ def test_criterion_1_ground_truth_recovery(sweep):
 
 
 def test_sweep_runs_wilson_for_a_fixed_iteration_count(sweep):
-    # Wilson converges on every sweep instance in 1,433 iterations in total;
-    # a change to the Newton step or its stopping rule shows up here.
+    # Wilson converges on every sweep instance in 1,469 iterations in total,
+    # each run one pass past the tolerance; a change to the Newton step or its
+    # stopping rule shows up here.
     results = [record.result for record in sweep.records]
     assert ({result.algorithm_used for result in results}, len(results),
-            sum(result.iterations_or_blocks for result in results)) == ({"wilson"}, 200, 1433)
+            sum(result.iterations_or_blocks for result in results)) == ({"wilson"}, 200, 1469)
 
 
 def test_sweep_runs_bauer_for_a_fixed_step_count(sweep):
@@ -139,13 +139,11 @@ def test_criterion_3_causal_identity(sweep):
     worst_mass = 0.0
     worst_drift = 0.0
     for record in sweep.records:
-        S, x = record.bundle.spectrum, record.result.factor
-        K = default_verify_grid(S.m)
-        gap, mass = check_causal_identity(S, x, K)
-        _, mass2 = check_causal_identity(S, x, 2 * K)
+        gap, mass, drift = check_causal_identity(record.bundle.spectrum,
+                                                 record.result.factor)
         worst_gap = max(worst_gap, gap)
         worst_mass = max(worst_mass, mass)
-        worst_drift = max(worst_drift, abs(mass2 - mass))
+        worst_drift = max(worst_drift, drift)
     passed = worst_gap < 1e-8 and worst_mass < 1e-8 and worst_drift < 1e-9
     _criterion(3, "pointwise identity and anticausal mass", passed,
                f"max gap {worst_gap:.3e}, max mass {worst_mass:.3e}, "

@@ -20,6 +20,7 @@ from specfact.errors import (
     OddBoundaryMultiplicity,
     SingularIterate,
     SingularLeadingCoefficient,
+    SpectralFactorError,
 )
 from specfact.fileio import read_factor, write_factor, write_spectrum
 from specfact.laurent import MatrixPolynomial, multiply_by_adjoint
@@ -142,6 +143,7 @@ class TestFactorCommand:
         (SingularIterate, 2),
         (SingularLeadingCoefficient, 2),
         (NoConvergence, 3),
+        (type("UnlistedError", (SpectralFactorError,), {}), 2),
     ])
     def test_escaping_error_exit_code(self, tmp_path, monkeypatch, capsys, error, code):
         spectrum = tmp_path / "s.spectrum"

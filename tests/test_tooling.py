@@ -6,11 +6,13 @@
 ``perfbench/`` is imported.  ``scripts/make_fixtures.py``, loaded the same
 way, must write the committed golden fixtures byte for byte.
 ``specfact factor`` runs with runtime warnings turned into errors, so a numpy
-warning between input file and exit code fails its tests.
+warning between input file and exit code fails its tests.  No public entry
+point but the grid samplers takes a grid size.
 """
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -18,6 +20,7 @@ import sys
 import numpy as np
 import pytest
 
+import specfact
 from specfact.fileio import read_factor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -35,6 +38,17 @@ def test_every_traced_name_is_bound(monkeypatch):
     unbound = [(name, attribute) for name, attribute, *_ in targets
                if not hasattr(importlib.import_module(name), attribute)]
     assert targets and not unbound
+
+
+def test_only_the_samplers_take_a_grid():
+    # Grids follow from the degrees: no public function or class but the two
+    # grid samplers takes a grid size K (exception types have no signature).
+    public = [(name, getattr(specfact, name)) for name in specfact.__all__]
+    takes_grid = sorted(
+        name for name, obj in public
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
+        and "K" in inspect.signature(obj).parameters)
+    assert takes_grid == ["sample_on_grid", "unit_circle_grid"]
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"

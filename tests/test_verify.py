@@ -7,6 +7,7 @@ from specfact.errors import IdenticallyZeroDeterminant, SingularFactorOnGrid
 from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _coefficient_scale,
     default_verify_grid,
     multiply_by_adjoint,
     sample_on_grid,
@@ -15,6 +16,8 @@ from specfact.laurent import (
 from specfact.testgen import generate_instance
 from specfact.verify import (
     VerifyOptions,
+    _anticausal_mass,
+    _causal_identity_on_grid,
     check_causal_identity,
     check_constant_unitary_equivalence,
     check_degree,
@@ -46,8 +49,9 @@ class TestPositivity:
         assert min_det == pytest.approx(1.0, abs=1e-12)
 
     def test_boundary_zero_on_grid_point(self):
-        # 2 + z + 1/z vanishes at z = -1, which the K=8 grid hits exactly.
-        min_eig, min_det = check_positivity(scalar_laurent(2.0, 1.0), 8)
+        # 2 + z + 1/z vanishes at z = -1, node j = 128 of the 256-point grid.
+        assert default_verify_grid(1) == 256
+        min_eig, min_det = check_positivity(scalar_laurent(2.0, 1.0))
         assert abs(min_eig) < 1e-12
         assert abs(min_det) < 1e-12
 
@@ -55,7 +59,7 @@ class TestPositivity:
         # Root planted at an angle no power-of-two grid hits.
         theta = 0.7345
         x = scalar_poly(1 / np.sqrt(2), np.exp(-1j * theta) / np.sqrt(2))
-        min_eig, _ = check_positivity(multiply_by_adjoint(x), 256)
+        min_eig, _ = check_positivity(multiply_by_adjoint(x))
         assert abs(min_eig) < 1e-10
 
     def test_strictly_positive_with_margin(self):
@@ -142,20 +146,20 @@ class TestOuterDeterminant:
 
 class TestCausalIdentity:
     def test_scalar_pair(self):
-        gap, mass = check_causal_identity(S_SCALAR, X_GOOD)
+        gap, mass, _ = check_causal_identity(S_SCALAR, X_GOOD)
         assert gap <= 1e-12
         assert mass <= 1e-12
 
     def test_identity_pair(self):
         S = HermitianLaurentPolynomial(np.eye(2, dtype=complex)[None])
         x = MatrixPolynomial(np.eye(2, dtype=complex)[None])
-        gap, mass = check_causal_identity(S, x)
+        gap, mass, _ = check_causal_identity(S, x)
         assert gap == 0.0
         assert mass <= 1e-15
 
     def test_ground_truth_instance(self):
         bundle = generate_instance(3, 4, seed=31)
-        gap, mass = check_causal_identity(bundle.spectrum, bundle.ground_truth)
+        gap, mass, _ = check_causal_identity(bundle.spectrum, bundle.ground_truth)
         assert gap <= 1e-8
         assert mass <= 1e-8
 
@@ -163,6 +167,13 @@ class TestCausalIdentity:
         # det(1 - z) vanishes at the grid point z = 1.
         with pytest.raises(SingularFactorOnGrid, match="^factor condition number "):
             check_causal_identity(scalar_laurent(2.0, -1.0), scalar_poly(1.0, -1.0))
+
+    def test_singular_factor_between_check_grid_nodes(self):
+        # det X vanishes at z = exp(i pi/256): no node of the 256-point check
+        # grid, but node 1 of the 2K grid the check samples and inverts on.
+        x = scalar_poly(1.0, -np.exp(-1j * np.pi / 256))
+        with pytest.raises(SingularFactorOnGrid, match="^factor condition number "):
+            check_causal_identity(multiply_by_adjoint(x), x)
 
     def test_gap_bounds_residual(self):
         # Both quantities rearrange the same identity; empirically the
@@ -173,9 +184,16 @@ class TestCausalIdentity:
             perturbed = MatrixPolynomial(
                 bundle.ground_truth.coeffs
                 + 1e-6 * (rng.standard_normal(bundle.ground_truth.coeffs.shape)))
-            gap, _ = check_causal_identity(bundle.spectrum, perturbed)
+            gap, _, _ = check_causal_identity(bundle.spectrum, perturbed)
             residual = check_factorization(bundle.spectrum, perturbed)
             assert residual <= 100 * gap
+
+
+def causal_on_grid(S, x, K):
+    """Gap and anticausal mass with S and X sampled on the K grid itself."""
+    scale = _coefficient_scale(S.coeffs)
+    left, gaps = _causal_identity_on_grid(S, sample_on_grid(S, K), sample_on_grid(x, K))
+    return float(gaps.max()) / scale, _anticausal_mass(left, S.m, scale)
 
 
 def reference_anticausal_mass(S, x, K):
@@ -215,7 +233,7 @@ def _anticausal_pairs():
 @pytest.mark.parametrize("S, x, large_mass", _anticausal_pairs())
 @pytest.mark.parametrize("K", [256, 512])
 def test_anticausal_mass_matches_recentred_window(S, x, large_mass, K):
-    _, mass = check_causal_identity(S, x, K)
+    mass = causal_on_grid(S, x, K)[1]
     assert mass == pytest.approx(reference_anticausal_mass(S, x, K), rel=1e-12, abs=1e-20)
     if large_mass:
         assert mass > 1e-3
@@ -223,16 +241,20 @@ def test_anticausal_mass_matches_recentred_window(S, x, large_mass, K):
 
 @pytest.mark.parametrize("S, x, large_mass", _anticausal_pairs())
 def test_verify_all_causal_entries_match_the_public_check(S, x, large_mass):
-    # verify_all reads K-grid values off one 2K sampling and one 2K inversion;
-    # both default to the check grid of the larger order, 256 on every pair.
+    # Both read K-grid values off one 2K sampling and one 2K inversion, on
+    # the check grid of the larger order, 256 on every pair; they agree with
+    # sampling on K and on 2K directly to roundoff.
     K = default_verify_grid(max(S.m, x.m))
     assert K == 256
-    gap, mass = check_causal_identity(S, x)
-    _, mass2 = check_causal_identity(S, x, 2 * K)
-    by_name = {entry.name: entry.measured for entry in verify_all(S, x).checks}
-    assert abs(by_name["causal-identity"] - gap) <= 1e-13
-    assert abs(by_name["anticausal-mass"] - mass) <= 1e-13
-    assert abs(by_name["anticausal-mass-stability"] - abs(mass2 - mass)) <= 1e-13
+    gap, mass = causal_on_grid(S, x, K)
+    _, mass2 = causal_on_grid(S, x, 2 * K)
+    entries = {entry.name: entry.measured for entry in verify_all(S, x).checks}
+    triple = (entries["causal-identity"], entries["anticausal-mass"],
+              entries["anticausal-mass-stability"])
+    assert check_causal_identity(S, x) == triple
+    assert abs(triple[0] - gap) <= 1e-13
+    assert abs(triple[1] - mass) <= 1e-13
+    assert abs(triple[2] - abs(mass2 - mass)) <= 1e-13
 
 
 class TestConstantUnitaryEquivalence:
