@@ -22,9 +22,9 @@ coefficientwise:
   ``laurent._causal_product_window``.  The first step, from the constant
   ``X_0 = chol(sigma_0)``, needs no grid at all:
   ``X_1 = [X_0, sigma_1 X_0^{-*}, ..., sigma_m X_0^{-*}]``.
-  ``X_k`` counts as singular when its worst grid 1-norm condition number,
-  taken from its pointwise inverse, exceeds ``NEWTON_COND_MAX``.
-  Quadratically convergent near the solution.
+  ``X_k`` counts as singular when ``laurent._guarded_inverse``, the grid
+  guard ``verify`` uses too, finds its worst grid 1-norm condition number
+  above ``NEWTON_COND_MAX``.  Quadratically convergent near the solution.
 * :func:`scalar_root_factor` -- for r = 1 only: factor through the roots of
   ``z^m S(z)``, which pair as (a, 1/conj(a)); the factor collects the roots
   outside the closed unit disk plus half of each boundary cluster.
@@ -35,7 +35,9 @@ strictly positive diagonal.
 
 Each route has one core, ``(S, opts) -> (coefficients, count, warnings)``,
 returning exactly m + 1 coefficients; the table ``_ATTEMPTS`` maps each
-algorithm name to the cores :func:`factor` tries in order.
+algorithm name to the cores :func:`factor` tries in order.  Both iterative
+cores stop alike: a pass that starts from an iterate meeting the tolerance
+is the last; a cap reached first raises ``NoConvergence``.
 
 Every residual here -- each Newton iterate's, the best iterate's in
 ``NoConvergence`` and ``factor()``'s ``achieved_residual`` -- is
@@ -65,10 +67,9 @@ from .laurent import (
     MatrixPolynomial,
     _band_coefficient_buffer,
     _causal_product_window,
-    _coefficient_scale,
     _frobenius,
+    _guarded_inverse,
     _hermitian_scan,
-    _inverse_on_grid,
     _residual_against,
     coefficients_from_values,
     default_grid_size,
@@ -88,6 +89,10 @@ NEWTON_COND_MAX = 1e12
 
 # Iteration cap of the Newton (Wilson) route.
 NEWTON_MAX_ITERS = 60
+
+# Floor of the Newton route's stopping tolerance: one quadratic pass from a
+# residual below this lands at roundoff, so a smaller residual_tol stops here.
+NEWTON_ROUNDOFF = 1e-13
 
 # Step cap of Bauer's doubling; step k stands for max(m, 1) * 2^k block rows.
 DOUBLING_MAX_STEPS = 64
@@ -255,33 +260,22 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
     ] if stalled else []
 
 
-def _guarded_inverse(values: np.ndarray, iteration: int) -> np.ndarray:
-    """Pointwise inverses of a Newton iterate's grid values, or
-    ``SingularIterate`` past ``NEWTON_COND_MAX``."""
-    inverse, cond = _inverse_on_grid(values)
-    if cond > NEWTON_COND_MAX:
-        raise SingularIterate(
-            f"iterate {iteration} is numerically singular on the grid "
-            f"(max condition number {cond:.3e})"
-        )
-    return inverse
-
-
 def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     """Newton iteration; returns ``(coefficients, iterations, [])``.
 
     X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+ truncated to degree m, started
     from the constant lower Cholesky factor of sigma_0 (the circle average of
-    S, positive definite under the preconditions).  Once successive iterates
-    or the factorization residual drop below residual_tol it makes one more
-    contraction pass and stops, however small that residual already is, so
-    where it stops does not hang on roundoff; it raises ``NoConvergence``
-    after ``NEWTON_MAX_ITERS`` iterations.  An
-    iteration samples its iterate once (one inverse FFT) for the guarded grid
-    inverse and G, and takes one FFT of G for ``[G]_+``; the update
-    ``X_k [G]_+`` and, through ``_residual_against``, the residual band of
-    ``X_k X_k^*`` come from ``_causal_product_window``, off the grid.  The
-    first iteration is exact in coefficient space: from ``X_0 = L``,
+    S, positive definite under the preconditions).  As in the doubling, a
+    pass is ``converged`` when the previous residual is below residual_tol
+    (floored at ``NEWTON_ROUNDOFF``) and is the last: one more contraction
+    turns a just-under-tolerance residual into a machine-level one, so where
+    it stops does not hang on roundoff.  It raises ``NoConvergence`` after
+    ``NEWTON_MAX_ITERS`` passes without a converged one.  An iteration
+    samples its iterate once (one inverse FFT) for the guarded grid inverse
+    and G, and takes one FFT of G for ``[G]_+``; the update ``X_k [G]_+``
+    and, through ``_residual_against``, the residual band of ``X_k X_k^*``
+    come from ``_causal_product_window``, off the grid.  The first
+    iteration is exact in coefficient space: from ``X_0 = L``,
     ``G = L^{-1} S L^{-*} + I`` is a Laurent polynomial with ``G_0 = 2I``,
     so ``X_1 = [L, sigma_1 L^{-*}, ..., sigma_m L^{-*}]``; its guard inverts
     L alone, the value of X_0 at every grid point.
@@ -291,6 +285,7 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     K = default_grid_size(m)
     S_vals = sample_on_grid(S, K)
     eye = np.eye(r, dtype=np.complex128)
+    tol = max(opts.residual_tol, NEWTON_ROUNDOFF)
 
     try:
         chi = np.zeros((m + 1, r, r), dtype=np.complex128)
@@ -303,37 +298,29 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
 
     # Only buf[: m + 1] is ever written, so the rest stays zero.
     buf = np.zeros((K, r, r), dtype=np.complex128)
-    best = chi
-    best_residual = _residual_against(sigma, chi)
-    polish_pending = False
+    best, best_residual = chi, _residual_against(sigma, chi)
+    residual = np.inf
     for iteration in range(1, NEWTON_MAX_ITERS + 1):
+        converged = residual < tol
         if iteration == 1:
-            inverse = _guarded_inverse(chi[:1], iteration)
-            chi_next = sigma @ inverse[0].conj().T
-            chi_next[0] = chi[0]
+            inverse = _guarded_inverse(chi[:1], NEWTON_COND_MAX, SingularIterate, "iterate 1")
+            chi = np.concatenate([chi[:1], sigma[1:] @ inverse[0].conj().T])
         else:
             buf[: m + 1] = chi
-            inverse = _guarded_inverse(sample_values_on_grid(buf), iteration)
+            inverse = _guarded_inverse(sample_values_on_grid(buf), NEWTON_COND_MAX,
+                                       SingularIterate, f"iterate {iteration}")
             G = inverse @ S_vals @ inverse.conj().transpose(0, 2, 1) + eye
             # [G]_+: the window [0, m] of G with its index-0 term halved.
             plus = coefficients_from_values(G, 0, m)
             plus[0] *= 0.5
-            chi_next = _causal_product_window(chi, plus, 0)
+            chi = _causal_product_window(chi, plus, 0)
 
-        step = float(_frobenius(chi_next - chi).max()) / _coefficient_scale(chi)
-        residual = _residual_against(sigma, chi_next)
-        chi = chi_next
+        residual = _residual_against(sigma, chi)
         if residual < best_residual:
             best, best_residual = chi, residual
-        if polish_pending:
+        if converged:
             return chi, iteration, []
-        if step < opts.residual_tol or residual < opts.residual_tol:
-            # One more contraction pass: quadratic convergence turns a
-            # just-under-tolerance residual into a machine-level one.
-            polish_pending = True
 
-    if polish_pending:
-        return chi, NEWTON_MAX_ITERS, []
     raise NoConvergence(
         f"Newton iteration hit the cap ({NEWTON_MAX_ITERS}) at residual "
         f"{best_residual:.3e}",

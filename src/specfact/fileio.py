@@ -11,6 +11,8 @@ Spectrum file::
 Only the nonnegative indices are required; a negative index, when present,
 is cross-checked against the conjugate transpose of its mirror (tools that
 export both sides stay compatible, but cannot smuggle in an asymmetry).
+Each index appears at most once (``"0"`` and ``"-0"`` are one), every entry
+is a numeric ``[re, im]`` pair, and ``m`` only bounds the indices.
 
 Factor file: same shape plus a ``metadata`` block (algorithm, residual,
 warnings, tool version).
@@ -77,7 +79,10 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list:
 
 
 def _pairs_to_matrix(node: Any, r: int, label: str) -> np.ndarray:
-    arr = np.asarray(node, dtype=float)
+    try:
+        arr = np.asarray(node, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{label}: expected numeric [re, im] pairs ({exc})") from None
     if arr.shape != (r, r, 2):
         raise ValueError(
             f"{label}: expected an {r}x{r} array of [re, im] pairs, got shape {arr.shape}"
@@ -119,10 +124,14 @@ def _collect_coefficients(doc: dict, label: str, allow_negative: bool) -> np.nda
             raise ValueError(f"{label}: coefficient index '{key}' is not an integer") from None
         if abs(index) > m or (index < 0 and not allow_negative):
             raise ValueError(f"{label}: coefficient index {index} outside [{-m if allow_negative else 0}, {m}]")
+        if index in parsed:
+            raise ValueError(f"{label}: coefficient index {index} is given twice")
         parsed[index] = _pairs_to_matrix(node, r, f"{label}: coeffs[{key}]")
 
-    stack = np.zeros((m + 1, r, r), dtype=np.complex128)
-    for n in range(m + 1):
+    # Sized by the indices present, not m: trailing zeros are trimmed anyway.
+    order = max(map(abs, parsed), default=0)
+    stack = np.zeros((order + 1, r, r), dtype=np.complex128)
+    for n in range(order + 1):
         positive = parsed.get(n)
         negative = parsed.get(-n) if n > 0 else None
         if positive is not None and negative is not None:

@@ -233,6 +233,16 @@ def _inverse_on_grid(values: np.ndarray) -> tuple[np.ndarray | None, float]:
     return inverse, worst if np.isfinite(worst) else float("inf")
 
 
+def _guarded_inverse(values: np.ndarray, cap: float, error: type[Exception],
+                     what: str) -> np.ndarray:
+    """The "is X singular on the grid" guard: :func:`_inverse_on_grid`, or
+    ``error`` when the worst condition number exceeds ``cap``."""
+    inverse, cond = _inverse_on_grid(values)
+    if cond > cap:
+        raise error(f"{what} condition number {cond:.3e} on the grid exceeds {cap:.1e}")
+    return inverse
+
+
 def _hermitian_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, per point) and |det| of sampled spectrum values,
     symmetrized first so roundoff cannot make a point non-Hermitian; |det| is

@@ -72,13 +72,6 @@ def _condition_estimate(S: HermitianLaurentPolynomial) -> float:
     return float((eigs.max(axis=-1) / eigs.min(axis=-1)).max())
 
 
-def _margin_of(x: MatrixPolynomial) -> float:
-    min_modulus, _ = check_outer_determinant(x)
-    if not np.isfinite(min_modulus):
-        return float("inf")
-    return min_modulus - 1.0
-
-
 def _build_ground_truth(stream: SplitMix64, r: int, m: int,
                         root_margin: float) -> MatrixPolynomial | None:
     """One attempt at a canonical factor with det roots out at 1 + margin."""
@@ -139,7 +132,7 @@ def _bundle(seed: int, build, what: str, boundary: bool = False) -> InstanceBund
             spectrum=spectrum,
             ground_truth=truth,
             seed=seed,
-            root_margin=_margin_of(truth),
+            root_margin=check_outer_determinant(truth)[0] - 1.0,
             condition_estimate=_condition_estimate(spectrum),
             boundary=boundary,
         )

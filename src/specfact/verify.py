@@ -48,8 +48,8 @@ from .laurent import (
     MatrixPolynomial,
     _coefficient_scale,
     _frobenius,
+    _guarded_inverse,
     _hermitian_scan,
-    _inverse_on_grid,
     _next_pow2,
     _residual_against,
     _values_at_angles,
@@ -171,23 +171,17 @@ def check_degree(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
     return S.m, x.m, x.m <= S.m
 
 
-def determinant_polynomial(x: MatrixPolynomial) -> np.ndarray:
-    """Coefficients (low to high) of det X(z), degree <= r*m, via grid
-    sampling and coefficient recovery."""
-    bound = x.r * x.m
-    K = _next_pow2(max(8, 2 * (bound + 1)))
-    dets = np.linalg.det(sample_on_grid(x, K))
-    return coefficients_from_values(dets, 0, bound)
-
-
 def check_outer_determinant(x: MatrixPolynomial):
     """(min modulus of the roots of det X, all roots).
 
-    Outer for a polynomial means no roots in the open unit disk; passing is
-    min modulus >= 1 - OUTER_BOUNDARY_BAND, with roots inside the band
-    reported as boundary warnings by the caller.
+    det X, of degree at most r m, is sampled on its own grid and read back
+    as coefficients.  Outer for a polynomial means no roots in the open unit
+    disk; passing is min modulus >= 1 - OUTER_BOUNDARY_BAND, with roots
+    inside the band reported as boundary warnings by the caller.
     """
-    coeffs = determinant_polynomial(x)
+    bound = x.r * x.m
+    dets = np.linalg.det(sample_on_grid(x, _next_pow2(max(8, 2 * (bound + 1)))))
+    coeffs = coefficients_from_values(dets, 0, bound)
     magnitudes = np.abs(coeffs)
     top = magnitudes.max()
     if top <= 0 or not np.isfinite(top):
@@ -226,22 +220,12 @@ def _causal_triple(S, x, S2K, scale):
             abs(_anticausal_mass(left, S.m, scale) - mass))
 
 
-def _guarded_inverse_on_grid(values: np.ndarray, name: str) -> np.ndarray:
-    """Pointwise grid inverses, or ``SingularFactorOnGrid`` past ``GRID_COND_MAX``."""
-    inverse, cond = _inverse_on_grid(values)
-    if cond > GRID_COND_MAX:
-        raise SingularFactorOnGrid(
-            f"{name} condition number {cond:.3e} on the grid exceeds {GRID_COND_MAX:.1e}"
-        )
-    return inverse
-
-
 def _causal_identity_on_grid(S: HermitianLaurentPolynomial, S_vals: np.ndarray,
                              x_vals: np.ndarray):
     """The left side ``X^{-1} z^m S`` on the grid the values sit on, from one
     guarded pointwise inverse of X, and its Frobenius gap to the right side
     ``z^m X^*`` at each grid point."""
-    inverse = _guarded_inverse_on_grid(x_vals, "factor")
+    inverse = _guarded_inverse(x_vals, GRID_COND_MAX, SingularFactorOnGrid, "factor")
     z_m = (unit_circle_grid(len(x_vals)) ** S.m)[:, None, None]
     left = inverse @ (z_m * S_vals)
     return left, _frobenius(left - z_m * x_vals.conj().transpose(0, 2, 1))
@@ -264,7 +248,7 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
     K = default_verify_grid(max(x1.m, x2.m))
     v1 = sample_on_grid(x1, K)
     v2 = sample_on_grid(x2, K)
-    U = _guarded_inverse_on_grid(v1, "left factor") @ v2
+    U = _guarded_inverse(v1, GRID_COND_MAX, SingularFactorOnGrid, "left factor") @ v2
     mean = U.mean(axis=0)
     constancy_gap = float(_frobenius(U - mean).max())
     eye = np.eye(x1.r)

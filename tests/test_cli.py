@@ -135,6 +135,16 @@ class TestFactorCommand:
         _, metadata = read_factor(out)
         assert metadata["algorithm"] == "wilson"
 
+    def test_wilson_below_roundoff_tolerance_exits_zero(self, tmp_path, capsys):
+        # Asked for 1e-16, Wilson stops at its roundoff floor and warns.
+        prefix = str(tmp_path / "g")
+        assert main(["gen", "4", "8", prefix, "--seed", "2"]) == 0
+        out = tmp_path / "g.factor"
+        assert main(["factor", prefix + ".spectrum", str(out), "--algorithm", "wilson",
+                     "--tol", "1e-16"]) == 0
+        _, metadata = read_factor(out)
+        assert any("exceeds the requested tolerance" in w for w in metadata["warnings"])
+
     @pytest.mark.parametrize("error, code", [
         (NotPositiveDefinite, 2),
         (DegenerateDeterminant, 2),

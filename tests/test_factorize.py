@@ -147,6 +147,24 @@ class TestFactorDispatch:
         assert np.all(np.diag(rho0).real > 0)
         assert np.max(np.abs(np.diag(rho0).imag)) < 1e-10
 
+    # Free-running, S_SCALAR takes 6 Newton passes and 6 doubling steps.
+    @pytest.mark.parametrize("cap, algorithm", [
+        ("NEWTON_MAX_ITERS", "wilson"),
+        ("DOUBLING_MAX_STEPS", "bauer"),
+    ])
+    def test_a_run_capped_before_its_converged_pass_does_not_converge(
+            self, monkeypatch, cap, algorithm):
+        # Both routes stop on one rule: a tolerance met by the previous
+        # iterate buys one more pass.  Capped one pass short, the run meets
+        # the tolerance but never makes that pass, so it is not converged.
+        opts = FactorizationOptions(algorithm=algorithm)
+        assert factor(S_SCALAR, opts).iterations_or_blocks == 6
+        monkeypatch.setattr(factorize, cap, 5)
+        with pytest.raises(NoConvergence) as excinfo:
+            factor(S_SCALAR, opts)
+        assert excinfo.value.iterations == 5
+        assert excinfo.value.achieved_residual < opts.residual_tol
+
     def test_invalid_options(self):
         with pytest.raises(ValueError):
             FactorizationOptions(algorithm="newton")
@@ -215,8 +233,8 @@ class TestWilson:
     def test_first_step_guards_the_cholesky_start(self):
         # X_0 = diag(1, 1e-13) has 1-norm condition number 1e13 at every grid point.
         S = HermitianLaurentPolynomial(np.diag([1.0, 1e-26]).astype(complex)[None])
-        with pytest.raises(SingularIterate, match=r"^iterate 1 is numerically singular "
-                           r"on the grid \(max condition number 1\.000e\+13\)$"):
+        with pytest.raises(SingularIterate, match=r"^iterate 1 condition number 1\.000e\+13 "
+                           r"on the grid exceeds 1\.0e\+12$"):
             wilson_factor(S)
 
     def test_polishes_a_residual_already_below_roundoff(self):
@@ -227,6 +245,16 @@ class TestWilson:
         result = factor(bundle.spectrum, FactorizationOptions(algorithm="wilson"))
         assert result.iterations_or_blocks == 7
         assert forward_error(result.factor, bundle.ground_truth) <= 1e-15
+
+    def test_tolerance_below_roundoff_stops_at_the_roundoff_floor(self):
+        # At 1e-16 the run stops once a residual is below NEWTON_ROUNDOFF and
+        # makes its pass, instead of hunting 1e-16 until the iteration cap.
+        bundle = generate_instance(4, 8, seed=2)
+        result = factor(bundle.spectrum,
+                        FactorizationOptions(algorithm="wilson", residual_tol=1e-16))
+        assert result.iterations_or_blocks == 8
+        assert forward_error(result.factor, bundle.ground_truth) <= 1e-14
+        assert any("exceeds the requested tolerance" in w for w in result.warnings)
 
     def test_agreement_with_bauer_after_canonicalization(self):
         for seed in range(8):

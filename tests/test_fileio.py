@@ -136,6 +136,39 @@ class TestSpectrumValidation:
             read_spectrum(path)
 
 
+    @pytest.mark.parametrize("keys", [("0", "-0"), ("1", "01")])
+    @pytest.mark.parametrize("reader", [read_spectrum, read_factor])
+    def test_index_given_twice_rejected(self, tmp_path, reader, keys):
+        # Both keys parse to one index; neither may silently win.
+        coeffs = {"0": [[[1, 0]]], "1": [[[0.2, 0]]]}
+        coeffs.update({key: [[[3, 0]]] for key in keys})
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"r": 1, "m": 1, "coeffs": coeffs}))
+        index = int(keys[0])
+        with pytest.raises(ValueError, match=f": coefficient index {index} is given twice$"):
+            reader(path)
+
+    @pytest.mark.parametrize("entry", [{"x": 1}, [[["a", 0]]], [[[1, 0], [1]]]],
+                             ids=["object", "string", "ragged"])
+    @pytest.mark.parametrize("reader", [read_spectrum, read_factor])
+    def test_malformed_coefficient_names_file_and_index(self, tmp_path, reader, entry):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"r": 1, "m": 0, "coeffs": {"0": entry}}))
+        with pytest.raises(ValueError, match=rf"^\w+ file {path}: coeffs\[0\]: expected "
+                           r"numeric \[re, im\] pairs \("):
+            reader(path)
+
+    @pytest.mark.parametrize("read", [read_spectrum, lambda path: read_factor(path)[0]],
+                             ids=["read_spectrum", "read_factor"])
+    def test_declared_order_does_not_size_the_stack(self, tmp_path, read):
+        # numpy refuses a (2^62 + 1)-long stack outright, so this allocates
+        # nothing even where m sizes the stack; the stack follows the indices.
+        path = tmp_path / "huge_m.json"
+        path.write_text(json.dumps({"r": 1, "m": 2**62, "coeffs": {"0": [[[2, 0]]]}}))
+        poly = read(path)
+        assert poly.m == 0 and poly.coeffs[0, 0, 0] == 2
+
+
 class TestGoldenFixtures:
     """The committed fixture bytes are the format-stability contract."""
 

@@ -99,6 +99,18 @@ def test_overflowing_spectrum_reports_only_its_own_error(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("entry", ['{"x": 1}', '[[["a", 0]]]'], ids=["object", "string"])
+def test_malformed_coefficient_reports_only_its_own_error(tmp_path, entry):
+    spectrum = tmp_path / "malformed.spectrum"
+    spectrum.write_text('{"r": 1, "m": 0, "coeffs": {"0": ' + entry + '}}')
+    run = factor_with_runtime_warnings_as_errors(spectrum, tmp_path / "x.factor")
+    assert run.returncode == 1
+    [line] = run.stderr.splitlines()
+    # numpy words the reason in the parentheses.
+    assert line.startswith(f"specfact: error: spectrum file {spectrum}: coeffs[0]: "
+                           "expected numeric [re, im] pairs (")
+
+
 def test_indefinite_spectrum_reports_only_its_own_error(tmp_path):
     # S(-1) = -0.6 I: the Cholesky certificate fails, and the eigen-scan names it.
     spectrum = tmp_path / "indefinite.spectrum"
