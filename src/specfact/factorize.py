@@ -97,10 +97,12 @@ NEWTON_ROUNDOFF = 1e-13
 # Step cap of Bauer's doubling; step k stands for max(m, 1) * 2^k block rows.
 DOUBLING_MAX_STEPS = 64
 
-# Bauer's budget under auto, in Toeplitz block rows.  With a det root on the
-# circle the doubling needs 2^23 rows or more to meet 1e-9, so auto reports
-# no convergence there (exit 3, the exit perfbench's smoke check runs on such
-# a spectrum), and only a forced bauer runs on to factor it.
+# Budget of auto's doubling, which runs first, in Toeplitz block rows.  With a
+# det root on the circle the doubling needs 2^23 rows or more to meet 1e-9, so
+# auto stops it here, its Wilson fallback stalls too and auto reports no
+# convergence (exit 3, the exit perfbench's smoke check runs on such a
+# spectrum); only a forced bauer runs on to factor it.  At m = 2 the budget
+# stops a double root's doubling one step before the pivot that breaks down.
 AUTO_BAUER_BLOCK_ROWS = 2**14
 
 # Below this relative change of Bauer's Schur complement, a change that stops
@@ -219,10 +221,10 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
     # sigma_n at index n mod 3g: lags -(g-1)..2g-1 read zero past m.
     stack = _band_coefficient_buffer(S, 3 * g)
     lags = np.subtract.outer(np.arange(g), np.arange(g))
-    A0, A1 = (stack[lags + shift].transpose(0, 2, 1, 3).reshape(g * r, g * r)
-              for shift in (0, g))
+    Q, A = (stack[lags + shift].transpose(0, 2, 1, 3).reshape(g * r, g * r)
+            for shift in (0, g))
 
-    Q, P, A = A0, np.zeros_like(A0), A1.conj().T
+    P, A = np.zeros_like(Q), A.conj().T
     steps, change, converged, stalled = 0, np.inf, False, False
     while not (converged or stalled or steps >= cap):
         try:
@@ -233,14 +235,22 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
             stalled = True
             break
         # L^{-1} A and L^{-1} A^* for W = L L^*, so Q and P stay Hermitian.
-        left, right = np.split(np.linalg.solve(lower, np.hstack([A, A.conj().T])), 2, axis=1)
+        # Each solve on its own, and every temporary dropped before the next
+        # Cholesky, keeps a step's traced peak near six (m r)^2 blocks.
+        right = np.linalg.solve(lower, A.conj().T)
+        left = np.linalg.solve(lower, A)
+        del lower, A
         drop = left.conj().T @ left
         converged = change < opts.residual_tol
         previous, change = change, float(np.linalg.norm(drop) / np.linalg.norm(Q - drop))
         stalled = not converged and previous <= change < DOUBLING_ROUNDOFF
         if not stalled:
-            Q, P, A = Q - drop, P + right.conj().T @ right, right.conj().T @ left
+            Q -= drop
+            del drop
+            P += right.conj().T @ right
+            A = right.conj().T @ left
             steps += 1
+        del left, right
 
     row = _doubling_cholesky(Q, steps, g)[-r:].reshape(r, g, r).transpose(1, 0, 2)
     coeffs = np.concatenate([row[::-1], np.zeros((m + 1 - g, r, r))])
@@ -410,8 +420,8 @@ def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions
 
 # Each algorithm's routes, in the order factor() tries them.
 _ATTEMPTS = {
-    "auto": (("wilson", _wilson_core),
-             ("bauer", functools.partial(_bauer_core, max_rows=AUTO_BAUER_BLOCK_ROWS))),
+    "auto": (("bauer", functools.partial(_bauer_core, max_rows=AUTO_BAUER_BLOCK_ROWS)),
+             ("wilson", _wilson_core)),
     "bauer": (("bauer", _bauer_core),),
     "wilson": (("wilson", _wilson_core),),
     "scalar_roots": (("scalar_roots", _scalar_roots_core),),
@@ -469,8 +479,9 @@ def factor(S: HermitianLaurentPolynomial,
     """Compute the canonical causal spectral factor of S.
 
     Runs the routes of ``_ATTEMPTS[opts.algorithm]`` in order until one
-    returns; ``auto`` tries the Newton iteration first and falls back to
-    Bauer's doubling if it stalls.  The returned factor is canonical;
+    returns; ``auto`` runs Bauer's doubling first, within
+    ``AUTO_BAUER_BLOCK_ROWS``, and falls back to the Newton iteration if it
+    stalls.  The returned factor is canonical;
     ``achieved_residual`` is the relative coefficientwise mismatch of the
     factorization identity.  Raises ``NotPositiveDefinite`` or
     ``DegenerateDeterminant`` when the hypotheses fail on the check grid

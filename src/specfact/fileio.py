@@ -87,6 +87,11 @@ def _pairs_to_matrix(node: Any, r: int, label: str) -> np.ndarray:
         raise ValueError(
             f"{label}: expected an {r}x{r} array of [re, im] pairs, got shape {arr.shape}"
         )
+    # numpy also parses numeric strings, booleans and null; JSON numbers only.
+    for value in (part for row in node for pair in row for part in pair):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{label}: expected numeric [re, im] pairs "
+                             f"({json.dumps(value)} is not a number)")
     matrix = arr[..., 0] + 1j * arr[..., 1]
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{label}: non-finite entries")

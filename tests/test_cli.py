@@ -123,10 +123,10 @@ class TestFactorCommand:
 
     def test_no_convergence_metadata_names_algorithm_not_flag(self, tmp_path, monkeypatch,
                                                              capsys):
-        # Under the default flag ("auto") Wilson stalls first and Bauer falls
-        # back; with these caps (one doubling step, 4 Toeplitz block rows)
-        # Wilson's iterate is the better one and is the one written, so the
-        # metadata must say "wilson", not "auto".
+        # Under the default flag ("auto") Bauer's doubling stalls first and
+        # Wilson falls back; with these caps (one doubling step, 4 Toeplitz
+        # block rows) Wilson's iterate is the better one and is the one
+        # written, so the metadata must say "wilson", not "auto".
         monkeypatch.setattr("specfact.factorize.NEWTON_MAX_ITERS", 8)
         monkeypatch.setattr("specfact.factorize.DOUBLING_MAX_STEPS", 1)
         out = tmp_path / "s.factor"
@@ -134,6 +134,29 @@ class TestFactorCommand:
         assert code == 3
         _, metadata = read_factor(out)
         assert metadata["algorithm"] == "wilson"
+
+    # Exact factors with a det root of multiplicity one to three on the circle.
+    @pytest.mark.parametrize("coeffs", [
+        [[[1]], [[1]]],
+        [[[1]], [[0]], [[-1]]],
+        [[[1]], [[2]], [[1]]],
+        [[[1]], [[2 * np.exp(-0.7j)]], [[np.exp(-1.4j)]]],
+        [np.eye(2), np.diag([2, 0]), np.diag([1, 0.5])],
+        [[[2]], [[5]], [[4]], [[1]]],
+        [[[1]], [[3]], [[3]], [[1]]],
+    ], ids=["1+z", "(1+z)(1-z)", "(1+z)^2", "(1+wz)^2", "diag((1+z)^2,1+z^2/2)",
+            "(1+z)^2(2+z)", "(1+z)^3"])
+    def test_auto_exits_three_at_its_doubling_budget(self, tmp_path, capsys, coeffs):
+        # auto's doubling runs first and stops at its budget, short of these
+        # spectra's limit; at m = 2 that is step 13, the step at which a
+        # forced bauer's pivot breaks down on a double root.  So auto must
+        # report no convergence, never a CholeskyBreakdown (exit 2).
+        S = multiply_by_adjoint(MatrixPolynomial(np.array(coeffs, dtype=complex)))
+        with pytest.raises(NoConvergence):
+            factorize.factor(S)
+        spectrum = tmp_path / "edge.spectrum"
+        write_spectrum(spectrum, S)
+        assert main(["factor", str(spectrum), str(tmp_path / "edge.factor")]) == 3
 
     def test_wilson_below_roundoff_tolerance_exits_zero(self, tmp_path, capsys):
         # Asked for 1e-16, Wilson stops at its roundoff floor and warns.

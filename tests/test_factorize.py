@@ -1,5 +1,7 @@
 """Factorization algorithms, canonical normalization, and their failure modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -602,10 +604,26 @@ def test_bauer_stops_on_roundoff_with_a_det_root_on_the_circle():
     result = factor(bundle.spectrum, FactorizationOptions(algorithm="bauer"))
     assert any("stopped on roundoff" in w for w in result.warnings)
     assert forward_error(result.factor, bundle.ground_truth) <= 1e-8
-    # auto's fallback stops at 2^14 block rows, 14 steps at m = 1.
+    # auto's doubling, which runs first, stops at its budget of 2^14 block
+    # rows, 14 steps at m = 1, and its Wilson fallback stalls too.
     with pytest.raises(NoConvergence) as excinfo:
         factor(bundle.spectrum)
     assert (excinfo.value.algorithm, excinfo.value.iterations) == ("bauer", 14)
+
+
+def test_doubling_step_holds_few_blocks_at_its_peak():
+    # Two separate solves, Q and P updated in place and each step's
+    # temporaries dropped as soon as they are spent keep the traced peak near
+    # six (m r)^2 complex blocks.
+    S = generate_instance(8, 16, seed=1000, root_margin=0.2).spectrum
+    block = (S.m * S.r) ** 2 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        _bauer_core(S, FactorizationOptions())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * block
 
 
 @pytest.mark.parametrize("r, m, margin", [(1, 1, 0.2), (2, 3, 0.02), (4, 16, 0.02)])

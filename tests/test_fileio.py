@@ -148,8 +148,11 @@ class TestSpectrumValidation:
         with pytest.raises(ValueError, match=f": coefficient index {index} is given twice$"):
             reader(path)
 
-    @pytest.mark.parametrize("entry", [{"x": 1}, [[["a", 0]]], [[[1, 0], [1]]]],
-                             ids=["object", "string", "ragged"])
+    @pytest.mark.parametrize("entry", [{"x": 1}, [[["a", 0]]], [[[1, 0], [1]]],
+                                       [[["5", "0"]]], [[[1, True]]], [[[False, 0]]],
+                                       [[[None, 0]]]],
+                             ids=["object", "string", "ragged", "numeric-string", "true",
+                                  "false", "null"])
     @pytest.mark.parametrize("reader", [read_spectrum, read_factor])
     def test_malformed_coefficient_names_file_and_index(self, tmp_path, reader, entry):
         path = tmp_path / "malformed.json"

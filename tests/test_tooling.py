@@ -54,15 +54,16 @@ def test_only_the_samplers_take_a_grid():
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 # (fixture, extra options, exit code, a line of stdout).  The boundary
-# fixture's det roots sit on the circle: under auto, Wilson stalls and Bauer's
-# doubling runs out of its fallback budget, so the CLI writes the best iterate
-# and exits 3; forced Bauer runs on until it stops on roundoff and writes a
-# factor within 1e-8 of the truth.
+# fixture's det roots sit on the circle: under auto, Bauer's doubling runs out
+# of its budget and the Wilson fallback stalls, so the CLI writes the best
+# iterate and exits 3; forced Bauer runs on until it stops on roundoff and
+# writes a factor within 1e-8 of the truth.  auto factors the healthy
+# fixtures with the doubling.
 FACTOR_RUNS = [
     ("boundary_r2m2_seed19.spectrum", (), 3, "no convergence: best iterate written"),
     ("boundary_r2m2_seed19.spectrum", ("--algorithm", "bauer"), 0, "stopped on roundoff"),
-    ("bundle_r2m3_seed11.spectrum", (), 0, "algorithm=wilson"),
-    ("scalar_basic.spectrum", (), 0, "algorithm=wilson"),
+    ("bundle_r2m3_seed11.spectrum", (), 0, "algorithm=bauer"),
+    ("scalar_basic.spectrum", (), 0, "algorithm=bauer"),
 ]
 
 
