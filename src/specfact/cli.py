@@ -13,6 +13,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import NoConvergence, SpectralFactorError
@@ -133,7 +134,7 @@ def _report_json(report: VerificationReport) -> str:
                 "status": entry.status,
                 "passed": entry.passed,
                 "warning": entry.warning,
-                "measured": float(entry.measured),
+                "measured": float(entry.measured) if math.isfinite(entry.measured) else None,
                 "tolerance": float(entry.tolerance),
                 "detail": entry.detail,
             }

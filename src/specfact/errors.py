@@ -17,7 +17,7 @@ class DegenerateDeterminant(SpectralFactorError):
 
 
 class CholeskyBreakdown(SpectralFactorError):
-    """A pivot of Bauer's doubling recursion is not positive definite."""
+    """Bauer's doubling broke down on an indefinite or degenerate spectrum."""
 
 
 class SingularIterate(SpectralFactorError):

@@ -37,7 +37,8 @@ Each route has one core, ``(S, opts) -> (coefficients, count, warnings)``,
 returning exactly m + 1 coefficients; the table ``_ATTEMPTS`` maps each
 algorithm name to the cores :func:`factor` tries in order.  Both iterative
 cores stop alike: a pass that starts from an iterate meeting the tolerance
-is the last; a cap reached first raises ``NoConvergence``.
+is the last; a cap reached first raises ``NoConvergence``.  One positivity
+rule, ``laurent._require_semidefinite``, tells a stall from an indefinite S.
 
 Every residual here -- each Newton iterate's, the best iterate's in
 ``NoConvergence`` and ``factor()``'s ``achieved_residual`` -- is
@@ -70,6 +71,7 @@ from .laurent import (
     _frobenius,
     _guarded_inverse,
     _hermitian_scan,
+    _require_semidefinite,
     _residual_against,
     coefficients_from_values,
     default_grid_size,
@@ -102,13 +104,8 @@ DOUBLING_MAX_STEPS = 64
 # auto stops it here, its Wilson fallback stalls too and auto reports no
 # convergence (exit 3, the exit perfbench's smoke check runs on such a
 # spectrum); only a forced bauer runs on to factor it.  At m = 2 the budget
-# stops a double root's doubling one step before the pivot that breaks down.
+# stops a double root's doubling one step before its pivot fails.
 AUTO_BAUER_BLOCK_ROWS = 2**14
-
-# Below this relative change of Bauer's Schur complement, a change that stops
-# decreasing or a failed pivot is roundoff (a det root on the circle brings
-# both at about 1e-8); a grid eigenvalue -d of S fails one at ~sqrt(d/scale).
-DOUBLING_ROUNDOFF = 1e-6
 
 
 @dataclass(frozen=True)
@@ -187,16 +184,6 @@ def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
     return warnings
 
 
-def _doubling_cholesky(matrix: np.ndarray, steps: int, g: int) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        raise CholeskyBreakdown(
-            f"Bauer doubling pivot at step {steps} ({g * 2**steps} Toeplitz block rows) is not "
-            "positive definite; the spectrum is indefinite or degenerate on the circle"
-        ) from None
-
-
 def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
                 max_rows: int | None = None):
     """Bauer's limit by doubling; returns ``(coefficients, steps, warnings)``.
@@ -208,9 +195,11 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
     Q is Bauer's Schur complement at g * 2^k rows (Meini, Math. Comp. 71,
     2002).  The last block row of chol(Q) is rho_{g-1}..rho_0, and
     ``rho_m = sigma_m rho_0^{-*}``.  The run stops one step after the relative
-    change of Q drops below residual_tol, or, converging linearly with a det
-    root on the circle (Chiang et al., SIAM J. Matrix Anal. Appl. 31, 2009),
-    on a stall below ``DOUBLING_ROUNDOFF``, keeping the iterate before it.
+    change of Q drops below residual_tol.  Short of it, a failed pivot W or a
+    change that stops decreasing (convergence is linear with a det root on the
+    circle: Chiang et al., SIAM J. Matrix Anal. Appl. 31, 2009) is a stall,
+    which keeps the iterate before it and warns, unless the positivity rule of
+    ``verify_all``, ``_require_semidefinite``, raises ``CholeskyBreakdown``.
     Given ``max_rows``, it also stops before g * 2^k exceeds that many rows.
     """
     m, r = S.m, S.r
@@ -228,10 +217,8 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
     steps, change, converged, stalled = 0, np.inf, False, False
     while not (converged or stalled or steps >= cap):
         try:
-            lower = _doubling_cholesky(Q - P, steps, g)
-        except CholeskyBreakdown:
-            if change >= DOUBLING_ROUNDOFF:
-                raise
+            lower = np.linalg.cholesky(Q - P)
+        except np.linalg.LinAlgError:
             stalled = True
             break
         # L^{-1} A and L^{-1} A^* for W = L L^*, so Q and P stay Hermitian.
@@ -243,7 +230,7 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
         drop = left.conj().T @ left
         converged = change < opts.residual_tol
         previous, change = change, float(np.linalg.norm(drop) / np.linalg.norm(Q - drop))
-        stalled = not converged and previous <= change < DOUBLING_ROUNDOFF
+        stalled = not converged and previous <= change
         if not stalled:
             Q -= drop
             del drop
@@ -252,7 +239,12 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
             steps += 1
         del left, right
 
-    row = _doubling_cholesky(Q, steps, g)[-r:].reshape(r, g, r).transpose(1, 0, 2)
+    if stalled:
+        _require_semidefinite(S, CholeskyBreakdown, f"Bauer doubling stalled at step {steps}")
+    try:
+        row = np.linalg.cholesky(Q)[-r:].reshape(r, g, r).transpose(1, 0, 2)
+    except np.linalg.LinAlgError:
+        raise CholeskyBreakdown(f"Bauer's Q at step {steps} is not positive definite") from None
     coeffs = np.concatenate([row[::-1], np.zeros((m + 1 - g, r, r))])
     if m:
         coeffs[m] = np.linalg.solve(coeffs[0], S.coeffs[m].conj().T).conj().T
@@ -481,13 +473,14 @@ def factor(S: HermitianLaurentPolynomial,
     Runs the routes of ``_ATTEMPTS[opts.algorithm]`` in order until one
     returns; ``auto`` runs Bauer's doubling first, within
     ``AUTO_BAUER_BLOCK_ROWS``, and falls back to the Newton iteration if it
-    stalls.  The returned factor is canonical;
-    ``achieved_residual`` is the relative coefficientwise mismatch of the
-    factorization identity.  Raises ``NotPositiveDefinite`` or
-    ``DegenerateDeterminant`` when the hypotheses fail on the check grid
-    ``default_verify_grid(S.m)``; if every attempt fails, ``NoConvergence`` of
-    the stalled attempt with the smallest residual (best iterate
-    canonicalized), else the last ``SingularIterate``.
+    stalls.  The returned factor is canonical; ``achieved_residual`` is the
+    relative coefficientwise mismatch of the factorization identity.  Raises
+    ``NotPositiveDefinite`` or ``DegenerateDeterminant`` when the hypotheses
+    fail on the check grid ``default_verify_grid(S.m)``.  If every attempt
+    fails: the last ``SingularIterate`` if none stalled; else
+    ``NotPositiveDefinite`` if the positivity rule finds S indefinite, else
+    ``NoConvergence`` of the stalled attempt with the smallest residual (best
+    iterate canonicalized).
     """
     warnings = _require_factorable(S, default_verify_grid(S.m))
 
@@ -504,6 +497,7 @@ def factor(S: HermitianLaurentPolynomial,
         stalled = [exc for exc in failures if isinstance(exc, NoConvergence)]
         if not stalled:
             raise failures[-1]
+        _require_semidefinite(S, NotPositiveDefinite, "no route converged")
         best = min(stalled, key=lambda exc: exc.achieved_residual)
         with contextlib.suppress(SingularLeadingCoefficient):
             best.best_factor, _ = canonical_normalize(best.best_factor)

@@ -58,6 +58,8 @@ def _emit(node: Any, indent: int) -> str:
             ) + "]"
         items = ",\n".join(f"{pad}  {_emit(value, indent + 1)}" for value in node)
         return "[\n" + items + "\n" + pad + "]"
+    if node is None:
+        return "null"
     if isinstance(node, bool):
         return "true" if node else "false"
     if isinstance(node, float):

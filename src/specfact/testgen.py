@@ -58,12 +58,8 @@ def _attempt_stream(seed: int, attempt: int) -> SplitMix64:
 
 
 def _draw_coefficients(stream: SplitMix64, r: int, m: int) -> np.ndarray:
-    coeffs = np.empty((m + 1, r, r), dtype=np.complex128)
-    for n in range(m + 1):
-        for i in range(r):
-            for j in range(r):
-                coeffs[n, i, j] = complex(stream.normal(), stream.normal())
-    return coeffs
+    draws = [complex(stream.normal(), stream.normal()) for _ in range((m + 1) * r * r)]
+    return np.array(draws, dtype=np.complex128).reshape(m + 1, r, r)
 
 
 def _condition_estimate(S: HermitianLaurentPolynomial) -> float:

@@ -44,15 +44,15 @@ from .errors import (
     SpectralFactorError,
 )
 from .laurent import (
+    POSITIVITY_TOL,
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _coefficient_scale,
     _frobenius,
     _guarded_inverse,
-    _hermitian_scan,
     _next_pow2,
+    _positivity_scan,
     _residual_against,
-    _values_at_angles,
     coefficients_from_values,
     default_verify_grid,
     sample_on_grid,
@@ -66,13 +66,12 @@ GRID_COND_MAX = 1e10
 # Roots of det X inside this band around |z| = 1 are boundary-ambiguous.
 OUTER_BOUNDARY_BAND = 1e-6
 
-# Tolerances of the verify_all entries other than the factorization residual:
-# causal-identity gap and anticausal mass, the mass change when the grid
-# doubles, the det-root deficit below |z| = 1, the negative eigenvalue of S.
+# Tolerances of the verify_all entries other than the factorization residual
+# and positivity (laurent.POSITIVITY_TOL): causal-identity gap and anticausal
+# mass, the mass change when the grid doubles, the det-root deficit below 1.
 CAUSAL_IDENTITY_TOL = 1e-8
 MASS_STABILITY_TOL = 1e-9
 OUTER_TOL = 1e-6
-POSITIVITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,44 +117,11 @@ class VerificationReport:
         return any(entry.warning for entry in self.checks)
 
 
-# Zoom refinement of the grid minimizer: each level evaluates this many
-# equally spaced angles across the bracket, then re-centres a bracket of two
-# spacings on the best one.  Six levels of 17 shrink the spacing by 8**6, to
-# below 1e-7 rad on every grid of 256 or more points.
-ZOOM_POINTS = 17
-ZOOM_LEVELS = 6
-
-
 def check_positivity(S: HermitianLaurentPolynomial):
-    """Minimum eigenvalue and minimum |det| of S over the circle.
-
-    Scans the check grid K, then zooms in on the grid minimizer theta_j: each
-    of ``ZOOM_LEVELS`` levels evaluates S at ``ZOOM_POINTS`` angles across
-    the bracket (first ``[theta_j - 2 pi/K, theta_j + 2 pi/K]``), takes the
-    batch's smallest eigenvalues and re-centres on their argmin, so a
-    boundary zero that falls between grid points is still seen as
-    (numerically) zero.  The minimum |det| also includes the value at the
-    refined minimizer.
-    """
-    return _positivity_scan(S, sample_on_grid(S, default_verify_grid(S.m)))
-
-
-def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
-    """:func:`check_positivity` on the values of S at the K-point grid."""
-    K = len(S_vals)
-    eigs, dets = _hermitian_scan(S_vals)
-    min_eig = float(eigs[:, 0].min())
-    center = 2.0 * np.pi * int(np.argmin(eigs[:, 0])) / K
-    half_width = 2.0 * np.pi / K
-    for _ in range(ZOOM_LEVELS):
-        theta = center + np.linspace(-half_width, half_width, ZOOM_POINTS)
-        batch_eigs = np.linalg.eigvalsh(_values_at_angles(S, theta))
-        best = int(np.argmin(batch_eigs[:, 0]))
-        min_eig = min(min_eig, float(batch_eigs[best, 0]))
-        center = theta[best]
-        half_width *= 2.0 / (ZOOM_POINTS - 1)
-    min_det = min(float(dets.min()), float(np.abs(batch_eigs[best]).prod()))
-    return min_eig, min_det
+    """Minimum eigenvalue and minimum |det| of S over the circle, by the zoomed
+    scan of the check grid, ``laurent._positivity_scan``, which still sees a
+    boundary zero that falls between grid points."""
+    return _positivity_scan(S, sample_on_grid(S, default_verify_grid(S.m)))[1:]
 
 
 def check_factorization(S: HermitianLaurentPolynomial, x: MatrixPolynomial) -> float:
@@ -257,11 +223,11 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
 
 
 def _measure_positivity(S, x, S2K, scale):
-    min_eig, min_det = _positivity_scan(S, S2K[::2])
+    deficit, min_eig, min_det = _positivity_scan(S, S2K[::2])
     near_singular = min_eig <= 1e-8 * scale
     detail = (f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
               + ("; nearly singular on the circle" if near_singular else ""))
-    return [(max(0.0, -min_eig) / scale, detail, near_singular)]
+    return [(deficit, detail, near_singular)]
 
 
 def _measure_factorization(S, x, S2K, scale):

@@ -23,7 +23,7 @@ from specfact.errors import (
     SpectralFactorError,
 )
 from specfact.fileio import read_factor, write_factor, write_spectrum
-from specfact.laurent import MatrixPolynomial, multiply_by_adjoint
+from specfact.laurent import HermitianLaurentPolynomial, MatrixPolynomial, multiply_by_adjoint
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -158,6 +158,21 @@ class TestFactorCommand:
         write_spectrum(spectrum, S)
         assert main(["factor", str(spectrum), str(tmp_path / "edge.factor")]) == 3
 
+    @pytest.mark.parametrize("algorithm", ["auto", "bauer", "wilson"])
+    @pytest.mark.parametrize("m, depth", [(3, 1e-6), (8, 1e-5)])
+    def test_narrow_dip_between_grid_nodes_exits_two(self, tmp_path, capsys, m, depth,
+                                                     algorithm):
+        # S = 1 - depth - cos(m theta + m pi/256) dips to -depth halfway between
+        # two nodes of the 256-point grid, where it is still positive, so the
+        # precheck passes it; the zoomed positivity scan finds the dip.
+        coeffs = np.zeros((m + 1, 1, 1), dtype=complex)
+        coeffs[0], coeffs[m] = 1 - depth, -0.5 * np.exp(1j * m * np.pi / 256)
+        spectrum = tmp_path / "dip.spectrum"
+        write_spectrum(spectrum, HermitianLaurentPolynomial(coeffs))
+        assert main(["factor", str(spectrum), str(tmp_path / "dip.factor"),
+                     "--algorithm", algorithm]) == 2
+        assert f"eigenvalue {-depth:.3e} on the unit circle" in capsys.readouterr().err
+
     def test_wilson_below_roundoff_tolerance_exits_zero(self, tmp_path, capsys):
         # Asked for 1e-16, Wilson stops at its roundoff floor and warns.
         prefix = str(tmp_path / "g")
@@ -243,6 +258,20 @@ class TestVerifyCommand:
                      "--json"]) == 4
         names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
         assert len(names) == len(set(names)) == 7
+
+    def test_json_writes_an_overflowing_residual_as_null(self, tmp_path, capsys):
+        # Entries of 1e153 are finite, but the residual of S = X X^* overflows.
+        prefix = tmp_path / "g"
+        assert main(["gen", "2", "2", str(prefix), "--seed", "1"]) == 0
+        truth, _ = read_factor(f"{prefix}.truth")
+        write_factor(tmp_path / "big.factor", MatrixPolynomial(np.full_like(truth.coeffs, 1e153)))
+        capsys.readouterr()
+        assert main(["verify", f"{prefix}.spectrum", str(tmp_path / "big.factor"),
+                     "--json"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        measured = {c["name"]: c["measured"] for c in doc["checks"]}
+        assert doc["overall"] is False and len(measured) == 7
+        assert measured["factorization"] is None
 
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         spectrum = tmp_path / "s.spectrum"

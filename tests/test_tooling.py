@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 import specfact
-from specfact.fileio import read_factor
+from specfact.fileio import read_factor, write_spectrum
+from specfact.laurent import MatrixPolynomial, multiply_by_adjoint
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -87,6 +88,19 @@ def test_factor_on_fixtures_raises_no_runtime_warning(tmp_path, name, options, c
         x, _ = read_factor(tmp_path / "x.factor")
         truth, _ = read_factor(FIXTURES / name.replace(".spectrum", ".truth"))
         assert np.max(np.abs(x.coeffs - truth.coeffs)) <= 1e-8
+
+
+def test_forced_bauer_on_a_double_root_raises_no_runtime_warning(tmp_path):
+    # (1+z)^2: the doubling's pivot fails short of the tolerance, the
+    # positivity scan finds S semidefinite, and the stall returns a factor.
+    spectrum = tmp_path / "double.spectrum"
+    write_spectrum(spectrum, multiply_by_adjoint(MatrixPolynomial(
+        np.array([[[1]], [[2]], [[1]]], dtype=complex))))
+    run = factor_with_runtime_warnings_as_errors(spectrum, tmp_path / "x.factor",
+                                                 "--algorithm", "bauer")
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert "stopped on roundoff" in run.stdout
 
 
 def test_overflowing_spectrum_reports_only_its_own_error(tmp_path):
