@@ -20,12 +20,16 @@ the ones that sample S or a factor run on the one check grid K,
 >= max(256, 8(m+1)), the grid ``factor()``'s hypothesis precheck and the
 generator's condition estimate use too) at the larger of the orders of S and
 X.  The causal check samples S and X once, on the doubled grid 2K, and
-inverts X there once; it returns the gap and the anticausal mass on the K
-grid, which is the even points of those samples, and how far the mass moves
-on the full 2K grid.  :func:`verify_all` samples S on 2K once and hands those
-values to every check; its causal entries are that same triple.  The outer
-check instead samples det X on its own grid, the smallest power of two
->= max(8, 2(r m + 1)).
+inverts X there once; from one transform of ``X^{-1} S`` on 2K it returns
+the gap and the anticausal mass on the K grid, which is the even points of
+those samples, and how far the mass moves on the full 2K grid.
+:func:`verify_all` samples S and X on 2K once, inverts X once and hands all
+of it to every check: positivity scans the even points, the causal entries
+are that same triple, and the outer entry reads the winding number of det X
+off the same inverse, ``tr(X^{-1} z X')`` on 2K.  Unless that count
+reads zero with a small Fourier tail, the outer entry falls back to
+:func:`check_outer_determinant`, which samples det X on its own grid, the
+smallest power of two >= max(8, 2(r m + 1)), and reads its roots.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.
 Failures inside :func:`verify_all` are reported as failed entries, never
@@ -35,6 +39,7 @@ raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +61,6 @@ from .laurent import (
     coefficients_from_values,
     default_verify_grid,
     sample_on_grid,
-    unit_circle_grid,
 )
 
 # Cap on the worst grid 1-norm condition number ||X(z_j)||_1 ||X(z_j)^{-1}||_1,
@@ -72,6 +76,12 @@ OUTER_BOUNDARY_BAND = 1e-6
 CAUSAL_IDENTITY_TOL = 1e-8
 MASS_STABILITY_TOL = 1e-9
 OUTER_TOL = 1e-6
+
+# The outer entry passes by winding number alone when the count of det roots
+# inside the disk reads at most WINDING_COUNT_TOL and the Fourier tail at most
+# WINDING_TAIL_TOL; otherwise the roots of det X decide.
+WINDING_COUNT_TOL = 1e-3
+WINDING_TAIL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -174,33 +184,84 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
-    S2K = sample_on_grid(S, 2 * default_verify_grid(max(S.m, x.m)))
-    return _causal_triple(S, x, S2K, _coefficient_scale(S.coeffs))
+    return _causal_triple(S.m, _sample_grid(S, x))
 
 
-def _causal_triple(S, x, S2K, scale):
-    """:func:`check_causal_identity` on the values of S at the 2K grid."""
-    left, gaps = _causal_identity_on_grid(S, S2K, sample_on_grid(x, len(S2K)))
-    mass = _anticausal_mass(left[::2], S.m, scale)
-    return (float(gaps[::2].max()) / scale, mass,
-            abs(_anticausal_mass(left, S.m, scale) - mass))
+class _Grid(NamedTuple):
+    """S and X on the 2K grid, X's guarded pointwise inverse there (or the
+    guard's ``SingularFactorOnGrid``) and the coefficient scale of S: what the
+    checks of one ``verify_all`` share."""
+
+    S_vals: np.ndarray
+    x_vals: np.ndarray
+    inverse: np.ndarray | SingularFactorOnGrid
+    scale: float
 
 
-def _causal_identity_on_grid(S: HermitianLaurentPolynomial, S_vals: np.ndarray,
-                             x_vals: np.ndarray):
-    """The left side ``X^{-1} z^m S`` on the grid the values sit on, from one
-    guarded pointwise inverse of X, and its Frobenius gap to the right side
-    ``z^m X^*`` at each grid point."""
-    inverse = _guarded_inverse(x_vals, GRID_COND_MAX, SingularFactorOnGrid, "factor")
-    z_m = (unit_circle_grid(len(x_vals)) ** S.m)[:, None, None]
-    left = inverse @ (z_m * S_vals)
-    return left, _frobenius(left - z_m * x_vals.conj().transpose(0, 2, 1))
+def _sample_grid(S: HermitianLaurentPolynomial, x: MatrixPolynomial) -> _Grid:
+    """S and X sampled once on 2K, for K the check grid of the larger order,
+    and X inverted there once under the ``GRID_COND_MAX`` guard."""
+    n = 2 * default_verify_grid(max(S.m, x.m))
+    S_vals, x_vals = sample_on_grid(S, n), sample_on_grid(x, n)
+    try:
+        inverse = _guarded_inverse(x_vals, GRID_COND_MAX, SingularFactorOnGrid, "factor")
+    except SingularFactorOnGrid as refusal:
+        inverse = refusal
+    return _Grid(S_vals, x_vals, inverse, _coefficient_scale(S.coeffs))
 
 
-def _anticausal_mass(left: np.ndarray, m: int, scale: float) -> float:
-    # Indices m+1..K-1 are, modulo K, every index outside the window [0, m].
-    norms = _frobenius(coefficients_from_values(left, 0, len(left) - 1))
-    return float(np.sqrt(np.sum(norms[m + 1 :] ** 2))) / scale
+def _causal_triple(m: int, grid: _Grid):
+    """:func:`check_causal_identity` on the 2K grid's samples and inverse.
+
+    One transform of the left side on 2K serves both grids: the K grid's
+    coefficients are its fold ``c_K[n] = c_2K[n] + c_2K[n + K]``, which is
+    the transform of the even samples."""
+    if isinstance(grid.inverse, SingularFactorOnGrid):
+        raise grid.inverse
+    left, gaps = _causal_identity_on_grid(grid.S_vals, grid.x_vals, grid.inverse)
+    n = len(left)
+    coeffs = coefficients_from_values(left, 0, n - 1)
+    mass = _anticausal_mass(coeffs[: n // 2] + coeffs[n // 2 :], m, grid.scale)
+    return (float(gaps[::2].max()) / grid.scale, mass,
+            abs(_anticausal_mass(coeffs, m, grid.scale) - mass))
+
+
+def _causal_identity_on_grid(S_vals: np.ndarray, x_vals: np.ndarray,
+                             inverse: np.ndarray):
+    """The left side ``X^{-1} S`` at each grid point, from X's pointwise
+    inverse, and its Frobenius gap to the right side ``X^*``.  This is the
+    identity ``X^{-1} z^m S = z^m X^*`` with the unimodular ``z^m`` divided
+    out: the gap is the same, and the causal window [0, m] of the left side
+    becomes [-m, 0]."""
+    left = inverse @ S_vals
+    return left, _frobenius(left - x_vals.conj().transpose(0, 2, 1))
+
+
+def _anticausal_mass(coeffs: np.ndarray, m: int, scale: float) -> float:
+    """Root sum of squares of the coefficients of ``X^{-1} S`` on a grid of
+    len(coeffs) points outside the window [-m, 0], relative to ``scale``."""
+    # Indices 1..N-m-1 are, modulo N, every index outside the window [-m, 0].
+    norms = _frobenius(coeffs[1 : len(coeffs) - m])
+    return float(np.sqrt(np.sum(norms**2))) / scale
+
+
+def _winding_number(x: MatrixPolynomial, grid: _Grid):
+    """``(|count|, tail)`` of the argument principle for det X on the 2K grid.
+
+    ``f = tr(X^{-1} z X') = z (det X)' / det X`` has mean value, its Fourier
+    coefficient 0, equal to the number of roots of det X inside the disk.
+    Each root at distance d from the circle leaves coefficients near
+    ``(1 + d)^{-|k|}``, so the count is clean only when the tail, the largest
+    coefficient over the indices K/2..3K/2 where the aliased halves meet, is
+    small; at K = 256 a tail of 1e-3 needs every root about 0.05 or more from
+    the circle.  ``z X'`` is sampled divided by m, so its coefficients
+    ``(n/m) rho_n`` stay within X's own range.
+    """
+    n, m = len(grid.x_vals), max(x.m, 1)
+    derivative = MatrixPolynomial(np.arange(x.m + 1)[:, None, None] / m * x.coeffs)
+    f = m * np.einsum("kij,kji->k", grid.inverse, sample_on_grid(derivative, n))
+    coeffs = np.abs(coefficients_from_values(f, 0, n - 1))
+    return float(coeffs[0]), float(coeffs[n // 4 : 3 * n // 4 + 1].max())
 
 
 def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomial):
@@ -222,26 +283,33 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
     return constancy_gap, unitarity_gap
 
 
-def _measure_positivity(S, x, S2K, scale):
-    deficit, min_eig, min_det = _positivity_scan(S, S2K[::2])
-    near_singular = min_eig <= 1e-8 * scale
+def _measure_positivity(S, x, grid):
+    deficit, min_eig, min_det = _positivity_scan(S, grid.S_vals[::2])
+    near_singular = min_eig <= 1e-8 * grid.scale
     detail = (f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
               + ("; nearly singular on the circle" if near_singular else ""))
     return [(deficit, detail, near_singular)]
 
 
-def _measure_factorization(S, x, S2K, scale):
+def _measure_factorization(S, x, grid):
     return [(check_factorization(S, x), "relative coefficientwise residual of S = X X*",
              False)]
 
 
-def _measure_degree(S, x, S2K, scale):
+def _measure_degree(S, x, grid):
     deg_S, deg_x, _ = check_degree(S, x)
     return [(float(max(0, deg_x - deg_S)),
              f"order of S = {deg_S}, degree of factor = {deg_x}", False)]
 
 
-def _measure_outer(S, x, S2K, scale):
+def _measure_outer(S, x, grid):
+    if not isinstance(grid.inverse, SingularFactorOnGrid):
+        count, tail = _winding_number(x, grid)
+        if count <= WINDING_COUNT_TOL and tail <= WINDING_TAIL_TOL:
+            n = len(grid.x_vals)
+            return [(0.0, f"no det root in the closed unit disk: winding number "
+                          f"{count:.1e} of det X on 2K={n}, Fourier tail {tail:.1e} "
+                          f"from K/2={n // 4}", False)]
     min_root, roots = check_outer_determinant(x)
     deficit = max(0.0, 1.0 - min_root) if np.isfinite(min_root) else 0.0
     boundary = bool(np.any(np.abs(np.abs(roots) - 1.0) <= OUTER_BOUNDARY_BAND))
@@ -250,9 +318,9 @@ def _measure_outer(S, x, S2K, scale):
     return [(deficit, detail, boundary)]
 
 
-def _measure_causal(S, x, S2K, scale):
-    gap, mass, mass_change = _causal_triple(S, x, S2K, scale)
-    K = len(S2K) // 2
+def _measure_causal(S, x, grid):
+    gap, mass, mass_change = _causal_triple(S.m, grid)
+    K = len(grid.S_vals) // 2
     return [
         (gap, f"pointwise gap of X^-1 z^m S = z^m X* on K={K}", False),
         (mass, f"Fourier mass outside the causal window [0, {S.m}]", False),
@@ -275,8 +343,7 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
-    S2K = sample_on_grid(S, 2 * default_verify_grid(max(S.m, x.m)))
-    scale = _coefficient_scale(S.coeffs)
+    grid = _sample_grid(S, x)
     checks = (
         (_measure_positivity, {"positivity": POSITIVITY_TOL}),
         (_measure_factorization, {"factorization": opts.residual_tol}),
@@ -289,7 +356,7 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     entries: list[CheckEntry] = []
     for measure, tolerances in checks:
         try:
-            measurements = measure(S, x, S2K, scale)
+            measurements = measure(S, x, grid)
         except SpectralFactorError as exc:
             entries.extend(CheckEntry(name, False, 0.0, tolerance, detail=str(exc))
                            for name, tolerance in tolerances.items())

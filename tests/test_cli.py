@@ -273,6 +273,20 @@ class TestVerifyCommand:
         assert doc["overall"] is False and len(measured) == 7
         assert measured["factorization"] is None
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["table", "json"])
+    def test_overflowing_residual_fails_without_a_numpy_warning(self, tmp_path, json_flag):
+        # Run with numpy's RuntimeWarnings raised as errors: the residual
+        # still reads inf and fails, and stderr stays empty.
+        prefix = tmp_path / "g"
+        assert main(["gen", "2", "2", str(prefix), "--seed", "1"]) == 0
+        truth, _ = read_factor(f"{prefix}.truth")
+        write_factor(tmp_path / "big.factor", MatrixPolynomial(np.full_like(truth.coeffs, 1e153)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "specfact", "verify",
+             f"{prefix}.spectrum", str(tmp_path / "big.factor")] + json_flag,
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (4, "")
+
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         spectrum = tmp_path / "s.spectrum"
         write_scalar_spectrum(spectrum)

@@ -20,6 +20,7 @@ from specfact.factorize import (
     FactorizationOptions,
     _bauer_core,
     _residual_against,
+    _triangular_inverse,
     _wilson_core,
     bauer_factor,
     canonical_normalize,
@@ -611,8 +612,33 @@ def test_bauer_stops_on_roundoff_with_a_det_root_on_the_circle():
     assert (excinfo.value.algorithm, excinfo.value.iterations) == ("bauer", 14)
 
 
+@pytest.mark.parametrize("n", [1, 5, 32, 33, 48, 136])
+def test_triangular_inverse_inverts_a_cholesky_factor(n):
+    # Leaves of at most 32 rows, odd splits and three levels of recursion.
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    lower = np.linalg.cholesky(a @ a.conj().T + n * np.eye(n))
+    eye = np.eye(n)
+    gap = np.linalg.norm(_triangular_inverse(lower) @ lower - eye)
+    assert gap <= 1e-13 * np.linalg.norm(eye)
+
+
+def test_forced_bauer_factors_boundary_spectra_to_the_simple_root_accuracy():
+    # A det root on the circle: the doubling pivot nearly loses definiteness,
+    # where the triangular inverse must stay as accurate as a solve.
+    opts = FactorizationOptions(algorithm="bauer")
+    worst = 0.0
+    for r in range(1, 5):
+        for m in (1, 2, 4, 8):
+            for seed in range(6):
+                bundle = generate_boundary_instance(r, m, seed)
+                x = factor(bundle.spectrum, opts).factor
+                worst = max(worst, forward_error(x, bundle.ground_truth))
+    assert worst < 2e-8
+
+
 def test_doubling_step_holds_few_blocks_at_its_peak():
-    # Two separate solves, Q and P updated in place and each step's
+    # One triangular inverse, Q and P updated in place and each step's
     # temporaries dropped as soon as they are spent keep the traced peak near
     # six (m r)^2 complex blocks.
     S = generate_instance(8, 16, seed=1000, root_margin=0.2).spectrum

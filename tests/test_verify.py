@@ -8,13 +8,15 @@ from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _coefficient_scale,
+    _inverse_on_grid,
+    coefficients_from_values,
     default_verify_grid,
     multiply_by_adjoint,
     sample_on_grid,
-    unit_circle_grid,
 )
 from specfact.testgen import generate_instance
 from specfact.verify import (
+    GRID_COND_MAX,
     VerifyOptions,
     _anticausal_mass,
     _causal_identity_on_grid,
@@ -144,6 +146,68 @@ class TestOuterDeterminant:
             check_outer_determinant(x)
 
 
+def unitary(rng, r):
+    q, t = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+    return q * (np.diagonal(t) / np.abs(np.diagonal(t)))
+
+
+def cascade_factor(r, m, modulus, seed):
+    """``X = Q prod_k (I + z V_k diag(c_k) V_k^*)`` with Q and V_k unitary and
+    every |c_{k,i}| = 1/modulus: det X has all r m roots, -1/c_{k,i}, at
+    |z| = modulus, so X is exactly outer."""
+    rng = np.random.default_rng(seed)
+    x = unitary(rng, r)[None].astype(complex)
+    for _ in range(m):
+        v = unitary(rng, r)
+        c = np.exp(2j * np.pi * rng.random(r)) / modulus
+        step = (v * c) @ v.conj().T
+        grown = np.zeros((len(x) + 1, r, r), dtype=complex)
+        grown[:-1] += x
+        grown[1:] += x @ step
+        x = grown
+    return MatrixPolynomial(x)
+
+
+def outer_entry(S, x):
+    return {entry.name: entry for entry in verify_all(S, x).checks}["outer-determinant"]
+
+
+class TestOuterVerdict:
+    # verify_all reads the outer entry off the winding number of det X on the
+    # 2K grid and falls back to the roots of det X when that count is unclean.
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("r, m, modulus", [(4, 16, 1.2257), (4, 32, 1.218)])
+    def test_exact_outer_cascade_passes(self, r, m, modulus, seed):
+        # np.roots of det X, degree 64 or 128 here, reads roots inside the
+        # disk on some of these seeds; the winding number does not.
+        x = cascade_factor(r, m, modulus, seed)
+        _, cond = _inverse_on_grid(sample_on_grid(x, 2 * default_verify_grid(m)))
+        assert cond <= GRID_COND_MAX
+        entry = outer_entry(multiply_by_adjoint(x), x)
+        assert entry.passed and not entry.warning
+        assert entry.measured == 0.0
+        assert entry.detail.startswith("no det root in the closed unit disk")
+
+    def test_root_inside_beside_a_pair_on_the_circle_fails_through_the_roots(self):
+        # The pair at (1 + 1e-7) e^{+-0.7i} leaves a heavy Fourier tail and a
+        # count of 2, so the roots decide, and find 0.5.
+        a = (1 + 1e-7) * np.exp(0.7j)
+        x = scalar_poly(*np.polynomial.polynomial.polyfromroots([0.5, a, np.conj(a)]))
+        entry = outer_entry(multiply_by_adjoint(x), x)
+        assert not entry.passed
+        assert entry.measured == pytest.approx(0.5, abs=1e-10)
+        assert entry.detail.startswith("min det-root modulus 0.5 over 3 root(s)")
+
+    def test_factor_whose_derivative_would_overflow_gets_a_full_report(self):
+        # 16 rho_16 overflows the squared Frobenius norm where rho_16 does not.
+        S = scalar_laurent(1.25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.5)
+        x = scalar_poly(2.5e153, *[0] * 15, 1.25e153)
+        report = verify_all(S, x)
+        assert len(report.checks) == 7 and not report.overall
+        assert not {entry.name: entry for entry in report.checks}["factorization"].passed
+
+
 class TestCausalIdentity:
     def test_scalar_pair(self):
         gap, mass, _ = check_causal_identity(S_SCALAR, X_GOOD)
@@ -192,20 +256,23 @@ class TestCausalIdentity:
 def causal_on_grid(S, x, K):
     """Gap and anticausal mass with S and X sampled on the K grid itself."""
     scale = _coefficient_scale(S.coeffs)
-    left, gaps = _causal_identity_on_grid(S, sample_on_grid(S, K), sample_on_grid(x, K))
-    return float(gaps.max()) / scale, _anticausal_mass(left, S.m, scale)
+    x_vals = sample_on_grid(x, K)
+    left, gaps = _causal_identity_on_grid(sample_on_grid(S, K), x_vals,
+                                          np.linalg.inv(x_vals))
+    coeffs = coefficients_from_values(left, 0, K - 1)
+    return float(gaps.max()) / scale, _anticausal_mass(coeffs, S.m, scale)
 
 
 def reference_anticausal_mass(S, x, K):
     """Anticausal mass read from the re-centred window [-K/2, K/2) of the
-    left side's Fourier coefficients, with a mask over the causal indices."""
+    Fourier coefficients of the left side ``X^{-1} S`` (the identity with
+    ``z^m`` divided out), with a mask over the causal indices [-m, 0]."""
     m = S.m
-    z_m = unit_circle_grid(K) ** m
-    left = np.linalg.inv(sample_on_grid(x, K)) @ (z_m[:, None, None] * sample_on_grid(S, K))
+    left = np.linalg.inv(sample_on_grid(x, K)) @ sample_on_grid(S, K)
     window = (np.fft.fft(left, axis=0) / K)[np.arange(-(K // 2), K // 2) % K]
     norms = np.sqrt(np.sum(np.abs(window) ** 2, axis=(1, 2)))
     causal = np.zeros(K, dtype=bool)
-    causal[K // 2 : K // 2 + m + 1] = True  # window index K//2 holds n = 0
+    causal[K // 2 - m : K // 2 + 1] = True  # window index K//2 holds n = 0
     scale = 1.0 + np.sqrt(np.sum(np.abs(S.coeffs) ** 2, axis=(1, 2))).max()
     return float(np.sqrt(np.sum(norms[~causal] ** 2))) / scale
 
@@ -322,6 +389,8 @@ class TestVerifyAll:
         by_name = {entry.name: entry for entry in report.checks}
         assert by_name["factorization"].passed
         assert not by_name["outer-determinant"].passed
+        # A count of one root inside the disk hands the entry to the roots.
+        assert by_name["outer-determinant"].detail == "min det-root modulus 0.5 over 1 root(s)"
 
     def test_errors_become_failed_entries(self):
         report = verify_all(scalar_laurent(2.0, -1.0), scalar_poly(1.0, -1.0))
@@ -353,6 +422,11 @@ class TestVerifyAll:
         failed = [entry for entry in report.checks if entry.name in causal]
         assert not any(entry.passed for entry in failed)
         assert all("condition" in entry.detail for entry in failed)
+        # Without the inverse the outer entry is the roots': det X has its
+        # one root on the circle, a boundary warning.
+        outer = next(entry for entry in report.checks if entry.name == "outer-determinant")
+        assert outer.passed and outer.warning
+        assert outer.detail.startswith("min det-root modulus 1 over 1 root(s)")
         # A failed entry keeps the tolerance it carries when the check runs.
         running = {entry.name: entry.tolerance
                    for entry in verify_all(S_SCALAR, X_GOOD).checks}
