@@ -246,21 +246,23 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
         # L^{-1} A and L^{-1} A^* for W = L L^*, so Q and P stay Hermitian:
         # one triangular inverse and two matmuls.  Every temporary dropped
         # before the next Cholesky keeps a step's traced peak near six (m r)^2
-        # blocks.
+        # blocks.  The converged step is the last and updates Q alone, so it
+        # skips L^{-1} A^* and the products that feed P and A.
+        converged = change < opts.residual_tol
         inverse = _triangular_inverse(lower)
         del lower
-        right = inverse @ A.conj().T
+        right = None if converged else inverse @ A.conj().T
         left = inverse @ A
         del inverse, A
         drop = left.conj().T @ left
-        converged = change < opts.residual_tol
         previous, change = change, float(np.linalg.norm(drop) / np.linalg.norm(Q - drop))
         stalled = not converged and previous <= change
         if not stalled:
             Q -= drop
             del drop
-            P += right.conj().T @ right
-            A = right.conj().T @ left
+            if not converged:
+                P += right.conj().T @ right
+                A = right.conj().T @ left
             steps += 1
         del left, right
 

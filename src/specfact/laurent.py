@@ -12,9 +12,10 @@ uniform unit-circle grid ``z_j = exp(2*pi*i*j/K)`` (sampling returns the
 * :class:`MatrixPolynomial` -- a causal factor ``X(z) = sum_{n=0}^{m} rho_n z^n``.
 
 Products of causal stacks are formed in coefficient space by one kernel,
-``_causal_product_window``; the factorization residual takes the band of
-``X X^*`` from it.  :func:`multiply_by_adjoint` alone keeps its own per-lag
-sum, because the golden fixtures pin its bytes.
+``_causal_product_window``; the factorization residual and ``verify_all``'s
+positivity bound take the band of ``S - X X^*`` from it, through
+``_residual_band_norms``.  :func:`multiply_by_adjoint` alone keeps its own
+per-lag sum, because the golden fixtures pin its bytes.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -355,14 +356,13 @@ def _coefficient_scale(sigma: np.ndarray) -> float:
     return 1.0 + float(_frobenius(sigma).max())
 
 
-def _residual_against(sigma: np.ndarray, factor_coeffs: np.ndarray) -> float:
-    """Relative coefficientwise mismatch of the factorization identity.
+def _residual_band_norms(sigma: np.ndarray, factor_coeffs: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the coefficients ``e_0..e_M`` of ``E = S - X X^*``,
+    over the union M of both bands; ``e_{-n} = e_n^*``.
 
-    max_n ||sigma_n - (X X^*)_n||_F / (1 + max_n ||sigma_n||_F), over the
-    union of both bands.  Coefficients 0..m of ``X X^*`` are coefficients
-    m..2m of the causal product ``X(z) z^m X^*(z)``, whose stack is X's
-    reversed and adjoined.  A gap beyond double precision reads ``inf``,
-    without a warning.
+    Coefficients 0..m of ``X X^*`` are coefficients m..2m of the causal
+    product ``X(z) z^m X^*(z)``, whose stack is X's reversed and adjoined.
+    A norm beyond double precision reads ``inf``, without a warning.
     """
     c = factor_coeffs
     product = _causal_product_window(c, c[::-1].conj().transpose(0, 2, 1), len(c) - 1)
@@ -371,7 +371,14 @@ def _residual_against(sigma: np.ndarray, factor_coeffs: np.ndarray) -> float:
     gap[: len(sigma)] = sigma
     gap[: len(product)] -= product
     with np.errstate(over="ignore"):
-        return float(_frobenius(gap).max()) / _coefficient_scale(sigma)
+        return _frobenius(gap)
+
+
+def _residual_against(sigma: np.ndarray, factor_coeffs: np.ndarray) -> float:
+    """Relative coefficientwise mismatch of the factorization identity,
+    ``max_n ||e_n||_F / (1 + max_n ||sigma_n||_F)`` from
+    :func:`_residual_band_norms`."""
+    return float(_residual_band_norms(sigma, factor_coeffs).max()) / _coefficient_scale(sigma)
 
 
 def multiply_by_adjoint(x: MatrixPolynomial) -> HermitianLaurentPolynomial:

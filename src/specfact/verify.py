@@ -23,11 +23,19 @@ X.  The causal check samples S and X once, on the doubled grid 2K, and
 inverts X there once; from one transform of ``X^{-1} S`` on 2K it returns
 the gap and the anticausal mass on the K grid, which is the even points of
 those samples, and how far the mass moves on the full 2K grid.
-:func:`verify_all` samples S and X on 2K once, inverts X once and hands all
-of it to every check: positivity scans the even points, the causal entries
-are that same triple, and the outer entry reads the winding number of det X
-off the same inverse, ``tr(X^{-1} z X')`` on 2K.  Unless that count
-reads zero with a small Fourier tail, the outer entry falls back to
+:func:`verify_all` samples S and X on 2K once, inverts X once, forms the
+band of ``E = S - X X^*`` once and hands all of it to every check.  The
+factorization entry is E's largest coefficient norm.  Positivity first reads
+a lower bound on the minimum eigenvalue of S over the whole circle off the
+factor: ``S = X X^* + E`` exactly, for any X, so Weyl's inequality and the
+grid inverse bound it by ``sigma_min(X)^2 - ||E||`` (see
+:func:`_positivity_bound`).  A bound above ``NEAR_SINGULAR_TOL`` times the
+scale passes the entry; otherwise (a wrong factor, a spectrum near singular
+on the circle, a refused inverse) the zoomed eigen-scan of the even points
+decides.  The causal entries are that same triple, and the outer entry
+reads the winding number of det X off the same inverse,
+``tr(X^{-1} z X')`` on 2K.  Unless that count reads zero with a small
+Fourier tail, the outer entry falls back to
 :func:`check_outer_determinant`, which samples det X on its own grid, the
 smallest power of two >= max(8, 2(r m + 1)), and reads its roots.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
@@ -58,6 +66,7 @@ from .laurent import (
     _next_pow2,
     _positivity_scan,
     _residual_against,
+    _residual_band_norms,
     coefficients_from_values,
     default_verify_grid,
     sample_on_grid,
@@ -69,6 +78,11 @@ GRID_COND_MAX = 1e10
 
 # Roots of det X inside this band around |z| = 1 are boundary-ambiguous.
 OUTER_BOUNDARY_BAND = 1e-6
+
+# The positivity entry flags S as nearly singular on the circle when its
+# minimum eigenvalue is at most NEAR_SINGULAR_TOL times the coefficient scale
+# of S, and skips the eigen-scan when a lower bound proves it above that.
+NEAR_SINGULAR_TOL = 1e-8
 
 # Tolerances of the verify_all entries other than the factorization residual
 # and positivity (laurent.POSITIVITY_TOL): causal-identity gap and anticausal
@@ -153,10 +167,14 @@ def check_outer_determinant(x: MatrixPolynomial):
     det X, of degree at most r m, is sampled on its own grid and read back
     as coefficients.  Outer for a polynomial means no roots in the open unit
     disk; passing is min modulus >= 1 - OUTER_BOUNDARY_BAND, with roots
-    inside the band reported as boundary warnings by the caller.
+    inside the band reported as boundary warnings by the caller.  A det X
+    that overflows at a grid point raises ``SpectralFactorError``.
     """
     bound = x.r * x.m
-    dets = np.linalg.det(sample_on_grid(x, _next_pow2(max(8, 2 * (bound + 1)))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.linalg.det(sample_on_grid(x, _next_pow2(max(8, 2 * (bound + 1)))))
+    if not np.all(np.isfinite(dets)):
+        raise SpectralFactorError("det X overflows double precision on the grid")
     coeffs = coefficients_from_values(dets, 0, bound)
     magnitudes = np.abs(coeffs)
     top = magnitudes.max()
@@ -189,25 +207,29 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
 
 class _Grid(NamedTuple):
     """S and X on the 2K grid, X's guarded pointwise inverse there (or the
-    guard's ``SingularFactorOnGrid``) and the coefficient scale of S: what the
-    checks of one ``verify_all`` share."""
+    guard's ``SingularFactorOnGrid``), the coefficient scale of S and the
+    Frobenius norms of the coefficients of ``E = S - X X^*``: what the checks
+    of one ``verify_all`` share."""
 
     S_vals: np.ndarray
     x_vals: np.ndarray
     inverse: np.ndarray | SingularFactorOnGrid
     scale: float
+    residual_norms: np.ndarray
 
 
 def _sample_grid(S: HermitianLaurentPolynomial, x: MatrixPolynomial) -> _Grid:
     """S and X sampled once on 2K, for K the check grid of the larger order,
-    and X inverted there once under the ``GRID_COND_MAX`` guard."""
+    X inverted there once under the ``GRID_COND_MAX`` guard, and the band of
+    ``S - X X^*`` formed once in coefficient space."""
     n = 2 * default_verify_grid(max(S.m, x.m))
     S_vals, x_vals = sample_on_grid(S, n), sample_on_grid(x, n)
     try:
         inverse = _guarded_inverse(x_vals, GRID_COND_MAX, SingularFactorOnGrid, "factor")
     except SingularFactorOnGrid as refusal:
         inverse = refusal
-    return _Grid(S_vals, x_vals, inverse, _coefficient_scale(S.coeffs))
+    return _Grid(S_vals, x_vals, inverse, _coefficient_scale(S.coeffs),
+                 _residual_band_norms(S.coeffs, x.coeffs))
 
 
 def _causal_triple(m: int, grid: _Grid):
@@ -215,26 +237,28 @@ def _causal_triple(m: int, grid: _Grid):
 
     One transform of the left side on 2K serves both grids: the K grid's
     coefficients are its fold ``c_K[n] = c_2K[n] + c_2K[n + K]``, which is
-    the transform of the even samples."""
+    the transform of the even samples, and the gap is taken at the even
+    samples alone."""
     if isinstance(grid.inverse, SingularFactorOnGrid):
         raise grid.inverse
-    left, gaps = _causal_identity_on_grid(grid.S_vals, grid.x_vals, grid.inverse)
+    left = grid.inverse @ grid.S_vals
+    gaps = _causal_gap(left[::2], grid.x_vals[::2])
     n = len(left)
     coeffs = coefficients_from_values(left, 0, n - 1)
     mass = _anticausal_mass(coeffs[: n // 2] + coeffs[n // 2 :], m, grid.scale)
-    return (float(gaps[::2].max()) / grid.scale, mass,
+    return (float(gaps.max()) / grid.scale, mass,
             abs(_anticausal_mass(coeffs, m, grid.scale) - mass))
 
 
-def _causal_identity_on_grid(S_vals: np.ndarray, x_vals: np.ndarray,
-                             inverse: np.ndarray):
-    """The left side ``X^{-1} S`` at each grid point, from X's pointwise
-    inverse, and its Frobenius gap to the right side ``X^*``.  This is the
-    identity ``X^{-1} z^m S = z^m X^*`` with the unimodular ``z^m`` divided
-    out: the gap is the same, and the causal window [0, m] of the left side
-    becomes [-m, 0]."""
-    left = inverse @ S_vals
-    return left, _frobenius(left - x_vals.conj().transpose(0, 2, 1))
+def _causal_gap(left: np.ndarray, x_vals: np.ndarray) -> np.ndarray:
+    """Frobenius gap at each grid point between the left side ``X^{-1} S``,
+    formed from X's pointwise inverse, and the right side ``X^*``.  This is
+    the identity ``X^{-1} z^m S = z^m X^*`` with the unimodular ``z^m``
+    divided out: the gap is the same, and the causal window [0, m] of the
+    left side becomes [-m, 0].  A gap beyond double precision reads ``inf``,
+    without a warning."""
+    with np.errstate(over="ignore"):
+        return _frobenius(left - x_vals.conj().transpose(0, 2, 1))
 
 
 def _anticausal_mass(coeffs: np.ndarray, m: int, scale: float) -> float:
@@ -283,17 +307,46 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
     return constancy_gap, unitarity_gap
 
 
+def _positivity_bound(x: MatrixPolynomial, grid: _Grid) -> float:
+    """A lower bound on the minimum eigenvalue of S over the whole circle,
+    read off the factor: ``-inf`` when the grid guard refused X's inverse,
+    ``nan`` or ``inf`` when a term overflows, without a warning.
+
+    S = X X^* + E exactly, for any X, so by Weyl's inequality
+    ``lambda_min(S(z)) >= sigma_min(X(z))^2 - ||E(z)||_2``, and
+    ``||E(z)||_2 <= ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``.  sigma_min is
+    1-Lipschitz and ``||X'(theta)||_2 <= sum_n n ||rho_n||_F``, so between the
+    N = 2K grid nodes ``sigma_min(X) >= min_j 1/||X(z_j)^{-1}||_F
+    - (pi/N) sum_n n ||rho_n||_F``.  The bound holds up to rounding: for a
+    constant X with E = 0 it is the minimum eigenvalue itself, to the last
+    bits, far below the threshold that :func:`verify_all` compares it with.
+    """
+    if isinstance(grid.inverse, SingularFactorOnGrid):
+        return -np.inf
+    n = len(grid.x_vals)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = np.arange(x.m + 1) @ _frobenius(x.coeffs)
+        sigma_min = 1.0 / _frobenius(grid.inverse).max() - np.pi / n * slope
+        spread = grid.residual_norms[0] + 2.0 * grid.residual_norms[1:].sum()
+        return float(np.maximum(sigma_min, 0.0) ** 2 - spread)
+
+
 def _measure_positivity(S, x, grid):
+    threshold = NEAR_SINGULAR_TOL * grid.scale
+    bound = _positivity_bound(x, grid)
+    if np.isfinite(bound) and bound > threshold:
+        return [(0.0, f"min eigenvalue >= {bound:.3e} on the whole circle, "
+                      f"from S = X X* + E", False)]
     deficit, min_eig, min_det = _positivity_scan(S, grid.S_vals[::2])
-    near_singular = min_eig <= 1e-8 * grid.scale
+    near_singular = min_eig <= threshold
     detail = (f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
               + ("; nearly singular on the circle" if near_singular else ""))
     return [(deficit, detail, near_singular)]
 
 
 def _measure_factorization(S, x, grid):
-    return [(check_factorization(S, x), "relative coefficientwise residual of S = X X*",
-             False)]
+    return [(float(grid.residual_norms.max()) / grid.scale,
+             "relative coefficientwise residual of S = X X*", False)]
 
 
 def _measure_degree(S, x, grid):

@@ -1,25 +1,33 @@
 """Verifier checks: each identity, its failure modes, and their couplings."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from specfact.errors import IdenticallyZeroDeterminant, SingularFactorOnGrid
+from specfact.factorize import factor
 from specfact.laurent import (
+    POSITIVITY_TOL,
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _coefficient_scale,
     _inverse_on_grid,
+    _positivity_scan,
     coefficients_from_values,
     default_verify_grid,
     multiply_by_adjoint,
     sample_on_grid,
 )
-from specfact.testgen import generate_instance
+from specfact.testgen import generate_boundary_instance, generate_instance
 from specfact.verify import (
     GRID_COND_MAX,
+    NEAR_SINGULAR_TOL,
     VerifyOptions,
     _anticausal_mass,
-    _causal_identity_on_grid,
+    _causal_gap,
+    _positivity_bound,
+    _sample_grid,
     check_causal_identity,
     check_constant_unitary_equivalence,
     check_degree,
@@ -69,6 +77,95 @@ class TestPositivity:
         min_eig, min_det = check_positivity(bundle.spectrum)
         assert min_eig > 0
         assert min_det > 0
+
+
+def entries(S, x):
+    return {entry.name: entry for entry in verify_all(S, x).checks}
+
+
+def quiet_report(S, x):
+    """verify_all with every numpy warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return entries(S, x)
+
+
+class TestPositivityCertificate:
+    # verify_all's positivity entry skips the eigen-scan when S = X X^* + E
+    # bounds the minimum eigenvalue of S above the near-singular threshold.
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_bound_is_below_the_scan_and_the_entry_reads_as_the_scan(self, r, m):
+        for seed in (0, 1):
+            bundle = generate_instance(r, m, seed)
+            S = bundle.spectrum
+            for x in (bundle.ground_truth, factor(S).factor):
+                grid = _sample_grid(S, x)
+                deficit, min_eig, _ = _positivity_scan(S, grid.S_vals[::2])
+                bound = _positivity_bound(x, grid)
+                # Equal up to rounding when E vanishes and X is constant.
+                assert bound <= min_eig + 1e-13 * grid.scale
+                assert bound > NEAR_SINGULAR_TOL * grid.scale
+                entry = entries(S, x)["positivity"]
+                passed = deficit <= POSITIVITY_TOL
+                scan = (passed, deficit, passed and min_eig <= NEAR_SINGULAR_TOL * grid.scale)
+                assert (entry.passed, entry.measured, entry.warning) == scan
+                assert entry.detail == (f"min eigenvalue >= {bound:.3e} on the whole "
+                                        f"circle, from S = X X* + E")
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("r, m", [(1, 1), (2, 2), (3, 4)])
+    def test_boundary_spectra_take_the_scan_and_keep_their_warning(self, r, m, seed):
+        bundle = generate_boundary_instance(r, m, seed)
+        entry = entries(bundle.spectrum, bundle.ground_truth)["positivity"]
+        assert entry.passed and entry.warning
+        assert "min |det|" in entry.detail and "nearly singular" in entry.detail
+
+    def test_constant_factor_refused_by_the_grid_guard_takes_the_scan(self):
+        singular = np.diag([1.0, 0.0]).astype(complex)[None]
+        S, x = HermitianLaurentPolynomial(singular), MatrixPolynomial(singular)
+        assert _positivity_bound(x, _sample_grid(S, x)) == -np.inf
+        entry = entries(S, x)["positivity"]
+        assert entry.passed and entry.warning
+        assert entry.detail.startswith("min eigenvalue 0.000e+00, min |det| 0.000e+00")
+
+    def test_wrong_constant_factor_of_a_boundary_spectrum_takes_the_scan(self):
+        # X = 1 is far from a factor of 2 + z + 1/z, which vanishes at z = -1:
+        # E outweighs X X^*, so the scan finds the zero and warns.
+        S, x = scalar_laurent(2.0, 1.0), scalar_poly(1.0)
+        assert _positivity_bound(x, _sample_grid(S, x)) < 0
+        entry = entries(S, x)["positivity"]
+        assert entry.passed and entry.warning
+        assert "min |det|" in entry.detail
+
+    def test_overflowing_factor_takes_the_scan_without_a_warning(self):
+        # The ground truth scaled by 1.2e153: E and its sum of norms overflow.
+        bundle = generate_instance(8, 16, 1000)
+        x = MatrixPolynomial(bundle.ground_truth.coeffs * 1.2e153)
+        report = quiet_report(bundle.spectrum, x)
+        assert not np.isfinite(_positivity_bound(x, _sample_grid(bundle.spectrum, x)))
+        assert report["positivity"].passed and not report["positivity"].warning
+        assert "min |det|" in report["positivity"].detail
+        assert not report["factorization"].passed
+        assert not report["causal-identity"].passed
+
+    def test_overflowing_det_fails_the_outer_entry_without_a_warning(self):
+        # det X of 1e120 (diag(1 + 2z, 1, 1)) overflows; its root at -1/2 sends
+        # the outer entry to the roots of det X.
+        y = np.zeros((2, 3, 3), dtype=complex)
+        y[0], y[1, 0, 0] = np.eye(3), 2.0
+        report = quiet_report(multiply_by_adjoint(MatrixPolynomial(y)),
+                              MatrixPolynomial(1e120 * y))
+        assert not report["outer-determinant"].passed
+        assert report["outer-determinant"].detail == "det X overflows double precision on the grid"
+
+    def test_factorization_entry_is_the_public_residual(self):
+        bundle = generate_instance(4, 8, 3)
+        x = MatrixPolynomial(bundle.ground_truth.coeffs * (1 + 1e-7))
+        entry = entries(bundle.spectrum, x)["factorization"]
+        assert entry.measured == check_factorization(bundle.spectrum, x)
+        assert entry.measured > 1e-9 and not entry.passed
 
 
 class TestFactorization:
@@ -257,10 +354,10 @@ def causal_on_grid(S, x, K):
     """Gap and anticausal mass with S and X sampled on the K grid itself."""
     scale = _coefficient_scale(S.coeffs)
     x_vals = sample_on_grid(x, K)
-    left, gaps = _causal_identity_on_grid(sample_on_grid(S, K), x_vals,
-                                          np.linalg.inv(x_vals))
+    left = np.linalg.inv(x_vals) @ sample_on_grid(S, K)
     coeffs = coefficients_from_values(left, 0, K - 1)
-    return float(gaps.max()) / scale, _anticausal_mass(coeffs, S.m, scale)
+    return (float(_causal_gap(left, x_vals).max()) / scale,
+            _anticausal_mass(coeffs, S.m, scale))
 
 
 def reference_anticausal_mass(S, x, K):
