@@ -34,8 +34,8 @@ its unitary equivalence class whose value at z = 0 is lower triangular with
 strictly positive diagonal.
 
 Each route has one core, ``(S, opts) -> (coefficients, count, warnings)``,
-returning exactly m + 1 coefficients; the table ``_ATTEMPTS`` maps each
-algorithm name to the cores :func:`factor` tries in order.  Both iterative
+returning exactly m + 1 coefficients; the table ``_ROUTES`` maps each
+algorithm name to the one core :func:`factor` runs.  Both iterative
 cores stop alike: a pass that starts from an iterate meeting the tolerance
 is the last; a cap reached first raises ``NoConvergence``.  One positivity
 rule, ``laurent._require_semidefinite``, tells a stall from an indefinite S.
@@ -102,19 +102,19 @@ DOUBLING_MAX_STEPS = 64
 # Leaf size of the doubling step's recursive triangular inverse.
 TRIANGULAR_LEAF = 32
 
-# Budget of auto's doubling, which runs first, in Toeplitz block rows.  With a
-# det root on the circle the doubling needs 2^23 rows or more to meet 1e-9, so
-# auto stops it here, its Wilson fallback stalls too and auto reports no
-# convergence (exit 3, the exit perfbench's smoke check runs on such a
-# spectrum); only a forced bauer runs on to factor it.  At m = 2 the budget
-# stops a double root's doubling one step before its pivot fails.
+# Budget of auto's doubling, in Toeplitz block rows.  With a det root on the
+# circle the doubling needs 2^23 rows or more to meet 1e-9, so auto stops it
+# here and reports no convergence (exit 3, the exit perfbench's smoke check
+# runs on such a spectrum); only a forced bauer runs on to factor it.  At
+# m = 2 the budget stops a double root's doubling one step before its pivot
+# fails.
 AUTO_BAUER_BLOCK_ROWS = 2**14
 
 
 @dataclass(frozen=True)
 class FactorizationOptions:
-    """Knobs for :func:`factor` and the individual routes: the row of
-    ``_ATTEMPTS`` to run and the tolerance that stops the Newton and doubling
+    """Knobs for :func:`factor` and the individual routes: the route of
+    ``_ROUTES`` to run and the tolerance that stops the Newton and doubling
     routes (``factor()`` warns above it).  Every grid follows from the order
     of S; the iteration caps are the module constants ``NEWTON_MAX_ITERS``
     and ``DOUBLING_MAX_STEPS``."""
@@ -437,15 +437,14 @@ def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions
     return coeffs.astype(np.complex128), 0, warnings
 
 
-# Each algorithm's routes, in the order factor() tries them.
-_ATTEMPTS = {
-    "auto": (("bauer", functools.partial(_bauer_core, max_rows=AUTO_BAUER_BLOCK_ROWS)),
-             ("wilson", _wilson_core)),
-    "bauer": (("bauer", _bauer_core),),
-    "wilson": (("wilson", _wilson_core),),
-    "scalar_roots": (("scalar_roots", _scalar_roots_core),),
+# Each algorithm's one route: the name factor() reports and its core.
+_ROUTES = {
+    "auto": ("bauer", functools.partial(_bauer_core, max_rows=AUTO_BAUER_BLOCK_ROWS)),
+    "bauer": ("bauer", _bauer_core),
+    "wilson": ("wilson", _wilson_core),
+    "scalar_roots": ("scalar_roots", _scalar_roots_core),
 }
-ALGORITHMS = tuple(_ATTEMPTS)
+ALGORITHMS = tuple(_ROUTES)
 
 
 def bauer_factor(S: HermitianLaurentPolynomial,
@@ -497,38 +496,27 @@ def factor(S: HermitianLaurentPolynomial,
            opts: FactorizationOptions = FactorizationOptions()) -> FactorizationResult:
     """Compute the canonical causal spectral factor of S.
 
-    Runs the routes of ``_ATTEMPTS[opts.algorithm]`` in order until one
-    returns; ``auto`` runs Bauer's doubling first, within
-    ``AUTO_BAUER_BLOCK_ROWS``, and falls back to the Newton iteration if it
-    stalls.  The returned factor is canonical; ``achieved_residual`` is the
-    relative coefficientwise mismatch of the factorization identity.  Raises
-    ``NotPositiveDefinite`` or ``DegenerateDeterminant`` when the hypotheses
-    fail on the check grid ``default_verify_grid(S.m)``.  If every attempt
-    fails: the last ``SingularIterate`` if none stalled; else
-    ``NotPositiveDefinite`` if the positivity rule finds S indefinite, else
-    ``NoConvergence`` of the stalled attempt with the smallest residual (best
-    iterate canonicalized).
+    Runs the one route ``_ROUTES[opts.algorithm]``; ``auto`` is Bauer's
+    doubling within ``AUTO_BAUER_BLOCK_ROWS``.  The returned factor is
+    canonical; ``achieved_residual`` is the relative coefficientwise mismatch
+    of the factorization identity.  Raises ``NotPositiveDefinite`` or
+    ``DegenerateDeterminant`` when the hypotheses fail on the check grid
+    ``default_verify_grid(S.m)``.  A route's own errors (``SingularIterate``,
+    ``CholeskyBreakdown``, ...) propagate; if it hits its cap, raises
+    ``NotPositiveDefinite`` when the positivity rule finds S indefinite, else
+    its ``NoConvergence`` with the best iterate canonicalized.
     """
     warnings = _require_factorable(S, default_verify_grid(S.m))
 
-    failures: list[NoConvergence | SingularIterate] = []
-    for name, core in _ATTEMPTS[opts.algorithm]:
-        try:
-            raw, count, extra = core(S, opts)
-            warnings.extend(extra)
-            break
-        except (NoConvergence, SingularIterate) as exc:
-            failures.append(exc)
-            warnings.append(f"{name} did not converge ({exc}); falling back")
-    else:
-        stalled = [exc for exc in failures if isinstance(exc, NoConvergence)]
-        if not stalled:
-            raise failures[-1]
+    name, core = _ROUTES[opts.algorithm]
+    try:
+        raw, count, extra = core(S, opts)
+    except NoConvergence as exc:
         _require_semidefinite(S, NotPositiveDefinite, "no route converged")
-        best = min(stalled, key=lambda exc: exc.achieved_residual)
         with contextlib.suppress(SingularLeadingCoefficient):
-            best.best_factor, _ = canonical_normalize(best.best_factor)
-        raise best
+            exc.best_factor, _ = canonical_normalize(exc.best_factor)
+        raise
+    warnings.extend(extra)
 
     poly, _ = canonical_normalize(MatrixPolynomial(raw))
     residual = _residual_against(S.coeffs, poly.coeffs)

@@ -8,9 +8,10 @@ Spectrum file::
 
     {"r": 2, "m": 1, "coeffs": {"0": [[[re,im],...],...], "1": ...}}
 
-Only the nonnegative indices are required; a negative index, when present,
-is cross-checked against the conjugate transpose of its mirror (tools that
-export both sides stay compatible, but cannot smuggle in an asymmetry).
+Only the nonnegative indices are required, and ``coeffs`` holds at least one
+entry; a negative index, when present, is cross-checked against the conjugate
+transpose of its mirror (tools that export both sides stay compatible, but
+cannot smuggle in an asymmetry).
 Each index appears at most once (``"0"`` and ``"-0"`` are one), every entry
 is a numeric ``[re, im]`` pair, and ``m`` only bounds the indices.
 
@@ -118,6 +119,9 @@ def _parse_document(text: str, label: str) -> dict:
         raise ValueError(f"{label}: m must be a nonnegative integer")
     if not isinstance(doc["coeffs"], dict):
         raise ValueError(f"{label}: coeffs must be an object keyed by index")
+    # Without an entry, the declared r alone would size the stack.
+    if not doc["coeffs"]:
+        raise ValueError(f"{label}: coeffs holds no coefficient")
     return doc
 
 
@@ -136,7 +140,7 @@ def _collect_coefficients(doc: dict, label: str, allow_negative: bool) -> np.nda
         parsed[index] = _pairs_to_matrix(node, r, f"{label}: coeffs[{key}]")
 
     # Sized by the indices present, not m: trailing zeros are trimmed anyway.
-    order = max(map(abs, parsed), default=0)
+    order = max(map(abs, parsed))
     stack = np.zeros((order + 1, r, r), dtype=np.complex128)
     for n in range(order + 1):
         positive = parsed.get(n)

@@ -24,6 +24,7 @@ from specfact.errors import (
 )
 from specfact.fileio import read_factor, write_factor, write_spectrum
 from specfact.laurent import HermitianLaurentPolynomial, MatrixPolynomial, multiply_by_adjoint
+from specfact.testgen import generate_instance
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -102,6 +103,19 @@ class TestFactorCommand:
         assert main(["factor", str(spectrum), str(tmp_path / "out")]) == 1
         assert f": {field} must be a " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, kind", [("factor", "spectrum"), ("verify", "factor")])
+    def test_empty_coefficients_exit_one(self, tmp_path, capsys, command, kind):
+        # numpy refuses a 2^40 x 2^40 stack without allocating; the reader
+        # must refuse the document before r sizes anything.
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"r": 2**40, "m": 0, "coeffs": {}}))
+        spectrum = tmp_path / "s.spectrum"
+        write_scalar_spectrum(spectrum)
+        args = {"factor": [empty, tmp_path / "out"], "verify": [spectrum, empty]}[command]
+        assert main([command, *map(str, args)]) == 1
+        assert capsys.readouterr().err == (
+            f"specfact: error: {kind} file {empty}: coeffs holds no coefficient\n")
+
     def test_degenerate_determinant_exits_two(self, tmp_path):
         spectrum = tmp_path / "rank.spectrum"
         spectrum.write_text('{"r": 2, "m": 0, "coeffs": {"0": '
@@ -123,17 +137,24 @@ class TestFactorCommand:
 
     def test_no_convergence_metadata_names_algorithm_not_flag(self, tmp_path, monkeypatch,
                                                              capsys):
-        # Under the default flag ("auto") Bauer's doubling stalls first and
-        # Wilson falls back; with these caps (one doubling step, 4 Toeplitz
-        # block rows) Wilson's iterate is the better one and is the one
-        # written, so the metadata must say "wilson", not "auto".
-        monkeypatch.setattr("specfact.factorize.NEWTON_MAX_ITERS", 8)
+        # Under the default flag ("auto") Bauer's doubling stops at its cap
+        # (one doubling step, 4 Toeplitz block rows) and its iterate is
+        # written, so the metadata must say "bauer", not "auto".
         monkeypatch.setattr("specfact.factorize.DOUBLING_MAX_STEPS", 1)
         out = tmp_path / "s.factor"
         code = main(["factor", str(FIXTURES / "boundary_r2m2_seed19.spectrum"), str(out)])
         assert code == 3
         _, metadata = read_factor(out)
-        assert metadata["algorithm"] == "wilson"
+        assert metadata["algorithm"] == "bauer"
+
+    def test_auto_writes_the_doublings_best_iterate_at_its_budget(self, tmp_path, capsys):
+        # Det roots down to modulus 1.001: auto's doubling stops at its budget
+        # one step short of convergence, and that iterate is the one written.
+        spectrum, out = tmp_path / "near.spectrum", tmp_path / "near.factor"
+        write_spectrum(spectrum, generate_instance(1, 2, 1, root_margin=0.001).spectrum)
+        assert main(["factor", str(spectrum), str(out)]) == 3
+        _, metadata = read_factor(out)
+        assert metadata["algorithm"] == "bauer"
 
     # Exact factors with a det root of multiplicity one to three on the circle.
     @pytest.mark.parametrize("coeffs", [

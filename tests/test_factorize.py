@@ -38,7 +38,7 @@ from specfact.laurent import (
     sample_on_grid,
 )
 from specfact.testgen import generate_boundary_instance, generate_instance
-from specfact.verify import check_factorization, check_outer_determinant
+from specfact.verify import check_factorization, check_outer_determinant, verify_all
 
 
 def scalar_laurent(*values):
@@ -133,8 +133,7 @@ class TestFactorDispatch:
     @pytest.mark.parametrize("algorithm, newton_iters, steps, expected", [
         ("wilson", 2, 3, "wilson"),
         ("bauer", 2, 3, "bauer"),
-        ("auto", 2, 3, "bauer"),   # Bauer's iterate has the lower residual
-        ("auto", 8, 1, "wilson"),  # Wilson's iterate has the lower residual
+        ("auto", 2, 3, "bauer"),  # auto's one route is Bauer's doubling
     ])
     def test_no_convergence_names_the_algorithm_of_its_iterate(
             self, monkeypatch, algorithm, newton_iters, steps, expected):
@@ -605,11 +604,25 @@ def test_bauer_stops_on_roundoff_with_a_det_root_on_the_circle():
     result = factor(bundle.spectrum, FactorizationOptions(algorithm="bauer"))
     assert any("stopped on roundoff" in w for w in result.warnings)
     assert forward_error(result.factor, bundle.ground_truth) <= 1e-8
-    # auto's doubling, which runs first, stops at its budget of 2^14 block
-    # rows, 14 steps at m = 1, and its Wilson fallback stalls too.
+    # auto's doubling stops at its budget of 2^14 block rows, 14 steps at
+    # m = 1.
     with pytest.raises(NoConvergence) as excinfo:
         factor(bundle.spectrum)
     assert (excinfo.value.algorithm, excinfo.value.iterations) == ("bauer", 14)
+
+
+# Det roots down to modulus 1.001: a forced bauer converges in 11 to 14
+# doubling steps, one step past auto's budget of 2^14 block rows.
+@pytest.mark.parametrize("r, m, seed", [(1, 2, 1), (1, 4, 1), (2, 16, 0)])
+def test_auto_reports_the_doublings_best_iterate_at_its_budget(r, m, seed):
+    S = generate_instance(r, m, seed, root_margin=0.001).spectrum
+    assert factor(S, FactorizationOptions(algorithm="bauer")).algorithm_used == "bauer"
+    # auto has no second route: it reports the doubling's last iterate, which
+    # is already an accurate factor, instead of another route's answer.
+    with pytest.raises(NoConvergence) as excinfo:
+        factor(S)
+    assert excinfo.value.algorithm == "bauer"
+    assert verify_all(S, excinfo.value.best_factor).overall
 
 
 @pytest.mark.parametrize("n", [1, 5, 32, 33, 48, 136])

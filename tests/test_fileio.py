@@ -172,6 +172,17 @@ class TestSpectrumValidation:
         assert poly.m == 0 and poly.coeffs[0, 0, 0] == 2
 
 
+    @pytest.mark.parametrize("reader", [read_spectrum, read_factor])
+    def test_empty_coefficients_rejected(self, tmp_path, reader):
+        # Like m, the declared r must not size the stack.  numpy refuses a
+        # 2^40 x 2^40 stack without allocating, so this allocates nothing even
+        # where r sizes it.
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"r": 2**40, "m": 0, "coeffs": {}}))
+        with pytest.raises(ValueError, match=rf"^\w+ file {path}: coeffs holds no coefficient$"):
+            reader(path)
+
+
 class TestGoldenFixtures:
     """The committed fixture bytes are the format-stability contract."""
 

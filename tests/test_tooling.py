@@ -56,10 +56,9 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 # (fixture, extra options, exit code, a line of stdout).  The boundary
 # fixture's det roots sit on the circle: under auto, Bauer's doubling runs out
-# of its budget and the Wilson fallback stalls, so the CLI writes the best
-# iterate and exits 3; forced Bauer runs on until it stops on roundoff and
-# writes a factor within 1e-8 of the truth.  auto factors the healthy
-# fixtures with the doubling.
+# of its budget, so the CLI writes the best iterate and exits 3; forced Bauer
+# runs on until it stops on roundoff and writes a factor within 1e-8 of the
+# truth.  auto factors the healthy fixtures with the doubling.
 FACTOR_RUNS = [
     ("boundary_r2m2_seed19.spectrum", (), 3, "no convergence: best iterate written"),
     ("boundary_r2m2_seed19.spectrum", ("--algorithm", "bauer"), 0, "stopped on roundoff"),
