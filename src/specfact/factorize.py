@@ -19,12 +19,10 @@ coefficientwise:
   Fourier coefficient plus indices 1..m.  Only the rational inner term needs
   the grid: the product with ``X_k`` and the residual band of ``X_k X_k^*``
   are products of degree-m polynomials, formed in coefficient space by
-  ``laurent._causal_product_window``.  The first step, from the constant
-  ``X_0 = chol(sigma_0)``, needs no grid at all:
-  ``X_1 = [X_0, sigma_1 X_0^{-*}, ..., sigma_m X_0^{-*}]``.
-  ``X_k`` counts as singular when ``laurent._guarded_inverse``, the grid
-  guard ``verify`` uses too, finds its worst grid 1-norm condition number
-  above ``NEWTON_COND_MAX``.  Quadratically convergent near the solution.
+  ``laurent._causal_product_window``.  ``X_k`` counts as singular when
+  ``laurent._guarded_inverse``, the grid guard ``verify`` uses too, finds
+  its worst grid 1-norm condition number above ``NEWTON_COND_MAX``.
+  Quadratically convergent near the solution.
 * :func:`scalar_root_factor` -- for r = 1 only: factor through the roots of
   ``z^m S(z)``, which pair as (a, 1/conj(a)); the factor collects the roots
   outside the closed unit disk plus half of each boundary cluster.
@@ -152,7 +150,7 @@ def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
     """
     values = sample_on_grid(S, K)
     values = 0.5 * (values + values.conj().transpose(0, 2, 1))
-    scale = float(_frobenius(values).max())
+    scale = float(_frobenius(values).max())  # max_j ||S(z_j)||_F
     try:
         lower = np.linalg.cholesky(values - 1e-8 * scale * np.eye(S.r))
     except np.linalg.LinAlgError:
@@ -165,7 +163,6 @@ def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
     # Symmetrizing exactly Hermitian values again leaves them unchanged.
     eigs, dets = _hermitian_scan(values)
     min_eig, max_det = float(eigs.min()), float(dets.max())
-    scale = float(np.sqrt(np.sum(eigs**2, axis=-1)).max())  # max_j ||S(z_j)||_F
     if min_eig < -1e-10 * scale:
         raise NotPositiveDefinite(
             f"spectrum has grid eigenvalue {min_eig:.3e} below -1e-10 * scale "
@@ -299,15 +296,11 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     (floored at ``NEWTON_ROUNDOFF``) and is the last: one more contraction
     turns a just-under-tolerance residual into a machine-level one, so where
     it stops does not hang on roundoff.  It raises ``NoConvergence`` after
-    ``NEWTON_MAX_ITERS`` passes without a converged one.  An iteration
-    samples its iterate once (one inverse FFT) for the guarded grid inverse
-    and G, and takes one FFT of G for ``[G]_+``; the update ``X_k [G]_+``
-    and, through ``_residual_against``, the residual band of ``X_k X_k^*``
-    come from ``_causal_product_window``, off the grid.  The first
-    iteration is exact in coefficient space: from ``X_0 = L``,
-    ``G = L^{-1} S L^{-*} + I`` is a Laurent polynomial with ``G_0 = 2I``,
-    so ``X_1 = [L, sigma_1 L^{-*}, ..., sigma_m L^{-*}]``; its guard inverts
-    L alone, the value of X_0 at every grid point.
+    ``NEWTON_MAX_ITERS`` passes without a converged one.  Every iteration,
+    the first included, samples its iterate once (one inverse FFT) for the
+    guarded grid inverse and G, and takes one FFT of G for ``[G]_+``; the
+    update ``X_k [G]_+`` and, through ``_residual_against``, the residual
+    band of ``X_k X_k^*`` come from ``_causal_product_window``, off the grid.
     """
     m, r = S.m, S.r
     sigma = S.coeffs
@@ -331,18 +324,14 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     residual = np.inf
     for iteration in range(1, NEWTON_MAX_ITERS + 1):
         converged = residual < tol
-        if iteration == 1:
-            inverse = _guarded_inverse(chi[:1], NEWTON_COND_MAX, SingularIterate, "iterate 1")
-            chi = np.concatenate([chi[:1], sigma[1:] @ inverse[0].conj().T])
-        else:
-            buf[: m + 1] = chi
-            inverse = _guarded_inverse(sample_values_on_grid(buf), NEWTON_COND_MAX,
-                                       SingularIterate, f"iterate {iteration}")
-            G = inverse @ S_vals @ inverse.conj().transpose(0, 2, 1) + eye
-            # [G]_+: the window [0, m] of G with its index-0 term halved.
-            plus = coefficients_from_values(G, 0, m)
-            plus[0] *= 0.5
-            chi = _causal_product_window(chi, plus, 0)
+        buf[: m + 1] = chi
+        inverse = _guarded_inverse(sample_values_on_grid(buf), NEWTON_COND_MAX,
+                                   SingularIterate, f"iterate {iteration}")
+        G = inverse @ S_vals @ inverse.conj().transpose(0, 2, 1) + eye
+        # [G]_+: the window [0, m] of G with its index-0 term halved.
+        plus = coefficients_from_values(G, 0, m)
+        plus[0] *= 0.5
+        chi = _causal_product_window(chi, plus, 0)
 
         residual = _residual_against(sigma, chi)
         if residual < best_residual:

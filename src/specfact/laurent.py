@@ -65,7 +65,7 @@ def default_verify_grid(m: int) -> int:
     """The one check grid: ``default_grid_size(m)``, but at least 256 points.
     Used by the hypothesis precheck of ``factor()``, by every verify check
     that samples S or a factor and by the generator's condition estimate."""
-    return _next_pow2(max(256, 8 * (m + 1)))
+    return max(256, default_grid_size(m))
 
 
 def _as_coefficient_stack(coeffs) -> np.ndarray:

@@ -168,17 +168,18 @@ def check_outer_determinant(x: MatrixPolynomial):
     as coefficients.  Outer for a polynomial means no roots in the open unit
     disk; passing is min modulus >= 1 - OUTER_BOUNDARY_BAND, with roots
     inside the band reported as boundary warnings by the caller.  A det X
-    that overflows at a grid point raises ``SpectralFactorError``.
+    that overflows at a grid point, or whose coefficients overflow though
+    its values do not, raises ``SpectralFactorError``.
     """
     bound = x.r * x.m
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(sample_on_grid(x, _next_pow2(max(8, 2 * (bound + 1)))))
-    if not np.all(np.isfinite(dets)):
+        coeffs = coefficients_from_values(dets, 0, bound)
+        magnitudes = np.abs(coeffs)
+    if not np.all(np.isfinite(magnitudes)):
         raise SpectralFactorError("det X overflows double precision on the grid")
-    coeffs = coefficients_from_values(dets, 0, bound)
-    magnitudes = np.abs(coeffs)
     top = magnitudes.max()
-    if top <= 0 or not np.isfinite(top):
+    if top <= 0:
         raise IdenticallyZeroDeterminant("det X is numerically the zero polynomial")
     keep = np.nonzero(magnitudes > 1e-10 * top)[0]
     trimmed = coeffs[: keep[-1] + 1]

@@ -76,6 +76,22 @@ class TestFactorCommand:
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["factor", str(tmp_path / "nope"), str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("flags, code", [((), 0), (("--boundary",), 3)],
+                             ids=["converged", "no-convergence"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, flags, code):
+        # Both writes, the factor and the best iterate at auto's budget, fail
+        # into a missing directory with one error line and nothing on stdout.
+        prefix = str(tmp_path / "g")
+        assert main(["gen", "1", "1", prefix, "--seed", "1", *flags]) == 0
+        assert main(["factor", prefix + ".spectrum", str(tmp_path / "ok.factor")]) == code
+        capsys.readouterr()
+        out = tmp_path / "missing" / "out.factor"
+        assert main(["factor", prefix + ".spectrum", str(out)]) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("specfact: error: ") and str(out) in line
+        assert captured.out == ""
+
     def test_indefinite_spectrum_exits_two(self, tmp_path, capsys):
         spectrum = tmp_path / "neg.spectrum"
         spectrum.write_text('{"r": 1, "m": 0, "coeffs": {"0": [[[-1,0]]]}}')
@@ -308,6 +324,20 @@ class TestVerifyCommand:
             capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (4, "")
 
+    def test_overflowing_det_transform_fails_without_a_numpy_warning(self, tmp_path):
+        # det X is finite on its 8-point grid, but its transform overflows.
+        write_spectrum(tmp_path / "s.spectrum", HermitianLaurentPolynomial(
+            np.array([2 * np.eye(2), 0.5 * np.eye(2)], dtype=complex)))
+        write_factor(tmp_path / "x.factor", MatrixPolynomial(
+            np.array([np.diag([5e153, 5e153]), np.diag([1e154, 0])], dtype=complex)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "specfact", "verify",
+             str(tmp_path / "s.spectrum"), str(tmp_path / "x.factor"), "--json"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (4, "")
+        details = {c["name"]: c["detail"] for c in json.loads(proc.stdout)["checks"]}
+        assert details["outer-determinant"] == "det X overflows double precision on the grid"
+
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         spectrum = tmp_path / "s.spectrum"
         write_scalar_spectrum(spectrum)
@@ -383,12 +413,41 @@ class TestGenCommand:
                      str(tmp_path / "edge.truth")]) == 0
         assert "warning-grade" in capsys.readouterr().out
 
+    def test_missing_output_directory_exits_one(self, tmp_path, capsys):
+        prefix = tmp_path / "missing" / "g"
+        assert main(["gen", "1", "1", str(prefix), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("specfact: error: ") and f"{prefix}.spectrum" in line
+        assert captured.out == ""
+
     def test_invalid_parameters_exit_one(self, tmp_path):
         assert main(["gen", "0", "1", str(tmp_path / "x"), "--seed", "1"]) == 1
         assert main(["gen", "1", "1", str(tmp_path / "x"), "--seed", "1",
                      "--margin", "-0.5"]) == 1
         assert main(["gen", "1", "0", str(tmp_path / "x"), "--seed", "1",
                      "--boundary"]) == 1
+
+
+@pytest.mark.parametrize("command, name, document, message", [
+    ("factor", "s.spectrum", "[1]", "top level must be an object"),
+    ("factor", "s.spectrum", '{"r": 1, "m": 0, "coeffs": [[[[1, 0]]]]}',
+     "coeffs must be an object keyed by index"),
+    ("factor", "s.spectrum", '{"r": 1, "m": 0, "coeffs": {"x": [[[1, 0]]]}}',
+     "coefficient index 'x' is not an integer"),
+    ("verify", "x.factor", '{"r": 1, "m": 0, "coeffs": {"0": [[[1, 0]]]}, "metadata": []}',
+     "metadata must be an object"),
+], ids=["top-level-array", "coeffs-array", "index-x", "metadata-array"])
+def test_malformed_document_exits_one_naming_its_file(tmp_path, capsys, command, name,
+                                                      document, message):
+    bad = tmp_path / name
+    bad.write_text(document)
+    spectrum = tmp_path / "ok.spectrum"
+    write_scalar_spectrum(spectrum)
+    args = {"factor": [bad, tmp_path / "out.factor"], "verify": [spectrum, bad]}[command]
+    assert main([command, *map(str, args)]) == 1
+    kind = "spectrum" if name.endswith(".spectrum") else "factor"
+    assert capsys.readouterr().err == f"specfact: error: {kind} file {bad}: {message}\n"
 
 
 class TestPipeline:

@@ -204,6 +204,22 @@ class TestBauer:
         with pytest.raises(CholeskyBreakdown):
             bauer_factor(scalar_laurent(0.0, 1.0))
 
+    @pytest.mark.parametrize("coeffs, step", [
+        ([[[1, 1], [1, 1]]], 0),
+        ([[[2, 2], [2, 2]], [[1, 1], [1, 1]]], 1),
+    ], ids=["m0", "m1"])
+    def test_rank_one_spectrum_breaks_down_at_the_final_cholesky(self, coeffs, step):
+        # S = (2 + z + 1/z)^m [[1, 1], [1, 1]] has rank 1 on the whole circle,
+        # so it is semidefinite: wherever the doubling stops, the positivity
+        # rule lets it through, and the Cholesky of Q that reads the factor's
+        # row breaks down.  factor()'s precheck rejects S before any route runs.
+        S = HermitianLaurentPolynomial(np.array(coeffs, dtype=complex))
+        with pytest.raises(CholeskyBreakdown,
+                           match=rf"^Bauer's Q at step {step} is not positive definite$"):
+            bauer_factor(S)
+        with pytest.raises(DegenerateDeterminant):
+            factor(S)
+
     def test_block_cap_raises_no_convergence(self, monkeypatch):
         # Cap low enough that the doubling cannot settle: 3 steps, 8 block rows.
         monkeypatch.setattr(factorize, "DOUBLING_MAX_STEPS", 3)
@@ -458,7 +474,7 @@ def test_grid_newton_update_matches_coefficient_product(monkeypatch, r, m):
     rng = np.random.default_rng(10 * m + r)
     draw = rng.standard_normal((m + 1, r, r)) + 1j * rng.standard_normal((m + 1, r, r))
     S = multiply_by_adjoint(MatrixPolynomial(draw))
-    # The first step is closed-form; the second is the first grid update.
+    # X_2 is the first update that starts from a non-constant iterate.
     _, start, update = wilson_iterates(monkeypatch, S, 2)
     expected = reference_newton_step(S, start)
     assert np.linalg.norm(update - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -478,14 +494,15 @@ def test_first_newton_step_matches_the_grid_step(monkeypatch, r, m):
 
 @pytest.mark.parametrize("m", [0, 4])
 @pytest.mark.parametrize("r", [1, 2, 4])
-def test_wilson_samples_every_iterate_but_the_first(monkeypatch, r, m):
+def test_wilson_samples_every_iterate(monkeypatch, r, m):
+    # One step kind: every iteration, the first included, samples its iterate once.
     S = generate_instance(r, m, seed=10 * r + m).spectrum
     calls = []
     sample = factorize.sample_values_on_grid
     monkeypatch.setattr(factorize, "sample_values_on_grid",
                         lambda buf: calls.append(len(buf)) or sample(buf))
     _, iterations, _ = _wilson_core(S, FactorizationOptions())
-    assert len(calls) == iterations - 1
+    assert len(calls) == iterations
 
 
 @pytest.mark.parametrize("m", [0, 4, 32])

@@ -7,9 +7,11 @@
 way, must write the committed golden fixtures byte for byte.
 ``specfact factor`` runs with runtime warnings turned into errors, so a numpy
 warning between input file and exit code fails its tests.  No public entry
-point but the grid samplers takes a grid size.
+point but the grid samplers takes a grid size, and no module of the package
+imports a name it never uses.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -25,6 +27,7 @@ from specfact.fileio import read_factor, write_spectrum
 from specfact.laurent import MatrixPolynomial, multiply_by_adjoint
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "specfact"
 TRACING = ROOT / "perfbench" / "tracing.py"
 MAKE_FIXTURES = ROOT / "scripts" / "make_fixtures.py"
 
@@ -50,6 +53,31 @@ def test_only_the_samplers_take_a_grid():
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
         and "K" in inspect.signature(obj).parameters)
     assert takes_grid == ["sample_on_grid", "unit_circle_grid"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module's imports bind but its code never loads; ``from
+    __future__`` imports and the names listed in ``__all__`` are exempt."""
+    tree = ast.parse(source)
+    bound, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - loaded - exported)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports("from __future__ import annotations\nimport os.path\n"
+                          "from x import a, b as c\n__all__ = ['a']\n") == ["c", "os"]
+    unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := unused_imports(path.read_text(encoding="utf-8")))}
+    assert unused == {}
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"

@@ -5,7 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from specfact.errors import IdenticallyZeroDeterminant, SingularFactorOnGrid
+from specfact.errors import (
+    IdenticallyZeroDeterminant,
+    SingularFactorOnGrid,
+    SpectralFactorError,
+)
 from specfact.factorize import factor
 from specfact.laurent import (
     POSITIVITY_TOL,
@@ -241,6 +245,26 @@ class TestOuterDeterminant:
         x = MatrixPolynomial(np.array([[[1, 0], [0, 0]]], dtype=complex))
         with pytest.raises(IdenticallyZeroDeterminant):
             check_outer_determinant(x)
+
+    def test_overflowing_transform_is_not_the_zero_polynomial(self):
+        # det X = 2.5e307 is finite at every node of its 8-point grid, but
+        # the transform sums eight of them and overflows.
+        x = MatrixPolynomial(np.diag([5e153, 5e153]).astype(complex)[None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralFactorError,
+                               match="^det X overflows double precision on the grid$"):
+                check_outer_determinant(x)
+
+    def test_overflowing_transform_fails_the_outer_entry_without_a_warning(self):
+        # det X = 5e153 (5e153 + 1e154 z) has its root at -1/2, so the
+        # winding number sends the outer entry to the roots of det X.
+        S = HermitianLaurentPolynomial(np.array([2 * np.eye(2), 0.5 * np.eye(2)], dtype=complex))
+        x = MatrixPolynomial(np.array([np.diag([5e153, 5e153]), np.diag([1e154, 0])],
+                                      dtype=complex))
+        entry = quiet_report(S, x)["outer-determinant"]
+        assert not entry.passed
+        assert entry.detail == "det X overflows double precision on the grid"
 
 
 def unitary(rng, r):
