@@ -413,6 +413,15 @@ class TestGenCommand:
                      str(tmp_path / "edge.truth")]) == 0
         assert "warning-grade" in capsys.readouterr().out
 
+    def test_condition_estimate_of_a_scalar_boundary_spectrum_is_large(self, tmp_path,
+                                                                        capsys):
+        # The spectrum vanishes on the circle, between nodes of the check grid,
+        # where its smallest node value is about 2e-5; every point of a scalar
+        # spectrum has condition number 1.
+        assert main(["gen", "1", "1", str(tmp_path / "b"), "--seed", "1", "--boundary"]) == 0
+        estimate = capsys.readouterr().out.split("condition_estimate=")[1]
+        assert float(estimate) >= 1e5
+
     def test_missing_output_directory_exits_one(self, tmp_path, capsys):
         prefix = tmp_path / "missing" / "g"
         assert main(["gen", "1", "1", str(prefix), "--seed", "1"]) == 1

@@ -1,12 +1,14 @@
 """Ground-truth instance generation: oracle exactness, determinism, margins."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import specfact.testgen as testgen
 from specfact.errors import RetryExhausted
 from specfact.factorize import canonical_normalize
-from specfact.laurent import evaluate_at
+from specfact.laurent import HermitianLaurentPolynomial, evaluate_at
 from specfact.testgen import generate_boundary_instance, generate_instance
 from specfact.verify import check_factorization, check_positivity, verify_all
 
@@ -118,6 +120,13 @@ class TestGenerateBoundaryInstance:
         assert report.overall
         by_name = {entry.name: entry for entry in report.checks}
         assert by_name["positivity"].warning
+
+    def test_condition_estimate_is_infinite_at_a_zero_on_a_node(self):
+        # 2 + z + 1/z vanishes at z = -1, node 128 of the 256-point check grid.
+        S = HermitianLaurentPolynomial(np.array([2.0, 1.0], dtype=complex).reshape(-1, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert testgen._condition_estimate(S) == np.inf
 
     def test_oracle_identity_still_exact(self):
         bundle = generate_boundary_instance(2, 4, seed=15)

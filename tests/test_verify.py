@@ -26,10 +26,13 @@ from specfact.laurent import (
 from specfact.testgen import generate_boundary_instance, generate_instance
 from specfact.verify import (
     GRID_COND_MAX,
+    MASS_STABILITY_TOL,
     NEAR_SINGULAR_TOL,
     VerifyOptions,
     _anticausal_mass,
+    _causal_bound,
     _causal_gap,
+    _causal_triple,
     _positivity_bound,
     _sample_grid,
     check_causal_identity,
@@ -170,6 +173,97 @@ class TestPositivityCertificate:
         entry = entries(bundle.spectrum, x)["factorization"]
         assert entry.measured == check_factorization(bundle.spectrum, x)
         assert entry.measured > 1e-9 and not entry.passed
+
+
+CAUSAL = ("causal-identity", "anticausal-mass", "anticausal-mass-stability")
+
+
+def perturbed_truth(bundle, seed):
+    """The ground truth with every coefficient entry moved by about 1%."""
+    truth = bundle.ground_truth.coeffs
+    noise = np.random.default_rng(seed).standard_normal(truth.shape)
+    return MatrixPolynomial(truth * (1 + 0.01 * noise))
+
+
+def spectrum_samplings(monkeypatch, S, x):
+    """verify_all's report and how many times it sampled S."""
+    calls = []
+
+    def counting(p, K):
+        calls.append(p is S)
+        return sample_on_grid(p, K)
+
+    monkeypatch.setattr("specfact.verify.sample_on_grid", counting)
+    return quiet_report(S, x), sum(calls)
+
+
+class TestCausalCertificate:
+    # verify_all's causal entries skip the measurement when S = X X^* + E
+    # bounds all three within the strictest causal tolerance.
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_bound_is_above_the_measured_triple_and_keeps_the_verdict(self, r, m):
+        for seed in (0, 1):
+            bundle = generate_instance(r, m, seed)
+            S = bundle.spectrum
+            for x in (bundle.ground_truth, factor(S).factor):
+                grid = _sample_grid(S, x)
+                bound = _causal_bound(grid)
+                measured = _causal_triple(S.m, grid)
+                # The measurement carries the inverse's rounding; B does not.
+                assert all(bound >= value - 1e-13 for value in measured)
+                assert bound <= MASS_STABILITY_TOL
+                report = entries(S, x)
+                for name, value in zip(CAUSAL, measured, strict=True):
+                    entry = report[name]
+                    assert entry.measured == bound
+                    assert entry.passed == (value <= entry.tolerance) and not entry.warning
+                    assert entry.detail.endswith(f" at most {bound:.3e}, from S = X X* + E")
+
+    @pytest.mark.parametrize("r, m, seed", [(1, 4, 0), (2, 4, 1), (4, 8, 2), (8, 16, 0)])
+    def test_perturbed_truth_takes_the_measurement(self, r, m, seed):
+        bundle = generate_instance(r, m, seed)
+        S, x = bundle.spectrum, perturbed_truth(bundle, seed)
+        assert _causal_bound(_sample_grid(S, x)) > MASS_STABILITY_TOL
+        report = quiet_report(S, x)
+        assert tuple(report[name].measured for name in CAUSAL) == check_causal_identity(S, x)
+        assert not report["causal-identity"].passed
+        assert not any("at most" in report[name].detail for name in CAUSAL)
+
+    def test_factor_singular_on_the_doubled_grid_takes_the_measurement(self):
+        # The factor of test_each_check_listed_once_when_only_the_doubled_grid_is_singular.
+        x = MatrixPolynomial(np.array(
+            [np.eye(2), np.diag([0, -np.exp(-1j * np.pi / 256)])], dtype=complex))
+        S = multiply_by_adjoint(x)
+        assert not np.isfinite(_causal_bound(_sample_grid(S, x)))
+        report = quiet_report(S, x)
+        assert all(not report[name].passed and "condition" in report[name].detail
+                   for name in CAUSAL)
+
+    def test_overflowing_factor_takes_the_measurement(self):
+        bundle = generate_instance(8, 16, 1000)
+        S, x = bundle.spectrum, MatrixPolynomial(bundle.ground_truth.coeffs * 1.2e153)
+        assert not np.isfinite(_causal_bound(_sample_grid(S, x)))
+        report = quiet_report(S, x)
+        assert tuple(report[name].measured for name in CAUSAL) == check_causal_identity(S, x)
+        assert not report["causal-identity"].passed
+
+    def test_spectrum_is_not_sampled_when_both_bounds_decide(self, monkeypatch):
+        bundle = generate_instance(4, 8, 1000)
+        report, samplings = spectrum_samplings(monkeypatch, bundle.spectrum,
+                                               bundle.ground_truth)
+        assert samplings == 0
+        assert "from S = X X* + E" in report["positivity"].detail
+        assert all("from S = X X* + E" in report[name].detail for name in CAUSAL)
+
+    def test_spectrum_is_sampled_once_when_both_bounds_fall_back(self, monkeypatch):
+        bundle = generate_instance(2, 4, 1)
+        report, samplings = spectrum_samplings(monkeypatch, bundle.spectrum,
+                                               perturbed_truth(bundle, 1))
+        assert samplings == 1
+        assert "min |det|" in report["positivity"].detail
+        assert not any("at most" in report[name].detail for name in CAUSAL)
 
 
 class TestFactorization:
@@ -431,18 +525,25 @@ def test_anticausal_mass_matches_recentred_window(S, x, large_mass, K):
 def test_verify_all_causal_entries_match_the_public_check(S, x, large_mass):
     # Both read K-grid values off one 2K sampling and one 2K inversion, on
     # the check grid of the larger order, 256 on every pair; they agree with
-    # sampling on K and on 2K directly to roundoff.
+    # sampling on K and on 2K directly to roundoff.  Where the bound from
+    # S = X X^* + E decides, verify_all reports the bound instead, with the
+    # verdict the measurement gives.
     K = default_verify_grid(max(S.m, x.m))
     assert K == 256
     gap, mass = causal_on_grid(S, x, K)
     _, mass2 = causal_on_grid(S, x, 2 * K)
-    entries = {entry.name: entry.measured for entry in verify_all(S, x).checks}
-    triple = (entries["causal-identity"], entries["anticausal-mass"],
-              entries["anticausal-mass-stability"])
-    assert check_causal_identity(S, x) == triple
-    assert abs(triple[0] - gap) <= 1e-13
-    assert abs(triple[1] - mass) <= 1e-13
-    assert abs(triple[2] - abs(mass2 - mass)) <= 1e-13
+    report = entries(S, x)
+    measured = check_causal_identity(S, x)
+    bound = _causal_bound(_sample_grid(S, x))
+    if bound <= MASS_STABILITY_TOL:
+        for name, value in zip(CAUSAL, measured, strict=True):
+            assert report[name].measured == bound >= value - 1e-13
+            assert report[name].passed == (value <= report[name].tolerance)
+    else:
+        assert tuple(report[name].measured for name in CAUSAL) == measured
+    assert abs(measured[0] - gap) <= 1e-13
+    assert abs(measured[1] - mass) <= 1e-13
+    assert abs(measured[2] - abs(mass2 - mass)) <= 1e-13
 
 
 class TestConstantUnitaryEquivalence:
