@@ -35,9 +35,10 @@ scale passes the entry, and otherwise (a wrong factor, a spectrum near
 singular on the circle, a refused inverse) the zoomed eigen-scan of the even
 points of S decides.  Causal: ``X^{-1} S - X^* = X^{-1} E`` bounds the gap
 and, by Parseval, the anticausal mass on both grids and its change by
-``max_j ||X(z_j)^{-1}||_F ||E||`` (see :func:`_causal_bound`); a bound
-within ``MASS_STABILITY_TOL`` passes the three entries with the bound as
-their value, and otherwise the measured triple decides.  The outer entry
+``max_j ||X(z_j)^{-1}||_F ||E||`` when deg X <= m (see
+:func:`_causal_bound`); for such a factor a bound within
+``MASS_STABILITY_TOL`` passes the three entries with the bound as their
+value, and otherwise the measured triple decides.  The outer entry
 reads the winding number of det X off the same inverse,
 ``tr(X^{-1} z X')`` on 2K.  Unless that count reads zero with a small
 Fourier tail, the outer entry falls back to
@@ -360,10 +361,12 @@ def _causal_bound(grid: _Grid) -> float:
     term overflows, without a warning.
 
     S = X X^* + E exactly, for any X, so at every node the left side of the
-    causal identity is ``X^{-1} S = X^* + X^{-1} E``.  X^* lies in the causal
-    window [-m, 0], so the gap is ``||X^{-1} E||_F`` and the anticausal mass
-    on K and on 2K is at most the root mean square of that over the grid
-    (Parseval); so is their difference.  Each is at most
+    causal identity is ``X^{-1} S = X^* + X^{-1} E``, so the gap is
+    ``||X^{-1} E||_F``.  When deg X <= m, X^* lies in the causal window
+    [-m, 0], so the anticausal mass on K and on 2K is at most the root mean
+    square of ``X^{-1} E`` over the grid (Parseval); so is their difference.
+    A factor of higher degree has coefficients of X^* outside the window,
+    and the bound says nothing of its mass.  Each is at most
     ``B = max_j ||X(z_j)^{-1}||_F (||e_0||_F + 2 sum_{n>=1} ||e_n||_F) / scale``
     over the 2K nodes.  The measured entries carry the rounding of the
     inverse and may exceed B by that much; B does not.
@@ -413,9 +416,10 @@ def _measure_outer(S, x, grid):
 
 
 def _measure_causal(S, x, grid):
-    # A bound within the strictest causal tolerance passes all three entries.
+    # A bound within the strictest causal tolerance passes all three entries;
+    # it proves them only when X^* lies in the causal window, deg X <= m.
     bound = _causal_bound(grid)
-    if bound <= MASS_STABILITY_TOL:
+    if x.m <= S.m and bound <= MASS_STABILITY_TOL:
         gap = mass = mass_change = bound
         proof = f" at most {bound:.3e}, from S = X X* + E"
     else:

@@ -241,6 +241,21 @@ class TestCausalCertificate:
         assert all(not report[name].passed and "condition" in report[name].detail
                    for name in CAUSAL)
 
+    @pytest.mark.parametrize("S, x", [
+        (S_SCALAR, scalar_poly(0.0, 2.0, 1.0)),  # z X_GOOD: same X X^*
+        (HermitianLaurentPolynomial(np.eye(2, dtype=complex)[None]),
+         MatrixPolynomial(np.array([np.diag([1, 0]), np.diag([0, 1])], dtype=complex))),
+    ], ids=["z-shifted-scalar", "diag(1,z)-against-I"])
+    def test_factor_of_higher_degree_takes_the_measurement(self, S, x):
+        # X X^* = S exactly, so B certifies, but X^* reaches index -deg X,
+        # outside the causal window [-m, 0]: B does not bound the mass.
+        assert x.m > S.m
+        assert _causal_bound(_sample_grid(S, x)) <= MASS_STABILITY_TOL
+        report = quiet_report(S, x)
+        assert tuple(report[name].measured for name in CAUSAL) == check_causal_identity(S, x)
+        assert not report["anticausal-mass"].passed
+        assert not any("at most" in report[name].detail for name in CAUSAL)
+
     def test_overflowing_factor_takes_the_measurement(self):
         bundle = generate_instance(8, 16, 1000)
         S, x = bundle.spectrum, MatrixPolynomial(bundle.ground_truth.coeffs * 1.2e153)
@@ -526,8 +541,8 @@ def test_verify_all_causal_entries_match_the_public_check(S, x, large_mass):
     # Both read K-grid values off one 2K sampling and one 2K inversion, on
     # the check grid of the larger order, 256 on every pair; they agree with
     # sampling on K and on 2K directly to roundoff.  Where the bound from
-    # S = X X^* + E decides, verify_all reports the bound instead, with the
-    # verdict the measurement gives.
+    # S = X X^* + E decides (deg X <= m), verify_all reports the bound
+    # instead, with the verdict the measurement gives.
     K = default_verify_grid(max(S.m, x.m))
     assert K == 256
     gap, mass = causal_on_grid(S, x, K)
@@ -535,7 +550,7 @@ def test_verify_all_causal_entries_match_the_public_check(S, x, large_mass):
     report = entries(S, x)
     measured = check_causal_identity(S, x)
     bound = _causal_bound(_sample_grid(S, x))
-    if bound <= MASS_STABILITY_TOL:
+    if x.m <= S.m and bound <= MASS_STABILITY_TOL:
         for name, value in zip(CAUSAL, measured, strict=True):
             assert report[name].measured == bound >= value - 1e-13
             assert report[name].passed == (value <= report[name].tolerance)
