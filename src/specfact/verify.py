@@ -20,28 +20,30 @@ the ones that sample S or a factor run on the one check grid K,
 >= max(256, 8(m+1)), the grid ``factor()``'s hypothesis precheck and the
 generator's condition estimate use too) at the larger of the orders of S and
 X.  The causal check samples S and X once, on the doubled grid 2K, and
-inverts X there once; from one transform of ``X^{-1} S`` on 2K it returns
+inverts X once at each node; from one transform of ``X^{-1} S`` on 2K it returns
 the gap and the anticausal mass on the K grid, which is the even points of
 those samples, and how far the mass moves on the full 2K grid.
-:func:`verify_all` samples X on 2K once, inverts it once, forms the band of
-``E = S - X X^*`` once and hands all of it to every check; it samples S on
-2K only if a check needs its values, and then once.  The factorization entry
-is E's largest coefficient norm.  The other entries that S decides read a
-bound off the factor first, since ``S = X X^* + E`` holds exactly for any X.
-Positivity: Weyl's inequality and the grid inverse bound the minimum
-eigenvalue of S over the whole circle by ``sigma_min(X)^2 - ||E||`` (see
+:func:`verify_all` samples X and ``z X'`` on K in one transform, inverts X
+there once and forms the band of ``E = S - X X^*`` once; every check reads
+them.  The factorization entry is E's largest coefficient norm.  The other
+entries that S decides read a bound off the factor first, since
+``S = X X^* + E`` holds exactly for any X.  The K-node inverse and
+derivative samples give, by Taylor's theorem on each arc between nodes, a
+lower bound ``sigma_lb`` on the smallest singular value of X over the whole
+circle (see ``_Grid.sigma_lb``).  Positivity: by Weyl's inequality the
+minimum eigenvalue of S is at least ``sigma_lb^2 - ||E||`` (see
 :func:`_positivity_bound`); a bound above ``NEAR_SINGULAR_TOL`` times the
-scale passes the entry, and otherwise (a wrong factor, a spectrum near
-singular on the circle, a refused inverse) the zoomed eigen-scan of the even
-points of S decides.  Causal: ``X^{-1} S - X^* = X^{-1} E`` bounds the gap
-and, by Parseval, the anticausal mass on both grids and its change by
-``max_j ||X(z_j)^{-1}||_F ||E||`` when deg X <= m (see
-:func:`_causal_bound`); for such a factor a bound within
-``MASS_STABILITY_TOL`` passes the three entries with the bound as their
-value, and otherwise the measured triple decides.  The outer entry
-reads the winding number of det X off the same inverse,
-``tr(X^{-1} z X')`` on 2K.  Unless that count reads zero with a small
-Fourier tail, the outer entry falls back to
+scale passes the entry.  Causal: ``X^{-1} S - X^* = X^{-1} E`` bounds the
+gap and, by Parseval, the anticausal mass on both grids and its change by
+``||E|| / sigma_lb`` when deg X <= m (see :func:`_causal_bound`); for such a
+factor a bound within ``MASS_STABILITY_TOL`` passes the three entries with
+the bound as their value.  Where a K-node bound does not decide, X is
+sampled on 2K and inverted at its odd nodes, whose even ones are the K
+grid, once for both entries, and the coarser 2K-node bound is tried; where
+that does not decide either, S is sampled on 2K, once, and the zoomed
+eigen-scan of its even points or the measured triple decides.  The outer entry reads the winding number of det X off the K-node
+inverse and derivative samples, ``tr(X^{-1} z X')``.  Unless that count
+reads zero with a small Fourier tail, the outer entry falls back to
 :func:`check_outer_determinant`, which samples det X on its own grid, the
 smallest power of two >= max(8, 2(r m + 1)), and reads its roots.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
@@ -76,6 +78,7 @@ from .laurent import (
     coefficients_from_values,
     default_verify_grid,
     sample_on_grid,
+    sample_values_on_grid,
 )
 
 # Cap on the worst grid 1-norm condition number ||X(z_j)||_1 ||X(z_j)^{-1}||_1,
@@ -204,57 +207,166 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
     of squares of the K-grid Fourier coefficients of the left side at indices
     outside [0, m]: numerically zero exactly when the left side is a causal
     polynomial of degree at most m.  ``mass_change`` is ``|mass_2K - mass|``.
-    S and X are sampled once, on 2K, and X is inverted there once, so a
-    factor singular at any 2K node raises ``SingularFactorOnGrid``.  This is
+    S and X are sampled once, on 2K, and X is inverted once at each 2K node,
+    so a factor singular at any 2K node raises ``SingularFactorOnGrid``.  This is
     always the measurement: ``verify_all`` reports these values only where
     the bound from ``S = X X^* + E`` does not decide, and the bound where it
     does, which each measured value exceeds by rounding at most.
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
-    return _causal_triple(S.m, _sample_grid(S, x))
+    return _causal_triple(S.m, _Grid(S, x))
+
+
+def _inverse_or_refusal(values: np.ndarray) -> np.ndarray | SingularFactorOnGrid:
+    """X's guarded pointwise inverse on a grid, or the guard's refusal; an
+    overflowing condition number reads ``inf``, without a warning."""
+    with np.errstate(over="ignore"):
+        try:
+            return _guarded_inverse(values, GRID_COND_MAX, SingularFactorOnGrid, "factor")
+        except SingularFactorOnGrid as refusal:
+            return refusal
 
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """What the checks of one ``verify_all`` share: X on the 2K grid, X's
-    guarded pointwise inverse there (or the guard's ``SingularFactorOnGrid``)
-    and the largest Frobenius norm of that inverse (``inf`` when refused),
-    the coefficient scale of S, the Frobenius norms of the coefficients of
-    ``E = S - X X^*`` and their sum over the band, ``||e_0||_F + 2 sum_{n>=1}
-    ||e_n||_F``, which bounds ``||E(z)||_F`` on the whole circle.  S is
-    sampled on 2K only when a check first reads ``S_vals``, and only once."""
+    """What the checks of one (S, X) pair share, each formed on first read
+    and once.
+
+    On the check grid K: X and ``z X' / m`` from one transform, X's guarded
+    pointwise inverse (or the guard's ``SingularFactorOnGrid``) and
+    ``sigma_lb``, a lower bound on the smallest singular value of X over the
+    whole circle read off them.  In coefficient space: the coefficient scale
+    of S, the Frobenius norms of the coefficients of ``E = S - X X^*`` and
+    their sum over the band, ``spread = ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``,
+    which bounds ``||E(z)||_F`` on the whole circle.  On the doubled grid 2K,
+    only for the entries that the K-node bounds do not decide: S, X and X's
+    guarded inverse, whose even half is the K-node inverse, the largest
+    Frobenius norm of that inverse (``inf`` when refused) and ``sigma_lb_2K``,
+    the coarser lower bound on sigma_min read off it.
+    """
 
     S: HermitianLaurentPolynomial
-    x_vals: np.ndarray
-    inverse: np.ndarray | SingularFactorOnGrid
-    inverse_norm: float
-    scale: float
-    residual_norms: np.ndarray
-    spread: float
+    x: MatrixPolynomial
+
+    @cached_property
+    def K(self) -> int:
+        return default_verify_grid(max(self.S.m, self.x.m))
+
+    @cached_property
+    def scale(self) -> float:
+        return _coefficient_scale(self.S.coeffs)
+
+    @cached_property
+    def residual_norms(self) -> np.ndarray:
+        return _residual_band_norms(self.S.coeffs, self.x.coeffs)
+
+    @cached_property
+    def spread(self) -> float:
+        with np.errstate(over="ignore"):
+            return float(self.residual_norms[0] + 2.0 * self.residual_norms[1:].sum())
+
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        # X and z X' / m, stacked as (K, 2, r, r), from one inverse transform.
+        x, K = self.x, self.K
+        buf = np.zeros((K, 2, x.r, x.r), dtype=np.complex128)
+        buf[: x.m + 1, 0] = x.coeffs
+        buf[: x.m + 1, 1] = np.arange(x.m + 1)[:, None, None] / max(x.m, 1) * x.coeffs
+        values = sample_values_on_grid(buf)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("samples contain non-finite entries")
+        return values
+
+    @property
+    def x_vals(self) -> np.ndarray:
+        return self._samples[:, 0]
+
+    @property
+    def derivative_vals(self) -> np.ndarray:
+        return self._samples[:, 1]
+
+    @cached_property
+    def inverse(self) -> np.ndarray | SingularFactorOnGrid:
+        return _inverse_or_refusal(self.x_vals)
+
+    @cached_property
+    def inverse_norms(self) -> np.ndarray:
+        # Frobenius norms of the K-node inverse; it must not have been refused.
+        with np.errstate(over="ignore"):
+            return _frobenius(self.inverse)
+
+    @cached_property
+    def sigma_lb(self) -> float:
+        """A lower bound on ``sigma_min(X(z))`` over the whole circle, from
+        the K-node inverse and derivative samples; ``-inf`` when the guard
+        refused the inverse, when the bound is not positive or overflows, and
+        when it does not prove X within the grid guard everywhere.
+
+        On the arc ``|theta - theta_j| <= h = pi/K`` around node j, Taylor's
+        theorem gives ``X(theta) = X(theta_j) + (theta - theta_j) X'(theta_j)
+        + R`` with ``||R||_2 <= (h^2/2) sum_n n^2 ||rho_n||_F``, and
+        sigma_min is 1-Lipschitz, so ``sigma_lb = min_j (1/||X(z_j)^{-1}||_F
+        - h ||X'(z_j)||_F) - (h^2/2) sum_n n^2 ||rho_n||_F``.  Every 1-norm
+        condition number of X on the circle is at most ``r sum_n
+        ||rho_n||_F / sigma_lb``; the bound counts only when that is within
+        ``GRID_COND_MAX``, so a factor it passes is one the guard accepts on
+        any grid.  It holds up to the rounding of the inverse.
+        """
+        if isinstance(self.inverse, SingularFactorOnGrid):
+            return -np.inf
+        x, h = self.x, np.pi / self.K
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            norms = _frobenius(x.coeffs)
+            nodes = (1.0 / self.inverse_norms
+                     - h * max(x.m, 1) * _frobenius(self.derivative_vals))
+            bound = nodes.min() - h * h / 2 * (np.arange(x.m + 1) ** 2 @ norms)
+            if not (bound > 0 and x.r * norms.sum() <= GRID_COND_MAX * bound):
+                return -np.inf
+        return float(bound)
 
     @cached_property
     def S_vals(self) -> np.ndarray:
-        return sample_on_grid(self.S, len(self.x_vals))
+        return sample_on_grid(self.S, 2 * self.K)
 
+    @cached_property
+    def x_vals_2K(self) -> np.ndarray:
+        return sample_on_grid(self.x, 2 * self.K)
 
-def _sample_grid(S: HermitianLaurentPolynomial, x: MatrixPolynomial) -> _Grid:
-    """X sampled once on 2K, for K the check grid of the larger order,
-    inverted there once under the ``GRID_COND_MAX`` guard, and the band of
-    ``S - X X^*`` formed once in coefficient space; sums that overflow read
-    ``inf``, without a warning."""
-    n = 2 * default_verify_grid(max(S.m, x.m))
-    x_vals = sample_on_grid(x, n)
-    residual_norms = _residual_band_norms(S.coeffs, x.coeffs)
-    with np.errstate(over="ignore"):
-        try:
-            inverse = _guarded_inverse(x_vals, GRID_COND_MAX, SingularFactorOnGrid, "factor")
-            inverse_norm = _frobenius(inverse).max()
-        except SingularFactorOnGrid as refusal:
-            inverse, inverse_norm = refusal, np.inf
-        spread = residual_norms[0] + 2.0 * residual_norms[1:].sum()
-    return _Grid(S, x_vals, inverse, inverse_norm, _coefficient_scale(S.coeffs),
-                 residual_norms, spread)
+    @cached_property
+    def inverse_2K(self) -> np.ndarray | SingularFactorOnGrid:
+        # The guard's worst condition number over 2K is the worse of its two
+        # halves', so the K-node inverse serves as the even half and only the
+        # odd nodes are inverted here.
+        if isinstance(self.inverse, SingularFactorOnGrid):
+            return self.inverse
+        odd = _inverse_or_refusal(self.x_vals_2K[1::2])
+        if isinstance(odd, SingularFactorOnGrid):
+            return odd
+        inverse = np.empty_like(self.x_vals_2K)
+        inverse[::2], inverse[1::2] = self.inverse, odd
+        return inverse
+
+    @cached_property
+    def inverse_norm_2K(self) -> float:
+        if isinstance(self.inverse_2K, SingularFactorOnGrid):
+            return np.inf
+        with np.errstate(over="ignore"):
+            odd = _frobenius(self.inverse_2K[1::2]).max()
+        return float(max(self.inverse_norms.max(), odd))
+
+    @cached_property
+    def sigma_lb_2K(self) -> float:
+        """The coarser lower bound on ``sigma_min(X(z))`` from the 2K nodes:
+        sigma_min is 1-Lipschitz and ``||X'(theta)||_2 <= sum_n n
+        ||rho_n||_F``, so ``sigma_min(X) >= min_j 1/||X(z_j)^{-1}||_F -
+        (pi/2K) sum_n n ||rho_n||_F``; ``-inf`` when the guard refused the
+        2K inverse or the bound is not positive."""
+        x = self.x
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            slope = np.arange(x.m + 1) @ _frobenius(x.coeffs)
+            bound = 1.0 / self.inverse_norm_2K - np.pi / (2 * self.K) * slope
+        return float(bound) if bound > 0 else -np.inf
 
 
 def _causal_triple(m: int, grid: _Grid):
@@ -264,10 +376,10 @@ def _causal_triple(m: int, grid: _Grid):
     coefficients are its fold ``c_K[n] = c_2K[n] + c_2K[n + K]``, which is
     the transform of the even samples, and the gap is taken at the even
     samples alone."""
-    if isinstance(grid.inverse, SingularFactorOnGrid):
-        raise grid.inverse
-    left = grid.inverse @ grid.S_vals
-    gaps = _causal_gap(left[::2], grid.x_vals[::2])
+    if isinstance(grid.inverse_2K, SingularFactorOnGrid):
+        raise grid.inverse_2K
+    left = grid.inverse_2K @ grid.S_vals
+    gaps = _causal_gap(left[::2], grid.x_vals_2K[::2])
     n = len(left)
     coeffs = coefficients_from_values(left, 0, n - 1)
     mass = _anticausal_mass(coeffs[: n // 2] + coeffs[n // 2 :], m, grid.scale)
@@ -294,23 +406,22 @@ def _anticausal_mass(coeffs: np.ndarray, m: int, scale: float) -> float:
     return float(np.sqrt(np.sum(norms**2))) / scale
 
 
-def _winding_number(x: MatrixPolynomial, grid: _Grid):
-    """``(|count|, tail)`` of the argument principle for det X on the 2K grid.
+def _winding_number(grid: _Grid):
+    """``(|count|, tail)`` of the argument principle for det X on the K grid.
 
     ``f = tr(X^{-1} z X') = z (det X)' / det X`` has mean value, its Fourier
     coefficient 0, equal to the number of roots of det X inside the disk.
     Each root at distance d from the circle leaves coefficients near
     ``(1 + d)^{-|k|}``, so the count is clean only when the tail, the largest
-    coefficient over the indices K/2..3K/2 where the aliased halves meet, is
-    small; at K = 256 a tail of 1e-3 needs every root about 0.05 or more from
-    the circle.  ``z X'`` is sampled divided by m, so its coefficients
+    coefficient over the indices 3K/8..5K/8 (physical ``|k| >= 3K/8``), is
+    small; at K = 256 a tail of 1e-3 needs every root about 0.075 or more
+    from the circle.  ``z X'`` is sampled divided by m, so its coefficients
     ``(n/m) rho_n`` stay within X's own range.
     """
-    n, m = len(grid.x_vals), max(x.m, 1)
-    derivative = MatrixPolynomial(np.arange(x.m + 1)[:, None, None] / m * x.coeffs)
-    f = m * np.einsum("kij,kji->k", grid.inverse, sample_on_grid(derivative, n))
-    coeffs = np.abs(coefficients_from_values(f, 0, n - 1))
-    return float(coeffs[0]), float(coeffs[n // 4 : 3 * n // 4 + 1].max())
+    K = grid.K
+    f = max(grid.x.m, 1) * np.einsum("kij,kji->k", grid.inverse, grid.derivative_vals)
+    coeffs = np.abs(coefficients_from_values(f, 0, K - 1))
+    return float(coeffs[0]), float(coeffs[3 * K // 8 : 5 * K // 8 + 1].max())
 
 
 def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomial):
@@ -332,52 +443,57 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
     return constancy_gap, unitarity_gap
 
 
-def _positivity_bound(x: MatrixPolynomial, grid: _Grid) -> float:
+def _positivity_bound(grid: _Grid) -> float:
     """A lower bound on the minimum eigenvalue of S over the whole circle,
-    read off the factor: ``-inf`` when the grid guard refused X's inverse,
-    ``nan`` or ``inf`` when a term overflows, without a warning.
+    read off the factor: from ``sigma_lb`` on the K nodes when that bound
+    clears the near-singular threshold, else from ``sigma_lb_2K``; ``-inf``
+    when neither lower bound on sigma_min(X) counts, ``nan`` or ``inf``
+    when a term overflows, without a warning.
 
     S = X X^* + E exactly, for any X, so by Weyl's inequality
     ``lambda_min(S(z)) >= sigma_min(X(z))^2 - ||E(z)||_2``, and
-    ``||E(z)||_2 <= ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``.  sigma_min is
-    1-Lipschitz and ``||X'(theta)||_2 <= sum_n n ||rho_n||_F``, so between the
-    N = 2K grid nodes ``sigma_min(X) >= min_j 1/||X(z_j)^{-1}||_F
-    - (pi/N) sum_n n ||rho_n||_F``.  The bound holds up to rounding: for a
-    constant X with E = 0 it is the minimum eigenvalue itself, to the last
-    bits, far below the threshold that :func:`verify_all` compares it with.
+    ``||E(z)||_2 <= ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``.  The bound holds up
+    to rounding: for a constant X with E = 0 it is the minimum eigenvalue
+    itself, to the last bits, far below the threshold that
+    :func:`verify_all` compares it with.
     """
-    if isinstance(grid.inverse, SingularFactorOnGrid):
-        return -np.inf
-    n = len(grid.x_vals)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slope = np.arange(x.m + 1) @ _frobenius(x.coeffs)
-        sigma_min = 1.0 / grid.inverse_norm - np.pi / n * slope
-        return float(np.maximum(sigma_min, 0.0) ** 2 - grid.spread)
+    weyl = lambda sigma: sigma * sigma - grid.spread if sigma > 0 else -np.inf
+    bound = weyl(grid.sigma_lb)
+    if bound > NEAR_SINGULAR_TOL * grid.scale:
+        return bound
+    return weyl(grid.sigma_lb_2K)
 
 
 def _causal_bound(grid: _Grid) -> float:
     """An upper bound on each of the three causal entries, read off the
-    factor: ``nan`` or ``inf`` when the grid guard refused X's inverse or a
-    term overflows, without a warning.
+    factor: from the K nodes when that bound is within
+    ``MASS_STABILITY_TOL``, else from the 2K nodes; ``nan`` or ``inf`` when
+    the grid guard refused X's inverse or a term overflows, without a
+    warning.
 
-    S = X X^* + E exactly, for any X, so at every node the left side of the
-    causal identity is ``X^{-1} S = X^* + X^{-1} E``, so the gap is
-    ``||X^{-1} E||_F``.  When deg X <= m, X^* lies in the causal window
-    [-m, 0], so the anticausal mass on K and on 2K is at most the root mean
-    square of ``X^{-1} E`` over the grid (Parseval); so is their difference.
-    A factor of higher degree has coefficients of X^* outside the window,
-    and the bound says nothing of its mass.  Each is at most
-    ``B = max_j ||X(z_j)^{-1}||_F (||e_0||_F + 2 sum_{n>=1} ||e_n||_F) / scale``
+    S = X X^* + E exactly, for any X, so at every point of the circle the
+    left side of the causal identity is ``X^{-1} S = X^* + X^{-1} E``, so
+    the gap is ``||X^{-1} E||_F``.  When deg X <= m, X^* lies in the causal
+    window [-m, 0], so the anticausal mass on K and on 2K is at most the
+    root mean square of ``X^{-1} E`` over the grid (Parseval); so is their
+    difference.  A factor of higher degree has coefficients of X^* outside
+    the window, and the bound says nothing of its mass.  Each is at most
+    ``||X^{-1}||_2 ||E||_F / scale``, with ``||E(z)||_F <= spread``: on the
+    K nodes, ``spread / (sigma_lb scale)``, which holds on the whole circle
+    and so on 2K; failing that, ``max_j ||X(z_j)^{-1}||_F spread / scale``
     over the 2K nodes.  The measured entries carry the rounding of the
-    inverse and may exceed B by that much; B does not.
+    inverse and may exceed the bound by that much; the bound does not.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(grid.inverse_norm * grid.spread / grid.scale)
+    if grid.sigma_lb > 0:
+        bound = grid.spread / (grid.sigma_lb * grid.scale)
+        if bound <= MASS_STABILITY_TOL:
+            return bound
+    return grid.inverse_norm_2K * grid.spread / grid.scale
 
 
 def _measure_positivity(S, x, grid):
     threshold = NEAR_SINGULAR_TOL * grid.scale
-    bound = _positivity_bound(x, grid)
+    bound = _positivity_bound(grid)
     if np.isfinite(bound) and bound > threshold:
         return [(0.0, f"min eigenvalue >= {bound:.3e} on the whole circle, "
                       f"from S = X X* + E", False)]
@@ -401,12 +517,12 @@ def _measure_degree(S, x, grid):
 
 def _measure_outer(S, x, grid):
     if not isinstance(grid.inverse, SingularFactorOnGrid):
-        count, tail = _winding_number(x, grid)
+        count, tail = _winding_number(grid)
         if count <= WINDING_COUNT_TOL and tail <= WINDING_TAIL_TOL:
-            n = len(grid.x_vals)
+            K = grid.K
             return [(0.0, f"no det root in the closed unit disk: winding number "
-                          f"{count:.1e} of det X on 2K={n}, Fourier tail {tail:.1e} "
-                          f"from K/2={n // 4}", False)]
+                          f"{count:.1e} of det X on K={K}, Fourier tail {tail:.1e} "
+                          f"from 3K/8={3 * K // 8}", False)]
     min_root, roots = check_outer_determinant(x)
     deficit = max(0.0, 1.0 - min_root) if np.isfinite(min_root) else 0.0
     boundary = bool(np.any(np.abs(np.abs(roots) - 1.0) <= OUTER_BOUNDARY_BAND))
@@ -424,7 +540,7 @@ def _measure_causal(S, x, grid):
         proof = f" at most {bound:.3e}, from S = X X* + E"
     else:
         (gap, mass, mass_change), proof = _causal_triple(S.m, grid), ""
-    K = len(grid.x_vals) // 2
+    K = grid.K
     return [
         (gap, f"pointwise gap of X^-1 z^m S = z^m X* on K={K}{proof}", False),
         (mass, f"Fourier mass outside the causal window [0, {S.m}]{proof}", False),
@@ -447,7 +563,7 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
-    grid = _sample_grid(S, x)
+    grid = _Grid(S, x)
     checks = (
         (_measure_positivity, {"positivity": POSITIVITY_TOL}),
         (_measure_factorization, {"factorization": opts.residual_tol}),

@@ -7,15 +7,17 @@ import pytest
 
 from specfact.errors import (
     IdenticallyZeroDeterminant,
+    RetryExhausted,
     SingularFactorOnGrid,
     SpectralFactorError,
 )
-from specfact.factorize import factor
+from specfact.factorize import FactorizationOptions, factor
 from specfact.laurent import (
     POSITIVITY_TOL,
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _coefficient_scale,
+    _guarded_inverse,
     _inverse_on_grid,
     _positivity_scan,
     coefficients_from_values,
@@ -28,13 +30,15 @@ from specfact.verify import (
     GRID_COND_MAX,
     MASS_STABILITY_TOL,
     NEAR_SINGULAR_TOL,
+    WINDING_COUNT_TOL,
+    WINDING_TAIL_TOL,
     VerifyOptions,
+    _Grid,
     _anticausal_mass,
     _causal_bound,
     _causal_gap,
-    _causal_triple,
     _positivity_bound,
-    _sample_grid,
+    _winding_number,
     check_causal_identity,
     check_constant_unitary_equivalence,
     check_degree,
@@ -97,6 +101,16 @@ def quiet_report(S, x):
         return entries(S, x)
 
 
+def smallest_singular_value(x, K):
+    """min over the K-point grid of sigma_min(X(z_j)), by SVD."""
+    return float(np.linalg.svd(sample_on_grid(x, K), compute_uv=False)[:, -1].min())
+
+
+def decided_on_K(grid):
+    """True when no 2K sample or inverse was formed on the grid."""
+    return not {"S_vals", "x_vals_2K", "inverse_2K"} & set(vars(grid))
+
+
 class TestPositivityCertificate:
     # verify_all's positivity entry skips the eigen-scan when S = X X^* + E
     # bounds the minimum eigenvalue of S above the near-singular threshold.
@@ -108,9 +122,13 @@ class TestPositivityCertificate:
             bundle = generate_instance(r, m, seed)
             S = bundle.spectrum
             for x in (bundle.ground_truth, factor(S).factor):
-                grid = _sample_grid(S, x)
+                grid = _Grid(S, x)
+                bound = _positivity_bound(grid)
+                # The K-node certificate decides: X is inverted on K alone, and
+                # sigma_lb holds between the nodes too.
+                assert decided_on_K(grid)
+                assert 0 < grid.sigma_lb <= smallest_singular_value(x, 8 * grid.K) + 1e-13
                 deficit, min_eig, _ = _positivity_scan(S, grid.S_vals[::2])
-                bound = _positivity_bound(x, grid)
                 # Equal up to rounding when E vanishes and X is constant.
                 assert bound <= min_eig + 1e-13 * grid.scale
                 assert bound > NEAR_SINGULAR_TOL * grid.scale
@@ -132,7 +150,7 @@ class TestPositivityCertificate:
     def test_constant_factor_refused_by_the_grid_guard_takes_the_scan(self):
         singular = np.diag([1.0, 0.0]).astype(complex)[None]
         S, x = HermitianLaurentPolynomial(singular), MatrixPolynomial(singular)
-        assert _positivity_bound(x, _sample_grid(S, x)) == -np.inf
+        assert _positivity_bound(_Grid(S, x)) == -np.inf
         entry = entries(S, x)["positivity"]
         assert entry.passed and entry.warning
         assert entry.detail.startswith("min eigenvalue 0.000e+00, min |det| 0.000e+00")
@@ -141,7 +159,7 @@ class TestPositivityCertificate:
         # X = 1 is far from a factor of 2 + z + 1/z, which vanishes at z = -1:
         # E outweighs X X^*, so the scan finds the zero and warns.
         S, x = scalar_laurent(2.0, 1.0), scalar_poly(1.0)
-        assert _positivity_bound(x, _sample_grid(S, x)) < 0
+        assert _positivity_bound(_Grid(S, x)) < 0
         entry = entries(S, x)["positivity"]
         assert entry.passed and entry.warning
         assert "min |det|" in entry.detail
@@ -151,7 +169,7 @@ class TestPositivityCertificate:
         bundle = generate_instance(8, 16, 1000)
         x = MatrixPolynomial(bundle.ground_truth.coeffs * 1.2e153)
         report = quiet_report(bundle.spectrum, x)
-        assert not np.isfinite(_positivity_bound(x, _sample_grid(bundle.spectrum, x)))
+        assert not np.isfinite(_positivity_bound(_Grid(bundle.spectrum, x)))
         assert report["positivity"].passed and not report["positivity"].warning
         assert "min |det|" in report["positivity"].detail
         assert not report["factorization"].passed
@@ -185,16 +203,22 @@ def perturbed_truth(bundle, seed):
     return MatrixPolynomial(truth * (1 + 0.01 * noise))
 
 
-def spectrum_samplings(monkeypatch, S, x):
-    """verify_all's report and how many times it sampled S."""
-    calls = []
+def count_work(monkeypatch):
+    """Record, from here on, every ``sample_on_grid`` call of the verify module
+    as ("S" or "X", grid size) and the shape of every stack it inverts."""
+    sampled, inverted = [], []
 
-    def counting(p, K):
-        calls.append(p is S)
+    def counting_sample(p, K):
+        sampled.append(("S" if isinstance(p, HermitianLaurentPolynomial) else "X", K))
         return sample_on_grid(p, K)
 
-    monkeypatch.setattr("specfact.verify.sample_on_grid", counting)
-    return quiet_report(S, x), sum(calls)
+    def counting_inverse(values, *args):
+        inverted.append(values.shape)
+        return _guarded_inverse(values, *args)
+
+    monkeypatch.setattr("specfact.verify.sample_on_grid", counting_sample)
+    monkeypatch.setattr("specfact.verify._guarded_inverse", counting_inverse)
+    return sampled, inverted
 
 
 class TestCausalCertificate:
@@ -208,9 +232,10 @@ class TestCausalCertificate:
             bundle = generate_instance(r, m, seed)
             S = bundle.spectrum
             for x in (bundle.ground_truth, factor(S).factor):
-                grid = _sample_grid(S, x)
+                grid = _Grid(S, x)
                 bound = _causal_bound(grid)
-                measured = _causal_triple(S.m, grid)
+                assert decided_on_K(grid)
+                measured = check_causal_identity(S, x)
                 # The measurement carries the inverse's rounding; B does not.
                 assert all(bound >= value - 1e-13 for value in measured)
                 assert bound <= MASS_STABILITY_TOL
@@ -225,7 +250,7 @@ class TestCausalCertificate:
     def test_perturbed_truth_takes_the_measurement(self, r, m, seed):
         bundle = generate_instance(r, m, seed)
         S, x = bundle.spectrum, perturbed_truth(bundle, seed)
-        assert _causal_bound(_sample_grid(S, x)) > MASS_STABILITY_TOL
+        assert _causal_bound(_Grid(S, x)) > MASS_STABILITY_TOL
         report = quiet_report(S, x)
         assert tuple(report[name].measured for name in CAUSAL) == check_causal_identity(S, x)
         assert not report["causal-identity"].passed
@@ -236,7 +261,7 @@ class TestCausalCertificate:
         x = MatrixPolynomial(np.array(
             [np.eye(2), np.diag([0, -np.exp(-1j * np.pi / 256)])], dtype=complex))
         S = multiply_by_adjoint(x)
-        assert not np.isfinite(_causal_bound(_sample_grid(S, x)))
+        assert not np.isfinite(_causal_bound(_Grid(S, x)))
         report = quiet_report(S, x)
         assert all(not report[name].passed and "condition" in report[name].detail
                    for name in CAUSAL)
@@ -250,7 +275,7 @@ class TestCausalCertificate:
         # X X^* = S exactly, so B certifies, but X^* reaches index -deg X,
         # outside the causal window [-m, 0]: B does not bound the mass.
         assert x.m > S.m
-        assert _causal_bound(_sample_grid(S, x)) <= MASS_STABILITY_TOL
+        assert _causal_bound(_Grid(S, x)) <= MASS_STABILITY_TOL
         report = quiet_report(S, x)
         assert tuple(report[name].measured for name in CAUSAL) == check_causal_identity(S, x)
         assert not report["anticausal-mass"].passed
@@ -259,26 +284,66 @@ class TestCausalCertificate:
     def test_overflowing_factor_takes_the_measurement(self):
         bundle = generate_instance(8, 16, 1000)
         S, x = bundle.spectrum, MatrixPolynomial(bundle.ground_truth.coeffs * 1.2e153)
-        assert not np.isfinite(_causal_bound(_sample_grid(S, x)))
+        assert not np.isfinite(_causal_bound(_Grid(S, x)))
         report = quiet_report(S, x)
         assert tuple(report[name].measured for name in CAUSAL) == check_causal_identity(S, x)
         assert not report["causal-identity"].passed
 
     def test_spectrum_is_not_sampled_when_both_bounds_decide(self, monkeypatch):
         bundle = generate_instance(4, 8, 1000)
-        report, samplings = spectrum_samplings(monkeypatch, bundle.spectrum,
-                                               bundle.ground_truth)
-        assert samplings == 0
+        sampled, inverted = count_work(monkeypatch)
+        report = quiet_report(bundle.spectrum, bundle.ground_truth)
+        assert inverted == [(256, 4, 4)] and sampled == []
+        assert "from S = X X* + E" in report["positivity"].detail
+        assert all("from S = X X* + E" in report[name].detail for name in CAUSAL)
+        assert "of det X on K=256" in report["outer-determinant"].detail
+
+    def test_near_circle_factor_takes_the_2K_bounds_without_sampling_S(self, monkeypatch):
+        # Roots 0.02 from the circle: the arc term sinks sigma_lb on K, and
+        # the 2K-node bounds, from one 2K inverse, decide both entries.  The
+        # K-node inverse is its even half, so only the odd nodes are inverted
+        # again.
+        S = generate_instance(2, 4, 1209, 0.02).spectrum
+        x = factor(S).factor
+        assert _Grid(S, x).sigma_lb == -np.inf
+        sampled, inverted = count_work(monkeypatch)
+        report = quiet_report(S, x)
+        assert inverted == [(256, 2, 2), (256, 2, 2)]
+        # The outer entry's roots sample X on their own grid, not on 2K.
+        assert [call for call in sampled if call[1] == 512] == [("X", 512)]
         assert "from S = X X* + E" in report["positivity"].detail
         assert all("from S = X X* + E" in report[name].detail for name in CAUSAL)
 
     def test_spectrum_is_sampled_once_when_both_bounds_fall_back(self, monkeypatch):
         bundle = generate_instance(2, 4, 1)
-        report, samplings = spectrum_samplings(monkeypatch, bundle.spectrum,
-                                               perturbed_truth(bundle, 1))
-        assert samplings == 1
+        sampled, inverted = count_work(monkeypatch)
+        report = quiet_report(bundle.spectrum, perturbed_truth(bundle, 1))
+        assert inverted == [(256, 2, 2), (256, 2, 2)]
+        assert [kind for kind, _ in sampled].count("S") == 1
         assert "min |det|" in report["positivity"].detail
         assert not any("at most" in report[name].detail for name in CAUSAL)
+
+    def test_public_check_inverts_each_2K_node_once(self, monkeypatch):
+        bundle = generate_instance(4, 8, 1000)
+        sampled, inverted = count_work(monkeypatch)
+        check_causal_identity(bundle.spectrum, bundle.ground_truth)
+        # Each node of 2K once: the even half is the K grid.
+        assert inverted == [(256, 4, 4), (256, 4, 4)]
+        assert sorted(sampled) == [("S", 512), ("X", 512)]
+
+    def test_K_certificate_counts_only_within_the_grid_guard(self):
+        # X = diag(1, 1.5e-10): the guard accepts its condition number 6.7e9,
+        # but r sum_n ||rho_n||_F / sigma_lb = 1.3e10 does not prove that on
+        # every grid, so the 2K-node bound decides the causal entries.
+        x = MatrixPolynomial(np.diag([1.0, 1.5e-10]).astype(complex)[None])
+        S = multiply_by_adjoint(x)
+        grid = _Grid(S, x)
+        assert not isinstance(grid.inverse, SingularFactorOnGrid)
+        assert grid.sigma_lb == -np.inf
+        assert _causal_bound(grid) == 0.0 and not decided_on_K(grid)
+        report = quiet_report(S, x)
+        assert all(report[name].passed and "at most" in report[name].detail
+                   for name in CAUSAL)
 
 
 class TestFactorization:
@@ -404,7 +469,7 @@ def outer_entry(S, x):
 
 class TestOuterVerdict:
     # verify_all reads the outer entry off the winding number of det X on the
-    # 2K grid and falls back to the roots of det X when that count is unclean.
+    # K grid and falls back to the roots of det X when that count is unclean.
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("r, m, modulus", [(4, 16, 1.2257), (4, 32, 1.218)])
@@ -412,7 +477,7 @@ class TestOuterVerdict:
         # np.roots of det X, degree 64 or 128 here, reads roots inside the
         # disk on some of these seeds; the winding number does not.
         x = cascade_factor(r, m, modulus, seed)
-        _, cond = _inverse_on_grid(sample_on_grid(x, 2 * default_verify_grid(m)))
+        _, cond = _inverse_on_grid(sample_on_grid(x, default_verify_grid(m)))
         assert cond <= GRID_COND_MAX
         entry = outer_entry(multiply_by_adjoint(x), x)
         assert entry.passed and not entry.warning
@@ -436,6 +501,41 @@ class TestOuterVerdict:
         report = verify_all(S, x)
         assert len(report.checks) == 7 and not report.overall
         assert not {entry.name: entry for entry in report.checks}["factorization"].passed
+
+
+# The cells of the benchmark's newton and toeplitz workloads (perfbench):
+# (r, m, root margin, algorithm); instance i has seed seed + i and cell i
+# modulo the list, and a seed the generator cannot serve is left out.
+NEWTON_CELLS = [(r, m, 0.2, "auto") for r in (1, 2, 4, 8) for m in (4, 8, 16)] + [(1, 32, 0.2, "auto")]
+TOEPLITZ_CELLS = [(r, m, margin, "bauer")
+                  for margin in (0.2, 0.1, 0.1) for r in (1, 2, 4) for m in (2, 4, 8)]
+
+
+def benchmark_reports(cells, size, seed):
+    """(S, X) for the truth and the factor of every instance of a pool."""
+    for i in range(size):
+        r, m, margin, algorithm = cells[i % len(cells)]
+        try:
+            bundle = generate_instance(r, m, seed + i, margin)
+        except RetryExhausted:
+            continue
+        S = bundle.spectrum
+        yield S, bundle.ground_truth
+        yield S, factor(S, FactorizationOptions(algorithm=algorithm)).factor
+
+
+@pytest.mark.parametrize("seed", [1000, 2000])
+@pytest.mark.parametrize("cells, size", [(NEWTON_CELLS, 208), (TOEPLITZ_CELLS, 108)],
+                         ids=["newton", "toeplitz"])
+def test_winding_number_decides_the_outer_entry_on_the_benchmark_pools(cells, size, seed):
+    # A clean count is what sends the outer entry past check_outer_determinant.
+    # Margin-0.1 roots leave a tail near 1.4e-4 over 3K/8..5K/8 at K = 256.
+    worst = 0.0
+    for S, x in benchmark_reports(cells, size, seed):
+        count, tail = _winding_number(_Grid(S, x))
+        assert count <= WINDING_COUNT_TOL
+        worst = max(worst, tail)
+    assert worst <= WINDING_TAIL_TOL
 
 
 class TestCausalIdentity:
@@ -538,18 +638,19 @@ def test_anticausal_mass_matches_recentred_window(S, x, large_mass, K):
 
 @pytest.mark.parametrize("S, x, large_mass", _anticausal_pairs())
 def test_verify_all_causal_entries_match_the_public_check(S, x, large_mass):
-    # Both read K-grid values off one 2K sampling and one 2K inversion, on
-    # the check grid of the larger order, 256 on every pair; they agree with
-    # sampling on K and on 2K directly to roundoff.  Where the bound from
-    # S = X X^* + E decides (deg X <= m), verify_all reports the bound
-    # instead, with the verdict the measurement gives.
+    # The measurement reads K-grid values off one 2K sampling and one 2K
+    # inversion, on the check grid of the larger order, 256 on every pair;
+    # it agrees with sampling on K and on 2K directly to roundoff.  Where the
+    # bound from S = X X^* + E decides (deg X <= m), on K or else on 2K,
+    # verify_all reports the bound instead, with the verdict the measurement
+    # gives.
     K = default_verify_grid(max(S.m, x.m))
     assert K == 256
     gap, mass = causal_on_grid(S, x, K)
     _, mass2 = causal_on_grid(S, x, 2 * K)
     report = entries(S, x)
     measured = check_causal_identity(S, x)
-    bound = _causal_bound(_sample_grid(S, x))
+    bound = _causal_bound(_Grid(S, x))
     if x.m <= S.m and bound <= MASS_STABILITY_TOL:
         for name, value in zip(CAUSAL, measured, strict=True):
             assert report[name].measured == bound >= value - 1e-13
