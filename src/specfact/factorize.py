@@ -146,10 +146,11 @@ def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
     eigenvalue above the warning threshold, and since
     ``det(S - dI) <= det S`` a largest shifted determinant above the floor
     bounds max |det S| from below.  Anything else is decided by the
-    eigen-scan, which words every error and warning.
+    eigen-scan, which words every error and warning.  The samples are used
+    as the transform gives them: the Cholesky reads their lower triangle
+    only, and the eigen-scan symmetrizes them itself.
     """
     values = sample_on_grid(S, K)
-    values = 0.5 * (values + values.conj().transpose(0, 2, 1))
     scale = float(_frobenius(values).max())  # max_j ||S(z_j)||_F
     try:
         lower = np.linalg.cholesky(values - 1e-8 * scale * np.eye(S.r))
@@ -160,7 +161,6 @@ def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
         if float((diagonal.prod(axis=-1) ** 2).max()) > 1e-13 * scale**S.r:
             return []
 
-    # Symmetrizing exactly Hermitian values again leaves them unchanged.
     eigs, dets = _hermitian_scan(values)
     min_eig, max_det = float(eigs.min()), float(dets.max())
     if min_eig < -1e-10 * scale:

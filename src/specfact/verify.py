@@ -23,14 +23,14 @@ X.  The causal check samples S and X once, on the doubled grid 2K, and
 inverts X once at each node; from one transform of ``X^{-1} S`` on 2K it returns
 the gap and the anticausal mass on the K grid, which is the even points of
 those samples, and how far the mass moves on the full 2K grid.
-:func:`verify_all` samples X and ``z X'`` on K in one transform, inverts X
-there once and forms the band of ``E = S - X X^*`` once; every check reads
-them.  The factorization entry is E's largest coefficient norm.  The other
-entries that S decides read a bound off the factor first, since
-``S = X X^* + E`` holds exactly for any X.  The K-node inverse and
-derivative samples give, by Taylor's theorem on each arc between nodes, a
-lower bound ``sigma_lb`` on the smallest singular value of X over the whole
-circle (see ``_Grid.sigma_lb``).  Positivity: by Weyl's inequality the
+:func:`verify_all` samples X and ``z X'`` on K with one GEMM over their m + 1
+coefficients, inverts X there once and forms the band of ``E = S - X X^*``
+once; every check reads them.  The factorization entry is E's largest
+coefficient norm.  The other entries that S decides read a bound off the
+factor first, since ``S = X X^* + E`` holds exactly for any X.  The K-node
+inverse and derivative samples give, by Taylor's theorem on each arc between
+nodes, a lower bound ``sigma_lb`` on the smallest singular value of X over
+the whole circle (see ``_Grid.sigma_lb``).  Positivity: by Weyl's inequality the
 minimum eigenvalue of S is at least ``sigma_lb^2 - ||E||`` (see
 :func:`_positivity_bound`); a bound above ``NEAR_SINGULAR_TOL`` times the
 scale passes the entry.  Causal: ``X^{-1} S - X^* = X^{-1} E`` bounds the
@@ -47,7 +47,9 @@ reads zero with a small Fourier tail, the outer entry falls back to
 :func:`check_outer_determinant`, which samples det X on its own grid, the
 smallest power of two >= max(8, 2(r m + 1)), and reads its roots.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
-1-norm condition number must stay below ``GRID_COND_MAX``.
+1-norm condition number must stay below ``GRID_COND_MAX``.  On K,
+``sigma_lb`` proves that where it counts, and the condition number is taken
+only where it does not, from the same inverse.
 Failures inside :func:`verify_all` are reported as failed entries, never
 raised.
 """
@@ -68,17 +70,20 @@ from .laurent import (
     POSITIVITY_TOL,
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _causal_values,
     _coefficient_scale,
     _frobenius,
     _guarded_inverse,
     _next_pow2,
+    _pointwise_inverse,
     _positivity_scan,
+    _refusal,
     _residual_against,
     _residual_band_norms,
+    _worst_condition,
     coefficients_from_values,
     default_verify_grid,
     sample_on_grid,
-    sample_values_on_grid,
 )
 
 # Cap on the worst grid 1-norm condition number ||X(z_j)||_1 ||X(z_j)^{-1}||_1,
@@ -233,10 +238,13 @@ class _Grid:
     """What the checks of one (S, X) pair share, each formed on first read
     and once.
 
-    On the check grid K: X and ``z X' / m`` from one transform, X's guarded
-    pointwise inverse (or the guard's ``SingularFactorOnGrid``) and
+    On the check grid K: X and ``z X' / m`` from one GEMM of the cached
+    monomial block against their m + 1 coefficients, X's pointwise inverse,
     ``sigma_lb``, a lower bound on the smallest singular value of X over the
-    whole circle read off them.  In coefficient space: the coefficient scale
+    whole circle read off them, and the grid guard's verdict on that inverse
+    (the inverse, or the guard's ``SingularFactorOnGrid``), which
+    ``sigma_lb`` proves where it counts and the condition number of the same
+    inverse decides elsewhere.  In coefficient space: the coefficient scale
     of S, the Frobenius norms of the coefficients of ``E = S - X X^*`` and
     their sum over the band, ``spread = ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``,
     which bounds ``||E(z)||_F`` on the whole circle.  On the doubled grid 2K,
@@ -268,12 +276,13 @@ class _Grid:
 
     @cached_property
     def _samples(self) -> np.ndarray:
-        # X and z X' / m, stacked as (K, 2, r, r), from one inverse transform.
-        x, K = self.x, self.K
-        buf = np.zeros((K, 2, x.r, x.r), dtype=np.complex128)
-        buf[: x.m + 1, 0] = x.coeffs
-        buf[: x.m + 1, 1] = np.arange(x.m + 1)[:, None, None] / max(x.m, 1) * x.coeffs
-        values = sample_values_on_grid(buf)
+        # X and z X' / m, stacked as (K, 2, r, r), from one GEMM over the
+        # m + 1 coefficients of each.
+        x = self.x
+        stack = np.empty((x.m + 1, 2, x.r, x.r), dtype=np.complex128)
+        stack[:, 0] = x.coeffs
+        stack[:, 1] = np.arange(x.m + 1)[:, None, None] / max(x.m, 1) * x.coeffs
+        values = _causal_values(stack, self.K)
         if not np.all(np.isfinite(values)):
             raise ValueError("samples contain non-finite entries")
         return values
@@ -287,21 +296,37 @@ class _Grid:
         return self._samples[:, 1]
 
     @cached_property
+    def _inverse(self) -> np.ndarray | None:
+        # X's pointwise inverse on K before the guard, the one inversion on
+        # K; None when inversion fails.
+        return _pointwise_inverse(self.x_vals)
+
+    @cached_property
     def inverse(self) -> np.ndarray | SingularFactorOnGrid:
-        return _inverse_or_refusal(self.x_vals)
+        """The K-node inverse once the grid guard accepts it, or the guard's
+        refusal.  Where ``sigma_lb`` counts it proves the guard's verdict, and
+        the condition number is not formed; elsewhere the condition number
+        of the same inverse decides."""
+        if self.sigma_lb > 0:
+            return self._inverse
+        with np.errstate(over="ignore"):
+            cond = _worst_condition(self.x_vals, self._inverse)
+        refusal = _refusal(cond, GRID_COND_MAX, SingularFactorOnGrid, "factor")
+        return self._inverse if refusal is None else refusal
 
     @cached_property
     def inverse_norms(self) -> np.ndarray:
-        # Frobenius norms of the K-node inverse; it must not have been refused.
+        # Frobenius norms of the K-node inverse; it must not have failed.
         with np.errstate(over="ignore"):
-            return _frobenius(self.inverse)
+            return _frobenius(self._inverse)
 
     @cached_property
     def sigma_lb(self) -> float:
         """A lower bound on ``sigma_min(X(z))`` over the whole circle, from
-        the K-node inverse and derivative samples; ``-inf`` when the guard
-        refused the inverse, when the bound is not positive or overflows, and
-        when it does not prove X within the grid guard everywhere.
+        the K-node inverse, before the guard, and derivative samples;
+        ``-inf`` when inversion failed, when the bound is not positive or
+        overflows, and when it does not prove X within the grid guard
+        everywhere.
 
         On the arc ``|theta - theta_j| <= h = pi/K`` around node j, Taylor's
         theorem gives ``X(theta) = X(theta_j) + (theta - theta_j) X'(theta_j)
@@ -309,11 +334,13 @@ class _Grid:
         sigma_min is 1-Lipschitz, so ``sigma_lb = min_j (1/||X(z_j)^{-1}||_F
         - h ||X'(z_j)||_F) - (h^2/2) sum_n n^2 ||rho_n||_F``.  Every 1-norm
         condition number of X on the circle is at most ``r sum_n
-        ||rho_n||_F / sigma_lb``; the bound counts only when that is within
-        ``GRID_COND_MAX``, so a factor it passes is one the guard accepts on
-        any grid.  It holds up to the rounding of the inverse.
+        ||rho_n||_F / sigma_lb``, since ``||A||_1 ||A^{-1}||_1 <= r ||A||_2 /
+        sigma_min(A)`` and ``||X(z)||_2 <= sum_n ||rho_n||_F``.  The bound
+        counts only when that is within ``GRID_COND_MAX``, so a factor it
+        passes is one the guard accepts on any grid, the K nodes included.
+        It holds up to the rounding of the inverse.
         """
-        if isinstance(self.inverse, SingularFactorOnGrid):
+        if self._inverse is None:
             return -np.inf
         x, h = self.x, np.pi / self.K
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

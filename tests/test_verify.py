@@ -1,5 +1,6 @@
 """Verifier checks: each identity, its failure modes, and their couplings."""
 
+import re
 import warnings
 
 import numpy as np
@@ -17,9 +18,12 @@ from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _coefficient_scale,
+    _frobenius,
     _guarded_inverse,
     _inverse_on_grid,
+    _pointwise_inverse,
     _positivity_scan,
+    _worst_condition,
     coefficients_from_values,
     default_verify_grid,
     multiply_by_adjoint,
@@ -203,10 +207,22 @@ def perturbed_truth(bundle, seed):
     return MatrixPolynomial(truth * (1 + 0.01 * noise))
 
 
+def assert_K_samples_match_the_transform(grid):
+    """X and z X' / m on K, from the GEMM, agree with the inverse transform of
+    the zero-padded (K, 2, r, r) buffer to 1e-14 sum_n ||rho_n||_F."""
+    x, K = grid.x, grid.K
+    buf = np.zeros((K, 2, x.r, x.r), dtype=complex)
+    buf[: x.m + 1, 0] = x.coeffs
+    buf[: x.m + 1, 1] = np.arange(x.m + 1)[:, None, None] / max(x.m, 1) * x.coeffs
+    transform = np.fft.ifft(buf, axis=0) * K
+    assert np.abs(grid._samples - transform).max() <= 1e-14 * _frobenius(x.coeffs).sum()
+
+
 def count_work(monkeypatch):
     """Record, from here on, every ``sample_on_grid`` call of the verify module
-    as ("S" or "X", grid size) and the shape of every stack it inverts."""
-    sampled, inverted = [], []
+    as ("S" or "X", grid size), the shape of every stack it inverts, guarded
+    or not, and the shape of every stack whose condition number it takes."""
+    sampled, inverted, conditioned = [], [], []
 
     def counting_sample(p, K):
         sampled.append(("S" if isinstance(p, HermitianLaurentPolynomial) else "X", K))
@@ -214,11 +230,22 @@ def count_work(monkeypatch):
 
     def counting_inverse(values, *args):
         inverted.append(values.shape)
+        conditioned.append(values.shape)
         return _guarded_inverse(values, *args)
+
+    def counting_pointwise_inverse(values):
+        inverted.append(values.shape)
+        return _pointwise_inverse(values)
+
+    def counting_condition(values, inverse):
+        conditioned.append(values.shape)
+        return _worst_condition(values, inverse)
 
     monkeypatch.setattr("specfact.verify.sample_on_grid", counting_sample)
     monkeypatch.setattr("specfact.verify._guarded_inverse", counting_inverse)
-    return sampled, inverted
+    monkeypatch.setattr("specfact.verify._pointwise_inverse", counting_pointwise_inverse)
+    monkeypatch.setattr("specfact.verify._worst_condition", counting_condition)
+    return sampled, inverted, conditioned
 
 
 class TestCausalCertificate:
@@ -245,6 +272,48 @@ class TestCausalCertificate:
                     assert entry.measured == bound
                     assert entry.passed == (value <= entry.tolerance) and not entry.warning
                     assert entry.detail.endswith(f" at most {bound:.3e}, from S = X X* + E")
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_K_samples_match_the_transform_and_sigma_lb_proves_the_guard(self, r, m):
+        for seed in (0, 1):
+            bundle = generate_instance(r, m, seed)
+            for x in (bundle.ground_truth, factor(bundle.spectrum).factor):
+                grid = _Grid(bundle.spectrum, x)
+                assert_K_samples_match_the_transform(grid)
+                # Where sigma_lb counts, the guard's condition number on K is
+                # not formed; the one it would measure stays within the bound
+                # (up to the rounding both sides carry).
+                assert grid.sigma_lb > 0
+                measured = _worst_condition(grid.x_vals, np.linalg.inv(grid.x_vals))
+                bound = r * _frobenius(x.coeffs).sum() / grid.sigma_lb
+                assert measured <= bound * (1 + 1e-12) and bound <= GRID_COND_MAX
+
+    @pytest.mark.parametrize("m", [31, 32])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_K_samples_match_the_transform_up_to_K_512(self, r, m):
+        # The check grid doubles from 256 to 512 between m = 31 and m = 32.
+        rng = np.random.default_rng(100 * r + m)
+        x = MatrixPolynomial(rng.standard_normal((m + 1, r, r))
+                             + 1j * rng.standard_normal((m + 1, r, r)))
+        grid = _Grid(multiply_by_adjoint(x), x)
+        assert grid.K == (256 if m == 31 else 512)
+        assert_K_samples_match_the_transform(grid)
+
+    @pytest.mark.parametrize("c", [-1.0, 1.0, -1j, 1j], ids=["z=1", "z=-1", "z=-i", "z=i"])
+    def test_factor_singular_at_a_K_node_keeps_the_guard_detail(self, c):
+        # det diag(1, 1 + c z) vanishes at a quarter node of K, where the
+        # monomial block is exact, as the transform is: the sample is an
+        # exact zero, inversion fails and the guard reads inf.
+        x = MatrixPolynomial(np.array([np.eye(2), np.diag([0, c])], dtype=complex))
+        S = multiply_by_adjoint(x)
+        assert _Grid(S, x).sigma_lb == -np.inf
+        detail = "factor condition number inf on the grid exceeds 1.0e+10"
+        report = quiet_report(S, x)
+        assert all(not report[name].passed and report[name].detail == detail
+                   for name in CAUSAL)
+        with pytest.raises(SingularFactorOnGrid, match=f"^{re.escape(detail)}$"):
+            check_causal_identity(S, x)
 
     @pytest.mark.parametrize("r, m, seed", [(1, 4, 0), (2, 4, 1), (4, 8, 2), (8, 16, 0)])
     def test_perturbed_truth_takes_the_measurement(self, r, m, seed):
@@ -291,9 +360,11 @@ class TestCausalCertificate:
 
     def test_spectrum_is_not_sampled_when_both_bounds_decide(self, monkeypatch):
         bundle = generate_instance(4, 8, 1000)
-        sampled, inverted = count_work(monkeypatch)
+        sampled, inverted, conditioned = count_work(monkeypatch)
         report = quiet_report(bundle.spectrum, bundle.ground_truth)
         assert inverted == [(256, 4, 4)] and sampled == []
+        # sigma_lb counts, so it proves the grid guard: no condition number.
+        assert conditioned == []
         assert "from S = X X* + E" in report["positivity"].detail
         assert all("from S = X X* + E" in report[name].detail for name in CAUSAL)
         assert "of det X on K=256" in report["outer-determinant"].detail
@@ -306,9 +377,11 @@ class TestCausalCertificate:
         S = generate_instance(2, 4, 1209, 0.02).spectrum
         x = factor(S).factor
         assert _Grid(S, x).sigma_lb == -np.inf
-        sampled, inverted = count_work(monkeypatch)
+        sampled, inverted, conditioned = count_work(monkeypatch)
         report = quiet_report(S, x)
         assert inverted == [(256, 2, 2), (256, 2, 2)]
+        # The guard measures the K-node inverse it has, then the odd nodes.
+        assert conditioned == [(256, 2, 2), (256, 2, 2)]
         # The outer entry's roots sample X on their own grid, not on 2K.
         assert [call for call in sampled if call[1] == 512] == [("X", 512)]
         assert "from S = X X* + E" in report["positivity"].detail
@@ -316,19 +389,21 @@ class TestCausalCertificate:
 
     def test_spectrum_is_sampled_once_when_both_bounds_fall_back(self, monkeypatch):
         bundle = generate_instance(2, 4, 1)
-        sampled, inverted = count_work(monkeypatch)
+        sampled, inverted, conditioned = count_work(monkeypatch)
         report = quiet_report(bundle.spectrum, perturbed_truth(bundle, 1))
         assert inverted == [(256, 2, 2), (256, 2, 2)]
+        assert conditioned == [(256, 2, 2)]  # the odd 2K nodes alone
         assert [kind for kind, _ in sampled].count("S") == 1
         assert "min |det|" in report["positivity"].detail
         assert not any("at most" in report[name].detail for name in CAUSAL)
 
     def test_public_check_inverts_each_2K_node_once(self, monkeypatch):
         bundle = generate_instance(4, 8, 1000)
-        sampled, inverted = count_work(monkeypatch)
+        sampled, inverted, conditioned = count_work(monkeypatch)
         check_causal_identity(bundle.spectrum, bundle.ground_truth)
         # Each node of 2K once: the even half is the K grid.
         assert inverted == [(256, 4, 4), (256, 4, 4)]
+        assert conditioned == [(256, 4, 4)]  # the odd 2K nodes alone
         assert sorted(sampled) == [("S", 512), ("X", 512)]
 
     def test_K_certificate_counts_only_within_the_grid_guard(self):
