@@ -273,39 +273,31 @@ def _pointwise_inverse(values: np.ndarray) -> np.ndarray | None:
 def _worst_condition(values: np.ndarray, inverse: np.ndarray | None) -> float:
     """The worst 1-norm condition number ``||A||_1 ||A^{-1}||_1`` over a
     stack, from its inverse already in hand: ``inf`` when the inverse is
-    ``None`` or the product is not finite."""
+    ``None`` or the product is not finite, without a warning."""
     if inverse is None:
         return float("inf")
     column_sums = lambda a: np.einsum("kij->kj", np.abs(a)).max(axis=-1)
-    worst = float((column_sums(values) * column_sums(inverse)).max())
+    with np.errstate(over="ignore"):
+        worst = float((column_sums(values) * column_sums(inverse)).max())
     return worst if np.isfinite(worst) else float("inf")
 
 
-def _inverse_on_grid(values: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """:func:`_pointwise_inverse` of a (K, r, r) stack and its
-    :func:`_worst_condition`."""
-    inverse = _pointwise_inverse(values)
-    return inverse, _worst_condition(values, inverse)
-
-
-def _refusal(cond: float, cap: float, error: type[Exception],
-             what: str) -> Exception | None:
-    """The guard's verdict on a worst condition number: ``error`` to raise
-    when it exceeds ``cap``, else ``None``."""
+def _require_conditioned(values: np.ndarray, inverse: np.ndarray | None, cap: float,
+                         error: type[Exception], what: str) -> np.ndarray:
+    """The "is X singular on the grid" guard on an inverse already in hand,
+    the :func:`_pointwise_inverse` of ``values``: raise ``error`` when its
+    :func:`_worst_condition` exceeds ``cap``, else return it."""
+    cond = _worst_condition(values, inverse)
     if cond > cap:
-        return error(f"{what} condition number {cond:.3e} on the grid exceeds {cap:.1e}")
-    return None
+        raise error(f"{what} condition number {cond:.3e} on the grid exceeds {cap:.1e}")
+    return inverse
 
 
 def _guarded_inverse(values: np.ndarray, cap: float, error: type[Exception],
                      what: str) -> np.ndarray:
-    """The "is X singular on the grid" guard: :func:`_inverse_on_grid`, or
-    ``error`` when the worst condition number exceeds ``cap``."""
-    inverse, cond = _inverse_on_grid(values)
-    refusal = _refusal(cond, cap, error, what)
-    if refusal is not None:
-        raise refusal
-    return inverse
+    """The guard on a fresh inverse: :func:`_require_conditioned` of the
+    :func:`_pointwise_inverse` of ``values``."""
+    return _require_conditioned(values, _pointwise_inverse(values), cap, error, what)
 
 
 def _hermitian_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,21 +37,25 @@ scale passes the entry.  Causal: ``X^{-1} S - X^* = X^{-1} E`` bounds the
 gap and, by Parseval, the anticausal mass on both grids and its change by
 ``||E|| / sigma_lb`` when deg X <= m (see :func:`_causal_bound`); for such a
 factor a bound within ``MASS_STABILITY_TOL`` passes the three entries with
-the bound as their value.  Where a K-node bound does not decide, X is
-sampled on 2K and inverted at its odd nodes, whose even ones are the K
-grid, once for both entries, and the coarser 2K-node bound is tried; where
-that does not decide either, S is sampled on 2K, once, and the zoomed
-eigen-scan of its even points or the measured triple decides.  The outer entry reads the winding number of det X off the K-node
-inverse and derivative samples, ``tr(X^{-1} z X')``.  Unless that count
-reads zero with a small Fourier tail, the outer entry falls back to
-:func:`check_outer_determinant`, which samples det X on its own grid, the
-smallest power of two >= max(8, 2(r m + 1)), and reads its roots.
+the bound as their value.  Positivity is measured on K alone, so where its
+K-node bound does not decide, S is sampled on 2K, once, and the zoomed
+eigen-scan of its even points, the K grid, decides.  The causal entries are
+measured on K and on 2K, so where their K-node bound does not decide, X is
+sampled on 2K and inverted at its odd nodes, whose even ones are the K grid,
+and the coarser 2K-node bound is tried; where that does not decide either,
+the measured triple, from the same S samples, decides.  The outer entry
+reads the winding number of det X off the K-node inverse and derivative
+samples, ``tr(X^{-1} z X')``.  Unless that count reads zero with a small
+Fourier tail, the outer entry falls back to :func:`check_outer_determinant`,
+which samples det X on its own grid, the smallest power of two
+>= max(8, 2(r m + 1)), and reads its roots.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.  On K,
 ``sigma_lb`` proves that where it counts, and the condition number is taken
-only where it does not, from the same inverse.
-Failures inside :func:`verify_all` are reported as failed entries, never
-raised.
+only where it does not, from the same inverse.  A refusal raises
+``SingularFactorOnGrid``: the outer entry then reads the roots of det X, and
+the causal entries fail with the guard's message.  Failures inside
+:func:`verify_all` are reported as failed entries, never raised.
 """
 
 from __future__ import annotations
@@ -77,10 +81,9 @@ from .laurent import (
     _next_pow2,
     _pointwise_inverse,
     _positivity_scan,
-    _refusal,
+    _require_conditioned,
     _residual_against,
     _residual_band_norms,
-    _worst_condition,
     coefficients_from_values,
     default_verify_grid,
     sample_on_grid,
@@ -223,16 +226,6 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
     return _causal_triple(S.m, _Grid(S, x))
 
 
-def _inverse_or_refusal(values: np.ndarray) -> np.ndarray | SingularFactorOnGrid:
-    """X's guarded pointwise inverse on a grid, or the guard's refusal; an
-    overflowing condition number reads ``inf``, without a warning."""
-    with np.errstate(over="ignore"):
-        try:
-            return _guarded_inverse(values, GRID_COND_MAX, SingularFactorOnGrid, "factor")
-        except SingularFactorOnGrid as refusal:
-            return refusal
-
-
 @dataclass(frozen=True, eq=False)
 class _Grid:
     """What the checks of one (S, X) pair share, each formed on first read
@@ -241,17 +234,17 @@ class _Grid:
     On the check grid K: X and ``z X' / m`` from one GEMM of the cached
     monomial block against their m + 1 coefficients, X's pointwise inverse,
     ``sigma_lb``, a lower bound on the smallest singular value of X over the
-    whole circle read off them, and the grid guard's verdict on that inverse
-    (the inverse, or the guard's ``SingularFactorOnGrid``), which
-    ``sigma_lb`` proves where it counts and the condition number of the same
-    inverse decides elsewhere.  In coefficient space: the coefficient scale
-    of S, the Frobenius norms of the coefficients of ``E = S - X X^*`` and
-    their sum over the band, ``spread = ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``,
-    which bounds ``||E(z)||_F`` on the whole circle.  On the doubled grid 2K,
-    only for the entries that the K-node bounds do not decide: S, X and X's
-    guarded inverse, whose even half is the K-node inverse, the largest
-    Frobenius norm of that inverse (``inf`` when refused) and ``sigma_lb_2K``,
-    the coarser lower bound on sigma_min read off it.
+    whole circle read off them, and that inverse once the grid guard accepts
+    it, which ``sigma_lb`` proves where it counts and the condition number
+    of the same inverse decides elsewhere.  In coefficient space: the
+    coefficient scale of S, the Frobenius norms of the coefficients of
+    ``E = S - X X^*`` and their sum over the band, ``spread = ||e_0||_F + 2
+    sum_{n>=1} ||e_n||_F``, which bounds ``||E(z)||_F`` on the whole circle.
+    On the doubled grid 2K, only for the entries that the K-node bounds do
+    not decide: S, X and X's guarded inverse, whose even half is the K-node
+    inverse, and the largest Frobenius norm of that inverse.  Each guarded
+    inverse, and whatever reads it, raises ``SingularFactorOnGrid`` where
+    the guard refuses.
     """
 
     S: HermitianLaurentPolynomial
@@ -302,17 +295,16 @@ class _Grid:
         return _pointwise_inverse(self.x_vals)
 
     @cached_property
-    def inverse(self) -> np.ndarray | SingularFactorOnGrid:
-        """The K-node inverse once the grid guard accepts it, or the guard's
-        refusal.  Where ``sigma_lb`` counts it proves the guard's verdict, and
-        the condition number is not formed; elsewhere the condition number
-        of the same inverse decides."""
+    def inverse(self) -> np.ndarray:
+        """The K-node inverse once the grid guard accepts it; raises the
+        guard's ``SingularFactorOnGrid`` where it does not.  Where ``sigma_lb``
+        counts it proves the guard's verdict, and the condition number is
+        not formed; elsewhere the condition number of the same inverse
+        decides."""
         if self.sigma_lb > 0:
             return self._inverse
-        with np.errstate(over="ignore"):
-            cond = _worst_condition(self.x_vals, self._inverse)
-        refusal = _refusal(cond, GRID_COND_MAX, SingularFactorOnGrid, "factor")
-        return self._inverse if refusal is None else refusal
+        return _require_conditioned(self.x_vals, self._inverse, GRID_COND_MAX,
+                                    SingularFactorOnGrid, "factor")
 
     @cached_property
     def inverse_norms(self) -> np.ndarray:
@@ -361,39 +353,22 @@ class _Grid:
         return sample_on_grid(self.x, 2 * self.K)
 
     @cached_property
-    def inverse_2K(self) -> np.ndarray | SingularFactorOnGrid:
+    def inverse_2K(self) -> np.ndarray:
         # The guard's worst condition number over 2K is the worse of its two
         # halves', so the K-node inverse serves as the even half and only the
         # odd nodes are inverted here.
-        if isinstance(self.inverse, SingularFactorOnGrid):
-            return self.inverse
-        odd = _inverse_or_refusal(self.x_vals_2K[1::2])
-        if isinstance(odd, SingularFactorOnGrid):
-            return odd
+        even = self.inverse
+        odd = _guarded_inverse(self.x_vals_2K[1::2], GRID_COND_MAX,
+                               SingularFactorOnGrid, "factor")
         inverse = np.empty_like(self.x_vals_2K)
-        inverse[::2], inverse[1::2] = self.inverse, odd
+        inverse[::2], inverse[1::2] = even, odd
         return inverse
 
     @cached_property
     def inverse_norm_2K(self) -> float:
-        if isinstance(self.inverse_2K, SingularFactorOnGrid):
-            return np.inf
         with np.errstate(over="ignore"):
             odd = _frobenius(self.inverse_2K[1::2]).max()
         return float(max(self.inverse_norms.max(), odd))
-
-    @cached_property
-    def sigma_lb_2K(self) -> float:
-        """The coarser lower bound on ``sigma_min(X(z))`` from the 2K nodes:
-        sigma_min is 1-Lipschitz and ``||X'(theta)||_2 <= sum_n n
-        ||rho_n||_F``, so ``sigma_min(X) >= min_j 1/||X(z_j)^{-1}||_F -
-        (pi/2K) sum_n n ||rho_n||_F``; ``-inf`` when the guard refused the
-        2K inverse or the bound is not positive."""
-        x = self.x
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            slope = np.arange(x.m + 1) @ _frobenius(x.coeffs)
-            bound = 1.0 / self.inverse_norm_2K - np.pi / (2 * self.K) * slope
-        return float(bound) if bound > 0 else -np.inf
 
 
 def _causal_triple(m: int, grid: _Grid):
@@ -403,8 +378,6 @@ def _causal_triple(m: int, grid: _Grid):
     coefficients are its fold ``c_K[n] = c_2K[n] + c_2K[n + K]``, which is
     the transform of the even samples, and the gap is taken at the even
     samples alone."""
-    if isinstance(grid.inverse_2K, SingularFactorOnGrid):
-        raise grid.inverse_2K
     left = grid.inverse_2K @ grid.S_vals
     gaps = _causal_gap(left[::2], grid.x_vals_2K[::2])
     n = len(left)
@@ -472,10 +445,9 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
 
 def _positivity_bound(grid: _Grid) -> float:
     """A lower bound on the minimum eigenvalue of S over the whole circle,
-    read off the factor: from ``sigma_lb`` on the K nodes when that bound
-    clears the near-singular threshold, else from ``sigma_lb_2K``; ``-inf``
-    when neither lower bound on sigma_min(X) counts, ``nan`` or ``inf``
-    when a term overflows, without a warning.
+    read off the factor's ``sigma_lb`` on the K nodes; ``-inf`` when that
+    lower bound on sigma_min(X) does not count, ``nan`` or ``inf`` when a
+    term overflows, without a warning.
 
     S = X X^* + E exactly, for any X, so by Weyl's inequality
     ``lambda_min(S(z)) >= sigma_min(X(z))^2 - ||E(z)||_2``, and
@@ -484,19 +456,17 @@ def _positivity_bound(grid: _Grid) -> float:
     itself, to the last bits, far below the threshold that
     :func:`verify_all` compares it with.
     """
-    weyl = lambda sigma: sigma * sigma - grid.spread if sigma > 0 else -np.inf
-    bound = weyl(grid.sigma_lb)
-    if bound > NEAR_SINGULAR_TOL * grid.scale:
-        return bound
-    return weyl(grid.sigma_lb_2K)
+    sigma = grid.sigma_lb
+    return sigma * sigma - grid.spread if sigma > 0 else -np.inf
 
 
 def _causal_bound(grid: _Grid) -> float:
     """An upper bound on each of the three causal entries, read off the
     factor: from the K nodes when that bound is within
     ``MASS_STABILITY_TOL``, else from the 2K nodes; ``nan`` or ``inf`` when
-    the grid guard refused X's inverse or a term overflows, without a
-    warning.
+    a term overflows, without a warning.  Where the 2K nodes are needed and
+    the grid guard refuses X's inverse there, it raises the guard's
+    ``SingularFactorOnGrid``.
 
     S = X X^* + E exactly, for any X, so at every point of the circle the
     left side of the causal identity is ``X^{-1} S = X^* + X^{-1} E``, so
@@ -543,13 +513,15 @@ def _measure_degree(S, x, grid):
 
 
 def _measure_outer(S, x, grid):
-    if not isinstance(grid.inverse, SingularFactorOnGrid):
+    try:
         count, tail = _winding_number(grid)
-        if count <= WINDING_COUNT_TOL and tail <= WINDING_TAIL_TOL:
-            K = grid.K
-            return [(0.0, f"no det root in the closed unit disk: winding number "
-                          f"{count:.1e} of det X on K={K}, Fourier tail {tail:.1e} "
-                          f"from 3K/8={3 * K // 8}", False)]
+    except SingularFactorOnGrid:  # without the K-node inverse the roots decide
+        count = tail = np.inf
+    if count <= WINDING_COUNT_TOL and tail <= WINDING_TAIL_TOL:
+        K = grid.K
+        return [(0.0, f"no det root in the closed unit disk: winding number "
+                      f"{count:.1e} of det X on K={K}, Fourier tail {tail:.1e} "
+                      f"from 3K/8={3 * K // 8}", False)]
     min_root, roots = check_outer_determinant(x)
     deficit = max(0.0, 1.0 - min_root) if np.isfinite(min_root) else 0.0
     boundary = bool(np.any(np.abs(np.abs(roots) - 1.0) <= OUTER_BOUNDARY_BAND))

@@ -1,5 +1,7 @@
 """Data model and grid arithmetic for matrix Laurent polynomials."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
-    _inverse_on_grid,
+    _pointwise_inverse,
+    _require_conditioned,
+    _worst_condition,
     coefficients_from_values,
     default_grid_size,
     evaluate_at,
@@ -112,7 +116,8 @@ class TestInverseOnGrid:
     def test_matches_numpy_inverse_and_one_norm_condition(self, r):
         rng = np.random.default_rng(40 + r)
         values = rng.standard_normal((16, r, r)) + 1j * rng.standard_normal((16, r, r))
-        inverse, cond = _inverse_on_grid(values)
+        inverse = _pointwise_inverse(values)
+        cond = _worst_condition(values, inverse)
         np.testing.assert_allclose(inverse, np.linalg.inv(values), rtol=1e-12, atol=1e-12)
         assert cond == pytest.approx(float(np.linalg.cond(values, 1).max()), rel=1e-12)
 
@@ -124,13 +129,28 @@ class TestInverseOnGrid:
         coeffs[1, 0, 0] = -1.0
         values = sample_on_grid(MatrixPolynomial(coeffs), 8)
         assert np.all(values[0, 0] == 0)
-        _, cond = _inverse_on_grid(values)
+        cond = _worst_condition(values, _pointwise_inverse(values))
         assert cond == float("inf")
 
     def test_non_finite_inverse_is_infinite(self):
         values = np.full((4, 1, 1), 1e-320, dtype=complex)
-        _, cond = _inverse_on_grid(values)
+        cond = _worst_condition(values, _pointwise_inverse(values))
         assert cond == float("inf")
+
+    def test_overflowing_condition_number_is_infinite_without_a_warning(self):
+        values = np.diag([1e200, 1e-200]).astype(complex)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _worst_condition(values, _pointwise_inverse(values)) == float("inf")
+
+    def test_guard_returns_the_inverse_in_hand_or_raises(self):
+        # diag(1, 1e-12) has 1-norm condition number 1e12.
+        values = np.diag([1.0, 1e-12]).astype(complex)[None]
+        inverse = _pointwise_inverse(values)
+        assert _require_conditioned(values, inverse, 1e13, ValueError, "stack") is inverse
+        with pytest.raises(ValueError, match=r"^stack condition number 1\.000e\+12 "
+                                             r"on the grid exceeds 1\.0e\+10$"):
+            _require_conditioned(values, inverse, 1e10, ValueError, "stack")
 
 
 class TestCoefficientsFromSamples:

@@ -7,8 +7,8 @@
 way, must write the committed golden fixtures byte for byte.
 ``specfact factor`` runs with runtime warnings turned into errors, so a numpy
 warning between input file and exit code fails its tests.  No public entry
-point but the grid samplers takes a grid size, and no module of the package
-imports a name it never uses.
+point but the grid samplers takes a grid size, and no module of the package,
+the tests or the scripts imports a name it never uses.
 """
 
 import ast
@@ -75,7 +75,9 @@ def unused_imports(source: str) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports("from __future__ import annotations\nimport os.path\n"
                           "from x import a, b as c\n__all__ = ['a']\n") == ["c", "os"]
-    unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+    modules = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "scripts").glob("*.py")]
+    unused = {str(path.relative_to(ROOT)): names for path in sorted(modules)
               if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
 

@@ -20,7 +20,6 @@ from specfact.laurent import (
     _coefficient_scale,
     _frobenius,
     _guarded_inverse,
-    _inverse_on_grid,
     _pointwise_inverse,
     _positivity_scan,
     _worst_condition,
@@ -221,7 +220,8 @@ def assert_K_samples_match_the_transform(grid):
 def count_work(monkeypatch):
     """Record, from here on, every ``sample_on_grid`` call of the verify module
     as ("S" or "X", grid size), the shape of every stack it inverts, guarded
-    or not, and the shape of every stack whose condition number it takes."""
+    or not, and the shape of every stack whose condition number the grid
+    guard takes, on a fresh inverse or on one in hand."""
     sampled, inverted, conditioned = [], [], []
 
     def counting_sample(p, K):
@@ -230,7 +230,6 @@ def count_work(monkeypatch):
 
     def counting_inverse(values, *args):
         inverted.append(values.shape)
-        conditioned.append(values.shape)
         return _guarded_inverse(values, *args)
 
     def counting_pointwise_inverse(values):
@@ -244,7 +243,7 @@ def count_work(monkeypatch):
     monkeypatch.setattr("specfact.verify.sample_on_grid", counting_sample)
     monkeypatch.setattr("specfact.verify._guarded_inverse", counting_inverse)
     monkeypatch.setattr("specfact.verify._pointwise_inverse", counting_pointwise_inverse)
-    monkeypatch.setattr("specfact.verify._worst_condition", counting_condition)
+    monkeypatch.setattr("specfact.laurent._worst_condition", counting_condition)
     return sampled, inverted, conditioned
 
 
@@ -312,6 +311,11 @@ class TestCausalCertificate:
         report = quiet_report(S, x)
         assert all(not report[name].passed and report[name].detail == detail
                    for name in CAUSAL)
+        # The refused K-node inverse sends the outer entry to the roots of
+        # det X, whose one root lies on the circle: a boundary warning.
+        outer = report["outer-determinant"]
+        assert outer.passed and outer.warning
+        assert outer.detail.startswith("min det-root modulus 1 over 1 root(s)")
         with pytest.raises(SingularFactorOnGrid, match=f"^{re.escape(detail)}$"):
             check_causal_identity(S, x)
 
@@ -330,7 +334,8 @@ class TestCausalCertificate:
         x = MatrixPolynomial(np.array(
             [np.eye(2), np.diag([0, -np.exp(-1j * np.pi / 256)])], dtype=complex))
         S = multiply_by_adjoint(x)
-        assert not np.isfinite(_causal_bound(_Grid(S, x)))
+        with pytest.raises(SingularFactorOnGrid, match="^factor condition number "):
+            _causal_bound(_Grid(S, x))
         report = quiet_report(S, x)
         assert all(not report[name].passed and "condition" in report[name].detail
                    for name in CAUSAL)
@@ -369,11 +374,12 @@ class TestCausalCertificate:
         assert all("from S = X X* + E" in report[name].detail for name in CAUSAL)
         assert "of det X on K=256" in report["outer-determinant"].detail
 
-    def test_near_circle_factor_takes_the_2K_bounds_without_sampling_S(self, monkeypatch):
-        # Roots 0.02 from the circle: the arc term sinks sigma_lb on K, and
-        # the 2K-node bounds, from one 2K inverse, decide both entries.  The
-        # K-node inverse is its even half, so only the odd nodes are inverted
-        # again.
+    def test_near_circle_factor_takes_the_scan_and_the_2K_causal_bound(self, monkeypatch):
+        # Roots 0.02 from the circle: the arc term sinks sigma_lb on K.
+        # Positivity, measured on K alone, takes the scan of S's K samples,
+        # from one sampling on 2K.  The causal entries take the 2K-node
+        # bound, from one 2K inverse whose even half is the K-node inverse,
+        # so only the odd nodes are inverted again.
         S = generate_instance(2, 4, 1209, 0.02).spectrum
         x = factor(S).factor
         assert _Grid(S, x).sigma_lb == -np.inf
@@ -382,10 +388,17 @@ class TestCausalCertificate:
         assert inverted == [(256, 2, 2), (256, 2, 2)]
         # The guard measures the K-node inverse it has, then the odd nodes.
         assert conditioned == [(256, 2, 2), (256, 2, 2)]
-        # The outer entry's roots sample X on their own grid, not on 2K.
-        assert [call for call in sampled if call[1] == 512] == [("X", 512)]
-        assert "from S = X X* + E" in report["positivity"].detail
-        assert all("from S = X X* + E" in report[name].detail for name in CAUSAL)
+        # S once, for the scan; X once, for the odd 2K nodes.  The outer
+        # entry's roots sample X on their own grid, not on 2K.
+        assert [call for call in sampled if call[1] == 512] == [("S", 512), ("X", 512)]
+        assert [kind for kind, _ in sampled].count("S") == 1
+        positivity = report["positivity"]
+        assert positivity.passed and not positivity.warning
+        assert positivity.detail.startswith("min eigenvalue ")
+        assert "min |det|" in positivity.detail
+        assert all(report[name].passed and " at most " in report[name].detail
+                   and report[name].detail.endswith(", from S = X X* + E")
+                   for name in CAUSAL)
 
     def test_spectrum_is_sampled_once_when_both_bounds_fall_back(self, monkeypatch):
         bundle = generate_instance(2, 4, 1)
@@ -413,7 +426,7 @@ class TestCausalCertificate:
         x = MatrixPolynomial(np.diag([1.0, 1.5e-10]).astype(complex)[None])
         S = multiply_by_adjoint(x)
         grid = _Grid(S, x)
-        assert not isinstance(grid.inverse, SingularFactorOnGrid)
+        assert grid.inverse is grid._inverse  # the guard accepts it
         assert grid.sigma_lb == -np.inf
         assert _causal_bound(grid) == 0.0 and not decided_on_K(grid)
         report = quiet_report(S, x)
@@ -552,8 +565,8 @@ class TestOuterVerdict:
         # np.roots of det X, degree 64 or 128 here, reads roots inside the
         # disk on some of these seeds; the winding number does not.
         x = cascade_factor(r, m, modulus, seed)
-        _, cond = _inverse_on_grid(sample_on_grid(x, default_verify_grid(m)))
-        assert cond <= GRID_COND_MAX
+        values = sample_on_grid(x, default_verify_grid(m))
+        assert _worst_condition(values, _pointwise_inverse(values)) <= GRID_COND_MAX
         entry = outer_entry(multiply_by_adjoint(x), x)
         assert entry.passed and not entry.warning
         assert entry.measured == 0.0
