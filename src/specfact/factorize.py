@@ -215,8 +215,9 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
     2002).  The last block row of chol(Q) is rho_{g-1}..rho_0, and
     ``rho_m = sigma_m rho_0^{-*}``.  The run stops one step after the relative
     change of Q drops below residual_tol.  Short of it, a failed pivot W or a
-    change that stops decreasing (convergence is linear with a det root on the
-    circle: Chiang et al., SIAM J. Matrix Anal. Appl. 31, 2009) is a stall,
+    change below ``sqrt(residual_tol)`` that stops decreasing (convergence is
+    linear with a det root on the circle: Chiang et al., SIAM J. Matrix Anal.
+    Appl. 31, 2009) is a stall,
     which keeps the iterate before it and warns, unless the positivity rule of
     ``verify_all``, ``_require_semidefinite``, raises ``CholeskyBreakdown``.
     Given ``max_rows``, it also stops before g * 2^k exceeds that many rows.
@@ -253,7 +254,10 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
         del inverse, A
         drop = left.conj().T @ left
         previous, change = change, float(np.linalg.norm(drop) / np.linalg.norm(Q - drop))
-        stalled = not converged and previous <= change
+        # Before the quadratic regime the change can rise once, so a rise is a
+        # stall only below the square root of the tolerance.
+        stalled = (not converged and previous <= change
+                   and change < opts.residual_tol ** 0.5)
         if not stalled:
             Q -= drop
             del drop

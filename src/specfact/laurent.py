@@ -88,8 +88,10 @@ def _as_coefficient_stack(coeffs) -> np.ndarray:
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm over the trailing two axes."""
-    return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)).real)
+    """Frobenius norm over the trailing two axes, summed from a real view."""
+    v = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    v = v.reshape(v.shape[:-2] + (-1,))
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
 def trim_coefficients(coeffs: np.ndarray) -> np.ndarray:

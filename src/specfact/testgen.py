@@ -6,6 +6,18 @@ form the induced spectrum.  The bundle's factor is therefore an exact oracle
 for the factorization of its spectrum, with no factorization code trusted
 anywhere in the construction.
 
+A draw's det coefficients are computed once (``verify._det_coefficients``).
+A det root below the trim radius ``rho_c`` (see :func:`_trim_radius`) forces
+a rescale that trims the leading coefficient or falls below ``MIN_RESCALE``,
+so where Fujiwara's lower bound on the root moduli allows a root inside
+``rho_c / 1.1``, the argument principle counts the roots there
+(``verify._certified_root_count``) and a count of one or more rejects the
+draw.  Only a draw the count does not reject pays for ``np.roots``, on the
+same coefficients, which gives the rescale t.  The bundle's ``root_margin``
+is the smallest modulus of those roots, divided by t after a rescale, less
+one: canonicalization multiplies by a constant unitary, which moves no det
+root.  A boundary truth reads its own det roots.
+
 Randomness comes from the portable splitmix64 stream (see :mod:`.rng`), so a
 bundle is a pure function of ``(r, m, seed, root_margin)`` and reproduces
 bit-for-bit.  Draw order: coefficient entries for n = 0..m in row-major
@@ -22,15 +34,22 @@ import numpy as np
 from .errors import RetryExhausted, SingularLeadingCoefficient
 from .factorize import canonical_normalize
 from .laurent import (
+    TRIM_RTOL,
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _frobenius,
     _hermitian_scan,
     default_verify_grid,
     multiply_by_adjoint,
     sample_on_grid,
 )
 from .rng import SplitMix64
-from .verify import check_outer_determinant
+from .verify import (
+    _certified_root_count,
+    _det_coefficients,
+    _det_roots,
+    check_outer_determinant,
+)
 
 # Draws whose det roots cannot be pushed out without collapsing the variable
 # are discarded; after this many the seed is rejected.
@@ -72,37 +91,71 @@ def _condition_estimate(S: HermitianLaurentPolynomial) -> float:
         return float(eigs.max() / eigs.min())
 
 
-def _build_ground_truth(stream: SplitMix64, r: int, m: int,
-                        root_margin: float) -> MatrixPolynomial | None:
-    """One attempt at a canonical factor with det roots out at 1 + margin."""
+def _trim_radius(coeffs: np.ndarray, root_margin: float) -> float:
+    """``rho_c``: a draw with a det root below it is rejected.
+
+    Under z -> t z the coefficient rho_k scales by t^k, so rho_m trims once
+    ``t^(m-k) ||rho_m|| <= TRIM_RTOL ||rho_k||`` for some k < m, and for
+    every smaller t too.  A root below ``rho_c = (1 + margin) max(MIN_RESCALE,
+    max_k (TRIM_RTOL ||rho_k|| / ||rho_m||)^(1/(m-k)))`` sets t below that
+    threshold or below ``MIN_RESCALE``.
+    """
+    norms = _frobenius(coeffs)
+    m = len(coeffs) - 1
+    threshold = np.max((TRIM_RTOL * norms[:m] / norms[m]) ** (1.0 / np.arange(m, 0, -1)),
+                       initial=0.0)
+    return (1.0 + root_margin) * max(MIN_RESCALE, float(threshold))
+
+
+def _rescaled(coeffs: np.ndarray, t: float) -> MatrixPolynomial | None:
+    """The draw under z -> t z, or ``None`` when t is below ``MIN_RESCALE``
+    or the rescale trims rho_m."""
+    if t < MIN_RESCALE:
+        return None
+    m = len(coeffs) - 1
+    draw = MatrixPolynomial(coeffs * (t ** np.arange(m + 1))[:, None, None])
+    return draw if draw.m == m else None
+
+
+def _build_ground_truth(stream: SplitMix64, r: int, m: int, root_margin: float
+                        ) -> tuple[MatrixPolynomial, float] | None:
+    """One attempt at a canonical factor with det roots out at 1 + margin,
+    with the modulus of its nearest det root less one."""
     coeffs = _draw_coefficients(stream, r, m)
     draw = MatrixPolynomial(coeffs)
     if draw.m != m:
         return None
-    min_modulus, _ = check_outer_determinant(draw)
+    det = _det_coefficients(draw)
+    # A root inside rho_c / 1.1 forces a rescale that _rescaled rejects; a
+    # count of 0 or none leaves the draw to the eigensolve.
+    if _certified_root_count(det, _trim_radius(coeffs, root_margin) / 1.1):
+        return None
+    min_modulus, _ = _det_roots(det)
     if np.isfinite(min_modulus) and min_modulus < 1.0 + root_margin:
         # Substituting z -> t z scales every det root by 1/t.
         t = min_modulus / (1.0 + root_margin)
-        if t < MIN_RESCALE:
+        draw = _rescaled(coeffs, t)
+        if draw is None:
             return None
-        coeffs = coeffs * (t ** np.arange(m + 1))[:, None, None]
-        draw = MatrixPolynomial(coeffs)
-        if draw.m != m:
-            return None
+        min_modulus /= t
     try:
         canonical, _ = canonical_normalize(draw)
     except SingularLeadingCoefficient:
         return None
     if canonical.m != m:
         return None
-    return canonical
+    # Canonicalization multiplies by a constant unitary: no det root moves.
+    return canonical, min_modulus - 1.0
 
 
-def _boundary_truth(stream: SplitMix64, r: int, m: int) -> MatrixPolynomial | None:
-    """One attempt at a canonical factor with one det root on the circle."""
-    base = _build_ground_truth(stream, r, m - 1, 0.2)
-    if base is None:
+def _boundary_truth(stream: SplitMix64, r: int, m: int
+                    ) -> tuple[MatrixPolynomial, float] | None:
+    """One attempt at a canonical factor with one det root on the circle,
+    with the modulus of its nearest det root less one."""
+    built = _build_ground_truth(stream, r, m - 1, 0.2)
+    if built is None:
         return None
+    base, _ = built
     channel = stream.integer(r)
     theta0 = 2.0 * np.pi * stream.uniform()
     phase = np.exp(-1j * theta0)
@@ -118,21 +171,23 @@ def _boundary_truth(stream: SplitMix64, r: int, m: int) -> MatrixPolynomial | No
         truth, _ = canonical_normalize(truth)
     except SingularLeadingCoefficient:
         return None
-    return truth
+    return truth, check_outer_determinant(truth)[0] - 1.0
 
 
 def _bundle(seed: int, build, what: str, boundary: bool = False) -> InstanceBundle:
-    """Bundle of the first attempt whose ``build(stream)`` returns a factor."""
+    """Bundle of the first attempt whose ``build(stream)`` returns a factor
+    and its root margin."""
     for attempt in range(MAX_ATTEMPTS):
-        truth = build(_attempt_stream(seed, attempt))
-        if truth is None:
+        built = build(_attempt_stream(seed, attempt))
+        if built is None:
             continue
+        truth, root_margin = built
         spectrum = multiply_by_adjoint(truth)
         return InstanceBundle(
             spectrum=spectrum,
             ground_truth=truth,
             seed=seed,
-            root_margin=check_outer_determinant(truth)[0] - 1.0,
+            root_margin=root_margin,
             condition_estimate=_condition_estimate(spectrum),
             boundary=boundary,
         )

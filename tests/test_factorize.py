@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specfact.errors import (
     CholeskyBreakdown,
@@ -375,15 +375,33 @@ def test_canonicalization_kills_unitary_scrambling(seed):
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10 * (1 + np.max(np.abs(a.coeffs)))
 
 
+# Spectra whose doubling change rises once before its quadratic regime.
+FALSE_STALL_SEEDS = [(3, 1, 204940708), (2, 1, 303804809), (3, 1, 746312779),
+                     (3, 1, 745132541)]
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31), m=st.integers(0, 3),
        r=st.integers(1, 3))
+@example(seed=204940708, m=1, r=3)
+@example(seed=303804809, m=1, r=2)
 def test_factor_residual_and_outerness_property(seed, m, r):
     bundle = generate_instance(r, m, seed=seed)
     result = factor(bundle.spectrum)
     assert check_factorization(bundle.spectrum, result.factor) <= 1e-9
     min_modulus, _ = check_outer_determinant(result.factor)
     assert min_modulus >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("algorithm", ["auto", "bauer"])
+@pytest.mark.parametrize("r, m, seed", FALSE_STALL_SEEDS)
+def test_a_rise_in_the_change_above_the_stall_floor_is_no_stall(r, m, seed, algorithm):
+    # The change rises once at step 1 or 2, far above sqrt(residual_tol);
+    # counting that as roundoff stopped the doubling at residual 1e-2 to 0.2.
+    bundle = generate_instance(r, m, seed)
+    result = factor(bundle.spectrum, FactorizationOptions(algorithm=algorithm))
+    assert not any("stopped on roundoff" in w for w in result.warnings)
+    assert forward_error(result.factor, bundle.ground_truth) <= 1e-12
 
 
 def loop_residual(sigma, c):

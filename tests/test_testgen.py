@@ -1,9 +1,13 @@
 """Ground-truth instance generation: oracle exactness, determinism, margins."""
 
+import importlib.util
+import json
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import specfact.testgen as testgen
 from specfact.errors import RetryExhausted
@@ -140,3 +144,55 @@ class TestGenerateBoundaryInstance:
     def test_requires_positive_order(self):
         with pytest.raises(ValueError):
             generate_boundary_instance(2, 0, seed=0)
+
+
+GENERATOR_DIGESTS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "generator_digests.py"
+PINNED_DIGESTS = pathlib.Path(__file__).resolve().parent / "generator_digests.json"
+
+
+def test_generator_digests_match_the_pinned_table():
+    # Spectrum and truth bytes, root_margin and condition_estimate across the
+    # benchmark cells, rejected draws and retry exhaustion included; the
+    # script regenerates the table on a deliberate generator change.
+    spec = importlib.util.spec_from_file_location("generator_digests", GENERATOR_DIGESTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    pinned = json.loads(PINNED_DIGESTS.read_text())
+    assert len(pinned) == len(module.CASES)
+    for expected, actual in zip(pinned, module.table()):
+        assert actual == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), r=st.integers(1, 8), m=st.integers(1, 16),
+       margin=st.sampled_from([0.2, 0.1, 0.05, 0.02]), shrink=st.floats(-12, 0))
+def test_every_rescale_below_the_trim_radius_is_rejected(seed, r, m, margin, shrink):
+    # The certified count rejects a draw with a det root inside
+    # rho_c / 1.1 without reading its roots: that root would set
+    # t = |root| / (1 + margin) below rho_c / ((1 + margin) 1.1), and every
+    # such t must fall below MIN_RESCALE or trim rho_m.
+    coeffs = testgen._draw_coefficients(testgen._attempt_stream(seed, 0), r, m)
+    # Shrink the leading coefficient by up to 10^-9.6, short of the trim, so
+    # the trim threshold, not MIN_RESCALE, sets rho_c for most draws.
+    coeffs[m] *= 10.0 ** (shrink * 0.8)
+    ceiling = testgen._trim_radius(coeffs, margin) / ((1 + margin) * 1.1)
+    for t in ceiling * np.array([1 - 1e-12, 0.99, 0.9, 0.5, 0.1, 1e-3]):
+        assert testgen._rescaled(coeffs, t) is None
+
+
+@pytest.mark.parametrize("r, m, seeds", [(8, 16, (1000, 1004, 1024)), (4, 16, (1002, 1004)),
+                                         (1, 32, (1002, 1005))])
+def test_the_certified_count_moves_no_bundle(monkeypatch, r, m, seeds):
+    # Each seed has a draw that the count rejects; the bundle is the same
+    # when every draw takes the eigensolve instead.
+    count = testgen._certified_root_count
+    for seed in seeds:
+        counts = []
+        monkeypatch.setattr(testgen, "_certified_root_count",
+                            lambda c, rho: counts.append(count(c, rho)) or counts[-1])
+        counted = generate_instance(r, m, seed)
+        assert any(counts)
+        monkeypatch.setattr(testgen, "_certified_root_count", lambda c, rho: None)
+        solved = generate_instance(r, m, seed)
+        assert solved.ground_truth.coeffs.tobytes() == counted.ground_truth.coeffs.tobytes()
+        assert solved.root_margin == counted.root_margin
