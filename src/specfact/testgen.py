@@ -9,9 +9,8 @@ anywhere in the construction.
 A draw's det coefficients are computed once (``verify._det_coefficients``).
 A det root below the trim radius ``rho_c`` (see :func:`_trim_radius`) forces
 a rescale that trims the leading coefficient or falls below ``MIN_RESCALE``,
-so where Fujiwara's lower bound on the root moduli allows a root inside
-``rho_c / 1.1``, the argument principle counts the roots there
-(``verify._certified_root_count``) and a count of one or more rejects the
+so the argument principle counts the roots inside ``rho_c / 1.1``
+(:func:`_certified_root_count`) and a count of one or more rejects the
 draw.  Only a draw the count does not reject pays for ``np.roots``, on the
 same coefficients, which gives the rescale t.  The bundle's ``root_margin``
 is the smallest modulus of those roots, divided by t after a rescale, less
@@ -39,17 +38,13 @@ from .laurent import (
     MatrixPolynomial,
     _frobenius,
     _hermitian_scan,
+    _next_pow2,
     default_verify_grid,
     multiply_by_adjoint,
     sample_on_grid,
 )
 from .rng import SplitMix64
-from .verify import (
-    _certified_root_count,
-    _det_coefficients,
-    _det_roots,
-    check_outer_determinant,
-)
+from .verify import _det_coefficients, _det_roots, check_outer_determinant
 
 # Draws whose det roots cannot be pushed out without collapsing the variable
 # are discarded; after this many the seed is rejected.
@@ -57,6 +52,12 @@ MAX_ATTEMPTS = 10
 
 # Reject draws that would need a rescale factor below this (det root near 0).
 MIN_RESCALE = 1e-3
+
+# Doublings of _certified_root_count's first grid before it declines, which
+# leaves the draw to np.roots.  Building the newton pools (seeds 1000, 2000,
+# 7717) and the toeplitz, near-circle and cli pools (seed 1000) took at most
+# three, to K = 8192, and no count declined.
+ROOT_COUNT_DOUBLINGS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +106,35 @@ def _trim_radius(coeffs: np.ndarray, root_margin: float) -> float:
     threshold = np.max((TRIM_RTOL * norms[:m] / norms[m]) ** (1.0 / np.arange(m, 0, -1)),
                        initial=0.0)
     return (1.0 + root_margin) * max(MIN_RESCALE, float(threshold))
+
+
+def _certified_root_count(c: np.ndarray, rho: float) -> int | None:
+    """The number of roots of ``p(z) = sum_k c_k z^k`` in the open disk |z| < rho,
+    or ``None`` where the sampled circle is not proven free of roots.
+
+    The argument principle on K >= 16(d+1) equispaced samples of ``p(rho z)``,
+    K doubling up to ``ROOT_COUNT_DOUBLINGS`` times.  On the arc from one node
+    to the next, p moves by at most ``(2 pi / K) sum_k k |c_k| rho^k``; when
+    every sampled ``|p|`` exceeds that plus a bound on the transform's
+    rounding, the arc's image stays in a disk that excludes 0, so each phase
+    step is the principal angle between neighbouring samples and their sum is
+    2 pi times the count exactly.
+    """
+    d = len(c) - 1
+    a = c * rho ** np.arange(d + 1)
+    magnitudes = np.abs(a)
+    slope = 2.0 * np.pi * float(np.arange(d + 1) @ magnitudes)
+    total = float(magnitudes.sum())
+    K = first = _next_pow2(16 * (d + 1))
+    while K <= first << ROOT_COUNT_DOUBLINGS:
+        # The forward transform samples p(rho z) at conj(z_j): clockwise.
+        values = np.fft.fft(a, K)
+        rounding = 16.0 * np.finfo(float).eps * np.log2(K) * np.sqrt(K) * total
+        if np.abs(values).min() > slope / K + rounding:
+            turns = -np.angle(np.roll(values, -1) / values).sum() / (2.0 * np.pi)
+            return int(round(turns))
+        K *= 2
+    return None
 
 
 def _rescaled(coeffs: np.ndarray, t: float) -> MatrixPolynomial | None:

@@ -114,9 +114,6 @@ OUTER_TOL = 1e-6
 WINDING_COUNT_TOL = 1e-3
 WINDING_TAIL_TOL = 1e-3
 
-# Largest grid on which _certified_root_count samples before it declines.
-ROOT_COUNT_MAX_GRID = 1 << 16
-
 
 @dataclass(frozen=True)
 class VerifyOptions:
@@ -226,57 +223,6 @@ def check_outer_determinant(x: MatrixPolynomial):
     warnings by the caller.
     """
     return _det_roots(_det_coefficients(x))
-
-
-def _fujiwara_lower_bound(c: np.ndarray) -> float:
-    """A lower bound on the modulus of every root of ``p(z) = sum_k c_k z^k``.
-
-    Fujiwara's bound (Tohoku Math. J. 10, 1916) on the roots of the reversed
-    polynomial, inverted: every root has modulus at least ``1 / (2 max(|c_1 /
-    c_0|, |c_2 / c_0|^(1/2), ..., |c_{d-1} / c_0|^(1/(d-1)), |c_d / (2 c_0)|^(1/d)))``;
-    0 when c_0 is 0 and ``inf`` for a nonzero constant.
-    """
-    a = np.abs(c)
-    if len(a) == 1:
-        return float("inf")
-    if a[0] == 0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        ratios = a[1:] / a[0]
-        ratios[-1] /= 2.0
-        return float(0.5 / np.max(ratios ** (1.0 / np.arange(1, len(a)))))
-
-
-def _certified_root_count(c: np.ndarray, rho: float) -> int | None:
-    """The number of roots of ``p(z) = sum_k c_k z^k`` in the open disk |z| < rho,
-    or ``None`` where the sampled circle is not proven free of roots.
-
-    0 without sampling where Fujiwara's bound puts every root at |z| >= rho.
-    Otherwise the argument principle on K >= 16(d+1) equispaced samples of
-    ``p(rho z)``, K doubling up to ``ROOT_COUNT_MAX_GRID``.  On the arc from
-    one node to the next, p moves by at most ``(2 pi / K) sum_k k |c_k|
-    rho^k``; when every sampled ``|p|`` exceeds that plus a bound on the
-    transform's rounding, the arc's image stays in a disk that excludes 0,
-    so each phase step is the principal angle between neighbouring samples
-    and their sum is 2 pi times the count exactly.
-    """
-    if _fujiwara_lower_bound(c) >= rho:
-        return 0
-    d = len(c) - 1
-    a = c * rho ** np.arange(d + 1)
-    magnitudes = np.abs(a)
-    slope = 2.0 * np.pi * float(np.arange(d + 1) @ magnitudes)
-    total = float(magnitudes.sum())
-    K = _next_pow2(16 * (d + 1))
-    while K <= ROOT_COUNT_MAX_GRID:
-        # The forward transform samples p(rho z) at conj(z_j): clockwise.
-        values = np.fft.fft(a, K)
-        rounding = 16.0 * np.finfo(float).eps * np.log2(K) * np.sqrt(K) * total
-        if np.abs(values).min() > slope / K + rounding:
-            turns = -np.angle(np.roll(values, -1) / values).sum() / (2.0 * np.pi)
-            return int(round(turns))
-        K *= 2
-    return None
 
 
 def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import pathlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ from specfact.errors import RetryExhausted
 from specfact.factorize import canonical_normalize
 from specfact.laurent import HermitianLaurentPolynomial, evaluate_at
 from specfact.testgen import generate_boundary_instance, generate_instance
-from specfact.verify import check_factorization, check_positivity, verify_all
+from specfact.verify import (
+    check_factorization,
+    check_outer_determinant,
+    check_positivity,
+    verify_all,
+)
 
 
 def det_roots_oracle_2x2(x):
@@ -47,6 +53,8 @@ class TestGenerateInstance:
     def test_reported_margin_matches_field(self, r, m, margin):
         bundle = generate_instance(r, m, seed=5, root_margin=margin)
         assert bundle.root_margin >= margin - 1e-9
+        # The delivered truth's own det roots, not the generator's reading.
+        assert check_outer_determinant(bundle.ground_truth)[0] >= 1 + margin - 1e-9
 
     def test_oracle_identity(self):
         for seed in range(10):
@@ -196,3 +204,80 @@ def test_the_certified_count_moves_no_bundle(monkeypatch, r, m, seeds):
         solved = generate_instance(r, m, seed)
         assert solved.ground_truth.coeffs.tobytes() == counted.ground_truth.coeffs.tobytes()
         assert solved.root_margin == counted.root_margin
+        # The truth's own det roots, read by np.roots at degree up to 128,
+        # where the root read carries errors near 3e-9.
+        truth_modulus = check_outer_determinant(counted.ground_truth)[0]
+        assert truth_modulus >= 1.2 - 1e-8
+        assert abs(counted.root_margin - (truth_modulus - 1)) <= 1e-8
+
+
+def planted(roots):
+    """Coefficients, constant first, of the monic polynomial with these roots."""
+    return np.polynomial.polynomial.polyfromroots(roots).astype(complex)
+
+
+def scattered(rng, n, lo, hi, rho=1.0):
+    """n points at moduli uniform in [lo, hi] rho, at uniform angles."""
+    return rho * rng.uniform(lo, hi, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+def wide_count(c, rho):
+    """The count with seven doublings: planted roots spread out to 4 rho make
+    the arc bound coarser than on the generator's dets, which take at most
+    three."""
+    with mock.patch.object(testgen, "ROOT_COUNT_DOUBLINGS", 7):
+        return testgen._certified_root_count(c, rho)
+
+
+class TestCertifiedRootCount:
+    RHO = 0.3
+
+    def test_counts_zero_when_the_nearest_root_is_at_1_01_rho(self):
+        # A 1% gap at degree 31 needs K = 64 times the first grid: on the
+        # generator's grids the count declines, on that one it reads 0.
+        rng = np.random.default_rng(1)
+        c = planted(np.concatenate([[1.01 * self.RHO * np.exp(0.7j)],
+                                    scattered(rng, 30, 1.5, 4.0, self.RHO)]))
+        assert testgen._certified_root_count(c, self.RHO) is None
+        assert wide_count(c, self.RHO) == 0
+
+    def test_counts_one_root_at_half_rho(self):
+        rng = np.random.default_rng(2)
+        c = planted(np.concatenate([[0.5 * self.RHO * np.exp(2.1j)],
+                                    scattered(rng, 30, 1.2, 4.0, self.RHO)]))
+        assert wide_count(c, self.RHO) == 1
+
+    def test_counts_every_root_of_a_cluster(self):
+        rng = np.random.default_rng(3)
+        cluster = 0.5 * self.RHO + 1e-3 * self.RHO * np.exp(2j * np.pi * np.arange(4) / 4)
+        c = planted(np.concatenate([cluster, scattered(rng, 20, 1.2, 4.0, self.RHO)]))
+        assert wide_count(c, self.RHO) == 4
+
+    def test_a_cluster_just_outside_never_counts_a_root(self):
+        rng = np.random.default_rng(4)
+        cluster = 1.02 * self.RHO + 1e-3 * self.RHO * np.exp(2j * np.pi * np.arange(3) / 3)
+        c = planted(np.concatenate([cluster, scattered(rng, 20, 1.2, 4.0, self.RHO)]))
+        assert wide_count(c, self.RHO) in (0, None)
+
+    @pytest.mark.parametrize("modulus", [1.0, 1.0 - 1e-12, 1.0 + 1e-12])
+    def test_declines_with_a_root_on_the_circle(self, modulus):
+        # Between two nodes of every grid it tries, so no sample is exactly 0:
+        # the arc bound fails at the node before the root.
+        rng = np.random.default_rng(5)
+        on_circle = modulus * self.RHO * np.exp(2j * np.pi * (0.1 + 1 / 3e5))
+        c = planted(np.concatenate([[on_circle], scattered(rng, 12, 1.5, 3.0, self.RHO),
+                                    scattered(rng, 3, 0.1, 0.5, self.RHO)]))
+        assert wide_count(c, self.RHO) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), degree=st.integers(1, 128),
+           rho=st.floats(0.05, 2.0))
+    def test_a_count_is_the_number_of_roots_inside(self, seed, degree, rho):
+        # Random complex coefficients, the generator's det distribution up to
+        # scaling; np.roots decides where no root is near the circle.
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        moduli = np.abs(np.roots(c[::-1]))
+        count = wide_count(c, rho)
+        if count is not None and np.all(np.abs(moduli / rho - 1) > 1e-6):
+            assert count == np.sum(moduli < rho)

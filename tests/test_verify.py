@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from specfact.errors import (
     IdenticallyZeroDeterminant,
@@ -41,8 +40,6 @@ from specfact.verify import (
     _anticausal_mass,
     _causal_bound,
     _causal_gap,
-    _certified_root_count,
-    _fujiwara_lower_bound,
     _positivity_bound,
     _winding_number,
     check_causal_identity,
@@ -530,86 +527,6 @@ class TestOuterDeterminant:
         entry = quiet_report(S, x)["outer-determinant"]
         assert not entry.passed
         assert entry.detail == "det X overflows double precision on the grid"
-
-
-def planted(roots):
-    """Coefficients, constant first, of the monic polynomial with these roots."""
-    return np.polynomial.polynomial.polyfromroots(roots).astype(complex)
-
-
-def scattered(rng, n, lo, hi, rho=1.0):
-    """n points at moduli uniform in [lo, hi] rho, at uniform angles."""
-    return rho * rng.uniform(lo, hi, n) * np.exp(2j * np.pi * rng.uniform(size=n))
-
-
-class TestCertifiedRootCount:
-    RHO = 0.3
-
-    def test_counts_zero_when_the_nearest_root_is_at_1_01_rho(self):
-        rng = np.random.default_rng(1)
-        c = planted(np.concatenate([[1.01 * self.RHO * np.exp(0.7j)],
-                                    scattered(rng, 30, 1.5, 4.0, self.RHO)]))
-        assert _fujiwara_lower_bound(c) < self.RHO  # so the circle is sampled
-        assert _certified_root_count(c, self.RHO) == 0
-
-    def test_counts_one_root_at_half_rho(self):
-        rng = np.random.default_rng(2)
-        c = planted(np.concatenate([[0.5 * self.RHO * np.exp(2.1j)],
-                                    scattered(rng, 30, 1.2, 4.0, self.RHO)]))
-        assert _certified_root_count(c, self.RHO) == 1
-
-    def test_counts_every_root_of_a_cluster(self):
-        rng = np.random.default_rng(3)
-        cluster = 0.5 * self.RHO + 1e-3 * self.RHO * np.exp(2j * np.pi * np.arange(4) / 4)
-        c = planted(np.concatenate([cluster, scattered(rng, 20, 1.2, 4.0, self.RHO)]))
-        assert _certified_root_count(c, self.RHO) == 4
-
-    def test_a_cluster_just_outside_never_counts_a_root(self):
-        rng = np.random.default_rng(4)
-        cluster = 1.02 * self.RHO + 1e-3 * self.RHO * np.exp(2j * np.pi * np.arange(3) / 3)
-        c = planted(np.concatenate([cluster, scattered(rng, 20, 1.2, 4.0, self.RHO)]))
-        assert _fujiwara_lower_bound(c) < self.RHO
-        assert _certified_root_count(c, self.RHO) in (0, None)
-
-    @pytest.mark.parametrize("modulus", [1.0, 1.0 - 1e-12, 1.0 + 1e-12])
-    def test_declines_with_a_root_on_the_circle(self, modulus):
-        # Between two nodes of every grid it tries, so no sample is exactly 0:
-        # the arc bound fails at the node before the root.
-        rng = np.random.default_rng(5)
-        on_circle = modulus * self.RHO * np.exp(2j * np.pi * (0.1 + 1 / 3e5))
-        c = planted(np.concatenate([[on_circle], scattered(rng, 12, 1.5, 3.0, self.RHO),
-                                    scattered(rng, 3, 0.1, 0.5, self.RHO)]))
-        assert _certified_root_count(c, self.RHO) is None
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**31), degree=st.integers(1, 128),
-           rho=st.floats(0.05, 2.0))
-    def test_a_count_is_the_number_of_roots_inside(self, seed, degree, rho):
-        # Random complex coefficients, the generator's det distribution up to
-        # scaling; np.roots decides where no root is near the circle.
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        moduli = np.abs(np.roots(c[::-1]))
-        count = _certified_root_count(c, rho)
-        assert _fujiwara_lower_bound(c) <= moduli.min() * (1 + 1e-9)
-        if count is not None and np.all(np.abs(moduli / rho - 1) > 1e-6):
-            assert count == np.sum(moduli < rho)
-
-
-class TestFujiwaraBound:
-    def test_bounds_planted_roots_from_below(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            roots = scattered(rng, int(rng.integers(1, 40)), 0.01, 5.0)
-            assert _fujiwara_lower_bound(planted(roots)) <= np.abs(roots).min()
-
-    def test_is_exact_for_a_single_root(self):
-        # |c_1 / (2 c_0)| = 1 / (2 |z|): the bound is |z| exactly.
-        assert _fujiwara_lower_bound(planted([0.25])) == pytest.approx(0.25)
-
-    def test_edges(self):
-        assert _fujiwara_lower_bound(np.array([3.0 + 0j])) == np.inf
-        assert _fujiwara_lower_bound(planted([0.0, 2.0])) == 0.0
 
 
 def unitary(rng, r):
