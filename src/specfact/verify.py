@@ -15,40 +15,36 @@ factor ``X`` on a finite unit-circle grid:
 
 All functions are rational with known band or degree bounds, so a
 sufficiently fine grid is decisive up to conditioning.  No check takes a grid:
-the ones that sample S or a factor run on the one check grid K,
+:func:`check_positivity` samples S on the check grid
 :func:`~specfact.laurent.default_verify_grid` (the smallest power of two
 >= max(256, 8(m+1)), the grid ``factor()``'s hypothesis precheck and the
-generator's condition estimate use too) at the larger of the orders of S and
+generator's condition estimate use too) at the order of S, and the checks that
+sample a factor run on the check grid K at the larger of the orders of S and
 X.  The causal check samples S and X once, on the doubled grid 2K, and
-inverts X once at each node; from one transform of ``X^{-1} S`` on 2K it returns
-the gap and the anticausal mass on the K grid, which is the even points of
-those samples, and how far the mass moves on the full 2K grid.
-:func:`verify_all` samples X and ``z X'`` on K with one GEMM over their m + 1
-coefficients, inverts X there once and forms the band of ``E = S - X X^*``
-once; every check reads them.  The factorization entry is E's largest
-coefficient norm.  The other entries that S decides read a bound off the
-factor first, since ``S = X X^* + E`` holds exactly for any X.  The K-node
-inverse and derivative samples give, by Taylor's theorem on each arc between
-nodes, a lower bound ``sigma_lb`` on the smallest singular value of X over
-the whole circle (see ``_Grid.sigma_lb``).  Positivity: by Weyl's inequality the
-minimum eigenvalue of S is at least ``sigma_lb^2 - ||E||`` (see
+inverts X at every 2K node in one batch; from one transform of ``X^{-1} S``
+on 2K it returns the gap and the anticausal mass on the K grid, which is the
+even points of those samples, and how far the mass moves on the full 2K grid.
+:func:`verify_all` reads a bound off the factor for every entry that S
+decides, since ``S = X X^* + E`` holds exactly for any X, and where that
+bound does not decide, the entry is the public check of the same name.  It
+samples X and ``z X'`` on K with one GEMM over their m + 1 coefficients,
+inverts X there once and forms the band of ``E = S - X X^*`` once; every
+bound reads them.  The factorization entry is E's largest coefficient norm,
+which is :func:`check_factorization`.  The K-node inverse and derivative
+samples give, by Taylor's theorem on each arc between nodes, a lower bound
+``sigma_lb`` on the smallest singular value of X over the whole circle (see
+``_Grid.sigma_lb``).  Positivity: by Weyl's inequality the minimum
+eigenvalue of S is at least ``sigma_lb^2 - ||E||`` (see
 :func:`_positivity_bound`); a bound above ``NEAR_SINGULAR_TOL`` times the
 scale passes the entry.  Causal: ``X^{-1} S - X^* = X^{-1} E`` bounds the
 gap and, by Parseval, the anticausal mass on both grids and its change by
-``||E|| / sigma_lb`` when deg X <= m (see :func:`_causal_bound`); for such a
-factor a bound within ``MASS_STABILITY_TOL`` passes the three entries with
-the bound as their value.  Positivity is measured on K alone, so where its
-K-node bound does not decide, S is sampled on 2K, once, and the zoomed
-eigen-scan of its even points, the K grid, decides.  The causal entries are
-measured on K and on 2K, so where their K-node bound does not decide, X is
-sampled on 2K and inverted at its odd nodes, whose even ones are the K grid,
-and the coarser 2K-node bound is tried; where that does not decide either,
-the measured triple, from the same S samples, decides.  The outer entry
-reads the winding number of det X off the K-node inverse and derivative
-samples, ``tr(X^{-1} z X')``.  Unless that count reads zero with a small
-Fourier tail, the outer entry falls back to :func:`check_outer_determinant`,
-which samples det X on its own grid, the smallest power of two
->= max(8, 2(r m + 1)), and reads its roots.
+``||E|| / sigma_lb`` when deg X <= m (see :func:`_causal_bound`); where
+that does not decide, X is sampled on 2K and inverted at its odd nodes, and
+the coarser 2K-node bound is tried.  For such a factor a bound within
+``MASS_STABILITY_TOL`` passes the three entries with the bound as their
+value.  Outer: the winding number of det X, ``tr(X^{-1} z X')``, read off
+the K-node inverse and derivative samples, passes the entry when it reads
+zero with a small Fourier tail.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.  On K,
 ``sigma_lb`` proves that where it counts, and the condition number is taken
@@ -151,7 +147,7 @@ class VerificationReport:
 
     @property
     def overall(self) -> bool:
-        return all(entry.passed for entry in self.checks if not entry.warning)
+        return all(entry.passed for entry in self.checks)
 
     @property
     def has_warnings(self) -> bool:
@@ -234,21 +230,34 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
     of squares of the K-grid Fourier coefficients of the left side at indices
     outside [0, m]: numerically zero exactly when the left side is a causal
     polynomial of degree at most m.  ``mass_change`` is ``|mass_2K - mass|``.
-    S and X are sampled once, on 2K, and X is inverted once at each 2K node,
-    so a factor singular at any 2K node raises ``SingularFactorOnGrid``.  This is
-    always the measurement: ``verify_all`` reports these values only where
-    the bound from ``S = X X^* + E`` does not decide, and the bound where it
-    does, which each measured value exceeds by rounding at most.
+    S and X are sampled once, on 2K, and X is inverted at every 2K node in
+    one batch, so a factor singular at any 2K node raises
+    ``SingularFactorOnGrid``.  One transform of the left side on 2K serves
+    both grids: the K grid's coefficients are its fold ``c_K[n] = c_2K[n] +
+    c_2K[n + K]``, which is the transform of the even samples, and the gap is
+    taken at the even samples alone.  ``verify_all`` reports these values
+    where the bound from ``S = X X^* + E`` does not decide, and the bound
+    where it does, which each measured value exceeds by rounding at most.
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
-    return _causal_triple(S.m, _Grid(S, x))
+    K = default_verify_grid(max(S.m, x.m))
+    x_vals = sample_on_grid(x, 2 * K)
+    inverse = _guarded_inverse(x_vals, GRID_COND_MAX, SingularFactorOnGrid, "factor")
+    left = inverse @ sample_on_grid(S, 2 * K)
+    scale = _coefficient_scale(S.coeffs)
+    gaps = _causal_gap(left[::2], x_vals[::2])
+    coeffs = coefficients_from_values(left, 0, 2 * K - 1)
+    mass = _anticausal_mass(coeffs[:K] + coeffs[K:], S.m, scale)
+    return (float(gaps.max()) / scale, mass,
+            abs(_anticausal_mass(coeffs, S.m, scale) - mass))
 
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """What the checks of one (S, X) pair share, each formed on first read
-    and once.
+    """What :func:`verify_all`'s bounds on one (S, X) pair read, each formed
+    on first read and once; where a bound does not decide, the entry is the
+    public check, which samples on its own.
 
     On the check grid K: X and ``z X' / m`` from one GEMM of the cached
     monomial block against their m + 1 coefficients, X's pointwise inverse,
@@ -259,11 +268,10 @@ class _Grid:
     coefficient scale of S, the Frobenius norms of the coefficients of
     ``E = S - X X^*`` and their sum over the band, ``spread = ||e_0||_F + 2
     sum_{n>=1} ||e_n||_F``, which bounds ``||E(z)||_F`` on the whole circle.
-    On the doubled grid 2K, only for the entries that the K-node bounds do
-    not decide: S, X and X's guarded inverse, whose even half is the K-node
-    inverse, and the largest Frobenius norm of that inverse.  Each guarded
-    inverse, and whatever reads it, raises ``SingularFactorOnGrid`` where
-    the guard refuses.
+    On the doubled grid 2K, only for the causal bound when the K nodes do not
+    decide it: the largest Frobenius norm of X's guarded inverse.  Each
+    guarded inverse, and whatever reads it, raises ``SingularFactorOnGrid``
+    where the guard refuses.
     """
 
     S: HermitianLaurentPolynomial
@@ -364,46 +372,15 @@ class _Grid:
         return float(bound)
 
     @cached_property
-    def S_vals(self) -> np.ndarray:
-        return sample_on_grid(self.S, 2 * self.K)
-
-    @cached_property
-    def x_vals_2K(self) -> np.ndarray:
-        return sample_on_grid(self.x, 2 * self.K)
-
-    @cached_property
-    def inverse_2K(self) -> np.ndarray:
-        # The guard's worst condition number over 2K is the worse of its two
-        # halves', so the K-node inverse serves as the even half and only the
-        # odd nodes are inverted here.
-        even = self.inverse
-        odd = _guarded_inverse(self.x_vals_2K[1::2], GRID_COND_MAX,
-                               SingularFactorOnGrid, "factor")
-        inverse = np.empty_like(self.x_vals_2K)
-        inverse[::2], inverse[1::2] = even, odd
-        return inverse
-
-    @cached_property
     def inverse_norm_2K(self) -> float:
+        # The guard's worst condition number over 2K is the worse of its two
+        # halves', so the K-node guard runs first and only the odd nodes are
+        # sampled and inverted here.
+        even = self.inverse
+        odd = _guarded_inverse(sample_on_grid(self.x, 2 * self.K)[1::2], GRID_COND_MAX,
+                               SingularFactorOnGrid, "factor")
         with np.errstate(over="ignore"):
-            odd = _frobenius(self.inverse_2K[1::2]).max()
-        return float(max(self.inverse_norms.max(), odd))
-
-
-def _causal_triple(m: int, grid: _Grid):
-    """:func:`check_causal_identity` on the 2K grid's samples and inverse.
-
-    One transform of the left side on 2K serves both grids: the K grid's
-    coefficients are its fold ``c_K[n] = c_2K[n] + c_2K[n + K]``, which is
-    the transform of the even samples, and the gap is taken at the even
-    samples alone."""
-    left = grid.inverse_2K @ grid.S_vals
-    gaps = _causal_gap(left[::2], grid.x_vals_2K[::2])
-    n = len(left)
-    coeffs = coefficients_from_values(left, 0, n - 1)
-    mass = _anticausal_mass(coeffs[: n // 2] + coeffs[n // 2 :], m, grid.scale)
-    return (float(gaps.max()) / grid.scale, mass,
-            abs(_anticausal_mass(coeffs, m, grid.scale) - mass))
+            return float(max(_frobenius(even).max(), _frobenius(odd).max()))
 
 
 def _causal_gap(left: np.ndarray, x_vals: np.ndarray) -> np.ndarray:
@@ -513,7 +490,8 @@ def _measure_positivity(S, x, grid):
     if np.isfinite(bound) and bound > threshold:
         return [(0.0, f"min eigenvalue >= {bound:.3e} on the whole circle, "
                       f"from S = X X* + E", False)]
-    deficit, min_eig, min_det = _positivity_scan(S, grid.S_vals[::2])
+    min_eig, min_det = check_positivity(S)
+    deficit = max(0.0, -min_eig) / grid.scale
     near_singular = min_eig <= threshold
     detail = (f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
               + ("; nearly singular on the circle" if near_singular else ""))
@@ -557,7 +535,7 @@ def _measure_causal(S, x, grid):
         gap = mass = mass_change = bound
         proof = f" at most {bound:.3e}, from S = X X* + E"
     else:
-        (gap, mass, mass_change), proof = _causal_triple(S.m, grid), ""
+        (gap, mass, mass_change), proof = check_causal_identity(S, x), ""
     K = grid.K
     return [
         (gap, f"pointwise gap of X^-1 z^m S = z^m X* on K={K}{proof}", False),
@@ -575,7 +553,7 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     is at most its tolerance, and a warning is kept only on a pass.  A
     ``SpectralFactorError`` fails every entry of its check, each with its own
     tolerance, so reports for bad inputs are complete.  Overall pass is the
-    conjunction of the non-warning entries.  K is
+    conjunction of the entries.  K is
     ``default_verify_grid(max(S.m, x.m))``, so a factor of any degree is
     sampled without aliasing.  A dimension mismatch raises ``ValueError``.
     """

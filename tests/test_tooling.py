@@ -3,8 +3,10 @@
 ``perfbench/tracing.py`` wraps ``(module, attribute)`` pairs by
 ``setattr``; a name that a refactor removes makes ``--trace 1`` fail with
 ``AttributeError``.  The file is loaded by path, so nothing else under
-``perfbench/`` is imported.  ``scripts/make_fixtures.py``, loaded the same
-way, must write the committed golden fixtures byte for byte.
+``perfbench/`` is imported.  Every module-qualified name that README.md
+puts in backticks, such as ``laurent._guarded_inverse``, stays bound too.
+``scripts/make_fixtures.py``, loaded the same way, must write the committed
+golden fixtures byte for byte.
 ``specfact factor`` runs with runtime warnings turned into errors, so a numpy
 warning between input file and exit code fails its tests.  No public entry
 point but the grid samplers takes a grid size, and no module of the package,
@@ -16,6 +18,7 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -29,6 +32,7 @@ from specfact.laurent import MatrixPolynomial, multiply_by_adjoint
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "specfact"
 TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
 MAKE_FIXTURES = ROOT / "scripts" / "make_fixtures.py"
 
 
@@ -42,6 +46,29 @@ def test_every_traced_name_is_bound(monkeypatch):
     unbound = [(name, attribute) for name, attribute, *_ in targets
                if not hasattr(importlib.import_module(name), attribute)]
     assert targets and not unbound
+
+
+def module_qualified_names(text: str, modules) -> set[tuple[str, str]]:
+    """(module, attribute) for every backticked span of ``text``, outside
+    fenced code blocks, that starts with ``module.attribute`` or
+    ``specfact.module.attribute``; a file name such as ``verify.py`` is not
+    an attribute."""
+    pattern = re.compile(r"(?:specfact\.)?(%s)\.(?!py\b)([A-Za-z_]\w*)" % "|".join(modules))
+    prose = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    return {match.groups() for span in re.findall(r"`([^`]+)`", prose)
+            if (match := pattern.match(span))}
+
+
+def test_every_module_qualified_name_in_the_readme_is_bound():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if not path.stem.startswith("_"))
+    assert module_qualified_names(
+        "`verify.GRID_COND_MAX`, `specfact.laurent._guarded_inverse(values)`, "
+        "`verify.py`, `np.roots`\n```sh\nrun\n```\n`cli.main`", modules) == {
+            ("verify", "GRID_COND_MAX"), ("laurent", "_guarded_inverse"), ("cli", "main")}
+    names = module_qualified_names(README.read_text(encoding="utf-8"), modules)
+    unbound = sorted(f"{module}.{attribute}" for module, attribute in names
+                     if not hasattr(importlib.import_module(f"specfact.{module}"), attribute))
+    assert names and unbound == []
 
 
 def test_only_the_samplers_take_a_grid():

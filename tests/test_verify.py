@@ -21,7 +21,6 @@ from specfact.laurent import (
     _frobenius,
     _guarded_inverse,
     _pointwise_inverse,
-    _positivity_scan,
     _worst_condition,
     coefficients_from_values,
     default_verify_grid,
@@ -35,6 +34,8 @@ from specfact.verify import (
     NEAR_SINGULAR_TOL,
     WINDING_COUNT_TOL,
     WINDING_TAIL_TOL,
+    CheckEntry,
+    VerificationReport,
     VerifyOptions,
     _Grid,
     _anticausal_mass,
@@ -110,8 +111,8 @@ def smallest_singular_value(x, K):
 
 
 def decided_on_K(grid):
-    """True when no 2K sample or inverse was formed on the grid."""
-    return not {"S_vals", "x_vals_2K", "inverse_2K"} & set(vars(grid))
+    """True when the grid formed no inverse at the odd nodes of 2K."""
+    return "inverse_norm_2K" not in vars(grid)
 
 
 class TestPositivityCertificate:
@@ -131,7 +132,8 @@ class TestPositivityCertificate:
                 # sigma_lb holds between the nodes too.
                 assert decided_on_K(grid)
                 assert 0 < grid.sigma_lb <= smallest_singular_value(x, 8 * grid.K) + 1e-13
-                deficit, min_eig, _ = _positivity_scan(S, grid.S_vals[::2])
+                min_eig, _ = check_positivity(S)
+                deficit = max(0.0, -min_eig) / grid.scale
                 # Equal up to rounding when E vanishes and X is constant.
                 assert bound <= min_eig + 1e-13 * grid.scale
                 assert bound > NEAR_SINGULAR_TOL * grid.scale
@@ -187,6 +189,29 @@ class TestPositivityCertificate:
                               MatrixPolynomial(1e120 * y))
         assert not report["outer-determinant"].passed
         assert report["outer-determinant"].detail == "det X overflows double precision on the grid"
+
+    @pytest.mark.parametrize("pair", ["near-circle", "higher-degree-boundary"])
+    def test_scan_entry_is_check_positivity_on_the_grid_of_S(self, pair):
+        if pair == "near-circle":
+            # The factor of test_near_circle_factor_takes_the_scan_and_the_2K_causal_bound.
+            S = generate_instance(2, 4, 1209, 0.02).spectrum
+            x = factor(S).factor
+        else:
+            # A boundary truth plus 1e-3 z^40: the pair's check grid is 512,
+            # the check grid of S is 256, and the scan reads the latter.
+            bundle = generate_boundary_instance(2, 1, 0)
+            coeffs = np.zeros((41, 2, 2), dtype=complex)
+            coeffs[:2], coeffs[40] = bundle.ground_truth.coeffs, 1e-3 * np.eye(2)
+            S, x = bundle.spectrum, MatrixPolynomial(coeffs)
+            assert _Grid(S, x).K == 512 and default_verify_grid(S.m) == 256
+        scale = _coefficient_scale(S.coeffs)
+        assert not _positivity_bound(_Grid(S, x)) > NEAR_SINGULAR_TOL * scale
+        min_eig, min_det = check_positivity(S)
+        near_singular = min_eig <= NEAR_SINGULAR_TOL * scale
+        entry = entries(S, x)["positivity"]
+        assert entry.measured == max(0.0, -min_eig) / scale
+        assert entry.detail == (f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
+                                + ("; nearly singular on the circle" if near_singular else ""))
 
     def test_factorization_entry_is_the_public_residual(self):
         bundle = generate_instance(4, 8, 3)
@@ -376,10 +401,10 @@ class TestCausalCertificate:
 
     def test_near_circle_factor_takes_the_scan_and_the_2K_causal_bound(self, monkeypatch):
         # Roots 0.02 from the circle: the arc term sinks sigma_lb on K.
-        # Positivity, measured on K alone, takes the scan of S's K samples,
-        # from one sampling on 2K.  The causal entries take the 2K-node
-        # bound, from one 2K inverse whose even half is the K-node inverse,
-        # so only the odd nodes are inverted again.
+        # Positivity takes check_positivity, which samples S on its own check
+        # grid.  The causal entries take the 2K-node bound: X is sampled on
+        # 2K once, and only its odd nodes are inverted, since the even ones
+        # are the K grid.  S is never sampled on 2K.
         S = generate_instance(2, 4, 1209, 0.02).spectrum
         x = factor(S).factor
         assert _Grid(S, x).sigma_lb == -np.inf
@@ -388,9 +413,9 @@ class TestCausalCertificate:
         assert inverted == [(256, 2, 2), (256, 2, 2)]
         # The guard measures the K-node inverse it has, then the odd nodes.
         assert conditioned == [(256, 2, 2), (256, 2, 2)]
-        # S once, for the scan; X once, for the odd 2K nodes.  The outer
-        # entry's roots sample X on their own grid, not on 2K.
-        assert [call for call in sampled if call[1] == 512] == [("S", 512), ("X", 512)]
+        # The outer entry's roots sample X on their own, smaller grid.
+        assert [call for call in sampled if call[1] >= 256] == [
+            ("S", default_verify_grid(S.m)), ("X", 512)]
         assert [kind for kind, _ in sampled].count("S") == 1
         positivity = report["positivity"]
         assert positivity.passed and not positivity.warning
@@ -400,13 +425,20 @@ class TestCausalCertificate:
                    and report[name].detail.endswith(", from S = X X* + E")
                    for name in CAUSAL)
 
-    def test_spectrum_is_sampled_once_when_both_bounds_fall_back(self, monkeypatch):
+    def test_each_public_check_samples_the_spectrum_once_when_both_bounds_fall_back(
+            self, monkeypatch):
+        # Positivity samples S on its check grid K.  The causal entries
+        # invert X at the odd 2K nodes for the 2K-node bound, which does not
+        # decide either, and then take check_causal_identity, which samples
+        # S and X on 2K afresh and inverts all of it in one guarded batch.
         bundle = generate_instance(2, 4, 1)
         sampled, inverted, conditioned = count_work(monkeypatch)
         report = quiet_report(bundle.spectrum, perturbed_truth(bundle, 1))
-        assert inverted == [(256, 2, 2), (256, 2, 2)]
-        assert conditioned == [(256, 2, 2)]  # the odd 2K nodes alone
-        assert [kind for kind, _ in sampled].count("S") == 1
+        assert inverted == [(256, 2, 2), (256, 2, 2), (512, 2, 2)]
+        # sigma_lb counts on K, so the guard measures the odd 2K nodes, then
+        # the public check's batch.
+        assert conditioned == [(256, 2, 2), (512, 2, 2)]
+        assert sampled == [("S", 256), ("X", 512), ("X", 512), ("S", 512)]
         assert "min |det|" in report["positivity"].detail
         assert not any("at most" in report[name].detail for name in CAUSAL)
 
@@ -414,10 +446,24 @@ class TestCausalCertificate:
         bundle = generate_instance(4, 8, 1000)
         sampled, inverted, conditioned = count_work(monkeypatch)
         check_causal_identity(bundle.spectrum, bundle.ground_truth)
-        # Each node of 2K once: the even half is the K grid.
-        assert inverted == [(256, 4, 4), (256, 4, 4)]
-        assert conditioned == [(256, 4, 4)]  # the odd 2K nodes alone
+        # The whole 2K grid in one guarded batch; the even half is the K grid.
+        assert inverted == [(512, 4, 4)]
+        assert conditioned == [(512, 4, 4)]
         assert sorted(sampled) == [("S", 512), ("X", 512)]
+
+    def test_public_check_shares_nothing_with_the_certificates(self, monkeypatch):
+        # The reference the bounds are compared against neither builds a
+        # _Grid nor samples through the certificates' GEMM.
+        bundle = generate_instance(4, 8, 1000)
+        S, x = bundle.spectrum, perturbed_truth(bundle, 0)
+        expected = check_causal_identity(S, x)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the public check reached the certificates")
+
+        monkeypatch.setattr("specfact.verify._causal_values", refuse)
+        monkeypatch.setattr("specfact.verify._Grid", refuse)
+        assert check_causal_identity(S, x) == expected
 
     def test_K_certificate_counts_only_within_the_grid_guard(self):
         # X = diag(1, 1.5e-10): the guard accepts its condition number 6.7e9,
@@ -857,6 +903,14 @@ class TestVerifyAll:
         running = {entry.name: entry.tolerance
                    for entry in verify_all(S_SCALAR, X_GOOD).checks}
         assert all(entry.tolerance == running[entry.name] for entry in failed)
+
+    def test_a_failing_warning_entry_fails_the_report(self):
+        # verify_all keeps a warning only on a pass, but a report is judged by
+        # every entry's status, whoever built it.
+        failing = CheckEntry("positivity", False, 1.0, POSITIVITY_TOL, warning=True)
+        report = VerificationReport([failing, CheckEntry("degree", True, 0.0, 0.0)])
+        assert failing.status == "fail"
+        assert not report.overall
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
