@@ -70,6 +70,7 @@ from .laurent import (
     _guarded_inverse,
     _hermitian_scan,
     _require_semidefinite,
+    _require_tolerance,
     _residual_against,
     coefficients_from_values,
     default_grid_size,
@@ -123,10 +124,7 @@ class FactorizationOptions:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if not (self.residual_tol > 0):
-            raise ValueError("residual_tol must be positive")
-        if not np.isfinite(self.residual_tol):
-            raise ValueError("residual_tol must be finite")
+        _require_tolerance(self.residual_tol)
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,9 @@ class FactorizationResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
-    """Enforce the factorization hypotheses on the grid; returns warnings.
+def _require_factorable(S: HermitianLaurentPolynomial) -> list[str]:
+    """Enforce the factorization hypotheses on the check grid
+    ``default_verify_grid(S.m)``; returns warnings.
 
     A healthy spectrum is certified by one batched Cholesky of
     ``S(z_j) - 1e-8 * scale * I``: success at every point puts every grid
@@ -150,7 +149,7 @@ def _require_factorable(S: HermitianLaurentPolynomial, K: int) -> list[str]:
     as the transform gives them: the Cholesky reads their lower triangle
     only, and the eigen-scan symmetrizes them itself.
     """
-    values = sample_on_grid(S, K)
+    values = sample_on_grid(S, default_verify_grid(S.m))
     scale = float(_frobenius(values).max())  # max_j ||S(z_j)||_F
     try:
         lower = np.linalg.cholesky(values - 1e-8 * scale * np.eye(S.r))
@@ -333,7 +332,7 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
                                    SingularIterate, f"iterate {iteration}")
         G = inverse @ S_vals @ inverse.conj().transpose(0, 2, 1) + eye
         # [G]_+: the window [0, m] of G with its index-0 term halved.
-        plus = coefficients_from_values(G, 0, m)
+        plus = coefficients_from_values(G, m)
         plus[0] *= 0.5
         chi = _causal_product_window(chi, plus, 0)
 
@@ -371,17 +370,15 @@ def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions
 
     z^m S(z) is a degree-2m polynomial whose roots pair as (a, 1/conj(a));
     the causal factor takes the roots with |a| > 1 plus half of every
-    boundary cluster, scaled to reproduce sigma_m exactly.
+    boundary cluster, scaled to reproduce sigma_m exactly.  At m = 0 there
+    are no roots, and the scaling alone gives sqrt(sigma_0).
     """
     if S.r != 1:
         raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
     m = S.m
     sigma = S.coeffs[:, 0, 0]
-    if m == 0:
-        s0 = sigma[0].real
-        if s0 <= 0:
-            raise NotPositiveDefinite(f"constant scalar spectrum {s0:.3e} is not positive")
-        return np.sqrt(s0).reshape(1, 1, 1).astype(np.complex128), 0, []
+    if m == 0 and sigma[0].real <= 0:
+        raise NotPositiveDefinite(f"constant scalar spectrum {sigma[0].real:.3e} is not positive")
 
     # Coefficients of z^m S(z), low to high: sigma_{-m}..sigma_m.
     full = np.concatenate([sigma[m:0:-1].conj(), sigma])
@@ -499,13 +496,13 @@ def factor(S: HermitianLaurentPolynomial,
     ``NotPositiveDefinite`` when the positivity rule finds S indefinite, else
     its ``NoConvergence`` with the best iterate canonicalized.
     """
-    warnings = _require_factorable(S, default_verify_grid(S.m))
+    warnings = _require_factorable(S)
 
     name, core = _ROUTES[opts.algorithm]
     try:
         raw, count, extra = core(S, opts)
     except NoConvergence as exc:
-        _require_semidefinite(S, NotPositiveDefinite, "no route converged")
+        _require_semidefinite(S, NotPositiveDefinite, f"{name} did not converge")
         with contextlib.suppress(SingularLeadingCoefficient):
             exc.best_factor, _ = canonical_normalize(exc.best_factor)
         raise

@@ -355,6 +355,14 @@ def _require_grid(K: int, m: int) -> None:
         )
 
 
+def _require_tolerance(value: float) -> None:
+    """Raise ``ValueError`` unless a ``residual_tol`` is positive and finite."""
+    if not (value > 0):
+        raise ValueError("residual_tol must be positive")
+    if not np.isfinite(value):
+        raise ValueError("residual_tol must be finite")
+
+
 def sample_on_grid(p, K: int) -> np.ndarray:
     """Values ``p(z_j)`` on the K-point unit-circle grid, a (K, r, r) array,
     via FFT.
@@ -368,19 +376,14 @@ def sample_on_grid(p, K: int) -> np.ndarray:
     return values
 
 
-def coefficients_from_values(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Fourier coefficients c_lo..c_hi of the trigonometric interpolant of raw
-    grid values; indices wrap modulo K.  A window inside [0, K-1] comes back
-    as a view of the transform; only a wrapping window is gathered."""
+def coefficients_from_values(values: np.ndarray, hi: int) -> np.ndarray:
+    """Fourier coefficients c_0..c_hi of the trigonometric interpolant of raw
+    grid values, a view of the transform; c_{-n} is c_{K-n}, so ``hi = K - 1``
+    returns the whole transform."""
     K = values.shape[0]
-    if hi - lo >= K:
-        raise ValueError(
-            f"coefficient window [{lo}, {hi}] is wider than the grid (K={K})"
-        )
-    spectrum = np.fft.fft(values, axis=0) / K
-    if 0 <= lo and hi < K:
-        return spectrum[lo : hi + 1]
-    return spectrum[np.arange(lo, hi + 1) % K]
+    if hi >= K:
+        raise ValueError(f"coefficient window [0, {hi}] is wider than the grid (K={K})")
+    return (np.fft.fft(values, axis=0) / K)[: hi + 1]
 
 
 def _causal_product_window(a: np.ndarray, b: np.ndarray, lo: int) -> np.ndarray:

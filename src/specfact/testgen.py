@@ -27,6 +27,7 @@ instances then draw the channel index and the boundary angle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +69,12 @@ class InstanceBundle:
     ground_truth: MatrixPolynomial
     seed: int
     root_margin: float
-    condition_estimate: float
     boundary: bool = False
+
+    @cached_property
+    def condition_estimate(self) -> float:
+        """:func:`_condition_estimate` of the spectrum, computed on first read."""
+        return _condition_estimate(self.spectrum)
 
 
 def _attempt_stream(seed: int, attempt: int) -> SplitMix64:
@@ -212,13 +217,11 @@ def _bundle(seed: int, build, what: str, boundary: bool = False) -> InstanceBund
         if built is None:
             continue
         truth, root_margin = built
-        spectrum = multiply_by_adjoint(truth)
         return InstanceBundle(
-            spectrum=spectrum,
+            spectrum=multiply_by_adjoint(truth),
             ground_truth=truth,
             seed=seed,
             root_margin=root_margin,
-            condition_estimate=_condition_estimate(spectrum),
             boundary=boundary,
         )
     raise RetryExhausted(

@@ -44,7 +44,9 @@ the coarser 2K-node bound is tried.  For such a factor a bound within
 ``MASS_STABILITY_TOL`` passes the three entries with the bound as their
 value.  Outer: the winding number of det X, ``tr(X^{-1} z X')``, read off
 the K-node inverse and derivative samples, passes the entry when it reads
-zero with a small Fourier tail.
+zero with a small Fourier tail; otherwise the roots of det X decide, and
+``OUTER_TOL`` is both the entry's tolerance on their deficit below 1 and the
+band around the circle whose roots it reports as boundary warnings.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.  On K,
 ``sigma_lb`` proves that where it counts, and the condition number is taken
@@ -78,6 +80,7 @@ from .laurent import (
     _pointwise_inverse,
     _positivity_scan,
     _require_conditioned,
+    _require_tolerance,
     _residual_against,
     _residual_band_norms,
     coefficients_from_values,
@@ -89,9 +92,6 @@ from .laurent import (
 # taken from the pointwise inverse, before a factor counts as singular.
 GRID_COND_MAX = 1e10
 
-# Roots of det X inside this band around |z| = 1 are boundary-ambiguous.
-OUTER_BOUNDARY_BAND = 1e-6
-
 # The positivity entry flags S as nearly singular on the circle when its
 # minimum eigenvalue is at most NEAR_SINGULAR_TOL times the coefficient scale
 # of S, and skips the eigen-scan when a lower bound proves it above that.
@@ -100,6 +100,8 @@ NEAR_SINGULAR_TOL = 1e-8
 # Tolerances of the verify_all entries other than the factorization residual
 # and positivity (laurent.POSITIVITY_TOL): causal-identity gap and anticausal
 # mass, the mass change when the grid doubles, the det-root deficit below 1.
+# OUTER_TOL is also the band around |z| = 1 whose det roots the outer entry
+# reports as boundary warnings.
 CAUSAL_IDENTITY_TOL = 1e-8
 MASS_STABILITY_TOL = 1e-9
 OUTER_TOL = 1e-6
@@ -119,10 +121,7 @@ class VerifyOptions:
     residual_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.residual_tol > 0):
-            raise ValueError("residual_tol must be positive")
-        if not np.isfinite(self.residual_tol):
-            raise ValueError("residual_tol must be finite")
+        _require_tolerance(self.residual_tol)
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,7 @@ def _det_coefficients(x: MatrixPolynomial) -> np.ndarray:
     bound = x.r * x.m
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(sample_on_grid(x, _next_pow2(max(8, 2 * (bound + 1)))))
-        coeffs = coefficients_from_values(dets, 0, bound)
+        coeffs = coefficients_from_values(dets, bound)
         magnitudes = np.abs(coeffs)
     if not np.all(np.isfinite(magnitudes)):
         raise SpectralFactorError("det X overflows double precision on the grid")
@@ -214,9 +213,9 @@ def check_outer_determinant(x: MatrixPolynomial):
     The roots are read by ``np.roots`` off the trimmed coefficients of det X
     that ``_det_coefficients`` samples and transforms, which raises on a det
     X that overflows or is identically zero.  Outer for a polynomial means
-    no roots in the open unit disk; passing is min modulus >= 1 -
-    OUTER_BOUNDARY_BAND, with roots inside the band reported as boundary
-    warnings by the caller.
+    no roots in the open unit disk; passing is min modulus >= 1 - OUTER_TOL,
+    with roots within OUTER_TOL of the circle reported as boundary warnings
+    by the caller.
     """
     return _det_roots(_det_coefficients(x))
 
@@ -247,7 +246,7 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
     left = inverse @ sample_on_grid(S, 2 * K)
     scale = _coefficient_scale(S.coeffs)
     gaps = _causal_gap(left[::2], x_vals[::2])
-    coeffs = coefficients_from_values(left, 0, 2 * K - 1)
+    coeffs = coefficients_from_values(left, 2 * K - 1)
     mass = _anticausal_mass(coeffs[:K] + coeffs[K:], S.m, scale)
     return (float(gaps.max()) / scale, mass,
             abs(_anticausal_mass(coeffs, S.m, scale) - mass))
@@ -334,12 +333,6 @@ class _Grid:
                                     SingularFactorOnGrid, "factor")
 
     @cached_property
-    def inverse_norms(self) -> np.ndarray:
-        # Frobenius norms of the K-node inverse; it must not have failed.
-        with np.errstate(over="ignore"):
-            return _frobenius(self._inverse)
-
-    @cached_property
     def sigma_lb(self) -> float:
         """A lower bound on ``sigma_min(X(z))`` over the whole circle, from
         the K-node inverse, before the guard, and derivative samples;
@@ -364,7 +357,7 @@ class _Grid:
         x, h = self.x, np.pi / self.K
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             norms = _frobenius(x.coeffs)
-            nodes = (1.0 / self.inverse_norms
+            nodes = (1.0 / _frobenius(self._inverse)
                      - h * max(x.m, 1) * _frobenius(self.derivative_vals))
             bound = nodes.min() - h * h / 2 * (np.arange(x.m + 1) ** 2 @ norms)
             if not (bound > 0 and x.r * norms.sum() <= GRID_COND_MAX * bound):
@@ -416,7 +409,7 @@ def _winding_number(grid: _Grid):
     """
     K = grid.K
     f = max(grid.x.m, 1) * np.einsum("kij,kji->k", grid.inverse, grid.derivative_vals)
-    coeffs = np.abs(coefficients_from_values(f, 0, K - 1))
+    coeffs = np.abs(coefficients_from_values(f, K - 1))
     return float(coeffs[0]), float(coeffs[3 * K // 8 : 5 * K // 8 + 1].max())
 
 
@@ -521,7 +514,7 @@ def _measure_outer(S, x, grid):
                       f"from 3K/8={3 * K // 8}", False)]
     min_root, roots = check_outer_determinant(x)
     deficit = max(0.0, 1.0 - min_root) if np.isfinite(min_root) else 0.0
-    boundary = bool(np.any(np.abs(np.abs(roots) - 1.0) <= OUTER_BOUNDARY_BAND))
+    boundary = bool(np.any(np.abs(np.abs(roots) - 1.0) <= OUTER_TOL))
     detail = (f"min det-root modulus {min_root:.6g} over {len(roots)} root(s)"
               + ("; root(s) on the boundary band" if boundary else ""))
     return [(deficit, detail, boundary)]

@@ -73,6 +73,14 @@ class TestFactorCommand:
         assert main(["factor", str(spectrum), str(tmp_path / "out")]) == 1
         assert "overflow" in capsys.readouterr().err
 
+    def test_roots_on_a_matrix_spectrum_exits_one(self, tmp_path, capsys):
+        spectrum, out = tmp_path / "s.spectrum", tmp_path / "out"
+        write_spectrum(spectrum, generate_instance(2, 1, seed=0).spectrum)
+        assert main(["factor", str(spectrum), str(out), "--algorithm", "roots"]) == 1
+        assert capsys.readouterr().err == (
+            "specfact: error: scalar_roots requires a scalar (r = 1) spectrum\n")
+        assert not out.exists()
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["factor", str(tmp_path / "nope"), str(tmp_path / "out")]) == 1
 
@@ -337,6 +345,17 @@ class TestVerifyCommand:
         assert (proc.returncode, proc.stderr) == (4, "")
         details = {c["name"]: c["detail"] for c in json.loads(proc.stdout)["checks"]}
         assert details["outer-determinant"] == "det X overflows double precision on the grid"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_factor_file_exits_one(self, tmp_path, capsys):
+        spectrum = tmp_path / "s.spectrum"
+        write_scalar_spectrum(spectrum)
+        factor_file = tmp_path / "x.factor"
+        factor_file.write_text('{"r": 1, "m": 1, "coeffs": {"0": [[[1e200,0]]], '
+                               '"1": [[[1e200,0]]]}}')
+        assert main(["verify", str(spectrum), str(factor_file)]) == 1
+        assert capsys.readouterr() == ("", f"specfact: error: factor file {factor_file}: "
+                                           "coefficient norms overflow double precision\n")
 
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         spectrum = tmp_path / "s.spectrum"

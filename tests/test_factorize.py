@@ -274,6 +274,16 @@ class TestWilson:
         assert forward_error(result.factor, bundle.ground_truth) <= 1e-14
         assert any("exceeds the requested tolerance" in w for w in result.warnings)
 
+    def test_indefinite_spectrum_at_the_cap_names_the_route(self):
+        # S = 1 - 1e-6 - cos(3 theta + 3 pi/256) dips below zero between two
+        # nodes of the check grid: the precheck passes it, Newton does not
+        # converge, and the positivity rule words the error after the route.
+        coeffs = np.zeros((4, 1, 1), dtype=complex)
+        coeffs[0], coeffs[3] = 1 - 1e-6, -0.5 * np.exp(3j * np.pi / 256)
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^wilson did not converge: S has eigenvalue -1\.000e-06 "):
+            factor(HermitianLaurentPolynomial(coeffs), FactorizationOptions(algorithm="wilson"))
+
     def test_agreement_with_bauer_after_canonicalization(self):
         for seed in range(8):
             bundle = generate_instance(2, 3, seed=seed)
@@ -308,6 +318,13 @@ class TestScalarRoots:
     def test_constant_spectrum(self):
         x = scalar_root_factor(scalar_laurent(9.0))
         assert x.coeffs[0, 0, 0] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("value, shown", [(-1.0, "-1.000e+00"), (0.0, "0.000e+00")])
+    def test_constant_spectrum_that_is_not_positive(self, value, shown):
+        # The root path would return sqrt(|sigma_0|); the guard refuses first.
+        with pytest.raises(NotPositiveDefinite) as caught:
+            scalar_root_factor(scalar_laurent(value))
+        assert str(caught.value) == f"constant scalar spectrum {shown} is not positive"
 
     def test_sigma_m_reproduced_exactly(self):
         bundle = generate_instance(1, 3, seed=4)
@@ -719,10 +736,10 @@ def test_bauer_forward_error_near_the_circle(r, m, seed):
     assert forward_error(canon, bundle.ground_truth) <= 1e-10
 
 
-def eigen_precheck(S, K):
+def eigen_precheck(S):
     """Reference for ``_require_factorable``: the hypotheses decided from the
-    grid eigenvalues alone, with the same messages and warning."""
-    values = sample_on_grid(S, K)
+    eigenvalues on the check grid alone, with the same messages and warning."""
+    values = sample_on_grid(S, default_verify_grid(S.m))
     eigs = np.linalg.eigvalsh(0.5 * (values + values.conj().transpose(0, 2, 1)))
     min_eig, max_det = float(eigs.min()), float(np.abs(eigs).prod(axis=-1).max())
     scale = float(np.sqrt(np.sum(eigs**2, axis=-1)).max())
@@ -744,9 +761,8 @@ def eigen_precheck(S, K):
 
 
 def precheck_outcome(check, S):
-    K = default_verify_grid(S.m)
     try:
-        return "returned", check(S, K)
+        return "returned", check(S)
     except (NotPositiveDefinite, DegenerateDeterminant) as exc:
         return type(exc).__name__, str(exc)
 

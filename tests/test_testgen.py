@@ -140,6 +140,16 @@ class TestGenerateBoundaryInstance:
             warnings.simplefilter("error")
             assert testgen._condition_estimate(S) == np.inf
 
+    def test_condition_estimate_is_computed_on_first_read_and_once(self):
+        # Generation runs no eigen-scan; the first read runs one, kept after.
+        with mock.patch.object(testgen, "_condition_estimate",
+                               wraps=testgen._condition_estimate) as estimate:
+            bundle = generate_boundary_instance(2, 2, seed=8)
+            assert estimate.call_count == 0
+            first = bundle.condition_estimate
+            assert bundle.condition_estimate == first
+            estimate.assert_called_once_with(bundle.spectrum)
+
     def test_oracle_identity_still_exact(self):
         bundle = generate_boundary_instance(2, 4, seed=15)
         assert check_factorization(bundle.spectrum, bundle.ground_truth) <= 1e-13

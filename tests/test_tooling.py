@@ -9,8 +9,10 @@ puts in backticks, such as ``laurent._guarded_inverse``, stays bound too.
 golden fixtures byte for byte.
 ``specfact factor`` runs with runtime warnings turned into errors, so a numpy
 warning between input file and exit code fails its tests.  No public entry
-point but the grid samplers takes a grid size, and no module of the package,
-the tests or the scripts imports a name it never uses.
+point but the grid samplers, and no module-level function of the computing
+modules but the kernels that lay out, sample or check a grid, takes a grid
+size, and no module of the package, the tests or the scripts imports a name
+it never uses.
 """
 
 import ast
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 
 import specfact
+from specfact import factorize, laurent, testgen, verify
 from specfact.fileio import read_factor, write_spectrum
 from specfact.laurent import MatrixPolynomial, multiply_by_adjoint
 
@@ -80,6 +83,15 @@ def test_only_the_samplers_take_a_grid():
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
         and "K" in inspect.signature(obj).parameters)
     assert takes_grid == ["sample_on_grid", "unit_circle_grid"]
+    # Inside the package, a function whose callers all derive the grid the
+    # same way derives it itself; only the kernels below are handed one.
+    kernels = sorted(
+        name for module in (laurent, factorize, verify, testgen)
+        for name, obj in vars(module).items()
+        if inspect.isfunction(inspect.unwrap(obj)) and obj.__module__ == module.__name__
+        and "K" in inspect.signature(obj).parameters)
+    assert kernels == ["_band_coefficient_buffer", "_causal_values", "_monomial_block",
+                       "_require_grid", "sample_on_grid", "unit_circle_grid"]
 
 
 def unused_imports(source: str) -> list[str]:

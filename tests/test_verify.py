@@ -722,7 +722,7 @@ def causal_on_grid(S, x, K):
     scale = _coefficient_scale(S.coeffs)
     x_vals = sample_on_grid(x, K)
     left = np.linalg.inv(x_vals) @ sample_on_grid(S, K)
-    coeffs = coefficients_from_values(left, 0, K - 1)
+    coeffs = coefficients_from_values(left, K - 1)
     return (float(_causal_gap(left, x_vals).max()) / scale,
             _anticausal_mass(coeffs, S.m, scale))
 
