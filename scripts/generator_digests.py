@@ -6,8 +6,9 @@ and the ground truth's coefficient bytes, with ``root_margin`` and
 ``condition_estimate`` at ``.6g``; a seed whose draws are all rejected
 records the exception instead.  The cases cover one seed per newton cell,
 the (8, 16) seeds whose first draws are rejected and one that exhausts its
-retries, the toeplitz margin-0.1 cells, the near-circle margins and the
-boundary instances.  The table changes only on a deliberate generator
+retries, m = 16 seeds with a rejected draw whose nearest det root lies just
+inside the trim radius, the toeplitz margin-0.1 cells, the near-circle
+margins and the boundary instances.  The table changes only on a deliberate generator
 change; regenerate it then with
 
     PYTHONPATH=src python3 scripts/generator_digests.py > tests/generator_digests.json
@@ -25,6 +26,8 @@ NEWTON_CELLS = [(r, m) for r in (1, 2, 4, 8) for m in (4, 8, 16)] + [(1, 32)]
 CASES = (
     [("instance", r, m, 1000 + i, 0.2) for i, (r, m) in enumerate(NEWTON_CELLS)]
     + [("instance", 8, 16, seed, 0.2) for seed in (1011, 1024, 1037, 1180)]
+    + [("instance", r, 16, seed, 0.2)
+       for r, seed in ((8, 1063), (8, 1206), (8, 2037), (2, 1083), (2, 1187), (4, 2047))]
     + [("instance", r, m, 1009 + 3 * i + j, 0.1)
        for i, r in enumerate((1, 2, 4)) for j, m in enumerate((2, 4, 8))]
     + [("instance", r, m, 1000 + 6 * i + 2 * j + k, margin)

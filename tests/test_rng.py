@@ -1,4 +1,10 @@
-"""The portable generator must match the published splitmix64 outputs."""
+"""The portable generator must match the published splitmix64 outputs, and
+its block draw must match the scalar draws bit for bit."""
+
+import warnings
+
+import numpy as np
+import pytest
 
 from specfact.rng import SplitMix64
 
@@ -51,3 +57,38 @@ def test_streams_are_reproducible():
 def test_integer_range():
     stream = SplitMix64(5)
     assert all(0 <= stream.integer(7) < 7 for _ in range(200))
+
+
+# Seeds at both ends of the state space, one whose Weyl sequence wraps past
+# 2**64 at its third output, and a spread of others.
+_spread = SplitMix64(42)
+BLOCK_SEEDS = ([0, 1, 1234567, 2**63 - 1, 2**63, 2**64 - 1, -3 * 0x9E3779B97F4A7C15 % 2**64]
+               + [_spread.next_u64() for _ in range(33)])
+
+
+@pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare-pending"])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 2176])
+def test_normals_is_n_normal_calls_bit_for_bit(n, spare):
+    for seed in BLOCK_SEEDS:
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        if spare:
+            assert block.normal() == scalar.normal()
+        with warnings.catch_warnings():
+            # A uint64 scalar that overflows warns; the block draw must wrap
+            # in arrays only.
+            warnings.simplefilter("error")
+            values = block.normals(n)
+        assert values.dtype == np.float64 and values.shape == (n,)
+        expected = np.array([scalar.normal() for _ in range(n)], dtype=np.float64)
+        assert values.tobytes() == expected.tobytes()
+        # The stream goes on where n scalar calls leave it, spare branch first.
+        after = [block.normal(), block.next_u64(), block.uniform(), block.normal(),
+                 block.normal()]
+        assert after == [scalar.normal(), scalar.next_u64(), scalar.uniform(),
+                         scalar.normal(), scalar.normal()]
+
+
+def test_consecutive_blocks_continue_one_stream():
+    block, scalar = SplitMix64(2024), SplitMix64(2024)
+    values = np.concatenate([block.normals(n) for n in (3, 0, 5, 1, 1, 8)])
+    assert values.tolist() == [scalar.normal() for _ in range(18)]

@@ -186,14 +186,14 @@ def test_generator_digests_match_the_pinned_table():
        margin=st.sampled_from([0.2, 0.1, 0.05, 0.02]), shrink=st.floats(-12, 0))
 def test_every_rescale_below_the_trim_radius_is_rejected(seed, r, m, margin, shrink):
     # The certified count rejects a draw with a det root inside
-    # rho_c / 1.1 without reading its roots: that root would set
-    # t = |root| / (1 + margin) below rho_c / ((1 + margin) 1.1), and every
-    # such t must fall below MIN_RESCALE or trim rho_m.
+    # rho_c / ROOT_COUNT_BAND without reading its roots: that root would set
+    # t = |root| / (1 + margin) below rho_c / ((1 + margin) ROOT_COUNT_BAND),
+    # and every such t must fall below MIN_RESCALE or trim rho_m.
     coeffs = testgen._draw_coefficients(testgen._attempt_stream(seed, 0), r, m)
     # Shrink the leading coefficient by up to 10^-9.6, short of the trim, so
     # the trim threshold, not MIN_RESCALE, sets rho_c for most draws.
     coeffs[m] *= 10.0 ** (shrink * 0.8)
-    ceiling = testgen._trim_radius(coeffs, margin) / ((1 + margin) * 1.1)
+    ceiling = testgen._trim_radius(coeffs, margin) / ((1 + margin) * testgen.ROOT_COUNT_BAND)
     for t in ceiling * np.array([1 - 1e-12, 0.99, 0.9, 0.5, 0.1, 1e-3]):
         assert testgen._rescaled(coeffs, t) is None
 
@@ -219,6 +219,54 @@ def test_the_certified_count_moves_no_bundle(monkeypatch, r, m, seeds):
         truth_modulus = check_outer_determinant(counted.ground_truth)[0]
         assert truth_modulus >= 1.2 - 1e-8
         assert abs(counted.root_margin - (truth_modulus - 1)) <= 1e-8
+
+
+@pytest.mark.parametrize("r, seed", [(8, 1063), (8, 1206), (2, 1083), (2, 1187)])
+def test_only_the_returned_draw_pays_for_the_eigensolve(monkeypatch, r, seed):
+    # Each seed has rejected draws whose nearest det root lies at 0.93-0.98
+    # rho_c: a band of 1.1 left them to np.roots (2, 2, 3 and 3 solves), the
+    # band of ROOT_COUNT_BAND rejects them by the count alone.
+    solve, count, draw = (testgen._det_roots, testgen._certified_root_count,
+                          testgen._draw_coefficients)
+    solves, drawn, counted = [], [], []
+
+    def recording_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    def recording_count(c, rho):
+        n = count(c, rho)
+        if n:
+            counted.append((drawn[-1], c))
+        return n
+
+    monkeypatch.setattr(testgen, "_det_roots", lambda det: solves.append(det) or solve(det))
+    monkeypatch.setattr(testgen, "_draw_coefficients", recording_draw)
+    monkeypatch.setattr(testgen, "_certified_root_count", recording_count)
+    generate_instance(r, 16, seed)
+    assert len(solves) == 1 and counted
+    # np.roots on a counted draw would set a t that _rescaled rejects.
+    for coeffs, det in counted:
+        min_modulus, _ = solve(det)
+        assert min_modulus < 1.2
+        assert testgen._rescaled(coeffs, min_modulus / 1.2) is None
+
+
+def test_retry_exhaustion_pays_for_no_eigensolve(monkeypatch):
+    # All ten draws of (8, 16) at seed 1180 are rejected before an
+    # eigensolve; a band of 1.1 left one of them to np.roots.
+    monkeypatch.setattr(testgen, "_det_roots", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(RetryExhausted):
+        generate_instance(8, 16, 1180)
+
+
+def test_draw_order_is_real_then_imaginary_row_major():
+    block, scalar = testgen._attempt_stream(7, 1), testgen._attempt_stream(7, 1)
+    coeffs = testgen._draw_coefficients(block, 3, 2)
+    expected = [complex(scalar.normal(), scalar.normal()) for _ in range(3 * 3 * 3)]
+    assert coeffs.shape == (3, 3, 3)
+    assert coeffs.ravel().tolist() == expected
+    assert block.normal() == scalar.normal()
 
 
 def planted(roots):

@@ -7,12 +7,12 @@
 puts in backticks, such as ``laurent._guarded_inverse``, stays bound too.
 ``scripts/make_fixtures.py``, loaded the same way, must write the committed
 golden fixtures byte for byte.
-``specfact factor`` runs with runtime warnings turned into errors, so a numpy
-warning between input file and exit code fails its tests.  No public entry
-point but the grid samplers, and no module-level function of the computing
-modules but the kernels that lay out, sample or check a grid, takes a grid
-size, and no module of the package, the tests or the scripts imports a name
-it never uses.
+``specfact factor`` and ``specfact gen`` run with runtime warnings turned
+into errors, so a numpy warning between input and exit code fails their
+tests.  No public entry point but the grid samplers, and no module-level
+function of the computing modules but the kernels that lay out, sample or
+check a grid, takes a grid size, and no module of the package, the tests or
+the scripts imports a name it never uses.
 """
 
 import ast
@@ -29,7 +29,7 @@ import pytest
 
 import specfact
 from specfact import factorize, laurent, testgen, verify
-from specfact.fileio import read_factor, write_spectrum
+from specfact.fileio import read_factor, write_factor, write_spectrum
 from specfact.laurent import MatrixPolynomial, multiply_by_adjoint
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -156,6 +156,22 @@ def test_factor_on_fixtures_raises_no_runtime_warning(tmp_path, name, options, c
         x, _ = read_factor(tmp_path / "x.factor")
         truth, _ = read_factor(FIXTURES / name.replace(".spectrum", ".truth"))
         assert np.max(np.abs(x.coeffs - truth.coeffs)) <= 1e-8
+
+
+def test_gen_raises_no_runtime_warning(tmp_path):
+    # (8, 16) at seed 1063 rejects draws by the root count before it keeps one.
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "specfact", "gen", "8", "16",
+         str(tmp_path / "p"), "--seed", "1063"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    bundle = testgen.generate_instance(8, 16, 1063)
+    write_spectrum(tmp_path / "q.spectrum", bundle.spectrum)
+    write_factor(tmp_path / "q.truth", bundle.ground_truth, algorithm="ground_truth")
+    for suffix in (".spectrum", ".truth"):
+        assert (tmp_path / f"p{suffix}").read_bytes() == (tmp_path / f"q{suffix}").read_bytes()
 
 
 def test_forced_bauer_on_a_double_root_raises_no_runtime_warning(tmp_path):
