@@ -82,6 +82,8 @@ def _as_coefficient_stack(coeffs) -> np.ndarray:
         )
     if a.shape[1] < 1:
         raise ValueError("matrix dimension r must be >= 1")
+    if len(a) < 1:
+        raise ValueError("coefficient stack is empty; need m + 1 >= 1 coefficients")
     if not np.all(np.isfinite(a)):
         raise ValueError("coefficients contain non-finite entries")
     return a
@@ -92,6 +94,14 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     v = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     v = v.reshape(v.shape[:-2] + (-1,))
     return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
+def _trimmed_length(norms: np.ndarray) -> int:
+    """The trim rule on a nonempty vector of finite coefficient norms: one
+    past the last index whose norm exceeds ``TRIM_RTOL`` times the largest,
+    and at least 1."""
+    keep = np.flatnonzero(norms > TRIM_RTOL * norms.max())
+    return int(keep[-1]) + 1 if len(keep) else 1
 
 
 def trim_coefficients(coeffs: np.ndarray) -> np.ndarray:
@@ -106,13 +116,7 @@ def trim_coefficients(coeffs: np.ndarray) -> np.ndarray:
         norms = _frobenius(coeffs)
     if not np.all(np.isfinite(norms)):
         raise ValueError("coefficient norms overflow double precision")
-    threshold = TRIM_RTOL * (norms.max() if norms.size else 0.0)
-    last = 0
-    for n in range(len(coeffs) - 1, -1, -1):
-        if norms[n] > threshold:
-            last = n
-            break
-    return coeffs[: last + 1]
+    return coeffs[: _trimmed_length(norms)]
 
 
 @dataclass(frozen=True, eq=False)

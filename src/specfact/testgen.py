@@ -45,7 +45,7 @@ from .laurent import (
     multiply_by_adjoint,
     sample_on_grid,
 )
-from .rng import SplitMix64
+from .rng import _WEYL, SplitMix64
 from .verify import _det_coefficients, _det_roots, check_outer_determinant
 
 # Draws whose det roots cannot be pushed out without collapsing the variable
@@ -87,7 +87,7 @@ class InstanceBundle:
 
 def _attempt_stream(seed: int, attempt: int) -> SplitMix64:
     # Attempt k reseeds at seed + k * (the splitmix64 Weyl increment).
-    return SplitMix64((seed + attempt * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
+    return SplitMix64(seed + attempt * _WEYL)
 
 
 def _draw_coefficients(stream: SplitMix64, r: int, m: int) -> np.ndarray:
@@ -159,6 +159,17 @@ def _rescaled(coeffs: np.ndarray, t: float) -> MatrixPolynomial | None:
     return draw if draw.m == m else None
 
 
+def _canonical(draw: MatrixPolynomial, m: int) -> MatrixPolynomial | None:
+    """The generator's acceptance step: the draw's canonical form, or
+    ``None`` where canonicalization raises ``SingularLeadingCoefficient`` or
+    the canonical form is not of degree m."""
+    try:
+        canonical, _ = canonical_normalize(draw)
+    except SingularLeadingCoefficient:
+        return None
+    return canonical if canonical.m == m else None
+
+
 def _build_ground_truth(stream: SplitMix64, r: int, m: int, root_margin: float
                         ) -> tuple[MatrixPolynomial, float] | None:
     """One attempt at a canonical factor with det roots out at 1 + margin,
@@ -180,14 +191,9 @@ def _build_ground_truth(stream: SplitMix64, r: int, m: int, root_margin: float
         if draw is None:
             return None
         min_modulus /= t
-    try:
-        canonical, _ = canonical_normalize(draw)
-    except SingularLeadingCoefficient:
-        return None
-    if canonical.m != m:
-        return None
+    canonical = _canonical(draw, m)
     # Canonicalization multiplies by a constant unitary: no det root moves.
-    return canonical, min_modulus - 1.0
+    return None if canonical is None else (canonical, min_modulus - 1.0)
 
 
 def _boundary_truth(stream: SplitMix64, r: int, m: int
@@ -206,14 +212,8 @@ def _boundary_truth(stream: SplitMix64, r: int, m: int
     coeffs[: m] += base.coeffs
     coeffs[:, :, channel] *= 1.0 / np.sqrt(2.0)
     coeffs[1:, :, channel] += base.coeffs[:, :, channel] * (phase / np.sqrt(2.0))
-    truth = MatrixPolynomial(coeffs)
-    if truth.m != m:
-        return None
-    try:
-        truth, _ = canonical_normalize(truth)
-    except SingularLeadingCoefficient:
-        return None
-    return truth, check_outer_determinant(truth)[0] - 1.0
+    truth = _canonical(MatrixPolynomial(coeffs), m)
+    return None if truth is None else (truth, check_outer_determinant(truth)[0] - 1.0)
 
 
 def _bundle(seed: int, build, what: str, boundary: bool = False) -> InstanceBundle:

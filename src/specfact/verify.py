@@ -26,21 +26,24 @@ on 2K it returns the gap and the anticausal mass on the K grid, which is the
 even points of those samples, and how far the mass moves on the full 2K grid.
 :func:`verify_all` reads a bound off the factor for every entry that S
 decides, since ``S = X X^* + E`` holds exactly for any X, and where that
-bound does not decide, the entry is the public check of the same name.  It
+bound does not decide, the entry is the public check of the same name.  Its
+grid record ``_Grid`` forms, at construction, what every report reads: it
 samples X and ``z X'`` on K with one GEMM over their m + 1 coefficients,
-inverts X there once and forms the band of ``E = S - X X^*`` once; every
-bound reads them.  The factorization entry is E's largest coefficient norm,
-which is :func:`check_factorization`.  The K-node inverse and derivative
-samples give, by Taylor's theorem on each arc between nodes, a lower bound
+inverts X there once and forms the band of ``E = S - X X^*`` once.  Only
+the two reads that the grid guard may refuse stay lazy: the guarded K-node
+inverse and the 2K-node inverse norm of the causal bound.  The
+factorization entry is E's largest coefficient norm, which is
+:func:`check_factorization`.  The K-node inverse and derivative samples
+give, by Taylor's theorem on each arc between nodes, a lower bound
 ``sigma_lb`` on the smallest singular value of X over the whole circle (see
-``_Grid.sigma_lb``).  Positivity: by Weyl's inequality the minimum
-eigenvalue of S is at least ``sigma_lb^2 - ||E||`` (see
-:func:`_positivity_bound`); a bound above ``NEAR_SINGULAR_TOL`` times the
-scale passes the entry.  Causal: ``X^{-1} S - X^* = X^{-1} E`` bounds the
-gap and, by Parseval, the anticausal mass on both grids and its change by
-``||E|| / sigma_lb`` when deg X <= m (see :func:`_causal_bound`); where
-that does not decide, X is sampled on 2K and inverted at its odd nodes, and
-the coarser 2K-node bound is tried.  For such a factor a bound within
+``_Grid``).  Positivity: by Weyl's inequality the minimum eigenvalue of S is
+at least ``sigma_lb^2 - ||E||`` (see :func:`_positivity_bound`); a bound
+above ``NEAR_SINGULAR_TOL`` times the scale passes the entry.  Causal:
+``X^{-1} S - X^* = X^{-1} E`` bounds the gap and, by Parseval, the
+anticausal mass on both grids and its change by ``||E|| / sigma_lb`` when
+deg X <= m (see :func:`_causal_bound`); where that does not decide, X is
+sampled on 2K and inverted at its odd nodes, and the coarser 2K-node bound
+is tried.  For such a factor a bound within
 ``MASS_STABILITY_TOL`` passes the three entries with the bound as their
 value.  Outer: the winding number of det X, ``tr(X^{-1} z X')``, read off
 the K-node inverse and derivative samples, passes the entry when it reads
@@ -83,6 +86,7 @@ from .laurent import (
     _require_tolerance,
     _residual_against,
     _residual_band_norms,
+    _trimmed_length,
     coefficients_from_values,
     default_verify_grid,
     sample_on_grid,
@@ -174,8 +178,8 @@ def check_degree(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
 
 
 def _det_coefficients(x: MatrixPolynomial) -> np.ndarray:
-    """Coefficients of det X, constant first, trimmed where their magnitude
-    falls to 1e-10 of the largest.
+    """Coefficients of det X, constant first, trimmed by the trim rule of
+    the coefficient stacks (``laurent.TRIM_RTOL``) on their magnitudes.
 
     det X, of degree at most r m, is sampled on its own grid, the smallest
     power of two >= max(8, 2(r m + 1)), and read back as coefficients.  A det
@@ -190,11 +194,9 @@ def _det_coefficients(x: MatrixPolynomial) -> np.ndarray:
         magnitudes = np.abs(coeffs)
     if not np.all(np.isfinite(magnitudes)):
         raise SpectralFactorError("det X overflows double precision on the grid")
-    top = magnitudes.max()
-    if top <= 0:
+    if magnitudes.max() <= 0:
         raise IdenticallyZeroDeterminant("det X is numerically the zero polynomial")
-    keep = np.nonzero(magnitudes > 1e-10 * top)[0]
-    return coeffs[: keep[-1] + 1]
+    return coeffs[: _trimmed_length(magnitudes)]
 
 
 def _det_roots(det: np.ndarray):
@@ -252,73 +254,67 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
             abs(_anticausal_mass(coeffs, S.m, scale) - mass))
 
 
-@dataclass(frozen=True, eq=False)
 class _Grid:
-    """What :func:`verify_all`'s bounds on one (S, X) pair read, each formed
-    on first read and once; where a bound does not decide, the entry is the
-    public check, which samples on its own.
+    """What :func:`verify_all`'s bounds on one (S, X) pair read, formed once
+    at construction; where a bound does not decide, the entry is the public
+    check, which samples on its own.
 
     On the check grid K: X and ``z X' / m`` from one GEMM of the cached
-    monomial block against their m + 1 coefficients, X's pointwise inverse,
-    ``sigma_lb``, a lower bound on the smallest singular value of X over the
-    whole circle read off them, and that inverse once the grid guard accepts
-    it, which ``sigma_lb`` proves where it counts and the condition number
-    of the same inverse decides elsewhere.  In coefficient space: the
-    coefficient scale of S, the Frobenius norms of the coefficients of
-    ``E = S - X X^*`` and their sum over the band, ``spread = ||e_0||_F + 2
-    sum_{n>=1} ||e_n||_F``, which bounds ``||E(z)||_F`` on the whole circle.
-    On the doubled grid 2K, only for the causal bound when the K nodes do not
-    decide it: the largest Frobenius norm of X's guarded inverse.  Each
-    guarded inverse, and whatever reads it, raises ``SingularFactorOnGrid``
+    monomial block against their m + 1 coefficients, which raises
+    ``ValueError`` on a non-finite sample, X's pointwise inverse before the
+    guard, ``None`` when inversion fails, and ``sigma_lb``, a lower bound on
+    the smallest singular value of X over the whole circle read off them.
+    In coefficient space: the coefficient scale of S, the Frobenius norms of
+    the coefficients of ``E = S - X X^*`` and their sum over the band,
+    ``spread = ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``, which bounds
+    ``||E(z)||_F`` on the whole circle.  Every report reads these.  Two
+    reads stay lazy, because the grid guard may refuse either: the K-node
+    inverse once the guard accepts it, and, only for the causal bound when
+    the K nodes do not decide it, the largest Frobenius norm of X's guarded
+    inverse on the doubled grid 2K.  Each raises ``SingularFactorOnGrid``
     where the guard refuses.
+
+    ``sigma_lb`` is ``-inf`` when inversion failed, when the bound is not
+    positive or overflows, and when it does not prove X within the grid
+    guard everywhere.  On the arc ``|theta - theta_j| <= h = pi/K`` around
+    node j, Taylor's theorem gives ``X(theta) = X(theta_j) + (theta -
+    theta_j) X'(theta_j) + R`` with ``||R||_2 <= (h^2/2) sum_n n^2
+    ||rho_n||_F``, and sigma_min is 1-Lipschitz, so ``sigma_lb = min_j
+    (1/||X(z_j)^{-1}||_F - h ||X'(z_j)||_F) - (h^2/2) sum_n n^2
+    ||rho_n||_F``.  Every 1-norm condition number of X on the circle is at
+    most ``r sum_n ||rho_n||_F / sigma_lb``, since ``||A||_1 ||A^{-1}||_1 <=
+    r ||A||_2 / sigma_min(A)`` and ``||X(z)||_2 <= sum_n ||rho_n||_F``.  The
+    bound counts only when that is within ``GRID_COND_MAX``, so a factor it
+    passes is one the guard accepts on any grid, the K nodes included.  It
+    holds up to the rounding of the inverse.
     """
 
-    S: HermitianLaurentPolynomial
-    x: MatrixPolynomial
-
-    @cached_property
-    def K(self) -> int:
-        return default_verify_grid(max(self.S.m, self.x.m))
-
-    @cached_property
-    def scale(self) -> float:
-        return _coefficient_scale(self.S.coeffs)
-
-    @cached_property
-    def residual_norms(self) -> np.ndarray:
-        return _residual_band_norms(self.S.coeffs, self.x.coeffs)
-
-    @cached_property
-    def spread(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(self.residual_norms[0] + 2.0 * self.residual_norms[1:].sum())
-
-    @cached_property
-    def _samples(self) -> np.ndarray:
-        # X and z X' / m, stacked as (K, 2, r, r), from one GEMM over the
-        # m + 1 coefficients of each.
-        x = self.x
+    def __init__(self, S: HermitianLaurentPolynomial, x: MatrixPolynomial):
+        self.S, self.x = S, x
+        self.K = K = default_verify_grid(max(S.m, x.m))
+        # X and z X' / m, stacked as (K, 2, r, r).
         stack = np.empty((x.m + 1, 2, x.r, x.r), dtype=np.complex128)
         stack[:, 0] = x.coeffs
         stack[:, 1] = np.arange(x.m + 1)[:, None, None] / max(x.m, 1) * x.coeffs
-        values = _causal_values(stack, self.K)
-        if not np.all(np.isfinite(values)):
+        self._samples = _causal_values(stack, K)
+        if not np.all(np.isfinite(self._samples)):
             raise ValueError("samples contain non-finite entries")
-        return values
-
-    @property
-    def x_vals(self) -> np.ndarray:
-        return self._samples[:, 0]
-
-    @property
-    def derivative_vals(self) -> np.ndarray:
-        return self._samples[:, 1]
-
-    @cached_property
-    def _inverse(self) -> np.ndarray | None:
-        # X's pointwise inverse on K before the guard, the one inversion on
-        # K; None when inversion fails.
-        return _pointwise_inverse(self.x_vals)
+        self.x_vals, self.derivative_vals = self._samples[:, 0], self._samples[:, 1]
+        self._inverse = _pointwise_inverse(self.x_vals)
+        self.sigma_lb = -np.inf
+        if self._inverse is not None:
+            h = np.pi / K
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                norms = _frobenius(x.coeffs)
+                nodes = (1.0 / _frobenius(self._inverse)
+                         - h * max(x.m, 1) * _frobenius(self.derivative_vals))
+                bound = nodes.min() - h * h / 2 * (np.arange(x.m + 1) ** 2 @ norms)
+                if bound > 0 and x.r * norms.sum() <= GRID_COND_MAX * bound:
+                    self.sigma_lb = float(bound)
+        self.scale = _coefficient_scale(S.coeffs)
+        self.residual_norms = _residual_band_norms(S.coeffs, x.coeffs)
+        with np.errstate(over="ignore"):
+            self.spread = float(self.residual_norms[0] + 2.0 * self.residual_norms[1:].sum())
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -331,38 +327,6 @@ class _Grid:
             return self._inverse
         return _require_conditioned(self.x_vals, self._inverse, GRID_COND_MAX,
                                     SingularFactorOnGrid, "factor")
-
-    @cached_property
-    def sigma_lb(self) -> float:
-        """A lower bound on ``sigma_min(X(z))`` over the whole circle, from
-        the K-node inverse, before the guard, and derivative samples;
-        ``-inf`` when inversion failed, when the bound is not positive or
-        overflows, and when it does not prove X within the grid guard
-        everywhere.
-
-        On the arc ``|theta - theta_j| <= h = pi/K`` around node j, Taylor's
-        theorem gives ``X(theta) = X(theta_j) + (theta - theta_j) X'(theta_j)
-        + R`` with ``||R||_2 <= (h^2/2) sum_n n^2 ||rho_n||_F``, and
-        sigma_min is 1-Lipschitz, so ``sigma_lb = min_j (1/||X(z_j)^{-1}||_F
-        - h ||X'(z_j)||_F) - (h^2/2) sum_n n^2 ||rho_n||_F``.  Every 1-norm
-        condition number of X on the circle is at most ``r sum_n
-        ||rho_n||_F / sigma_lb``, since ``||A||_1 ||A^{-1}||_1 <= r ||A||_2 /
-        sigma_min(A)`` and ``||X(z)||_2 <= sum_n ||rho_n||_F``.  The bound
-        counts only when that is within ``GRID_COND_MAX``, so a factor it
-        passes is one the guard accepts on any grid, the K nodes included.
-        It holds up to the rounding of the inverse.
-        """
-        if self._inverse is None:
-            return -np.inf
-        x, h = self.x, np.pi / self.K
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            norms = _frobenius(x.coeffs)
-            nodes = (1.0 / _frobenius(self._inverse)
-                     - h * max(x.m, 1) * _frobenius(self.derivative_vals))
-            bound = nodes.min() - h * h / 2 * (np.arange(x.m + 1) ** 2 @ norms)
-            if not (bound > 0 and x.r * norms.sum() <= GRID_COND_MAX * bound):
-                return -np.inf
-        return float(bound)
 
     @cached_property
     def inverse_norm_2K(self) -> float:

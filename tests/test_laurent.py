@@ -11,6 +11,7 @@ from specfact.laurent import (
     MatrixPolynomial,
     _pointwise_inverse,
     _require_conditioned,
+    _trimmed_length,
     _worst_condition,
     coefficients_from_values,
     default_grid_size,
@@ -224,6 +225,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             MatrixPolynomial(np.zeros((2, 2, 3), dtype=complex))
 
+    @pytest.mark.parametrize("cls", [MatrixPolynomial, HermitianLaurentPolynomial])
+    def test_rejects_an_empty_stack(self, cls):
+        with pytest.raises(ValueError, match="coefficient stack is empty"):
+            cls(np.zeros((0, 2, 2), dtype=complex))
+
     def test_degree_is_trimmed(self):
         x = MatrixPolynomial(np.array([[[1.0]], [[1e-30]]], dtype=complex))
         assert x.m == 0
@@ -244,6 +250,16 @@ class TestInvariants:
         assert default_grid_size(0) == 8
         assert default_grid_size(3) == 32
         assert default_grid_size(4) == 64
+
+
+@given(st.lists(st.sampled_from([0.0, 1e-12, 1e-10, 1.0, 3.0]), min_size=1, max_size=6))
+def test_trim_keeps_through_the_last_norm_above_the_threshold(norms):
+    # A reverse scan as the reference; 1e-10 of a largest norm of 1.0 sits
+    # exactly on the threshold and is trimmed.
+    norms = np.array(norms)
+    last = next((n for n in range(len(norms) - 1, -1, -1)
+                 if norms[n] > 1e-10 * norms.max()), 0)
+    assert _trimmed_length(norms) == last + 1
 
 
 @st.composite

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specfact.testgen as testgen
-from specfact.errors import RetryExhausted
+from specfact.errors import RetryExhausted, SingularLeadingCoefficient
 from specfact.factorize import canonical_normalize
 from specfact.laurent import HermitianLaurentPolynomial, evaluate_at
 from specfact.testgen import generate_boundary_instance, generate_instance
@@ -258,6 +258,25 @@ def test_retry_exhaustion_pays_for_no_eigensolve(monkeypatch):
     monkeypatch.setattr(testgen, "_det_roots", mock.Mock(side_effect=AssertionError))
     with pytest.raises(RetryExhausted):
         generate_instance(8, 16, 1180)
+
+
+@pytest.mark.parametrize("generate", [generate_instance, generate_boundary_instance])
+def test_a_singular_canonicalization_of_every_draw_exhausts_the_retries(monkeypatch, generate):
+    # Refused at degree 2 only: generate_instance(2, 2) canonicalizes each of
+    # its draws there, and the boundary builder its truth on top of a degree
+    # 1 base.
+    canonicalize = testgen.canonical_normalize
+
+    def refuse_degree_2(x):
+        if x.m == 2:
+            raise SingularLeadingCoefficient("constant coefficient is numerically singular")
+        return canonicalize(x)
+
+    refusals = mock.Mock(side_effect=refuse_degree_2)
+    monkeypatch.setattr(testgen, "canonical_normalize", refusals)
+    with pytest.raises(RetryExhausted):
+        generate(2, 2, 0)
+    assert sum(x.m == 2 for (x,), _ in refusals.call_args_list) == testgen.MAX_ATTEMPTS
 
 
 def test_draw_order_is_real_then_imaginary_row_major():

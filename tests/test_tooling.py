@@ -6,7 +6,9 @@
 ``perfbench/`` is imported.  Every module-qualified name that README.md
 puts in backticks, such as ``laurent._guarded_inverse``, stays bound too.
 ``scripts/make_fixtures.py``, loaded the same way, must write the committed
-golden fixtures byte for byte.
+golden fixtures byte for byte, and ``scripts/report_digests.py`` must count
+every report of a reduced pool and digest it the same way twice.  The
+splitmix64 constants are spelled in ``rng.py`` alone.
 ``specfact factor`` and ``specfact gen`` run with runtime warnings turned
 into errors, so a numpy warning between input and exit code fails their
 tests.  No public entry point but the grid samplers, and no module-level
@@ -37,6 +39,7 @@ PACKAGE = ROOT / "src" / "specfact"
 TRACING = ROOT / "perfbench" / "tracing.py"
 README = ROOT / "README.md"
 MAKE_FIXTURES = ROOT / "scripts" / "make_fixtures.py"
+REPORT_DIGESTS = ROOT / "scripts" / "report_digests.py"
 
 
 def test_every_traced_name_is_bound(monkeypatch):
@@ -234,3 +237,26 @@ def test_make_fixtures_reproduces_the_committed_fixtures(monkeypatch, tmp_path):
     assert len(written) == 6
     for name in written:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+def test_report_digests_counts_every_report_of_a_reduced_pool(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/
+    spec = importlib.util.spec_from_file_location("report_digests", REPORT_DIGESTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    boundary = [(1, 1, 0), (2, 2, 0)]
+    lines = module.lines(2, boundary)
+    # A pool instance whose factor() returns gives three reports (factor,
+    # truth, truth * 1.01); a boundary bundle two (truth, forced-bauer factor).
+    assert [line.split(" sha256 ")[0] for line in lines] == [
+        f"{name} {seed}: 6 reports" for name in ("newton", "toeplitz", "near-circle")
+        for seed in (1000, 2000)] + ["boundary: 4 reports", "total: 40 reports"]
+    assert module.lines(2, boundary) == lines
+
+
+def test_splitmix64_constants_are_spelled_only_in_rng():
+    constants = ("9E3779B97F4A7C15", "BF58476D1CE4E5B9", "94D049BB133111EB")
+    spelled = {path.name: [c for c in constants if c in path.read_text(encoding="utf-8").upper()]
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert spelled.pop("rng.py") == list(constants)
+    assert not any(spelled.values()), spelled

@@ -12,6 +12,7 @@ from specfact.errors import (
     SingularFactorOnGrid,
     SpectralFactorError,
 )
+from specfact import laurent
 from specfact.factorize import FactorizationOptions, factor
 from specfact.laurent import (
     POSITIVITY_TOL,
@@ -41,6 +42,7 @@ from specfact.verify import (
     _anticausal_mass,
     _causal_bound,
     _causal_gap,
+    _det_coefficients,
     _positivity_bound,
     _winding_number,
     check_causal_identity,
@@ -573,6 +575,16 @@ class TestOuterDeterminant:
         entry = quiet_report(S, x)["outer-determinant"]
         assert not entry.passed
         assert entry.detail == "det X overflows double precision on the grid"
+
+    def test_det_coefficients_trim_by_the_stack_trim_rule(self, monkeypatch):
+        # det X = 1 + 1e-9 z: kept at TRIM_RTOL = 1e-10, trimmed at 1e-8, as
+        # a stack's rho_1 is.
+        coeffs = np.array([[[1.0]], [[1e-9]]], dtype=complex)
+        x = MatrixPolynomial(coeffs)
+        assert x.m == 1 and len(_det_coefficients(x)) == 2
+        monkeypatch.setattr(laurent, "TRIM_RTOL", 1e-8)
+        assert MatrixPolynomial(coeffs).m == HermitianLaurentPolynomial(coeffs).m == 0
+        assert len(_det_coefficients(x)) == 1
 
 
 def unitary(rng, r):
