@@ -147,7 +147,11 @@ def _require_factorable(S: HermitianLaurentPolynomial) -> list[str]:
     bounds max |det S| from below.  Anything else is decided by the
     eigen-scan, which words every error and warning.  The samples are used
     as the transform gives them: the Cholesky reads their lower triangle
-    only, and the eigen-scan symmetrizes them itself.
+    only, and the eigen-scan symmetrizes them itself.  Both determinant
+    tests read ``S / scale``, whose determinants stay in double range at any
+    scale: ``|det S| > 1e-13 scale^r`` as ``prod_i |lambda_i| / scale >
+    1e-13``.  The message's absolute numbers saturate to 0 or ``inf``
+    beyond double range, without a warning.
     """
     values = sample_on_grid(S, default_verify_grid(S.m))
     scale = float(_frobenius(values).max())  # max_j ||S(z_j)||_F
@@ -156,11 +160,13 @@ def _require_factorable(S: HermitianLaurentPolynomial) -> list[str]:
     except np.linalg.LinAlgError:
         pass
     else:
-        diagonal = np.diagonal(lower, axis1=-2, axis2=-1).real
-        if float((diagonal.prod(axis=-1) ** 2).max()) > 1e-13 * scale**S.r:
+        diagonal = np.diagonal(lower, axis1=-2, axis2=-1).real / np.sqrt(scale)
+        if float((diagonal.prod(axis=-1) ** 2).max()) > 1e-13:
             return []
 
-    eigs, dets = _hermitian_scan(values)
+    with np.errstate(over="ignore", under="ignore"):
+        eigs, dets = _hermitian_scan(values)
+        det_floor = 1e-13 * np.float64(scale) ** S.r
     min_eig, max_det = float(eigs.min()), float(dets.max())
     if min_eig < -1e-10 * scale:
         raise NotPositiveDefinite(
@@ -168,8 +174,8 @@ def _require_factorable(S: HermitianLaurentPolynomial) -> list[str]:
             f"(scale {scale:.3e})"
         )
     # A rank-deficient spectrum leaves only LU roundoff in the determinant.
-    det_floor = 1e-13 * scale**S.r
-    if max_det <= det_floor:
+    # The zero spectrum, all of whose eigenvalues are 0, is divided by 1.
+    if float((np.abs(eigs) / (scale or 1.0)).prod(axis=-1).max()) <= 1e-13:
         raise DegenerateDeterminant(
             f"max |det S| on the grid is {max_det:.3e}, at or below "
             f"1e-13 * scale^{S.r} = {det_floor:.3e} (scale {scale:.3e})"

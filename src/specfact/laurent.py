@@ -109,13 +109,16 @@ def trim_coefficients(coeffs: np.ndarray) -> np.ndarray:
 
     Always keeps index 0, so the zero polynomial trims to a single zero
     coefficient.  Raises ``ValueError`` when a coefficient norm overflows to
-    ``inf`` (entries beyond about 1e154), which would otherwise trim away
-    every coefficient above index 0.
+    ``inf`` (entries beyond about 1e154), or when every norm underflows to 0
+    though an entry is not (entries below about 1e-162): either would
+    otherwise trim away every coefficient above index 0.
     """
     with np.errstate(over="ignore"):
         norms = _frobenius(coeffs)
     if not np.all(np.isfinite(norms)):
         raise ValueError("coefficient norms overflow double precision")
+    if norms.max() == 0 and np.any(coeffs):
+        raise ValueError("coefficient norms underflow double precision")
     return coeffs[: _trimmed_length(norms)]
 
 

@@ -130,10 +130,14 @@ def _certified_root_count(c: np.ndarray, rho: float) -> int | None:
     every sampled ``|p|`` exceeds that plus a bound on the transform's
     rounding, the arc's image stays in a disk that excludes 0, so each phase
     step is the principal angle between neighbouring samples and their sum is
-    2 pi times the count exactly.
+    2 pi times the count exactly.  Where ``rho^k`` overflows, it declines
+    without a warning.
     """
     d = len(c) - 1
-    a = c * rho ** np.arange(d + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = c * rho ** np.arange(d + 1)
+    if not np.all(np.isfinite(a)):
+        return None
     magnitudes = np.abs(a)
     slope = 2.0 * np.pi * float(np.arange(d + 1) @ magnitudes)
     total = float(magnitudes.sum())
@@ -241,8 +245,8 @@ def generate_instance(r: int, m: int, seed: int,
     """Deterministic problem instance with det roots at modulus >= 1 + margin."""
     if r < 1 or m < 0:
         raise ValueError("need r >= 1 and m >= 0")
-    if not (root_margin > 0):
-        raise ValueError("root_margin must be positive")
+    if not (0 < root_margin < np.inf):
+        raise ValueError("root_margin must be positive and finite")
     return _bundle(seed, lambda stream: _build_ground_truth(stream, r, m, root_margin),
                    f"(r={r}, m={m}, seed={seed})")
 

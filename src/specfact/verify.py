@@ -29,9 +29,7 @@ decides, since ``S = X X^* + E`` holds exactly for any X, and where that
 bound does not decide, the entry is the public check of the same name.  Its
 grid record ``_Grid`` forms, at construction, what every report reads: it
 samples X and ``z X'`` on K with one GEMM over their m + 1 coefficients,
-inverts X there once and forms the band of ``E = S - X X^*`` once.  Only
-the two reads that the grid guard may refuse stay lazy: the guarded K-node
-inverse and the 2K-node inverse norm of the causal bound.  The
+inverts X there once and forms the band of ``E = S - X X^*`` once.  The
 factorization entry is E's largest coefficient norm, which is
 :func:`check_factorization`.  The K-node inverse and derivative samples
 give, by Taylor's theorem on each arc between nodes, a lower bound
@@ -41,28 +39,27 @@ at least ``sigma_lb^2 - ||E||`` (see :func:`_positivity_bound`); a bound
 above ``NEAR_SINGULAR_TOL`` times the scale passes the entry.  Causal:
 ``X^{-1} S - X^* = X^{-1} E`` bounds the gap and, by Parseval, the
 anticausal mass on both grids and its change by ``||E|| / sigma_lb`` when
-deg X <= m (see :func:`_causal_bound`); where that does not decide, X is
-sampled on 2K and inverted at its odd nodes, and the coarser 2K-node bound
-is tried.  For such a factor a bound within
+deg X <= m (see :func:`_causal_bound`).  For such a factor a bound within
 ``MASS_STABILITY_TOL`` passes the three entries with the bound as their
-value.  Outer: the winding number of det X, ``tr(X^{-1} z X')``, read off
-the K-node inverse and derivative samples, passes the entry when it reads
-zero with a small Fourier tail; otherwise the roots of det X decide, and
+value; otherwise the three entries are :func:`check_causal_identity`'s
+measured values, and inside ``verify`` X is sampled on 2K only there.
+Outer: the winding number of det X, ``tr(X^{-1} z X')``, read off the
+K-node inverse and derivative samples, passes the entry when it reads zero
+with a small Fourier tail; otherwise the roots of det X decide, and
 ``OUTER_TOL`` is both the entry's tolerance on their deficit below 1 and the
 band around the circle whose roots it reports as boundary warnings.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.  On K,
-``sigma_lb`` proves that where it counts, and the condition number is taken
-only where it does not, from the same inverse.  A refusal raises
-``SingularFactorOnGrid``: the outer entry then reads the roots of det X, and
-the causal entries fail with the guard's message.  Failures inside
+``sigma_lb`` proves that where it counts, and the outer entry takes the
+condition number only where it does not, from the same inverse.  A refusal
+raises ``SingularFactorOnGrid``: the outer entry then reads the roots of
+det X, and the causal entries fail with the guard's message.  Failures inside
 :func:`verify_all` are reported as failed entries, never raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -237,8 +234,9 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
     both grids: the K grid's coefficients are its fold ``c_K[n] = c_2K[n] +
     c_2K[n + K]``, which is the transform of the even samples, and the gap is
     taken at the even samples alone.  ``verify_all`` reports these values
-    where the bound from ``S = X X^* + E`` does not decide, and the bound
-    where it does, which each measured value exceeds by rounding at most.
+    where the K-node bound from ``S = X X^* + E`` does not decide, and the
+    bound where it does, which each measured value exceeds by rounding at
+    most.
     """
     if S.r != x.r:
         raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
@@ -267,12 +265,9 @@ class _Grid:
     In coefficient space: the coefficient scale of S, the Frobenius norms of
     the coefficients of ``E = S - X X^*`` and their sum over the band,
     ``spread = ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``, which bounds
-    ``||E(z)||_F`` on the whole circle.  Every report reads these.  Two
-    reads stay lazy, because the grid guard may refuse either: the K-node
-    inverse once the guard accepts it, and, only for the causal bound when
-    the K nodes do not decide it, the largest Frobenius norm of X's guarded
-    inverse on the doubled grid 2K.  Each raises ``SingularFactorOnGrid``
-    where the guard refuses.
+    ``||E(z)||_F`` on the whole circle.  Every report reads these; nothing
+    here samples or inverts on the doubled grid 2K, which only
+    :func:`check_causal_identity` does.
 
     ``sigma_lb`` is ``-inf`` when inversion failed, when the bound is not
     positive or overflows, and when it does not prove X within the grid
@@ -285,12 +280,13 @@ class _Grid:
     most ``r sum_n ||rho_n||_F / sigma_lb``, since ``||A||_1 ||A^{-1}||_1 <=
     r ||A||_2 / sigma_min(A)`` and ``||X(z)||_2 <= sum_n ||rho_n||_F``.  The
     bound counts only when that is within ``GRID_COND_MAX``, so a factor it
-    passes is one the guard accepts on any grid, the K nodes included.  It
-    holds up to the rounding of the inverse.
+    passes is one the guard accepts on any grid, the K nodes included, and
+    where it does not count, the outer entry measures the guard on the
+    K-node inverse.  It holds up to the rounding of the inverse.
     """
 
     def __init__(self, S: HermitianLaurentPolynomial, x: MatrixPolynomial):
-        self.S, self.x = S, x
+        self.x = x
         self.K = K = default_verify_grid(max(S.m, x.m))
         # X and z X' / m, stacked as (K, 2, r, r).
         stack = np.empty((x.m + 1, 2, x.r, x.r), dtype=np.complex128)
@@ -315,29 +311,6 @@ class _Grid:
         self.residual_norms = _residual_band_norms(S.coeffs, x.coeffs)
         with np.errstate(over="ignore"):
             self.spread = float(self.residual_norms[0] + 2.0 * self.residual_norms[1:].sum())
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """The K-node inverse once the grid guard accepts it; raises the
-        guard's ``SingularFactorOnGrid`` where it does not.  Where ``sigma_lb``
-        counts it proves the guard's verdict, and the condition number is
-        not formed; elsewhere the condition number of the same inverse
-        decides."""
-        if self.sigma_lb > 0:
-            return self._inverse
-        return _require_conditioned(self.x_vals, self._inverse, GRID_COND_MAX,
-                                    SingularFactorOnGrid, "factor")
-
-    @cached_property
-    def inverse_norm_2K(self) -> float:
-        # The guard's worst condition number over 2K is the worse of its two
-        # halves', so the K-node guard runs first and only the odd nodes are
-        # sampled and inverted here.
-        even = self.inverse
-        odd = _guarded_inverse(sample_on_grid(self.x, 2 * self.K)[1::2], GRID_COND_MAX,
-                               SingularFactorOnGrid, "factor")
-        with np.errstate(over="ignore"):
-            return float(max(_frobenius(even).max(), _frobenius(odd).max()))
 
 
 def _causal_gap(left: np.ndarray, x_vals: np.ndarray) -> np.ndarray:
@@ -369,10 +342,15 @@ def _winding_number(grid: _Grid):
     coefficient over the indices 3K/8..5K/8 (physical ``|k| >= 3K/8``), is
     small; at K = 256 a tail of 1e-3 needs every root about 0.075 or more
     from the circle.  ``z X'`` is sampled divided by m, so its coefficients
-    ``(n/m) rho_n`` stay within X's own range.
+    ``(n/m) rho_n`` stay within X's own range.  The K-node inverse is taken
+    as it is where ``sigma_lb`` counts, which proves the grid guard's
+    verdict; elsewhere the guard measures it and raises
+    ``SingularFactorOnGrid`` where it refuses.
     """
     K = grid.K
-    f = max(grid.x.m, 1) * np.einsum("kij,kji->k", grid.inverse, grid.derivative_vals)
+    inverse = grid._inverse if grid.sigma_lb > 0 else _require_conditioned(
+        grid.x_vals, grid._inverse, GRID_COND_MAX, SingularFactorOnGrid, "factor")
+    f = max(grid.x.m, 1) * np.einsum("kij,kji->k", inverse, grid.derivative_vals)
     coeffs = np.abs(coefficients_from_values(f, K - 1))
     return float(coeffs[0]), float(coeffs[3 * K // 8 : 5 * K // 8 + 1].max())
 
@@ -415,11 +393,10 @@ def _positivity_bound(grid: _Grid) -> float:
 
 def _causal_bound(grid: _Grid) -> float:
     """An upper bound on each of the three causal entries, read off the
-    factor: from the K nodes when that bound is within
-    ``MASS_STABILITY_TOL``, else from the 2K nodes; ``nan`` or ``inf`` when
-    a term overflows, without a warning.  Where the 2K nodes are needed and
-    the grid guard refuses X's inverse there, it raises the guard's
-    ``SingularFactorOnGrid``.
+    factor's ``sigma_lb`` on the K nodes; ``inf`` when that lower bound on
+    sigma_min(X) does not count, ``nan`` or ``inf`` when a term overflows,
+    without a warning.  Where it does not decide, :func:`verify_all` takes
+    :func:`check_causal_identity`'s measured values.
 
     S = X X^* + E exactly, for any X, so at every point of the circle the
     left side of the causal identity is ``X^{-1} S = X^* + X^{-1} E``, so
@@ -428,17 +405,12 @@ def _causal_bound(grid: _Grid) -> float:
     root mean square of ``X^{-1} E`` over the grid (Parseval); so is their
     difference.  A factor of higher degree has coefficients of X^* outside
     the window, and the bound says nothing of its mass.  Each is at most
-    ``||X^{-1}||_2 ||E||_F / scale``, with ``||E(z)||_F <= spread``: on the
-    K nodes, ``spread / (sigma_lb scale)``, which holds on the whole circle
-    and so on 2K; failing that, ``max_j ||X(z_j)^{-1}||_F spread / scale``
-    over the 2K nodes.  The measured entries carry the rounding of the
-    inverse and may exceed the bound by that much; the bound does not.
+    ``||X^{-1}||_2 ||E||_F / scale <= spread / (sigma_lb scale)``, with
+    ``||E(z)||_F <= spread``, which holds on the whole circle and so on K
+    and 2K.  The measured entries carry the rounding of the inverse and may
+    exceed the bound by that much; the bound does not.
     """
-    if grid.sigma_lb > 0:
-        bound = grid.spread / (grid.sigma_lb * grid.scale)
-        if bound <= MASS_STABILITY_TOL:
-            return bound
-    return grid.inverse_norm_2K * grid.spread / grid.scale
+    return grid.spread / (grid.sigma_lb * grid.scale) if grid.sigma_lb > 0 else np.inf
 
 
 def _measure_positivity(S, x, grid):

@@ -1,6 +1,7 @@
 """Factorization algorithms, canonical normalization, and their failure modes."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ class TestFactorDispatch:
         # The message states what is measured: max |det S| against its floor.
         assert "max |det S| on the grid is 0.000e+00" in str(caught.value)
         assert "1e-13 * scale^2 = 1.000e-13" in str(caught.value)
+
+    @pytest.mark.parametrize("scale", [1e40, 1e60, 1e-45, 1e-60])
+    def test_determinant_floor_is_scale_free(self, scale):
+        # At r = 8 both |det S| and 1e-13 scale^8 leave double range here;
+        # the floor is decided on S / scale, and the factor is the truth's.
+        bundle = generate_instance(8, 4, 0)
+        S = HermitianLaurentPolynomial(bundle.spectrum.coeffs * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = factor(S).factor
+            assert verify_all(S, x).overall
+        unscaled = MatrixPolynomial(x.coeffs / np.sqrt(scale))
+        assert forward_error(unscaled, bundle.ground_truth) <= 1e-13
 
     @pytest.mark.parametrize("entry", [
         lambda S: factor(S, FactorizationOptions(algorithm="scalar_roots")),

@@ -246,6 +246,15 @@ class TestInvariants:
         with pytest.raises(ValueError, match="overflow"):
             cls(np.array([[[3e155]], [[1e155]]], dtype=complex))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cls", [MatrixPolynomial, HermitianLaurentPolynomial])
+    def test_rejects_coefficients_whose_norm_underflows(self, cls):
+        # Every squared norm of a 1e-170 stack reads 0, which would trim it
+        # to index 0; the zero polynomial itself stays valid.
+        with pytest.raises(ValueError, match="^coefficient norms underflow double precision$"):
+            cls(np.full((5, 2, 2), 1e-170, dtype=complex))
+        assert cls(np.zeros((3, 2, 2), dtype=complex)).m == 0
+
     def test_default_grid_size(self):
         assert default_grid_size(0) == 8
         assert default_grid_size(3) == 32

@@ -7,8 +7,9 @@
 puts in backticks, such as ``laurent._guarded_inverse``, stays bound too.
 ``scripts/make_fixtures.py``, loaded the same way, must write the committed
 golden fixtures byte for byte, and ``scripts/report_digests.py`` must count
-every report of a reduced pool and digest it the same way twice.  The
-splitmix64 constants are spelled in ``rng.py`` alone.
+every report of a reduced pool and digest it the same way twice, and a
+nudge to every measured value must move its full digest but not its
+verdict digest.  The splitmix64 constants are spelled in ``rng.py`` alone.
 ``specfact factor`` and ``specfact gen`` run with runtime warnings turned
 into errors, so a numpy warning between input and exit code fails their
 tests.  No public entry point but the grid samplers, and no module-level
@@ -18,6 +19,7 @@ the scripts imports a name it never uses.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -161,13 +163,23 @@ def test_factor_on_fixtures_raises_no_runtime_warning(tmp_path, name, options, c
         assert np.max(np.abs(x.coeffs - truth.coeffs)) <= 1e-8
 
 
-def test_gen_raises_no_runtime_warning(tmp_path):
+@pytest.mark.parametrize("margin", [None, "inf", "1e308"])
+def test_gen_raises_no_runtime_warning(tmp_path, margin):
     # (8, 16) at seed 1063 rejects draws by the root count before it keeps one.
+    # An infinite margin is refused by name.  At 1e308 the root count's circle
+    # overflows, so it declines, and every draw needs a rescale below
+    # MIN_RESCALE: the seed is rejected without a warning.
+    options = () if margin is None else ("--margin", margin)
     run = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "specfact", "gen", "8", "16",
-         str(tmp_path / "p"), "--seed", "1063"],
+         str(tmp_path / "p"), "--seed", "1063", *options],
         capture_output=True, text=True, timeout=120,
     )
+    if margin is not None:
+        assert run.returncode == 1 and "Warning" not in run.stderr
+        if margin == "inf":
+            assert run.stderr == "specfact: error: root_margin must be positive and finite\n"
+        return
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
     bundle = testgen.generate_instance(8, 16, 1063)
@@ -252,6 +264,20 @@ def test_report_digests_counts_every_report_of_a_reduced_pool(monkeypatch):
         f"{name} {seed}: 6 reports" for name in ("newton", "toeplitz", "near-circle")
         for seed in (1000, 2000)] + ["boundary: 4 reports", "total: 40 reports"]
     assert module.lines(2, boundary) == lines
+    # A relative 1e-12 on every measured value moves each group's full
+    # digest but not its verdict digest.
+    real = module.verify_all
+
+    def nudged(S, x):
+        return verify.VerificationReport([dataclasses.replace(e, measured=e.measured * (1 + 1e-12))
+                                   for e in real(S, x).checks])
+
+    monkeypatch.setattr(module, "verify_all", nudged)
+    moved = module.lines(2, boundary)
+    for before, after in zip(lines[:-1], moved[:-1], strict=True):
+        full, verdicts = before.split(" verdicts ")
+        moved_full, moved_verdicts = after.split(" verdicts ")
+        assert moved_full != full and moved_verdicts == verdicts
 
 
 def test_splitmix64_constants_are_spelled_only_in_rng():

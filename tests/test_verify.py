@@ -112,11 +112,6 @@ def smallest_singular_value(x, K):
     return float(np.linalg.svd(sample_on_grid(x, K), compute_uv=False)[:, -1].min())
 
 
-def decided_on_K(grid):
-    """True when the grid formed no inverse at the odd nodes of 2K."""
-    return "inverse_norm_2K" not in vars(grid)
-
-
 class TestPositivityCertificate:
     # verify_all's positivity entry skips the eigen-scan when S = X X^* + E
     # bounds the minimum eigenvalue of S above the near-singular threshold.
@@ -130,9 +125,8 @@ class TestPositivityCertificate:
             for x in (bundle.ground_truth, factor(S).factor):
                 grid = _Grid(S, x)
                 bound = _positivity_bound(grid)
-                # The K-node certificate decides: X is inverted on K alone, and
-                # sigma_lb holds between the nodes too.
-                assert decided_on_K(grid)
+                # The K-node certificate decides, and sigma_lb holds between
+                # the nodes too.
                 assert 0 < grid.sigma_lb <= smallest_singular_value(x, 8 * grid.K) + 1e-13
                 min_eig, _ = check_positivity(S)
                 deficit = max(0.0, -min_eig) / grid.scale
@@ -195,7 +189,7 @@ class TestPositivityCertificate:
     @pytest.mark.parametrize("pair", ["near-circle", "higher-degree-boundary"])
     def test_scan_entry_is_check_positivity_on_the_grid_of_S(self, pair):
         if pair == "near-circle":
-            # The factor of test_near_circle_factor_takes_the_scan_and_the_2K_causal_bound.
+            # The factor of test_near_circle_factor_takes_the_scan_and_the_public_causal_check.
             S = generate_instance(2, 4, 1209, 0.02).spectrum
             x = factor(S).factor
         else:
@@ -287,7 +281,6 @@ class TestCausalCertificate:
             for x in (bundle.ground_truth, factor(S).factor):
                 grid = _Grid(S, x)
                 bound = _causal_bound(grid)
-                assert decided_on_K(grid)
                 measured = check_causal_identity(S, x)
                 # The measurement carries the inverse's rounding; B does not.
                 assert all(bound >= value - 1e-13 for value in measured)
@@ -356,14 +349,17 @@ class TestCausalCertificate:
         assert not report["causal-identity"].passed
         assert not any("at most" in report[name].detail for name in CAUSAL)
 
-    def test_factor_singular_on_the_doubled_grid_takes_the_measurement(self):
+    def test_factor_singular_on_the_doubled_grid_takes_the_measurement(self, monkeypatch):
         # The factor of test_each_check_listed_once_when_only_the_doubled_grid_is_singular.
+        # sigma_lb does not count, so the causal entries take the public
+        # check, whose one 2K sampling of X meets the singular node.
         x = MatrixPolynomial(np.array(
             [np.eye(2), np.diag([0, -np.exp(-1j * np.pi / 256)])], dtype=complex))
         S = multiply_by_adjoint(x)
-        with pytest.raises(SingularFactorOnGrid, match="^factor condition number "):
-            _causal_bound(_Grid(S, x))
+        assert _causal_bound(_Grid(S, x)) == np.inf
+        sampled, _, _ = count_work(monkeypatch)
         report = quiet_report(S, x)
+        assert sampled.count(("X", 512)) == 1
         assert all(not report[name].passed and "condition" in report[name].detail
                    for name in CAUSAL)
 
@@ -401,46 +397,47 @@ class TestCausalCertificate:
         assert all("from S = X X* + E" in report[name].detail for name in CAUSAL)
         assert "of det X on K=256" in report["outer-determinant"].detail
 
-    def test_near_circle_factor_takes_the_scan_and_the_2K_causal_bound(self, monkeypatch):
+    def test_near_circle_factor_takes_the_scan_and_the_public_causal_check(
+            self, monkeypatch):
         # Roots 0.02 from the circle: the arc term sinks sigma_lb on K.
         # Positivity takes check_positivity, which samples S on its own check
-        # grid.  The causal entries take the 2K-node bound: X is sampled on
-        # 2K once, and only its odd nodes are inverted, since the even ones
-        # are the K grid.  S is never sampled on 2K.
+        # grid.  The causal entries take check_causal_identity, which samples
+        # S and X on 2K once each and inverts all of X there in one guarded
+        # batch.
         S = generate_instance(2, 4, 1209, 0.02).spectrum
         x = factor(S).factor
         assert _Grid(S, x).sigma_lb == -np.inf
         sampled, inverted, conditioned = count_work(monkeypatch)
         report = quiet_report(S, x)
-        assert inverted == [(256, 2, 2), (256, 2, 2)]
-        # The guard measures the K-node inverse it has, then the odd nodes.
-        assert conditioned == [(256, 2, 2), (256, 2, 2)]
+        assert inverted == [(256, 2, 2), (512, 2, 2)]
+        # The outer entry's guard measures the K-node inverse it has, then
+        # the public check measures its batch.
+        assert conditioned == [(256, 2, 2), (512, 2, 2)]
         # The outer entry's roots sample X on their own, smaller grid.
         assert [call for call in sampled if call[1] >= 256] == [
-            ("S", default_verify_grid(S.m)), ("X", 512)]
-        assert [kind for kind, _ in sampled].count("S") == 1
+            ("S", default_verify_grid(S.m)), ("X", 512), ("S", 512)]
         positivity = report["positivity"]
         assert positivity.passed and not positivity.warning
         assert positivity.detail.startswith("min eigenvalue ")
         assert "min |det|" in positivity.detail
-        assert all(report[name].passed and " at most " in report[name].detail
-                   and report[name].detail.endswith(", from S = X X* + E")
+        assert tuple(report[name].measured for name in CAUSAL) == check_causal_identity(S, x)
+        assert all(report[name].passed and "at most" not in report[name].detail
                    for name in CAUSAL)
 
     def test_each_public_check_samples_the_spectrum_once_when_both_bounds_fall_back(
             self, monkeypatch):
-        # Positivity samples S on its check grid K.  The causal entries
-        # invert X at the odd 2K nodes for the 2K-node bound, which does not
-        # decide either, and then take check_causal_identity, which samples
-        # S and X on 2K afresh and inverts all of it in one guarded batch.
+        # Positivity samples S on its check grid K.  The K-node causal bound
+        # does not decide, so the causal entries take check_causal_identity,
+        # the only place X is sampled on 2K: S and X once each, and all of X
+        # inverted there in one guarded batch.
         bundle = generate_instance(2, 4, 1)
         sampled, inverted, conditioned = count_work(monkeypatch)
         report = quiet_report(bundle.spectrum, perturbed_truth(bundle, 1))
-        assert inverted == [(256, 2, 2), (256, 2, 2), (512, 2, 2)]
-        # sigma_lb counts on K, so the guard measures the odd 2K nodes, then
-        # the public check's batch.
-        assert conditioned == [(256, 2, 2), (512, 2, 2)]
-        assert sampled == [("S", 256), ("X", 512), ("X", 512), ("S", 512)]
+        assert inverted == [(256, 2, 2), (512, 2, 2)]
+        # sigma_lb counts on K, so the guard measures only the public
+        # check's batch.
+        assert conditioned == [(512, 2, 2)]
+        assert sampled == [("S", 256), ("X", 512), ("S", 512)]
         assert "min |det|" in report["positivity"].detail
         assert not any("at most" in report[name].detail for name in CAUSAL)
 
@@ -470,16 +467,17 @@ class TestCausalCertificate:
     def test_K_certificate_counts_only_within_the_grid_guard(self):
         # X = diag(1, 1.5e-10): the guard accepts its condition number 6.7e9,
         # but r sum_n ||rho_n||_F / sigma_lb = 1.3e10 does not prove that on
-        # every grid, so the 2K-node bound decides the causal entries.
+        # every grid, so the causal entries take the public check, and the
+        # outer entry reads the winding number off the guarded K-node inverse.
         x = MatrixPolynomial(np.diag([1.0, 1.5e-10]).astype(complex)[None])
         S = multiply_by_adjoint(x)
         grid = _Grid(S, x)
-        assert grid.inverse is grid._inverse  # the guard accepts it
-        assert grid.sigma_lb == -np.inf
-        assert _causal_bound(grid) == 0.0 and not decided_on_K(grid)
+        assert grid.sigma_lb == -np.inf and _causal_bound(grid) == np.inf
         report = quiet_report(S, x)
-        assert all(report[name].passed and "at most" in report[name].detail
+        assert tuple(report[name].measured for name in CAUSAL) == check_causal_identity(S, x)
+        assert all(report[name].passed and "at most" not in report[name].detail
                    for name in CAUSAL)
+        assert "of det X on K=256" in report["outer-determinant"].detail
 
 
 class TestFactorization:
@@ -787,9 +785,8 @@ def test_verify_all_causal_entries_match_the_public_check(S, x, large_mass):
     # The measurement reads K-grid values off one 2K sampling and one 2K
     # inversion, on the check grid of the larger order, 256 on every pair;
     # it agrees with sampling on K and on 2K directly to roundoff.  Where the
-    # bound from S = X X^* + E decides (deg X <= m), on K or else on 2K,
-    # verify_all reports the bound instead, with the verdict the measurement
-    # gives.
+    # K-node bound from S = X X^* + E decides (deg X <= m), verify_all
+    # reports the bound instead, with the verdict the measurement gives.
     K = default_verify_grid(max(S.m, x.m))
     assert K == 256
     gap, mass = causal_on_grid(S, x, K)
