@@ -33,10 +33,13 @@ strictly positive diagonal.
 
 Each route has one core, ``(S, opts) -> (coefficients, count, warnings)``,
 returning exactly m + 1 coefficients; the table ``_ROUTES`` maps each
-algorithm name to the one core :func:`factor` runs.  Both iterative
-cores stop alike: a pass that starts from an iterate meeting the tolerance
-is the last; a cap reached first raises ``NoConvergence``.  One positivity
-rule, ``laurent._require_semidefinite``, tells a stall from an indefinite S.
+algorithm name to the one core :func:`factor` runs.  The Newton core's
+last pass is the one that starts from an iterate meeting the tolerance.
+The doubling's last step is the one whose change meets the tolerance while
+falling quadratically; a change that meets it falling linearly, as with a
+det root on the circle, buys one confirming step.  In both cores a cap
+reached first raises ``NoConvergence``.  One positivity rule,
+``laurent._require_semidefinite``, tells a stall from an indefinite S.
 
 Every residual here -- each Newton iterate's, the best iterate's in
 ``NoConvergence`` and ``factor()``'s ``achieved_residual`` -- is
@@ -102,7 +105,8 @@ DOUBLING_MAX_STEPS = 64
 TRIANGULAR_LEAF = 32
 
 # Budget of auto's doubling, in Toeplitz block rows.  With a det root on the
-# circle the doubling needs 2^23 rows or more to meet 1e-9, so auto stops it
+# circle the doubling converges linearly and needs 2^23 rows or more to meet
+# 1e-9, plus the confirming step the linear regime takes, so auto stops it
 # here and reports no convergence (exit 3, the exit perfbench's smoke check
 # runs on such a spectrum); only a forced bauer runs on to factor it.  At
 # m = 2 the budget stops a double root's doubling one step before its pivot
@@ -218,13 +222,17 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
     ``P += A W^{-1} A^*``, ``A = A W^{-1} A`` for ``W = Q - P``; after k steps
     Q is Bauer's Schur complement at g * 2^k rows (Meini, Math. Comp. 71,
     2002).  The last block row of chol(Q) is rho_{g-1}..rho_0, and
-    ``rho_m = sigma_m rho_0^{-*}``.  The run stops one step after the relative
-    change of Q drops below residual_tol.  Short of it, a failed pivot W or a
-    change below ``sqrt(residual_tol)`` that stops decreasing (convergence is
-    linear with a det root on the circle: Chiang et al., SIAM J. Matrix Anal.
-    Appl. 31, 2009) is a stall,
-    which keeps the iterate before it and warns, unless the positivity rule of
-    ``verify_all``, ``_require_semidefinite``, raises ``CholeskyBreakdown``.
+    ``rho_m = sigma_m rho_0^{-*}``.  A step whose relative change of Q is
+    below residual_tol and at most ``sqrt(residual_tol)`` times the change
+    before it is the last: with every det root off the circle the change
+    squares each step, so the next would move Q below roundoff.  A change
+    below residual_tol that falls more slowly, as where a det root on the
+    circle makes convergence linear (Chiang et al., SIAM J. Matrix Anal.
+    Appl. 31, 2009), buys one confirming step.  Short of the tolerance, a
+    failed pivot W or a change below ``sqrt(residual_tol)`` that stops
+    decreasing is a stall, which keeps the iterate before it and warns,
+    unless the positivity rule of ``verify_all``, ``_require_semidefinite``,
+    raises ``CholeskyBreakdown``.
     Given ``max_rows``, it also stops before g * 2^k exceeds that many rows.
     """
     m, r = S.m, S.r
@@ -239,6 +247,7 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
             for shift in (0, g))
 
     P, A = np.zeros_like(Q), A.conj().T
+    tol, root_tol = opts.residual_tol, opts.residual_tol ** 0.5
     steps, change, converged, stalled = 0, np.inf, False, False
     while not (converged or stalled or steps >= cap):
         try:
@@ -247,30 +256,33 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
             stalled = True
             break
         # L^{-1} A and L^{-1} A^* for W = L L^*, so Q and P stay Hermitian:
-        # one triangular inverse and two matmuls.  Every temporary dropped
-        # before the next Cholesky keeps a step's traced peak near six (m r)^2
-        # blocks.  The converged step is the last and updates Q alone, so it
-        # skips L^{-1} A^* and the products that feed P and A.
-        converged = change < opts.residual_tol
+        # one triangular inverse and two matmuls.  Every temporary dropped as
+        # soon as it is spent keeps a step's traced peak near seven (m r)^2
+        # blocks.  The last step updates Q alone, so it skips L^{-1} A^* and
+        # the products that feed P and A.
         inverse = _triangular_inverse(lower)
         del lower
-        right = None if converged else inverse @ A.conj().T
         left = inverse @ A
-        del inverse, A
         drop = left.conj().T @ left
         previous, change = change, float(np.linalg.norm(drop) / np.linalg.norm(Q - drop))
-        # Before the quadratic regime the change can rise once, so a rise is a
-        # stall only below the square root of the tolerance.
-        stalled = (not converged and previous <= change
-                   and change < opts.residual_tol ** 0.5)
+        # A change below the tolerance ends the run at once where it is at
+        # most sqrt(tol) times the previous one (the quadratic regime), else
+        # it buys one confirming step, which is the last.  Before the
+        # quadratic regime the change can rise once, so a rise is a stall
+        # only below the square root of the tolerance.
+        converged = previous < tol or (change < tol and change <= root_tol * previous)
+        stalled = not converged and previous <= change and change < root_tol
         if not stalled:
             Q -= drop
             del drop
             if not converged:
+                right = inverse @ A.conj().T
+                del inverse, A
                 P += right.conj().T @ right
                 A = right.conj().T @ left
+                del right
             steps += 1
-        del left, right
+        del left
 
     if stalled:
         _require_semidefinite(S, CholeskyBreakdown, f"Bauer doubling stalled at step {steps}")
@@ -300,11 +312,12 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
 
     X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+ truncated to degree m, started
     from the constant lower Cholesky factor of sigma_0 (the circle average of
-    S, positive definite under the preconditions).  As in the doubling, a
-    pass is ``converged`` when the previous residual is below residual_tol
-    (floored at ``NEWTON_ROUNDOFF``) and is the last: one more contraction
-    turns a just-under-tolerance residual into a machine-level one, so where
-    it stops does not hang on roundoff.  It raises ``NoConvergence`` after
+    S, positive definite under the preconditions).  A pass is ``converged``
+    when the previous residual is below residual_tol (floored at
+    ``NEWTON_ROUNDOFF``) and is the last: like the doubling's confirming
+    step, but made on every run, one more contraction turns a
+    just-under-tolerance residual into a machine-level one, so where it
+    stops does not hang on roundoff.  It raises ``NoConvergence`` after
     ``NEWTON_MAX_ITERS`` passes without a converged one.  Every iteration,
     the first included, samples its iterate once (one inverse FFT) for the
     guarded grid inverse and G, and takes one FFT of G for ``[G]_+``; the

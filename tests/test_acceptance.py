@@ -117,14 +117,15 @@ def test_sweep_runs_wilson_for_a_fixed_iteration_count(sweep):
 
 def test_sweep_runs_bauer_for_a_fixed_step_count(sweep):
     # auto's doubling runs first and, well inside its budget, is the forced
-    # Bauer run: it converges on every sweep instance in 1,136 doubling steps,
-    # each run one step past the first relative change of Q below 1e-9; a
-    # change to the recursion, its stopping rule or auto's route order shows
-    # up here.
+    # Bauer run: it converges on every sweep instance in 969 doubling steps.
+    # 167 runs stop at the first relative change of Q below 1e-9; 33 meet it
+    # at more than sqrt(1e-9) times the change before (2.9e-5 -> 1.0e-9, say)
+    # and make one confirming step.  A change to the recursion, its stopping
+    # rule or auto's route order shows up here.
     results = [record.result for record in sweep.records]
     assert ({result.algorithm_used for result in results}, len(results),
             sum(result.iterations_or_blocks for result in results),
-            [w for result in results for w in result.warnings]) == ({"bauer"}, 200, 1136, [])
+            [w for result in results for w in result.warnings]) == ({"bauer"}, 200, 969, [])
 
 
 def test_criterion_2_degree_preservation(sweep):
@@ -308,6 +309,37 @@ def test_criterion_7_forced_bauer_factors_repeated_boundary_roots():
     _criterion(7, "forced Bauer factors boundary roots of multiplicity 1-3", not failures,
                f"failed {failures}; worst forward error by multiplicity "
                + ", ".join(f"{k}: {v:.1e}" for k, v in worst.items()))
+
+
+# Forced Bauer's doubling steps and forward error on each exact boundary
+# spectrum.  Convergence is linear there, so a change below 1e-9 falls at
+# more than sqrt(1e-9) times the one before and buys the confirming step:
+# "1+z" meets the tolerance at step 29 and "(1+z)^3" at step 12.  The real
+# double roots stall at step 13, and "(1+wz)^2" ends quadratically, at the
+# step that meets the tolerance.
+EXACT_BOUNDARY_RUNS = {
+    "1+z": (30, 2.86e-9),
+    "(1+z)(1-z)": (30, 2.86e-9),
+    "(1+z)^2": (13, 3.707e-5),
+    "(1+wz)^2": (17, 2.942e-5),
+    "diag((1+z)^2,1+z^2/2)": (13, 3.707e-5),
+    "(1+z)^2(2+z)": (13, 6.600e-6),
+    "(1+z)^3": (13, 8.249e-4),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_BOUNDARY_FACTORS)
+def test_linear_regime_keeps_the_confirming_step(name):
+    S, truth, _ = exact_boundary_case(name)
+    result = factor(S, FactorizationOptions(algorithm="bauer"))
+    scale = 1.0 + float(np.sqrt(np.sum(np.abs(truth.coeffs) ** 2, axis=(1, 2))).max())
+    steps, error = EXACT_BOUNDARY_RUNS[name]
+    assert result.iterations_or_blocks == steps
+    assert coefficient_error(result.factor, truth) / scale == pytest.approx(error, rel=0.01)
+    # Stopping (1+z)^3 at step 12 would let auto return a factor at forward
+    # error 8e-4; its budget ends the doubling before the confirming step.
+    with pytest.raises(NoConvergence):
+        factor(S)
 
 
 def dip_spectrum(m, depth):

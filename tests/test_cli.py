@@ -180,6 +180,19 @@ class TestFactorCommand:
         _, metadata = read_factor(out)
         assert metadata["algorithm"] == "bauer"
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_auto_factors_near_circle_roots_within_its_budget(self, tmp_path, capsys, seed):
+        # Det roots down to modulus 1.002 at m = 3: the doubling's change meets
+        # 1e-9 quadratically at step 12, the last that auto's budget allows,
+        # and that step is the last, so auto writes a converged factor.
+        bundle = generate_instance(1, 3, seed, root_margin=0.002)
+        spectrum, out = tmp_path / "near.spectrum", tmp_path / "near.factor"
+        write_spectrum(spectrum, bundle.spectrum)
+        assert main(["factor", str(spectrum), str(out)]) == 0
+        x, _ = read_factor(out)
+        truth = bundle.ground_truth.coeffs
+        assert np.abs(x.coeffs - truth).max() / (1.0 + np.abs(truth).max()) <= 1e-11
+
     # Exact factors with a det root of multiplicity one to three on the circle.
     @pytest.mark.parametrize("coeffs", [
         [[[1]], [[1]]],

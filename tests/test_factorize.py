@@ -163,22 +163,24 @@ class TestFactorDispatch:
         assert np.all(np.diag(rho0).real > 0)
         assert np.max(np.abs(np.diag(rho0).imag)) < 1e-10
 
-    # Free-running, S_SCALAR takes 6 Newton passes and 6 doubling steps.
-    @pytest.mark.parametrize("cap, algorithm", [
-        ("NEWTON_MAX_ITERS", "wilson"),
-        ("DOUBLING_MAX_STEPS", "bauer"),
-    ])
+    # Free-running, S_SCALAR takes 6 Newton passes: the residual meets the
+    # tolerance after pass 5 and buys pass 6.  It takes 5 doubling steps: the
+    # change of step 5, 1.7e-10, meets the tolerance at 1.5e-5 times the
+    # change before it, so in this quadratic regime step 5 is the last.
+    @pytest.mark.parametrize("cap, algorithm, passes", [
+        ("NEWTON_MAX_ITERS", "wilson", 6),
+        ("DOUBLING_MAX_STEPS", "bauer", 5),
+    ], ids=["NEWTON_MAX_ITERS-wilson", "DOUBLING_MAX_STEPS-bauer"])
     def test_a_run_capped_before_its_converged_pass_does_not_converge(
-            self, monkeypatch, cap, algorithm):
-        # Both routes stop on one rule: a tolerance met by the previous
-        # iterate buys one more pass.  Capped one pass short, the run meets
-        # the tolerance but never makes that pass, so it is not converged.
+            self, monkeypatch, cap, algorithm, passes):
+        # Capped one pass short, the run's iterate meets the tolerance but the
+        # run never makes the pass that would show it, so it is not converged.
         opts = FactorizationOptions(algorithm=algorithm)
-        assert factor(S_SCALAR, opts).iterations_or_blocks == 6
-        monkeypatch.setattr(factorize, cap, 5)
+        assert factor(S_SCALAR, opts).iterations_or_blocks == passes
+        monkeypatch.setattr(factorize, cap, passes - 1)
         with pytest.raises(NoConvergence) as excinfo:
             factor(S_SCALAR, opts)
-        assert excinfo.value.iterations == 5
+        assert excinfo.value.iterations == passes - 1
         assert excinfo.value.achieved_residual < opts.residual_tol
 
     def test_invalid_options(self):
@@ -719,7 +721,7 @@ def test_forced_bauer_factors_boundary_spectra_to_the_simple_root_accuracy():
 def test_doubling_step_holds_few_blocks_at_its_peak():
     # One triangular inverse, Q and P updated in place and each step's
     # temporaries dropped as soon as they are spent keep the traced peak near
-    # six (m r)^2 complex blocks.
+    # seven (m r)^2 complex blocks.
     S = generate_instance(8, 16, seed=1000, root_margin=0.2).spectrum
     block = (S.m * S.r) ** 2 * np.dtype(np.complex128).itemsize
     tracemalloc.start()
@@ -740,6 +742,21 @@ def test_bauer_meets_a_tolerance_below_roundoff_without_a_stall(r, m, margin):
                     FactorizationOptions(algorithm="bauer", residual_tol=1e-17))
     assert not any("stopped on roundoff" in w for w in result.warnings)
     assert forward_error(result.factor, bundle.ground_truth) <= 1e-12
+
+
+@pytest.mark.parametrize("r, m, margin", [(1, 4, 0.2), (2, 16, 0.2), (4, 8, 0.2), (8, 16, 0.2),
+                                          (2, 4, 0.002)])
+def test_bauer_stops_at_the_step_that_meets_the_tolerance(r, m, margin):
+    # Off the circle the change squares each step, so the step whose change
+    # first meets the tolerance is the last: the step after it moves Q below
+    # roundoff and leaves the factor as it is.
+    S = generate_instance(r, m, seed=0, root_margin=margin).spectrum
+    result = factor(S, FactorizationOptions(algorithm="bauer"))
+    tight = factor(S, FactorizationOptions(algorithm="bauer", residual_tol=1e-17))
+    assert tight.iterations_or_blocks == result.iterations_or_blocks + 1
+    norm = lambda c: np.sqrt(np.sum(np.abs(c) ** 2, axis=(1, 2)))
+    gap = norm(result.factor.coeffs - tight.factor.coeffs) / norm(tight.factor.coeffs)
+    assert gap.max() <= 1e-14
 
 
 @pytest.mark.parametrize("seed", range(3))

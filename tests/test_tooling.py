@@ -9,10 +9,11 @@ puts in backticks, such as ``laurent._guarded_inverse``, stays bound too.
 golden fixtures byte for byte, and ``scripts/report_digests.py`` must count
 every report of a reduced pool and digest it the same way twice, and a
 nudge to every measured value must move its full digest but not its
-verdict digest.  The splitmix64 constants are spelled in ``rng.py`` alone.
-``specfact factor`` and ``specfact gen`` run with runtime warnings turned
-into errors, so a numpy warning between input and exit code fails their
-tests.  No public entry point but the grid samplers, and no module-level
+verdict digest.  ``scripts/soak.py`` must class every draw of a reduced
+grid and list the factors above its bounds.  The splitmix64 constants are
+spelled in ``rng.py`` alone.  ``specfact factor`` and ``specfact gen`` run
+with runtime warnings turned into errors, so a numpy warning between input
+and exit code fails their tests.  No public entry point but the grid samplers, and no module-level
 function of the computing modules but the kernels that lay out, sample or
 check a grid, takes a grid size, and no module of the package, the tests or
 the scripts imports a name it never uses.
@@ -42,6 +43,7 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 README = ROOT / "README.md"
 MAKE_FIXTURES = ROOT / "scripts" / "make_fixtures.py"
 REPORT_DIGESTS = ROOT / "scripts" / "report_digests.py"
+SOAK = ROOT / "scripts" / "soak.py"
 
 
 def test_every_traced_name_is_bound(monkeypatch):
@@ -238,10 +240,17 @@ def test_indefinite_spectrum_reports_only_its_own_error(tmp_path):
     ]
 
 
-def test_make_fixtures_reproduces_the_committed_fixtures(monkeypatch, tmp_path):
-    spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
+def load_script(monkeypatch, path):
+    """The script at ``path`` as a module, loaded by path."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the scripts add perfbench/
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_make_fixtures_reproduces_the_committed_fixtures(monkeypatch, tmp_path):
+    module = load_script(monkeypatch, MAKE_FIXTURES)
     monkeypatch.setattr(module, "FIXTURES", tmp_path)
     module.main()
     written = sorted(path.name for path in tmp_path.iterdir())
@@ -252,10 +261,7 @@ def test_make_fixtures_reproduces_the_committed_fixtures(monkeypatch, tmp_path):
 
 
 def test_report_digests_counts_every_report_of_a_reduced_pool(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/
-    spec = importlib.util.spec_from_file_location("report_digests", REPORT_DIGESTS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script(monkeypatch, REPORT_DIGESTS)
     boundary = [(1, 1, 0), (2, 2, 0)]
     lines = module.lines(2, boundary)
     # A pool instance whose factor() returns gives three reports (factor,
@@ -278,6 +284,29 @@ def test_report_digests_counts_every_report_of_a_reduced_pool(monkeypatch):
         full, verdicts = before.split(" verdicts ")
         moved_full, moved_verdicts = after.split(" verdicts ")
         assert moved_full != full and moved_verdicts == verdicts
+
+
+def test_soak_classes_every_draw_of_a_reduced_grid(monkeypatch):
+    module = load_script(monkeypatch, SOAK)
+    cells = [(1, 0, 0.2), (2, 3, 0.002)]
+    lines = module.lines(2, cells)
+    # At m = 3 and margin 0.002 the doubling's change meets the tolerance,
+    # falling quadratically, at the last step auto's budget allows.
+    assert [line.split(";")[0] for line in lines] == [
+        "soak: auto, 2 rounds of 2 cells, stream 20261020",
+        "margin 0.2: 2 exit 0, 0 NoConvergence, 0 other error, 0 refused",
+        "margin 0.002: 2 exit 0, 0 NoConvergence, 0 other error, 0 refused",
+        "above bound: 0 factors",
+    ]
+    assert module.lines(2, cells) == lines
+    # Below every forward error, the bounds list each exit-0 factor.
+    monkeypatch.setattr(module, "BOUNDS", dict.fromkeys(module.BOUNDS, -1.0))
+    listed = module.lines(2, cells)
+    assert [line.split(" seed=")[0] for line in listed[3:]] == [
+        "above bound: r=1 m=0 margin=0.2", "above bound: r=2 m=3 margin=0.002",
+        "above bound: r=1 m=0 margin=0.2", "above bound: r=2 m=3 margin=0.002",
+        "above bound: 4 factors",
+    ]
 
 
 def test_splitmix64_constants_are_spelled_only_in_rng():
