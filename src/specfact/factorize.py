@@ -6,13 +6,14 @@ there is a causal polynomial factor ``X`` of degree at most ``m`` with
 ``S = X X^*`` on the circle, ``det X`` free of zeros inside the open unit
 disk, and ``X`` unique up to a constant unitary right factor.  This module
 computes that factor by three independent routes and fixes the unitary
-freedom by a canonical normalization, so the routes can be compared
+freedom by one canonical form, so the routes can be compared
 coefficientwise:
 
 * :func:`bauer_factor` -- Bauer's route: the last block row of the Cholesky
   factor of the infinite banded block-Toeplitz matrix of S, reached by a
   doubling recursion on its Schur complement in log2 many steps instead of
-  one row at a time.  Robust, no initial guess.
+  one row at a time.  Robust, no initial guess.  Its rho_0 is a diagonal
+  block of a Cholesky factor, so the factor is canonical as it stands.
 * :func:`wilson_factor` -- Newton-type iteration
   ``X_{k+1} = X_k * [X_k^{-1} S X_k^{-*} + I]_+`` on the unit-circle grid of
   ``default_grid_size(m)`` points, where ``[.]_+`` keeps half the index-0
@@ -29,7 +30,9 @@ coefficientwise:
 
 :func:`canonical_normalize` maps any factor to the unique representative of
 its unitary equivalence class whose value at z = 0 is lower triangular with
-strictly positive diagonal.
+strictly positive diagonal; :func:`factor` runs it on the Newton and root
+routes' factors and returns the doubling's exactly as the Cholesky made it,
+without a unitary solve.
 
 Each route has one core, ``(S, opts) -> (coefficients, count, warnings)``,
 returning exactly m + 1 coefficients; the table ``_ROUTES`` maps each
@@ -85,7 +88,8 @@ from .laurent import (
 # Roots of det X this close to the unit circle are treated as boundary cases.
 BOUNDARY_ROOT_TOL = 1e-7
 
-# Condition-number cap on rho_0 for canonical normalization.
+# Condition-number cap on rho_0 of a factor that factor() returns or
+# canonical_normalize maps.
 LEADING_COND_MAX = 1e12
 
 # Grid 1-norm condition-number cap before a Newton iterate counts as singular.
@@ -278,9 +282,11 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
             if not converged:
                 right = inverse @ A.conj().T
                 del inverse, A
-                P += right.conj().T @ right
-                A = right.conj().T @ left
+                adjoint = right.conj().T
+                P += adjoint @ right
                 del right
+                A = adjoint @ left
+                del adjoint
             steps += 1
         del left
 
@@ -483,6 +489,16 @@ def canonical_normalize(x: MatrixPolynomial) -> tuple[MatrixPolynomial, np.ndarr
     factors.
     """
     rho0 = x.coeffs[0]
+    U = np.linalg.solve(rho0, _canonical_leading(rho0))
+    return MatrixPolynomial(x.coeffs @ U), U
+
+
+def _canonical_leading(rho0: np.ndarray) -> np.ndarray:
+    """The canonical value at z = 0 of a factor whose value there is rho0,
+    the lower Cholesky factor of ``rho0 rho0^*``.  Raises
+    ``SingularLeadingCoefficient`` when rho0's condition number exceeds
+    ``LEADING_COND_MAX`` or that Cholesky fails: the guard of every factor
+    ``factor()`` returns, canonicalized or canonical by construction."""
     cond = np.linalg.cond(rho0)
     if not np.isfinite(cond) or cond > LEADING_COND_MAX:
         raise SingularLeadingCoefficient(
@@ -492,13 +508,11 @@ def canonical_normalize(x: MatrixPolynomial) -> tuple[MatrixPolynomial, np.ndarr
     gram = rho0 @ rho0.conj().T
     gram = 0.5 * (gram + gram.conj().T)
     try:
-        lower = np.linalg.cholesky(gram)
+        return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise SingularLeadingCoefficient(
             "constant coefficient is numerically singular"
         ) from None
-    U = np.linalg.solve(rho0, lower)
-    return MatrixPolynomial(x.coeffs @ U), U
 
 
 def factor(S: HermitianLaurentPolynomial,
@@ -507,8 +521,12 @@ def factor(S: HermitianLaurentPolynomial,
 
     Runs the one route ``_ROUTES[opts.algorithm]``; ``auto`` is Bauer's
     doubling within ``AUTO_BAUER_BLOCK_ROWS``.  The returned factor is
-    canonical; ``achieved_residual`` is the relative coefficientwise mismatch
-    of the factorization identity.  Raises ``NotPositiveDefinite`` or
+    canonical: the doubling's exactly so, as its Cholesky made it, and any
+    other route's by ``canonical_normalize``.  Either way the guard of
+    ``canonical_normalize`` on rho_0 holds, else
+    ``SingularLeadingCoefficient`` is raised.  ``achieved_residual`` is the
+    relative coefficientwise mismatch of the factorization identity.  Raises
+    ``NotPositiveDefinite`` or
     ``DegenerateDeterminant`` when the hypotheses fail on the check grid
     ``default_verify_grid(S.m)``.  A route's own errors (``SingularIterate``,
     ``CholeskyBreakdown``, ...) propagate; if it hits its cap, raises
@@ -527,7 +545,13 @@ def factor(S: HermitianLaurentPolynomial,
         raise
     warnings.extend(extra)
 
-    poly, _ = canonical_normalize(MatrixPolynomial(raw))
+    poly = MatrixPolynomial(raw)
+    # The doubling's rho_0 is the last diagonal block of chol(Q): lower
+    # triangular with a real positive diagonal already.
+    if name == "bauer":
+        _canonical_leading(poly.coeffs[0])
+    else:
+        poly, _ = canonical_normalize(poly)
     residual = _residual_against(S.coeffs, poly.coeffs)
     if residual > opts.residual_tol:
         warnings.append(

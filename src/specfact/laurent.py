@@ -4,9 +4,10 @@ Data model and arithmetic for the two polynomial families the factorization
 works with, plus the FFT bridge between coefficient space and values on the
 uniform unit-circle grid ``z_j = exp(2*pi*i*j/K)`` (sampling returns the
 ``(K, r, r)`` value array; coefficient recovery reads one back).  A short
-causal stack, m + 1 coefficients well below K, is sampled instead by one
-GEMM against a cached (K, m + 1) block of the monomials,
-``_causal_values``; ``verify_all`` samples X and ``z X'`` on its check grid
+causal stack, m + 1 coefficients well below K, is sampled instead by a GEMM
+against a cached (K, m + 1) block of the monomials, ``_causal_values``,
+which takes a batch of stacks and returns a contiguous (K, r, r) value
+stack for each; ``verify_all`` samples X and ``z X'`` on its check grid
 that way:
 
 * :class:`HermitianLaurentPolynomial` -- a para-Hermitian spectrum
@@ -258,16 +259,18 @@ def _monomial_block(K: int, m1: int) -> np.ndarray:
 
 
 def _causal_values(stack: np.ndarray, K: int) -> np.ndarray:
-    """Values on the K grid of the causal polynomials whose coefficients
-    0..m stack along axis 0 of ``stack``, of shape (m+1, ...) with m < K:
-    one GEMM of the cached (K, m+1) block of the monomials against the
-    stack flattened to (m+1, rest).  For m + 1 well below K this is cheaper
-    than the transform of a zero-padded K-row buffer: on (K, 2, r, r) stacks
-    it wins at every r up to m = 31 (K = 256); from K = 512 the transform
-    wins at r = 1, and from m of about 64 at r = 4 too."""
-    m1 = stack.shape[0]
-    values = _monomial_block(K, m1) @ stack.reshape(m1, -1)
-    return values.reshape((K,) + stack.shape[1:])
+    """Values on the K grid of a batch of causal polynomials, a (b, m+1, r, r)
+    stack of their coefficients 0..m with m < K, as a (b, K, r, r) stack:
+    one GEMM per polynomial of the cached (K, m+1) block of the monomials
+    against its coefficients flattened to (m+1, r^2).  Each polynomial's
+    values come out C-contiguous, so no consumer copies them.  For m + 1 well
+    below K this is cheaper than the transform of a zero-padded K-row
+    buffer: for a batch of two it wins at every r up to m = 31 (K = 256);
+    from K = 512 the transform wins at r = 1, and from m of about 64 at
+    r = 4 too."""
+    b, m1, r = stack.shape[:3]
+    values = _monomial_block(K, m1) @ stack.reshape(b, m1, r * r)
+    return values.reshape(b, K, r, r)
 
 
 def _pointwise_inverse(values: np.ndarray) -> np.ndarray | None:

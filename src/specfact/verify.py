@@ -28,8 +28,10 @@ even points of those samples, and how far the mass moves on the full 2K grid.
 decides, since ``S = X X^* + E`` holds exactly for any X, and where that
 bound does not decide, the entry is the public check of the same name.  Its
 grid record ``_Grid`` forms, at construction, what every report reads: it
-samples X and ``z X'`` on K with one GEMM over their m + 1 coefficients,
-inverts X there once and forms the band of ``E = S - X X^*`` once.  The
+samples X and ``z X'`` on K into one (2, K, r, r) array, a GEMM of the
+monomial block against each one's m + 1 coefficients that leaves each a
+contiguous (K, r, r) stack, inverts X there once and forms the band of
+``E = S - X X^*`` once.  The
 factorization entry is E's largest coefficient norm, which is
 :func:`check_factorization`.  The K-node inverse and derivative samples
 give, by Taylor's theorem on each arc between nodes, a lower bound
@@ -257,11 +259,12 @@ class _Grid:
     at construction; where a bound does not decide, the entry is the public
     check, which samples on its own.
 
-    On the check grid K: X and ``z X' / m`` from one GEMM of the cached
-    monomial block against their m + 1 coefficients, which raises
-    ``ValueError`` on a non-finite sample, X's pointwise inverse before the
-    guard, ``None`` when inversion fails, and ``sigma_lb``, a lower bound on
-    the smallest singular value of X over the whole circle read off them.
+    On the check grid K: X and ``z X' / m``, sampled by ``_causal_values``
+    from their (2, m + 1, r, r) coefficients into one (2, K, r, r) array,
+    so each is a C-contiguous (K, r, r) stack that no consumer copies (a
+    non-finite sample raises ``ValueError``); X's pointwise inverse before
+    the guard, ``None`` when inversion fails; and ``sigma_lb``, a lower bound
+    on the smallest singular value of X over the whole circle read off them.
     In coefficient space: the coefficient scale of S, the Frobenius norms of
     the coefficients of ``E = S - X X^*`` and their sum over the band,
     ``spread = ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``, which bounds
@@ -288,14 +291,20 @@ class _Grid:
     def __init__(self, S: HermitianLaurentPolynomial, x: MatrixPolynomial):
         self.x = x
         self.K = K = default_verify_grid(max(S.m, x.m))
-        # X and z X' / m, stacked as (K, 2, r, r).
-        stack = np.empty((x.m + 1, 2, x.r, x.r), dtype=np.complex128)
-        stack[:, 0] = x.coeffs
-        stack[:, 1] = np.arange(x.m + 1)[:, None, None] / max(x.m, 1) * x.coeffs
+        # The band first, so that its product's temporaries are spent before
+        # the grid stacks are allocated.
+        self.scale = _coefficient_scale(S.coeffs)
+        self.residual_norms = _residual_band_norms(S.coeffs, x.coeffs)
+        with np.errstate(over="ignore"):
+            self.spread = float(self.residual_norms[0] + 2.0 * self.residual_norms[1:].sum())
+        # X and z X' / m, stacked as (2, K, r, r).
+        stack = np.empty((2, x.m + 1, x.r, x.r), dtype=np.complex128)
+        stack[0] = x.coeffs
+        stack[1] = np.arange(x.m + 1)[:, None, None] / max(x.m, 1) * x.coeffs
         self._samples = _causal_values(stack, K)
         if not np.all(np.isfinite(self._samples)):
             raise ValueError("samples contain non-finite entries")
-        self.x_vals, self.derivative_vals = self._samples[:, 0], self._samples[:, 1]
+        self.x_vals, self.derivative_vals = self._samples
         self._inverse = _pointwise_inverse(self.x_vals)
         self.sigma_lb = -np.inf
         if self._inverse is not None:
@@ -307,10 +316,6 @@ class _Grid:
                 bound = nodes.min() - h * h / 2 * (np.arange(x.m + 1) ** 2 @ norms)
                 if bound > 0 and x.r * norms.sum() <= GRID_COND_MAX * bound:
                     self.sigma_lb = float(bound)
-        self.scale = _coefficient_scale(S.coeffs)
-        self.residual_norms = _residual_band_norms(S.coeffs, x.coeffs)
-        with np.errstate(over="ignore"):
-            self.spread = float(self.residual_norms[0] + 2.0 * self.residual_norms[1:].sum())
 
 
 def _causal_gap(left: np.ndarray, x_vals: np.ndarray) -> np.ndarray:

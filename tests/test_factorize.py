@@ -391,6 +391,46 @@ class TestCanonicalNormalize:
             canonical_normalize(x)
 
 
+class TestFactorReturnsCanonical:
+    # The doubling's rho_0 is the last diagonal block of chol(Q), so factor()
+    # returns its factor as it stands; the other routes are canonicalized.
+
+    @pytest.mark.parametrize("algorithm", ["auto", "bauer"])
+    @pytest.mark.parametrize("r, m", [(1, 0), (1, 4), (3, 2), (4, 8), (8, 16)])
+    def test_doubling_factor_is_exactly_canonical(self, algorithm, r, m):
+        S = generate_instance(r, m, seed=5).spectrum
+        x = factor(S, FactorizationOptions(algorithm=algorithm)).factor
+        rho0 = x.coeffs[0]
+        assert not np.any(np.triu(rho0, k=1))
+        assert np.all(np.diag(rho0).imag == 0) and np.all(np.diag(rho0).real > 0)
+        _, U = canonical_normalize(x)
+        assert np.max(np.abs(U - np.eye(r))) <= 1e-13
+
+    @pytest.mark.parametrize("algorithm", ["auto", "bauer"])
+    def test_ill_conditioned_doubling_leading_coefficient_raises(self, monkeypatch, algorithm):
+        # The doubling's factor skips the unitary solve, not the guard on rho_0.
+        name, core = factorize._ROUTES[algorithm]
+
+        def ill_conditioned_core(S, opts):
+            coeffs, steps, warns = core(S, opts)
+            coeffs[0] = np.diag([1.0, 1e-13])
+            return coeffs, steps, warns
+
+        monkeypatch.setitem(factorize._ROUTES, algorithm, (name, ill_conditioned_core))
+        with pytest.raises(SingularLeadingCoefficient, match="condition number 1.000e"):
+            factor(generate_instance(2, 2, seed=0).spectrum,
+                   FactorizationOptions(algorithm=algorithm))
+
+    @pytest.mark.parametrize("algorithm, r", [("wilson", 1), ("wilson", 3), ("scalar_roots", 1)])
+    def test_other_routes_return_the_canonical_normalize_output(self, algorithm, r):
+        S = generate_instance(r, 4, seed=2).spectrum
+        opts = FactorizationOptions(algorithm=algorithm)
+        raw = factorize._ROUTES[algorithm][1](S, opts)[0]
+        expected, _ = canonical_normalize(MatrixPolynomial(raw))
+        assert not np.array_equal(raw, expected.coeffs)  # the unitary solve moves bits
+        assert np.array_equal(factor(S, opts).factor.coeffs, expected.coeffs)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_canonicalization_kills_unitary_scrambling(seed):

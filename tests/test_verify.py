@@ -1,6 +1,7 @@
 """Verifier checks: each identity, its failure modes, and their couplings."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -229,13 +230,16 @@ def perturbed_truth(bundle, seed):
 
 def assert_K_samples_match_the_transform(grid):
     """X and z X' / m on K, from the GEMM, agree with the inverse transform of
-    the zero-padded (K, 2, r, r) buffer to 1e-14 sum_n ||rho_n||_F."""
+    the zero-padded (K, 2, r, r) buffer, laid out as (2, K, r, r), to 1e-14
+    sum_n ||rho_n||_F, and each is a C-contiguous (K, r, r) stack."""
     x, K = grid.x, grid.K
     buf = np.zeros((K, 2, x.r, x.r), dtype=complex)
     buf[: x.m + 1, 0] = x.coeffs
     buf[: x.m + 1, 1] = np.arange(x.m + 1)[:, None, None] / max(x.m, 1) * x.coeffs
-    transform = np.fft.ifft(buf, axis=0) * K
+    transform = (np.fft.ifft(buf, axis=0) * K).transpose(1, 0, 2, 3)
     assert np.abs(grid._samples - transform).max() <= 1e-14 * _frobenius(x.coeffs).sum()
+    for values in (grid.x_vals, grid.derivative_vals):
+        assert values.shape == (K, x.r, x.r) and values.flags.c_contiguous
 
 
 def count_work(monkeypatch):
@@ -307,6 +311,25 @@ class TestCausalCertificate:
                 measured = _worst_condition(grid.x_vals, np.linalg.inv(grid.x_vals))
                 bound = r * _frobenius(x.coeffs).sum() / grid.sigma_lb
                 assert measured <= bound * (1 + 1e-12) and bound <= GRID_COND_MAX
+
+    def test_verify_all_holds_few_grid_blocks_at_its_peak(self):
+        # E's band formed before the grid stacks, X and z X' / m sampled as
+        # contiguous (K, r, r) stacks and read in place keep the traced peak
+        # near three (K r^2) complex blocks: the two samples and X's inverse.
+        # A copy of either sample stack adds a fourth.
+        bundle = generate_instance(8, 16, seed=1000, root_margin=0.2)
+        S = bundle.spectrum
+        x = factor(S).factor
+        verify_all(S, x)  # caches the monomial block
+        block = default_verify_grid(S.m) * S.r**2 * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            report = verify_all(S, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.overall
+        assert peak <= 3.5 * block
 
     @pytest.mark.parametrize("m", [31, 32])
     @pytest.mark.parametrize("r", range(1, 9))
