@@ -7,7 +7,11 @@ Exit codes are a stable contract:
   is still written, flagged in metadata).
 * verify: 0 all checks pass (warnings allowed, noted), 1 usage, parse or
   dimension error, 4 any hard failure.
-* gen: 0 success, 1 usage error or invalid parameters.
+* gen: 0 success, 1 usage error, invalid parameters, I/O error or a refused
+  seed (the generator kept drawing degenerate candidates).
+
+``main`` maps every ``OSError`` and ``ValueError`` a command raises to exit 1,
+so each command handles only the codes that are its own.
 """
 
 from __future__ import annotations
@@ -75,23 +79,16 @@ def _fail(message: str, code: int) -> int:
 
 
 def _cmd_factor(args) -> int:
-    try:
-        spectrum = read_spectrum(args.input)
-        opts = FactorizationOptions(algorithm=_ALGORITHM_FLAGS[args.algorithm],
-                                    residual_tol=args.tol)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), 1)
+    spectrum = read_spectrum(args.input)
+    opts = FactorizationOptions(algorithm=_ALGORITHM_FLAGS[args.algorithm],
+                                residual_tol=args.tol)
     try:
         result = factor(spectrum, opts)
     except NoConvergence as exc:
-        best = exc.best_factor
-        if best is not None:
-            try:
-                write_factor(args.output, best, algorithm=exc.algorithm,
-                             residual=exc.achieved_residual,
-                             warnings=[f"did not converge: {exc}"])
-            except OSError as io_exc:
-                return _fail(str(io_exc), 1)
+        if exc.best_factor is not None:
+            write_factor(args.output, exc.best_factor, algorithm=exc.algorithm,
+                         residual=exc.achieved_residual,
+                         warnings=[f"did not converge: {exc}"])
             print(f"no convergence: best iterate written to {args.output} "
                   f"(residual {exc.achieved_residual:.3e})")
         return _fail(str(exc), 3)
@@ -99,13 +96,8 @@ def _cmd_factor(args) -> int:
         # Every other library error, a singular Newton iterate or leading
         # coefficient included, means the spectrum is not factorable.
         return _fail(str(exc), 2)
-    except ValueError as exc:
-        return _fail(str(exc), 1)
-    try:
-        write_factor(args.output, result.factor, algorithm=result.algorithm_used,
-                     residual=result.achieved_residual, warnings=result.warnings)
-    except OSError as exc:
-        return _fail(str(exc), 1)
+    write_factor(args.output, result.factor, algorithm=result.algorithm_used,
+                 residual=result.achieved_residual, warnings=result.warnings)
     print(f"algorithm={result.algorithm_used} degree={result.factor.m} "
           f"residual={result.achieved_residual:.3e}")
     for note in result.warnings:
@@ -145,15 +137,9 @@ def _report_json(report: VerificationReport) -> str:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        spectrum = read_spectrum(args.spectrum)
-        candidate, _ = read_factor(args.factor)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), 1)
-    try:
-        report = verify_all(spectrum, candidate, VerifyOptions(residual_tol=args.tol))
-    except ValueError as exc:
-        return _fail(str(exc), 1)
+    spectrum = read_spectrum(args.spectrum)
+    candidate, _ = read_factor(args.factor)
+    report = verify_all(spectrum, candidate, VerifyOptions(residual_tol=args.tol))
     if args.json:
         print(_report_json(report), end="")
     else:
@@ -169,31 +155,26 @@ def _cmd_gen(args) -> int:
             bundle = generate_boundary_instance(args.r, args.m, args.seed)
         else:
             bundle = generate_instance(args.r, args.m, args.seed, args.margin)
-    except (SpectralFactorError, ValueError) as exc:
+    except SpectralFactorError as exc:
         return _fail(str(exc), 1)
     spectrum_path = f"{args.prefix}.spectrum"
     truth_path = f"{args.prefix}.truth"
     notes = ["boundary-degenerate instance"] if bundle.boundary else []
-    try:
-        write_spectrum(spectrum_path, bundle.spectrum)
-        write_factor(truth_path, bundle.ground_truth, algorithm="ground_truth",
-                     residual=0.0, warnings=notes)
-    except OSError as exc:
-        return _fail(str(exc), 1)
+    write_spectrum(spectrum_path, bundle.spectrum)
+    write_factor(truth_path, bundle.ground_truth, algorithm="ground_truth",
+                 residual=0.0, warnings=notes)
     print(f"wrote {spectrum_path} and {truth_path}")
     print(f"root_margin={bundle.root_margin:.6g} "
           f"condition_estimate={bundle.condition_estimate:.6g}")
     return 0
 
 
+_COMMANDS = {"factor": _cmd_factor, "verify": _cmd_verify, "gen": _cmd_gen}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "factor":
-        return _cmd_factor(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_gen(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc), 1)

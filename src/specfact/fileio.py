@@ -2,7 +2,9 @@
 
 Both formats are JSON documents.  Complex entries are ``[re, im]`` pairs and
 every float is printed with 17 significant digits, so read(write(x)) is the
-identity bit-for-bit on finite doubles and fixtures are diffable.
+identity bit-for-bit on finite doubles and fixtures are diffable.  A write
+builds the whole text before it opens the file, so a refused non-finite value
+leaves an existing file as it was.
 
 Spectrum file::
 
@@ -52,24 +54,13 @@ def _emit(node: Any, indent: int) -> str:
     if isinstance(node, (list, tuple)):
         if not node:
             return "[]"
-        flat = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)
-        if flat:
-            return "[" + ", ".join(
-                _format_float(v) if isinstance(v, float) else str(v) for v in node
-            ) + "]"
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
+            return "[" + ", ".join(_emit(v, indent + 1) for v in node) + "]"
         items = ",\n".join(f"{pad}  {_emit(value, indent + 1)}" for value in node)
         return "[\n" + items + "\n" + pad + "]"
-    if node is None:
-        return "null"
-    if isinstance(node, bool):
-        return "true" if node else "false"
     if isinstance(node, float):
         return _format_float(node)
-    if isinstance(node, (int, np.integer)):
-        return str(int(node))
-    if isinstance(node, str):
-        return json.dumps(node)
-    raise TypeError(f"cannot serialize {type(node).__name__}")
+    return json.dumps(node)
 
 
 def dumps_document(doc: dict) -> str:
@@ -127,14 +118,15 @@ def _parse_document(text: str, label: str) -> dict:
 
 def _collect_coefficients(doc: dict, label: str, allow_negative: bool) -> np.ndarray:
     r, m = doc["r"], doc["m"]
+    low = -m if allow_negative else 0
     parsed: dict[int, np.ndarray] = {}
     for key, node in doc["coeffs"].items():
         try:
             index = int(key)
         except ValueError:
             raise ValueError(f"{label}: coefficient index '{key}' is not an integer") from None
-        if abs(index) > m or (index < 0 and not allow_negative):
-            raise ValueError(f"{label}: coefficient index {index} outside [{-m if allow_negative else 0}, {m}]")
+        if not low <= index <= m:
+            raise ValueError(f"{label}: coefficient index {index} outside [{low}, {m}]")
         if index in parsed:
             raise ValueError(f"{label}: coefficient index {index} is given twice")
         parsed[index] = _pairs_to_matrix(node, r, f"{label}: coeffs[{key}]")
@@ -142,68 +134,65 @@ def _collect_coefficients(doc: dict, label: str, allow_negative: bool) -> np.nda
     # Sized by the indices present, not m: trailing zeros are trimmed anyway.
     order = max(map(abs, parsed))
     stack = np.zeros((order + 1, r, r), dtype=np.complex128)
-    for n in range(order + 1):
-        positive = parsed.get(n)
-        negative = parsed.get(-n) if n > 0 else None
-        if positive is not None and negative is not None:
-            gap = np.max(np.abs(negative - positive.conj().T))
+    # Ascending, so sigma_n, when given, overwrites its mirror's transpose.
+    for n, matrix in sorted(parsed.items()):
+        stack[abs(n)] = matrix if n >= 0 else matrix.conj().T
+        if n > 0 and -n in parsed:
+            gap = np.max(np.abs(parsed[-n] - matrix.conj().T))
             if gap > MIRROR_ATOL:
                 raise ValueError(
                     f"{label}: sigma_{-n} disagrees with the conjugate transpose of "
                     f"sigma_{n} (max entry gap {gap:.3e} > {MIRROR_ATOL:.1e})"
                 )
-        if positive is not None:
-            stack[n] = positive
-        elif negative is not None:
-            stack[n] = negative.conj().T
     return stack
 
 
-def read_spectrum(path: str) -> HermitianLaurentPolynomial:
+def _read(path: str, kind: str, build, allow_negative: bool):
+    """``build(stack, doc)`` on a ``kind`` file; a ``ValueError`` it raises names the file."""
+    label = f"{kind} file {path}"
     with open(path, "r", encoding="utf-8") as handle:
-        doc = _parse_document(handle.read(), f"spectrum file {path}")
-    stack = _collect_coefficients(doc, f"spectrum file {path}", allow_negative=True)
+        doc = _parse_document(handle.read(), label)
+    stack = _collect_coefficients(doc, label, allow_negative)
     try:
-        return HermitianLaurentPolynomial(stack)
+        return build(stack, doc)
     except ValueError as exc:
-        raise ValueError(f"spectrum file {path}: {exc}") from None
+        raise ValueError(f"{label}: {exc}") from None
 
 
-def write_spectrum(path: str, S: HermitianLaurentPolynomial) -> None:
-    doc = {
-        "r": S.r,
-        "m": S.m,
-        "coeffs": {str(n): _matrix_to_pairs(S.coeffs[n]) for n in range(S.m + 1)},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_document(doc))
+def read_spectrum(path: str) -> HermitianLaurentPolynomial:
+    return _read(path, "spectrum", lambda stack, _: HermitianLaurentPolynomial(stack),
+                 allow_negative=True)
 
 
 def read_factor(path: str) -> tuple[MatrixPolynomial, dict]:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = _parse_document(handle.read(), f"factor file {path}")
-    stack = _collect_coefficients(doc, f"factor file {path}", allow_negative=False)
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ValueError(f"factor file {path}: metadata must be an object")
-    try:
+    def build(stack, doc):
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ValueError("metadata must be an object")
         return MatrixPolynomial(stack), metadata
-    except ValueError as exc:
-        raise ValueError(f"factor file {path}: {exc}") from None
+    return _read(path, "factor", build, allow_negative=False)
+
+
+def _write(path: str, p: MatrixPolynomial | HermitianLaurentPolynomial, **blocks) -> None:
+    text = dumps_document({
+        "r": p.r,
+        "m": p.m,
+        "coeffs": {str(n): _matrix_to_pairs(p.coeffs[n]) for n in range(p.m + 1)},
+        **blocks,
+    })
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def write_spectrum(path: str, S: HermitianLaurentPolynomial) -> None:
+    _write(path, S)
 
 
 def write_factor(path: str, x: MatrixPolynomial, algorithm: str = "unspecified",
                  residual: float = 0.0, warnings: list[str] | None = None) -> None:
-    doc = {
-        "r": x.r,
-        "m": x.m,
-        "coeffs": {str(n): _matrix_to_pairs(x.coeffs[n]) for n in range(x.m + 1)},
-        "metadata": {
-            "algorithm": algorithm,
-            "residual": float(residual),
-            "warnings": list(warnings or []),
-            "tool_version": __version__,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_document(doc))
+    _write(path, x, metadata={
+        "algorithm": algorithm,
+        "residual": float(residual),
+        "warnings": list(warnings or []),
+        "tool_version": __version__,
+    })

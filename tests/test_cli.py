@@ -18,6 +18,7 @@ from specfact.errors import (
     NoConvergence,
     NotPositiveDefinite,
     OddBoundaryMultiplicity,
+    RetryExhausted,
     SingularIterate,
     SingularLeadingCoefficient,
     SpectralFactorError,
@@ -370,6 +371,13 @@ class TestVerifyCommand:
         assert capsys.readouterr() == ("", f"specfact: error: factor file {factor_file}: "
                                            "coefficient norms overflow double precision\n")
 
+    def test_spectrum_is_read_before_the_factor(self, tmp_path, capsys):
+        spectrum, factor_file = tmp_path / "missing.spectrum", tmp_path / "x.factor"
+        factor_file.write_text("[1]")
+        assert main(["verify", str(spectrum), str(factor_file)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("specfact: error: ") and str(spectrum) in line
+
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         spectrum = tmp_path / "s.spectrum"
         write_scalar_spectrum(spectrum)
@@ -462,6 +470,15 @@ class TestGenCommand:
         assert line.startswith("specfact: error: ") and f"{prefix}.spectrum" in line
         assert captured.out == ""
 
+    def test_refused_seed_exits_one(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise RetryExhausted("planted refusal")
+
+        monkeypatch.setattr("specfact.cli.generate_instance", refuse)
+        assert main(["gen", "1", "1", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr() == ("", "specfact: error: planted refusal\n")
+        assert not any(tmp_path.iterdir())
+
     def test_invalid_parameters_exit_one(self, tmp_path):
         assert main(["gen", "0", "1", str(tmp_path / "x"), "--seed", "1"]) == 1
         assert main(["gen", "1", "1", str(tmp_path / "x"), "--seed", "1",
@@ -478,7 +495,10 @@ class TestGenCommand:
      "coefficient index 'x' is not an integer"),
     ("verify", "x.factor", '{"r": 1, "m": 0, "coeffs": {"0": [[[1, 0]]]}, "metadata": []}',
      "metadata must be an object"),
-], ids=["top-level-array", "coeffs-array", "index-x", "metadata-array"])
+    ("verify", "x.factor", '{"r": 1, "m": 0, "coeffs": {"0": [[[1e200, 0]]]}, "metadata": []}',
+     "metadata must be an object"),
+], ids=["top-level-array", "coeffs-array", "index-x", "metadata-array",
+        "metadata-array-overflowing-coeffs"])
 def test_malformed_document_exits_one_naming_its_file(tmp_path, capsys, command, name,
                                                       document, message):
     bad = tmp_path / name

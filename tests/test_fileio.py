@@ -52,6 +52,18 @@ class TestRoundTrips:
         write_factor(b, x, algorithm="bauer", residual=0.0)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_refused_write_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "x.factor"
+        write_factor(path, random_factor(0), algorithm="wilson")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="^file formats carry finite doubles only$"):
+            write_factor(path, random_factor(1), residual=float("nan"))
+        assert path.read_bytes() == before
+
+    def test_unserializable_leaf_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            dumps_document({"k": object()})
+
     def test_seventeen_digit_floats_survive(self):
         doc = {"value": [0.1 + 0.2, 1e-300, -0.0, 2.0**-1074]}
         import json
@@ -68,17 +80,23 @@ class TestSpectrumValidation:
         with pytest.raises(ValueError, match="Hermitian symmetry"):
             read_spectrum(path)
 
-    def test_negative_index_must_mirror(self, tmp_path):
+    @pytest.mark.parametrize("document", [
+        '{"r": 1, "m": 1, "coeffs": {"0": [[[5,0]]], "1": [[[2,0]]], "-1": [[[3,0]]]}}',
+        '{"r": 1, "m": 2, "coeffs": {"-2": [[[0,0]]], "-1": [[[3,0]]], "0": [[[5,0]]], '
+        '"1": [[[2,0]]], "2": [[[1,0]]]}}',
+    ], ids=["one-pair", "first-of-two-pairs"])
+    def test_negative_index_must_mirror(self, tmp_path, document):
         path = tmp_path / "bad.spectrum"
-        path.write_text('{"r": 1, "m": 1, "coeffs": {'
-                        '"0": [[[5,0]]], "1": [[[2,0]]], "-1": [[[3,0]]]}}')
-        with pytest.raises(ValueError, match="conjugate transpose"):
+        path.write_text(document)
+        with pytest.raises(ValueError, match="sigma_-1 disagrees with the conjugate transpose"):
             read_spectrum(path)
 
-    def test_consistent_negative_index_accepted(self, tmp_path):
+    # The given sigma_1, not its mirror's conjugate, is kept.
+    @pytest.mark.parametrize("mirror", ["2", "2.0000000001"])
+    def test_consistent_negative_index_accepted(self, tmp_path, mirror):
         path = tmp_path / "ok.spectrum"
         path.write_text('{"r": 1, "m": 1, "coeffs": {'
-                        '"0": [[[5,0]]], "1": [[[2,1]]], "-1": [[[2,-1]]]}}')
+                        '"0": [[[5,0]]], "1": [[[2,1]]], "-1": [[[%s,-1]]]}}' % mirror)
         S = read_spectrum(path)
         assert S.coeffs[1, 0, 0] == 2 + 1j
 
@@ -122,6 +140,23 @@ class TestSpectrumValidation:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
             read_spectrum(path)
+
+    @pytest.mark.parametrize("metadata", ['{"note": 1}', "[]", '"text"'])
+    def test_spectrum_file_ignores_a_metadata_member(self, tmp_path, metadata):
+        path = tmp_path / "s.spectrum"
+        path.write_text('{"r": 1, "m": 0, "coeffs": {"0": [[[2,0]]]}, "metadata": %s}'
+                        % metadata)
+        assert read_spectrum(path).coeffs.tolist() == [[[2]]]
+
+    # 1e200 also overflows the polynomial's constructor, which runs after the check.
+    @pytest.mark.parametrize("entry", ["1", "1e200"])
+    def test_factor_metadata_must_be_an_object(self, tmp_path, entry):
+        path = tmp_path / "x.factor"
+        path.write_text('{"r": 1, "m": 0, "coeffs": {"0": [[[%s,0]]]}, "metadata": []}'
+                        % entry)
+        with pytest.raises(ValueError) as raised:
+            read_factor(path)
+        assert str(raised.value) == f"factor file {path}: metadata must be an object"
 
     def test_factor_file_rejects_negative_indices(self, tmp_path):
         path = tmp_path / "bad.factor"

@@ -64,6 +64,10 @@ class TestEvaluateAt:
         with pytest.raises(ValueError, match=r"\|z\| = 1"):
             evaluate_at(scalar_laurent(5.0, 2.0), 0.5)
 
+    def test_rejects_a_non_polynomial(self):
+        with pytest.raises(TypeError, match="^cannot evaluate object of type ndarray$"):
+            evaluate_at(np.eye(2), 1.0)
+
     def test_matches_power_sum_oracle(self):
         rng = np.random.default_rng(3)
         x = random_poly(rng, 3, 5)
@@ -224,6 +228,11 @@ class TestInvariants:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             MatrixPolynomial(np.zeros((2, 2, 3), dtype=complex))
+
+    @pytest.mark.parametrize("cls", [MatrixPolynomial, HermitianLaurentPolynomial])
+    def test_rejects_zero_dimension(self, cls):
+        with pytest.raises(ValueError, match="^matrix dimension r must be >= 1$"):
+            cls(np.zeros((1, 0, 0)))
 
     @pytest.mark.parametrize("cls", [MatrixPolynomial, HermitianLaurentPolynomial])
     def test_rejects_an_empty_stack(self, cls):

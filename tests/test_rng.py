@@ -59,6 +59,12 @@ def test_integer_range():
     assert all(0 <= stream.integer(7) < 7 for _ in range(200))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_integer_rejects_an_empty_range(n):
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        SplitMix64(0).integer(n)
+
+
 # Seeds at both ends of the state space, one whose Weyl sequence wraps past
 # 2**64 at its third output, and a spread of others.
 _spread = SplitMix64(42)

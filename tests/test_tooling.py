@@ -16,7 +16,8 @@ with runtime warnings turned into errors, so a numpy warning between input
 and exit code fails their tests.  No public entry point but the grid samplers, and no module-level
 function of the computing modules but the kernels that lay out, sample or
 check a grid, takes a grid size, and no module of the package, the tests or
-the scripts imports a name it never uses.
+the scripts imports a name it never uses.  The README's exit-code table must
+parse, as ``perfbench/smoke.py`` reads it, to the codes the CLI documents.
 """
 
 import ast
@@ -24,6 +25,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 import re
 import subprocess
@@ -44,6 +46,7 @@ README = ROOT / "README.md"
 MAKE_FIXTURES = ROOT / "scripts" / "make_fixtures.py"
 REPORT_DIGESTS = ROOT / "scripts" / "report_digests.py"
 SOAK = ROOT / "scripts" / "soak.py"
+SMOKE = ROOT / "perfbench" / "smoke.py"
 
 
 def test_every_traced_name_is_bound(monkeypatch):
@@ -247,6 +250,16 @@ def load_script(monkeypatch, path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_readme_exit_code_table_parses_as_the_benchmark_reads_it(monkeypatch):
+    # smoke.py imports its siblings, and run.py pins the BLAS threads on import.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(name, os.environ.get(name, ""))
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+    module = load_script(monkeypatch, SMOKE)
+    assert module.readme_exit_codes() == {
+        "factor": {0, 1, 2, 3}, "verify": {0, 1, 4}, "gen": {0, 1}}
 
 
 def test_make_fixtures_reproduces_the_committed_fixtures(monkeypatch, tmp_path):

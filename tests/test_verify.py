@@ -736,6 +736,11 @@ class TestCausalIdentity:
         with pytest.raises(SingularFactorOnGrid, match="^factor condition number "):
             check_causal_identity(multiply_by_adjoint(x), x)
 
+    def test_dimension_mismatch(self):
+        S = HermitianLaurentPolynomial(np.eye(2, dtype=complex)[None])
+        with pytest.raises(ValueError, match="^dimension mismatch: spectrum r=2, factor r=1$"):
+            check_causal_identity(S, X_GOOD)
+
     def test_gap_bounds_residual(self):
         # Both quantities rearrange the same identity; empirically the
         # coefficient residual is within a factor 100 of the pointwise gap.
@@ -855,6 +860,11 @@ class TestConstantUnitaryEquivalence:
         # det(1 - z) vanishes at the grid point z = 1.
         with pytest.raises(SingularFactorOnGrid, match="^left factor condition number "):
             check_constant_unitary_equivalence(scalar_poly(1.0, -1.0), X_GOOD)
+
+    def test_dimension_mismatch(self):
+        x = MatrixPolynomial(np.eye(2, dtype=complex)[None])
+        with pytest.raises(ValueError, match="^dimension mismatch: r=1 vs r=2$"):
+            check_constant_unitary_equivalence(X_GOOD, x)
 
     def test_swap_symmetry(self):
         # Swapping the arguments must not flip the verdict at 10x tolerance.
