@@ -16,7 +16,10 @@ bits, and a ``factor()`` error by its type and message.  The second, after
 ``verdicts``, leaves out measured values, details and factor bits: it hashes
 ``factor()``'s algorithm, count and warnings, or its error's type and
 message, and each report entry's name, ``passed``, ``warning`` and
-``tolerance``.  The count is the number of reports.  Run it with
+``tolerance``.  The count is the number of reports.  The first digest
+depends on the machine, since exact float bits move with the BLAS and the
+CPU: compare ``sha256`` only between runs on one machine.  The ``verdicts``
+digest compares across machines.  Run it with
 
     PYTHONPATH=src python3 scripts/report_digests.py
 """

@@ -12,6 +12,14 @@ Exit codes are a stable contract:
 
 ``main`` maps every ``OSError`` and ``ValueError`` a command raises to exit 1,
 so each command handles only the codes that are its own.
+
+Each command loads only the modules it runs: ``factor`` never imports
+``verify``, ``testgen`` or ``rng``, ``verify`` never imports ``factorize``,
+``testgen`` or ``rng``, and ``gen`` imports neither ``factorize`` nor
+``verify``.  The library entry points are resolved by the module
+``__getattr__`` on first use, and the commands call them as attributes of
+this module, so a name patched on it (by a test or a tracer) is the one
+called.
 """
 
 from __future__ import annotations
@@ -19,12 +27,26 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import NoConvergence, SpectralFactorError
-from .factorize import FactorizationOptions, factor
 from .fileio import dumps_document, read_factor, read_spectrum, write_factor, write_spectrum
-from .testgen import generate_boundary_instance, generate_instance
-from .verify import VerificationReport, VerifyOptions, verify_all
+
+if TYPE_CHECKING:
+    from .verify import VerificationReport
+
+# The names the commands call, each with its module and the name it is read
+# by there.  The functions are read by private aliases that nothing patches:
+# a tracer wraps ``factorize.factor`` before it reads ``cli.factor``, and
+# binding that wrapper here would time each call twice and outlive the tracer.
+_LAZY = {
+    "factor": ("factorize", "_factor"),
+    "FactorizationOptions": ("factorize", "FactorizationOptions"),
+    "verify_all": ("verify", "_verify_all"),
+    "VerifyOptions": ("verify", "VerifyOptions"),
+    "generate_instance": ("testgen", "_generate_instance"),
+    "generate_boundary_instance": ("testgen", "_generate_boundary_instance"),
+}
 
 _ALGORITHM_FLAGS = {"auto": "auto", "bauer": "bauer", "wilson": "wilson",
                     "roots": "scalar_roots"}
@@ -73,6 +95,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attribute = _LAZY[name]
+    # ``from .<module> import <attribute>``, spelled as the call that
+    # statement makes: ``python -X importtime`` lists the module, as it does
+    # not for ``importlib.import_module``.
+    value = getattr(__import__(module, globals(), None, (attribute,), 1), attribute)
+    globals()[name] = value
+    return value
+
+
+# This module, through which the commands look up the names of _LAZY.
+_this = sys.modules[__name__]
+
+
 def _fail(message: str, code: int) -> int:
     print(f"specfact: error: {message}", file=sys.stderr)
     return code
@@ -80,10 +118,10 @@ def _fail(message: str, code: int) -> int:
 
 def _cmd_factor(args) -> int:
     spectrum = read_spectrum(args.input)
-    opts = FactorizationOptions(algorithm=_ALGORITHM_FLAGS[args.algorithm],
-                                residual_tol=args.tol)
+    opts = _this.FactorizationOptions(algorithm=_ALGORITHM_FLAGS[args.algorithm],
+                                      residual_tol=args.tol)
     try:
-        result = factor(spectrum, opts)
+        result = _this.factor(spectrum, opts)
     except NoConvergence as exc:
         if exc.best_factor is not None:
             write_factor(args.output, exc.best_factor, algorithm=exc.algorithm,
@@ -139,7 +177,7 @@ def _report_json(report: VerificationReport) -> str:
 def _cmd_verify(args) -> int:
     spectrum = read_spectrum(args.spectrum)
     candidate, _ = read_factor(args.factor)
-    report = verify_all(spectrum, candidate, VerifyOptions(residual_tol=args.tol))
+    report = _this.verify_all(spectrum, candidate, _this.VerifyOptions(residual_tol=args.tol))
     if args.json:
         print(_report_json(report), end="")
     else:
@@ -152,9 +190,9 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     try:
         if args.boundary:
-            bundle = generate_boundary_instance(args.r, args.m, args.seed)
+            bundle = _this.generate_boundary_instance(args.r, args.m, args.seed)
         else:
-            bundle = generate_instance(args.r, args.m, args.seed, args.margin)
+            bundle = _this.generate_instance(args.r, args.m, args.seed, args.margin)
     except SpectralFactorError as exc:
         return _fail(str(exc), 1)
     spectrum_path = f"{args.prefix}.spectrum"

@@ -28,11 +28,13 @@ coefficientwise:
   ``z^m S(z)``, which pair as (a, 1/conj(a)); the factor collects the roots
   outside the closed unit disk plus half of each boundary cluster.
 
-:func:`canonical_normalize` maps any factor to the unique representative of
-its unitary equivalence class whose value at z = 0 is lower triangular with
-strictly positive diagonal; :func:`factor` runs it on the Newton and root
-routes' factors and returns the doubling's exactly as the Cholesky made it,
-without a unitary solve.
+``laurent.canonical_normalize`` maps any factor to the unique
+representative of its unitary equivalence class whose value at z = 0 is
+lower triangular with strictly positive diagonal; :func:`factor` runs it on
+the Newton and root routes' factors and returns the doubling's exactly as
+the Cholesky made it, without a unitary solve.  Both paths take the one
+guard on rho_0, ``laurent._canonical_leading``.  The canonical form lives in
+``laurent`` so that ``testgen`` canonicalizes without loading this module.
 
 Each route has one core, ``(S, opts) -> (coefficients, count, warnings)``,
 returning exactly m + 1 coefficients; the table ``_ROUTES`` maps each
@@ -71,6 +73,7 @@ from .laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _band_coefficient_buffer,
+    _canonical_leading,
     _causal_product_window,
     _frobenius,
     _guarded_inverse,
@@ -78,6 +81,7 @@ from .laurent import (
     _require_semidefinite,
     _require_tolerance,
     _residual_against,
+    canonical_normalize,
     coefficients_from_values,
     default_grid_size,
     default_verify_grid,
@@ -87,10 +91,6 @@ from .laurent import (
 
 # Roots of det X this close to the unit circle are treated as boundary cases.
 BOUNDARY_ROOT_TOL = 1e-7
-
-# Condition-number cap on rho_0 of a factor that factor() returns or
-# canonical_normalize maps.
-LEADING_COND_MAX = 1e12
 
 # Grid 1-norm condition-number cap before a Newton iterate counts as singular.
 NEWTON_COND_MAX = 1e12
@@ -480,41 +480,6 @@ def scalar_root_factor(S: HermitianLaurentPolynomial,
     return canonical_normalize(MatrixPolynomial(_scalar_roots_core(S, opts)[0]))[0]
 
 
-def canonical_normalize(x: MatrixPolynomial) -> tuple[MatrixPolynomial, np.ndarray]:
-    """Fix the constant-unitary freedom of a factor.
-
-    Returns ``(x * U, U)`` with U the unique unitary for which the value at
-    z = 0 becomes lower triangular with strictly positive diagonal (the
-    Cholesky factor of rho_0 rho_0^*).  Idempotent on already-canonical
-    factors.
-    """
-    rho0 = x.coeffs[0]
-    U = np.linalg.solve(rho0, _canonical_leading(rho0))
-    return MatrixPolynomial(x.coeffs @ U), U
-
-
-def _canonical_leading(rho0: np.ndarray) -> np.ndarray:
-    """The canonical value at z = 0 of a factor whose value there is rho0,
-    the lower Cholesky factor of ``rho0 rho0^*``.  Raises
-    ``SingularLeadingCoefficient`` when rho0's condition number exceeds
-    ``LEADING_COND_MAX`` or that Cholesky fails: the guard of every factor
-    ``factor()`` returns, canonicalized or canonical by construction."""
-    cond = np.linalg.cond(rho0)
-    if not np.isfinite(cond) or cond > LEADING_COND_MAX:
-        raise SingularLeadingCoefficient(
-            f"constant coefficient has condition number {cond:.3e}; "
-            "no stable canonical representative"
-        )
-    gram = rho0 @ rho0.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    try:
-        return np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise SingularLeadingCoefficient(
-            "constant coefficient is numerically singular"
-        ) from None
-
-
 def factor(S: HermitianLaurentPolynomial,
            opts: FactorizationOptions = FactorizationOptions()) -> FactorizationResult:
     """Compute the canonical causal spectral factor of S.
@@ -565,3 +530,7 @@ def factor(S: HermitianLaurentPolynomial,
         achieved_residual=residual,
         warnings=warnings,
     )
+
+
+# The name the CLI binds factor() by (see ``cli._LAZY``).
+_factor = factor

@@ -22,6 +22,13 @@ positivity bound take the band of ``S - X X^*`` from it, through
 ``_residual_band_norms``.  :func:`multiply_by_adjoint` alone keeps its own
 per-lag sum, because the golden fixtures pin its bytes.
 
+The kernels that ``factorize``, ``verify`` and ``testgen`` share live here
+too, so that each loads only the modules it runs: the canonical form
+:func:`canonical_normalize` with its guard on rho_0, ``_canonical_leading``
+(refusing a condition number above ``LEADING_COND_MAX``), and the det-root
+kernels ``_det_coefficients``, ``_det_roots`` and
+:func:`check_outer_determinant`.
+
 All values are immutable after construction and every operation is a pure
 function.
 """
@@ -33,6 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+from .errors import IdenticallyZeroDeterminant, SingularLeadingCoefficient, SpectralFactorError
 
 # A trailing coefficient counts as zero when its Frobenius norm is below this
 # fraction of the largest coefficient norm; degrees are always reported trimmed.
@@ -55,6 +64,10 @@ POSITIVITY_TOL = 1e-10
 # below 1e-7 rad on every grid of 256 or more points.
 ZOOM_POINTS = 17
 ZOOM_LEVELS = 6
+
+# Condition-number cap on rho_0 of a factor that factor() returns or
+# canonical_normalize maps.
+LEADING_COND_MAX = 1e12
 
 
 def _next_pow2(n: int) -> int:
@@ -461,3 +474,92 @@ def multiply_by_adjoint(x: MatrixPolynomial) -> HermitianLaurentPolynomial:
     for n in range(m + 1):
         sigma[n] = np.einsum("kij,klj->il", c[n:], c[: m + 1 - n].conj())
     return HermitianLaurentPolynomial(sigma)
+
+
+def canonical_normalize(x: MatrixPolynomial) -> tuple[MatrixPolynomial, np.ndarray]:
+    """Fix the constant-unitary freedom of a factor.
+
+    Returns ``(x * U, U)`` with U the unique unitary for which the value at
+    z = 0 becomes lower triangular with strictly positive diagonal (the
+    Cholesky factor of rho_0 rho_0^*).  Idempotent on already-canonical
+    factors.
+    """
+    rho0 = x.coeffs[0]
+    leading = _canonical_leading(rho0)
+    if leading is None:
+        # rho0^* = Q R gives rho0 Q = R^*, lower triangular; D, the phases
+        # of R's diagonal, makes the diagonal of R^* D real and positive.
+        q, upper = np.linalg.qr(rho0.conj().T)
+        diagonal = np.diagonal(upper)
+        U = q * (diagonal / np.abs(diagonal))
+    else:
+        U = np.linalg.solve(rho0, leading)
+    return MatrixPolynomial(x.coeffs @ U), U
+
+
+def _canonical_leading(rho0: np.ndarray) -> np.ndarray | None:
+    """The canonical value at z = 0 of a factor whose value there is rho0,
+    the lower Cholesky factor of ``rho0 rho0^*``, or ``None`` where that
+    Cholesky fails: it squares rho0's condition number, so it can fail from
+    about 1e8 on, and :func:`canonical_normalize` then reads the canonical
+    form off a QR of ``rho0^*`` instead.  Raises
+    ``SingularLeadingCoefficient`` when rho0's condition number exceeds
+    ``LEADING_COND_MAX``: the guard of every factor ``factor()`` returns,
+    canonicalized or canonical by construction."""
+    cond = np.linalg.cond(rho0)
+    if not np.isfinite(cond) or cond > LEADING_COND_MAX:
+        raise SingularLeadingCoefficient(
+            f"constant coefficient has condition number {cond:.3e}; "
+            "no stable canonical representative"
+        )
+    gram = rho0 @ rho0.conj().T
+    gram = 0.5 * (gram + gram.conj().T)
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _det_coefficients(x: MatrixPolynomial) -> np.ndarray:
+    """Coefficients of det X, constant first, trimmed by the trim rule of
+    the coefficient stacks (``TRIM_RTOL``) on their magnitudes.
+
+    det X, of degree at most r m, is sampled on its own grid, the smallest
+    power of two >= max(8, 2(r m + 1)), and read back as coefficients.  A det
+    X that overflows at a grid point, or whose coefficients overflow though
+    its values do not, raises ``SpectralFactorError``; one that is zero to
+    the last coefficient raises ``IdenticallyZeroDeterminant``.
+    """
+    bound = x.r * x.m
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.linalg.det(sample_on_grid(x, _next_pow2(max(8, 2 * (bound + 1)))))
+        coeffs = coefficients_from_values(dets, bound)
+        magnitudes = np.abs(coeffs)
+    if not np.all(np.isfinite(magnitudes)):
+        raise SpectralFactorError("det X overflows double precision on the grid")
+    if magnitudes.max() <= 0:
+        raise IdenticallyZeroDeterminant("det X is numerically the zero polynomial")
+    return coeffs[: _trimmed_length(magnitudes)]
+
+
+def _det_roots(det: np.ndarray):
+    """(min modulus, all roots) of the polynomial with coefficients ``det``,
+    constant first, by ``np.roots``; a constant has no roots and min modulus
+    ``inf``."""
+    if len(det) == 1:
+        return float("inf"), np.zeros(0, dtype=np.complex128)
+    roots = np.roots(det[::-1])
+    return float(np.abs(roots).min()), roots
+
+
+def check_outer_determinant(x: MatrixPolynomial):
+    """(min modulus of the roots of det X, all roots).
+
+    The roots are read by ``np.roots`` off the trimmed coefficients of det X
+    that ``_det_coefficients`` samples and transforms, which raises on a det
+    X that overflows or is identically zero.  Outer for a polynomial means
+    no roots in the open unit disk; passing is min modulus >= 1 - OUTER_TOL
+    (``verify.OUTER_TOL``), with roots within OUTER_TOL of the circle
+    reported as boundary warnings by the caller.
+    """
+    return _det_roots(_det_coefficients(x))

@@ -6,7 +6,7 @@ form the induced spectrum.  The bundle's factor is therefore an exact oracle
 for the factorization of its spectrum, with no factorization code trusted
 anywhere in the construction.
 
-A draw's det coefficients are computed once (``verify._det_coefficients``).
+A draw's det coefficients are computed once (``laurent._det_coefficients``).
 A det root below the trim radius ``rho_c`` (see :func:`_trim_radius`) forces
 a rescale that trims the leading coefficient or falls below ``MIN_RESCALE``,
 so the argument principle counts the roots inside ``rho_c /
@@ -16,6 +16,10 @@ rejects the draw.  Only a draw the count does not reject pays for
 bundle's ``root_margin`` is the smallest modulus of those roots, divided by
 t after a rescale, less one: canonicalization multiplies by a constant
 unitary, which moves no det root.  A boundary truth reads its own det roots.
+
+The canonical form (``laurent.canonical_normalize``) and the det-root
+kernels live in ``laurent``, so generating loads neither ``factorize`` nor
+``verify``.
 
 Randomness comes from the portable splitmix64 stream (see :mod:`.rng`), so a
 bundle is a pure function of ``(r, m, seed, root_margin)`` and reproduces
@@ -33,20 +37,22 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RetryExhausted, SingularLeadingCoefficient
-from .factorize import canonical_normalize
 from .laurent import (
     TRIM_RTOL,
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _det_coefficients,
+    _det_roots,
     _frobenius,
     _hermitian_scan,
     _next_pow2,
+    canonical_normalize,
+    check_outer_determinant,
     default_verify_grid,
     multiply_by_adjoint,
     sample_on_grid,
 )
 from .rng import _WEYL, SplitMix64
-from .verify import _det_coefficients, _det_roots, check_outer_determinant
 
 # Draws whose det roots cannot be pushed out without collapsing the variable
 # are discarded; after this many the seed is rejected.
@@ -264,3 +270,8 @@ def generate_boundary_instance(r: int, m: int, seed: int) -> InstanceBundle:
         raise ValueError("boundary instances need r >= 1 and m >= 1")
     return _bundle(seed, lambda stream: _boundary_truth(stream, r, m),
                    f"boundary (r={r}, m={m}, seed={seed})", boundary=True)
+
+
+# The names the CLI binds the generators by (see ``cli._LAZY``).
+_generate_instance = generate_instance
+_generate_boundary_instance = generate_boundary_instance

@@ -49,7 +49,9 @@ Outer: the winding number of det X, ``tr(X^{-1} z X')``, read off the
 K-node inverse and derivative samples, passes the entry when it reads zero
 with a small Fourier tail; otherwise the roots of det X decide, and
 ``OUTER_TOL`` is both the entry's tolerance on their deficit below 1 and the
-band around the circle whose roots it reports as boundary warnings.
+band around the circle whose roots it reports as boundary warnings.  Those
+roots come from ``laurent.check_outer_determinant``, which the generator
+shares.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
 1-norm condition number must stay below ``GRID_COND_MAX``.  On K,
 ``sigma_lb`` proves that where it counts, and the outer entry takes the
@@ -65,11 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    IdenticallyZeroDeterminant,
-    SingularFactorOnGrid,
-    SpectralFactorError,
-)
+from .errors import SingularFactorOnGrid, SpectralFactorError
 from .laurent import (
     POSITIVITY_TOL,
     HermitianLaurentPolynomial,
@@ -78,14 +76,13 @@ from .laurent import (
     _coefficient_scale,
     _frobenius,
     _guarded_inverse,
-    _next_pow2,
     _pointwise_inverse,
     _positivity_scan,
     _require_conditioned,
     _require_tolerance,
     _residual_against,
     _residual_band_norms,
-    _trimmed_length,
+    check_outer_determinant,
     coefficients_from_values,
     default_verify_grid,
     sample_on_grid,
@@ -174,51 +171,6 @@ def check_factorization(S: HermitianLaurentPolynomial, x: MatrixPolynomial) -> f
 def check_degree(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
     """(order of S, degree of X, degree-preservation verdict), both trimmed."""
     return S.m, x.m, x.m <= S.m
-
-
-def _det_coefficients(x: MatrixPolynomial) -> np.ndarray:
-    """Coefficients of det X, constant first, trimmed by the trim rule of
-    the coefficient stacks (``laurent.TRIM_RTOL``) on their magnitudes.
-
-    det X, of degree at most r m, is sampled on its own grid, the smallest
-    power of two >= max(8, 2(r m + 1)), and read back as coefficients.  A det
-    X that overflows at a grid point, or whose coefficients overflow though
-    its values do not, raises ``SpectralFactorError``; one that is zero to
-    the last coefficient raises ``IdenticallyZeroDeterminant``.
-    """
-    bound = x.r * x.m
-    with np.errstate(over="ignore", invalid="ignore"):
-        dets = np.linalg.det(sample_on_grid(x, _next_pow2(max(8, 2 * (bound + 1)))))
-        coeffs = coefficients_from_values(dets, bound)
-        magnitudes = np.abs(coeffs)
-    if not np.all(np.isfinite(magnitudes)):
-        raise SpectralFactorError("det X overflows double precision on the grid")
-    if magnitudes.max() <= 0:
-        raise IdenticallyZeroDeterminant("det X is numerically the zero polynomial")
-    return coeffs[: _trimmed_length(magnitudes)]
-
-
-def _det_roots(det: np.ndarray):
-    """(min modulus, all roots) of the polynomial with coefficients ``det``,
-    constant first, by ``np.roots``; a constant has no roots and min modulus
-    ``inf``."""
-    if len(det) == 1:
-        return float("inf"), np.zeros(0, dtype=np.complex128)
-    roots = np.roots(det[::-1])
-    return float(np.abs(roots).min()), roots
-
-
-def check_outer_determinant(x: MatrixPolynomial):
-    """(min modulus of the roots of det X, all roots).
-
-    The roots are read by ``np.roots`` off the trimmed coefficients of det X
-    that ``_det_coefficients`` samples and transforms, which raises on a det
-    X that overflows or is identically zero.  Outer for a polynomial means
-    no roots in the open unit disk; passing is min modulus >= 1 - OUTER_TOL,
-    with roots within OUTER_TOL of the circle reported as boundary warnings
-    by the caller.
-    """
-    return _det_roots(_det_coefficients(x))
 
 
 def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
@@ -517,3 +469,7 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
             entries.append(CheckEntry(name, passed, measured, tolerance, detail,
                                       warning and passed))
     return VerificationReport(checks=entries)
+
+
+# The name the CLI binds verify_all() by (see ``cli._LAZY``).
+_verify_all = verify_all

@@ -1,7 +1,6 @@
 """CLI exit codes, output contracts, and the end-to-end pipeline."""
 
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -9,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 
-import specfact
 from specfact import cli, factorize
 from specfact.cli import main
 from specfact.errors import (
@@ -552,22 +550,37 @@ class TestPipeline:
         assert proc.returncode == 0
         assert "algorithm=" in proc.stdout
 
-    def test_commands_never_import_scipy(self, tmp_path):
+    # Each command in a fresh interpreter, with the specfact modules it must
+    # load and no others: factor never loads verify, testgen or rng, verify
+    # never loads factorize, testgen or rng, gen loads neither factorize nor
+    # verify, and a bare import loads no submodule and no numpy.
+    @pytest.mark.parametrize("argv, loaded", [
+        (["gen", "2", "2", "q", "--seed", "3"],
+         {"cli", "errors", "fileio", "laurent", "rng", "testgen"}),
+        (["factor", "p.spectrum", "q.factor"],
+         {"cli", "errors", "fileio", "laurent", "factorize"}),
+        (["verify", "p.spectrum", "p.truth", "--json"],
+         {"cli", "errors", "fileio", "laurent", "verify"}),
+        (None, set()),
+    ], ids=["gen", "factor", "verify", "import"])
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded):
+        assert main(["gen", "2", "2", str(tmp_path / "p"), "--seed", "3"]) == 0
         # The runtime is numpy only; scipy would add about half a second to
         # every command's start.
         script = (
-            "import sys\n"
-            "from specfact.cli import main\n"
-            "assert main(['gen', '2', '2', 'p', '--seed', '3']) == 0\n"
-            "assert main(['factor', 'p.spectrum', 'p.factor']) == 0\n"
-            "assert main(['verify', 'p.spectrum', 'p.factor', '--json']) == 0\n"
-            "loaded = sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.'))\n"
-            "assert not loaded, loaded\n"
+            "import contextlib, io, json, sys\n"
+            + ("import specfact\n" if argv is None else
+               "from specfact.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    assert main({argv!r}) == 0\n")
+            + "print(json.dumps(sorted(sys.modules)))\n"
         )
-        package_root = str(pathlib.Path(specfact.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        modules = json.loads(proc.stdout)
+        assert {name.split(".", 1)[1] for name in modules
+                if name.startswith("specfact.")} == loaded
+        assert "specfact" in modules
+        assert not [name for name in modules if name.split(".")[0] == "scipy"]
+        assert ("numpy" in modules) == (argv is not None)

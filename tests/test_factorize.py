@@ -16,7 +16,7 @@ from specfact.errors import (
     SingularIterate,
     SingularLeadingCoefficient,
 )
-from specfact import factorize
+from specfact import factorize, laurent
 from specfact.factorize import (
     FactorizationOptions,
     _bauer_core,
@@ -44,6 +44,11 @@ from specfact.verify import check_factorization, check_outer_determinant, verify
 
 def scalar_laurent(*values):
     return HermitianLaurentPolynomial(np.array(values, dtype=complex).reshape(-1, 1, 1))
+
+
+def unitary(rng, r):
+    q, _ = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+    return q
 
 
 def coeff_gap(a: MatrixPolynomial, b: MatrixPolynomial) -> float:
@@ -389,6 +394,42 @@ class TestCanonicalNormalize:
                                       dtype=complex))
         with pytest.raises(SingularLeadingCoefficient):
             canonical_normalize(x)
+
+    def test_leading_coefficient_whose_gram_cholesky_fails_is_canonicalized(self):
+        # rho_0 = U diag(1, s, t) V with t log-uniform in [1e-12, 1e-8]: its
+        # condition number stays within LEADING_COND_MAX, but the Cholesky of
+        # rho_0 rho_0^* squares it, so that Cholesky fails on many draws.
+        # Those draws take the QR route; the others keep the Cholesky route.
+        rng = np.random.default_rng(23)
+        gram_failures = 0
+        for _ in range(60):
+            spread = np.diag([1.0, rng.uniform(0.1, 1.0), 10 ** rng.uniform(-12, -8)])
+            rho0 = unitary(rng, 3) @ spread @ unitary(rng, 3)
+            assert np.linalg.cond(rho0) <= laurent.LEADING_COND_MAX
+            gram = rho0 @ rho0.conj().T
+            try:
+                np.linalg.cholesky(0.5 * (gram + gram.conj().T))
+                continue
+            except np.linalg.LinAlgError:
+                gram_failures += 1
+            y, U = canonical_normalize(MatrixPolynomial(np.array([rho0, np.eye(3)])))
+            lead = y.coeffs[0]
+            assert np.max(np.abs(np.triu(lead, k=1))) <= 1e-14
+            assert np.all(np.diag(lead).real > 0)
+            assert np.max(np.abs(np.diag(lead).imag)) <= 1e-14
+            assert np.max(np.abs(U.conj().T @ U - np.eye(3))) <= 1e-14
+            assert np.max(np.abs(rho0 @ U - lead)) <= 1e-14
+        assert gram_failures >= 10
+
+    def test_qr_route_gives_the_cholesky_route_canonical_form(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        x = MatrixPolynomial(rng.standard_normal((3, 4, 4))
+                             + 1j * rng.standard_normal((3, 4, 4)))
+        expected, _ = canonical_normalize(x)
+        monkeypatch.setattr(laurent, "_canonical_leading", lambda rho0: None)
+        y, U = canonical_normalize(x)
+        assert np.max(np.abs(y.coeffs - expected.coeffs)) <= 1e-12
+        assert np.max(np.abs(U.conj().T @ U - np.eye(4))) <= 1e-14
 
 
 class TestFactorReturnsCanonical:

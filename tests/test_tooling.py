@@ -25,6 +25,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pathlib
 import re
@@ -59,6 +60,77 @@ def test_every_traced_name_is_bound(monkeypatch):
     unbound = [(name, attribute) for name, attribute, *_ in targets
                if not hasattr(importlib.import_module(name), attribute)]
     assert targets and not unbound
+
+
+# Replays gen, factor and verify --json of one cell through cli.main under the
+# tracer, in an interpreter where specfact.cli is loaded but none of the
+# modules that define its entry points, so the tracer reads those names
+# through the CLI's lazy path.  Prints, per command, how many spans of each
+# entry point it made; the spans a call makes after the tracer is gone; and
+# whether each traced attribute is again the object its module defines.
+TRACED_REPLAY = """
+import collections, contextlib, importlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = tracing
+spec.loader.exec_module(tracing)
+from specfact import cli
+assert "specfact.factorize" not in sys.modules
+
+def replay(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+tracer = tracing.Tracer()
+spans = {}
+with tracer.installed():
+    for argv in (["gen", "2", "2", "p", "--seed", "3"], ["factor", "p.spectrum", "p.factor"],
+                 ["verify", "p.spectrum", "p.factor", "--json"]):
+        start = len(tracer.spans)
+        replay(argv)
+        spans[argv[0]] = collections.Counter(span.name for span in tracer.spans[start:])
+after = len(tracer.spans)
+replay(["factor", "p.spectrum", "p.factor"])
+restored = {f"{name}.{attribute}":
+            getattr(sys.modules[value.__module__], value.__name__, None) is value
+            for name, attribute, *_ in tracing._TARGETS
+            for value in [getattr(importlib.import_module(name), attribute)]}
+print(json.dumps({"spans": spans, "after": len(tracer.spans) - after, "restored": restored}))
+"""
+
+
+def test_the_tracer_times_each_entry_point_of_the_lazy_cli_once(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", TRACED_REPLAY, str(TRACING)], cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    entry_points = ("testgen.generate", "factorize.factor", "verify.verify_all",
+                    "fileio.read", "fileio.write")
+    made = {command: {name: counts.get(name, 0) for name in entry_points}
+            for command, counts in result["spans"].items()}
+    assert made == {
+        "gen": dict.fromkeys(entry_points, 0) | {"testgen.generate": 1, "fileio.write": 2},
+        "factor": dict.fromkeys(entry_points, 0) | {
+            "fileio.read": 1, "factorize.factor": 1, "fileio.write": 1},
+        "verify": dict.fromkeys(entry_points, 0) | {"fileio.read": 2, "verify.verify_all": 1},
+    }
+    assert all(counts["cli.main"] == 1 for counts in result["spans"].values())
+    assert result["after"] == 0
+    assert result["restored"] and all(result["restored"].values()), result["restored"]
+
+
+def test_every_public_name_resolves_to_the_object_its_module_defines():
+    names = specfact.__all__
+    assert names[0] == "__version__" and len(set(names)) == len(names)
+    for name in names[1:]:
+        value = getattr(specfact, name)
+        assert value.__name__ == name
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    assert set(names) <= set(dir(specfact))
+    for module in ("cli", "errors", "factorize", "fileio", "laurent", "rng", "testgen", "verify"):
+        assert getattr(specfact, module) is importlib.import_module(f"specfact.{module}")
+    with pytest.raises(AttributeError, match="has no attribute 'absent'"):
+        specfact.absent
 
 
 def module_qualified_names(text: str, modules) -> set[tuple[str, str]]:
@@ -116,7 +188,9 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__"
                 for target in node.targets):
-            exported.update(ast.literal_eval(node.value))
+            # A computed entry, such as ``*_OWNER``, exempts nothing.
+            exported.update(elt.value for elt in node.value.elts
+                            if isinstance(elt, ast.Constant))
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(bound - loaded - exported)
 
@@ -124,6 +198,7 @@ def unused_imports(source: str) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports("from __future__ import annotations\nimport os.path\n"
                           "from x import a, b as c\n__all__ = ['a']\n") == ["c", "os"]
+    assert unused_imports("from x import a, b\n__all__ = ['a', *NAMES]\n") == ["b"]
     modules = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
                *(ROOT / "scripts").glob("*.py")]
     unused = {str(path.relative_to(ROOT)): names for path in sorted(modules)

@@ -20,6 +20,7 @@ from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _coefficient_scale,
+    _det_coefficients,
     _frobenius,
     _guarded_inverse,
     _pointwise_inverse,
@@ -43,7 +44,6 @@ from specfact.verify import (
     _anticausal_mass,
     _causal_bound,
     _causal_gap,
-    _det_coefficients,
     _positivity_bound,
     _winding_number,
     check_causal_identity,
