@@ -12,8 +12,9 @@ class NotPositiveDefinite(SpectralFactorError):
 
 
 class DegenerateDeterminant(SpectralFactorError):
-    """max |det S| on the grid is at or below 1e-13 scale^r: det S is too small
-    against the spectrum's scale to factor (rank-deficient or ill-conditioned)."""
+    """S is singular at every node of the check grid: no node's smallest
+    |eigenvalue| exceeds ``laurent.DEGENERATE_RTOL`` times the spectrum's
+    scale, so det S vanishes identically (a rank-deficient or zero spectrum)."""
 
 
 class CholeskyBreakdown(SpectralFactorError):

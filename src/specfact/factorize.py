@@ -70,6 +70,9 @@ from .errors import (
     SingularLeadingCoefficient,
 )
 from .laurent import (
+    DEGENERATE_RTOL,
+    NEAR_SINGULAR_TOL,
+    POSITIVITY_TOL,
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _band_coefficient_buffer,
@@ -146,55 +149,41 @@ class FactorizationResult:
 
 def _require_factorable(S: HermitianLaurentPolynomial) -> list[str]:
     """Enforce the factorization hypotheses on the check grid
-    ``default_verify_grid(S.m)``; returns warnings.
+    ``default_verify_grid(S.m)``; returns warnings.  Scale is the largest
+    grid Frobenius norm of S.
 
-    A healthy spectrum is certified by one batched Cholesky of
-    ``S(z_j) - 1e-8 * scale * I``: success at every point puts every grid
-    eigenvalue above the warning threshold, and since
-    ``det(S - dI) <= det S`` a largest shifted determinant above the floor
-    bounds max |det S| from below.  Anything else is decided by the
-    eigen-scan, which words every error and warning.  The samples are used
-    as the transform gives them: the Cholesky reads their lower triangle
-    only, and the eigen-scan symmetrizes them itself.  Both determinant
-    tests read ``S / scale``, whose determinants stay in double range at any
-    scale: ``|det S| > 1e-13 scale^r`` as ``prod_i |lambda_i| / scale >
-    1e-13``.  The message's absolute numbers saturate to 0 or ``inf``
-    beyond double range, without a warning.
+    One batched Cholesky of ``S(z_j) - NEAR_SINGULAR_TOL * scale * I``, which
+    reads the lower triangle only, certifies a healthy spectrum: success puts
+    every grid eigenvalue above the warning threshold.  Otherwise one test
+    on the grid eigenvalues decides each verdict: ``NotPositiveDefinite``
+    below ``-POSITIVITY_TOL * scale``; ``DegenerateDeterminant`` when S is
+    singular at every node, no node's smallest |eigenvalue| above
+    ``DEGENERATE_RTOL * scale`` (the zero spectrum too); the warning at or
+    below ``NEAR_SINGULAR_TOL * scale``.
     """
     values = sample_on_grid(S, default_verify_grid(S.m))
     scale = float(_frobenius(values).max())  # max_j ||S(z_j)||_F
-    try:
-        lower = np.linalg.cholesky(values - 1e-8 * scale * np.eye(S.r))
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        diagonal = np.diagonal(lower, axis1=-2, axis2=-1).real / np.sqrt(scale)
-        if float((diagonal.prod(axis=-1) ** 2).max()) > 1e-13:
-            return []
-
-    with np.errstate(over="ignore", under="ignore"):
-        eigs, dets = _hermitian_scan(values)
-        det_floor = 1e-13 * np.float64(scale) ** S.r
-    min_eig, max_det = float(eigs.min()), float(dets.max())
-    if min_eig < -1e-10 * scale:
+    with contextlib.suppress(np.linalg.LinAlgError):
+        np.linalg.cholesky(values - NEAR_SINGULAR_TOL * scale * np.eye(S.r))
+        return []
+    eigs = _hermitian_scan(values)
+    min_eig = float(eigs.min())
+    if min_eig < -POSITIVITY_TOL * scale:
         raise NotPositiveDefinite(
-            f"spectrum has grid eigenvalue {min_eig:.3e} below -1e-10 * scale "
-            f"(scale {scale:.3e})"
+            f"spectrum has grid eigenvalue {min_eig:.3e} below "
+            f"-{POSITIVITY_TOL:.0e} * scale (scale {scale:.3e})"
         )
-    # A rank-deficient spectrum leaves only LU roundoff in the determinant.
-    # The zero spectrum, all of whose eigenvalues are 0, is divided by 1.
-    if float((np.abs(eigs) / (scale or 1.0)).prod(axis=-1).max()) <= 1e-13:
+    least_singular = max(float(np.abs(node).min()) for node in eigs)
+    if least_singular <= DEGENERATE_RTOL * scale:
         raise DegenerateDeterminant(
-            f"max |det S| on the grid is {max_det:.3e}, at or below "
-            f"1e-13 * scale^{S.r} = {det_floor:.3e} (scale {scale:.3e})"
+            f"S is singular at every grid node: each has an eigenvalue of modulus "
+            f"at most {least_singular:.3e}, at or below {DEGENERATE_RTOL:.0e} * scale "
+            f"(scale {scale:.3e}); det S vanishes identically"
         )
-    warnings = []
-    if min_eig <= 1e-8 * scale:
-        warnings.append(
-            "spectrum is nearly singular on the unit circle; convergence and "
-            "tolerances degrade near boundary zeros"
-        )
-    return warnings
+    if min_eig <= NEAR_SINGULAR_TOL * scale:
+        return ["spectrum is nearly singular on the unit circle; convergence and "
+                "tolerances degrade near boundary zeros"]
+    return []
 
 
 def _triangular_inverse(lower: np.ndarray) -> np.ndarray:

@@ -58,6 +58,13 @@ UNIT_CIRCLE_ATOL = 1e-9
 # scale, that still counts as positive semidefinite.
 POSITIVITY_TOL = 1e-10
 
+# Relative to the scale of S: factor() and verify_all warn that S is nearly
+# singular on the circle at a minimum eigenvalue of at most NEAR_SINGULAR_TOL,
+# and factor() takes det S as identically zero when no check-grid node's
+# smallest |eigenvalue| exceeds DEGENERATE_RTOL.
+NEAR_SINGULAR_TOL = 1e-8
+DEGENERATE_RTOL = 1e-13
+
 # Zoom refinement of the grid minimizer: each level evaluates this many
 # equally spaced angles across the bracket, then re-centres a bracket of two
 # spacings on the best one.  Six levels of 17 shrink the spacing by 8**6, to
@@ -68,6 +75,10 @@ ZOOM_LEVELS = 6
 # Condition-number cap on rho_0 of a factor that factor() returns or
 # canonical_normalize maps.
 LEADING_COND_MAX = 1e12
+
+# Above this condition number of rho_0, canonical_normalize reads U off a QR
+# of rho_0^*, not off the Cholesky of rho_0 rho_0^* (see _canonical_leading).
+CHOLESKY_COND_MAX = 1e4
 
 
 def _next_pow2(n: int) -> int:
@@ -325,13 +336,10 @@ def _guarded_inverse(values: np.ndarray, cap: float, error: type[Exception],
     return _require_conditioned(values, _pointwise_inverse(values), cap, error, what)
 
 
-def _hermitian_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, per point) and |det| of sampled spectrum values,
-    symmetrized first so roundoff cannot make a point non-Hermitian; |det| is
-    the product of the absolute eigenvalues."""
-    values = 0.5 * (values + values.conj().transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(values)
-    return eigs, np.abs(eigs).prod(axis=-1)
+def _hermitian_scan(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending, per point) of sampled spectrum values,
+    symmetrized first so roundoff cannot make a point non-Hermitian."""
+    return np.linalg.eigvalsh(0.5 * (values + values.conj().transpose(0, 2, 1)))
 
 
 def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
@@ -343,7 +351,7 @@ def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
     smallest eigenvalue, so a zero or a dip between grid points is still
     seen; ``min_det`` includes the value at the refined minimizer."""
     K = len(S_vals)
-    eigs, dets = _hermitian_scan(S_vals)
+    eigs = _hermitian_scan(S_vals)
     min_eig = float(eigs[:, 0].min())
     center = 2.0 * np.pi * int(np.argmin(eigs[:, 0])) / K
     half_width = 2.0 * np.pi / K
@@ -354,7 +362,8 @@ def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
         min_eig = min(min_eig, float(batch_eigs[best, 0]))
         center = theta[best]
         half_width *= 2.0 / (ZOOM_POINTS - 1)
-    min_det = min(float(dets.min()), float(np.abs(batch_eigs[best]).prod()))
+    min_det = min(float(np.abs(eigs).prod(axis=-1).min()),
+                  float(np.abs(batch_eigs[best]).prod()))
     return max(0.0, -min_eig) / _coefficient_scale(S.coeffs), min_eig, min_det
 
 
@@ -499,10 +508,11 @@ def canonical_normalize(x: MatrixPolynomial) -> tuple[MatrixPolynomial, np.ndarr
 
 def _canonical_leading(rho0: np.ndarray) -> np.ndarray | None:
     """The canonical value at z = 0 of a factor whose value there is rho0,
-    the lower Cholesky factor of ``rho0 rho0^*``, or ``None`` where that
-    Cholesky fails: it squares rho0's condition number, so it can fail from
-    about 1e8 on, and :func:`canonical_normalize` then reads the canonical
-    form off a QR of ``rho0^*`` instead.  Raises
+    the lower Cholesky factor of ``rho0 rho0^*``, or ``None`` above
+    ``CHOLESKY_COND_MAX`` or where that Cholesky fails: it squares rho0's
+    condition number, so the U solved from it drifts from unitary long
+    before it fails (from about 1e8 on), and :func:`canonical_normalize`
+    then reads the canonical form off a QR of ``rho0^*`` instead.  Raises
     ``SingularLeadingCoefficient`` when rho0's condition number exceeds
     ``LEADING_COND_MAX``: the guard of every factor ``factor()`` returns,
     canonicalized or canonical by construction."""
@@ -512,6 +522,8 @@ def _canonical_leading(rho0: np.ndarray) -> np.ndarray | None:
             f"constant coefficient has condition number {cond:.3e}; "
             "no stable canonical representative"
         )
+    if cond > CHOLESKY_COND_MAX:
+        return None
     gram = rho0 @ rho0.conj().T
     gram = 0.5 * (gram + gram.conj().T)
     try:

@@ -105,7 +105,7 @@ def _condition_estimate(S: HermitianLaurentPolynomial) -> float:
     any node over the smallest at any node, so a scalar spectrum near zero on
     the circle reads large too; ``inf``, without a warning, when S is singular
     at a node."""
-    eigs = np.abs(_hermitian_scan(sample_on_grid(S, default_verify_grid(S.m)))[0])
+    eigs = np.abs(_hermitian_scan(sample_on_grid(S, default_verify_grid(S.m))))
     with np.errstate(divide="ignore"):
         return float(eigs.max() / eigs.min())
 

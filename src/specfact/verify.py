@@ -69,6 +69,7 @@ import numpy as np
 
 from .errors import SingularFactorOnGrid, SpectralFactorError
 from .laurent import (
+    NEAR_SINGULAR_TOL,
     POSITIVITY_TOL,
     HermitianLaurentPolynomial,
     MatrixPolynomial,
@@ -91,11 +92,6 @@ from .laurent import (
 # Cap on the worst grid 1-norm condition number ||X(z_j)||_1 ||X(z_j)^{-1}||_1,
 # taken from the pointwise inverse, before a factor counts as singular.
 GRID_COND_MAX = 1e10
-
-# The positivity entry flags S as nearly singular on the circle when its
-# minimum eigenvalue is at most NEAR_SINGULAR_TOL times the coefficient scale
-# of S, and skips the eigen-scan when a lower bound proves it above that.
-NEAR_SINGULAR_TOL = 1e-8
 
 # Tolerances of the verify_all entries other than the factorization residual
 # and positivity (laurent.POSITIVITY_TOL): causal-identity gap and anticausal

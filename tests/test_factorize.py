@@ -112,14 +112,46 @@ class TestFactorDispatch:
         S = HermitianLaurentPolynomial(np.array([[[1, 0], [0, 0]]], dtype=complex))
         with pytest.raises(DegenerateDeterminant) as caught:
             factor(S)
-        # The message states what is measured: max |det S| against its floor.
-        assert "max |det S| on the grid is 0.000e+00" in str(caught.value)
-        assert "1e-13 * scale^2 = 1.000e-13" in str(caught.value)
+        # The message states what is measured: at every node an eigenvalue of
+        # modulus at most the largest smallest one, against its floor.
+        assert "S is singular at every grid node" in str(caught.value)
+        assert "modulus at most 0.000e+00, at or below 1e-13 * scale" in str(caught.value)
+
+    @pytest.mark.parametrize("build", [
+        lambda: HermitianLaurentPolynomial(np.zeros((1, 2, 2), dtype=complex)),
+        lambda: HermitianLaurentPolynomial(np.zeros((3, 16, 16), dtype=complex)),
+        # Factors with their last column zeroed induce rank-deficient spectra.
+        lambda: multiply_by_adjoint(MatrixPolynomial(
+            generate_instance(4, 2, seed=3).ground_truth.coeffs * [1, 1, 1, 0])),
+        lambda: multiply_by_adjoint(MatrixPolynomial(
+            generate_instance(16, 1, seed=0).ground_truth.coeffs * ([1] * 15 + [0]))),
+    ], ids=["zero-r2", "zero-r16", "rank-deficient-r4", "rank-deficient-r16"])
+    def test_singular_at_every_node_is_degenerate(self, build):
+        with pytest.raises(DegenerateDeterminant, match="singular at every grid node"):
+            factor(build())
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("r, m", [(16, 1), (16, 2), (24, 1), (24, 2), (32, 1), (32, 2)])
+    def test_many_channels_pass_the_precheck(self, r, m, seed):
+        # Here the product of the r eigenvalue ratios at a node can fall below
+        # 1e-13 though no eigenvalue comes near zero.
+        bundle = generate_instance(r, m, seed)
+        result = factor(bundle.spectrum)
+        assert result.warnings == []
+        assert forward_error(result.factor, bundle.ground_truth) <= 1e-12
+
+    @pytest.mark.parametrize("r", [16, 24, 32])
+    def test_condition_11_diagonal_spectrum_factors(self, r):
+        # det S = 0.09^(r-1) lies below 1e-13 scale^r, yet S is far from singular.
+        diagonal = np.array([1.0] + [0.09] * (r - 1))
+        result = factor(HermitianLaurentPolynomial(np.diag(diagonal).astype(complex)[None]))
+        assert result.warnings == []
+        assert np.max(np.abs(result.factor.coeffs[0] - np.diag(np.sqrt(diagonal)))) <= 1e-15
 
     @pytest.mark.parametrize("scale", [1e40, 1e60, 1e-45, 1e-60])
     def test_determinant_floor_is_scale_free(self, scale):
-        # At r = 8 both |det S| and 1e-13 scale^8 leave double range here;
-        # the floor is decided on S / scale, and the factor is the truth's.
+        # At r = 8 |det S| leaves double range here; the precheck compares
+        # eigenvalues with scale, and the factor is the truth's.
         bundle = generate_instance(8, 4, 0)
         S = HermitianLaurentPolynomial(bundle.spectrum.coeffs * scale)
         with warnings.catch_warnings():
@@ -420,6 +452,17 @@ class TestCanonicalNormalize:
             assert np.max(np.abs(U.conj().T @ U - np.eye(3))) <= 1e-14
             assert np.max(np.abs(rho0 @ U - lead)) <= 1e-14
         assert gram_failures >= 10
+
+    def test_ill_conditioned_leading_coefficient_keeps_u_unitary(self):
+        # rho_0 = Q_1 diag(1, c^-1/2, c^-1) Q_2 with c log-uniform in [1e5, 1e7]:
+        # the Cholesky of rho_0 rho_0^* still succeeds, but squares c, so a U
+        # solved from it is far from unitary; the QR route keeps it unitary.
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            c = 10 ** rng.uniform(5, 7)
+            rho0 = unitary(rng, 3) @ np.diag([1.0, c**-0.5, 1 / c]) @ unitary(rng, 3)
+            _, U = canonical_normalize(MatrixPolynomial(np.array([rho0, np.eye(3)])))
+            assert np.max(np.abs(U.conj().T @ U - np.eye(3))) <= 1e-12
 
     def test_qr_route_gives_the_cholesky_route_canonical_form(self, monkeypatch):
         rng = np.random.default_rng(29)
@@ -853,18 +896,19 @@ def eigen_precheck(S):
     eigenvalues on the check grid alone, with the same messages and warning."""
     values = sample_on_grid(S, default_verify_grid(S.m))
     eigs = np.linalg.eigvalsh(0.5 * (values + values.conj().transpose(0, 2, 1)))
-    min_eig, max_det = float(eigs.min()), float(np.abs(eigs).prod(axis=-1).max())
+    min_eig = float(eigs.min())
     scale = float(np.sqrt(np.sum(eigs**2, axis=-1)).max())
     if min_eig < -1e-10 * scale:
         raise NotPositiveDefinite(
             f"spectrum has grid eigenvalue {min_eig:.3e} below -1e-10 * scale "
             f"(scale {scale:.3e})"
         )
-    det_floor = 1e-13 * scale**S.r
-    if max_det <= det_floor:
+    least_singular = float(np.abs(eigs).min(axis=-1).max())
+    if least_singular <= 1e-13 * scale:
         raise DegenerateDeterminant(
-            f"max |det S| on the grid is {max_det:.3e}, at or below "
-            f"1e-13 * scale^{S.r} = {det_floor:.3e} (scale {scale:.3e})"
+            f"S is singular at every grid node: each has an eigenvalue of modulus "
+            f"at most {least_singular:.3e}, at or below 1e-13 * scale "
+            f"(scale {scale:.3e}); det S vanishes identically"
         )
     if min_eig <= 1e-8 * scale:
         return ["spectrum is nearly singular on the unit circle; convergence and "
@@ -913,8 +957,8 @@ def precheck_cases():
         pytest.param(lambda: multiply_by_adjoint(MatrixPolynomial(
             generate_instance(3, 2, seed=5).ground_truth.coeffs * [1, 1, 0])),
             id="rank-deficient-r3"),
-        # Every eigenvalue clears the warning threshold, but det S does not
-        # clear its floor: only the certificate's determinant test rejects it.
+        # det S is 1.2e-16, but every eigenvalue clears the warning threshold:
+        # the Cholesky alone accepts it, as the eigenvalues do.
         pytest.param(lambda: HermitianLaurentPolynomial(
             np.diag([1.0, 1.1e-8, 1.1e-8]).astype(complex)[None]), id="small-det-r3"),
         # A double root of det S at z = 1, a grid point: the warning.

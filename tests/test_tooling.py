@@ -11,7 +11,7 @@ every report of a reduced pool and digest it the same way twice, and a
 nudge to every measured value must move its full digest but not its
 verdict digest.  ``scripts/soak.py`` must class every draw of a reduced
 grid and list the factors above its bounds.  The splitmix64 constants are
-spelled in ``rng.py`` alone.  ``specfact factor`` and ``specfact gen`` run
+spelled in ``rng.py`` alone, and ``factor()``'s precheck spells no threshold.  ``specfact factor`` and ``specfact gen`` run
 with runtime warnings turned into errors, so a numpy warning between input
 and exit code fails their tests.  No public entry point but the grid samplers, and no module-level
 function of the computing modules but the kernels that lay out, sample or
@@ -403,3 +403,14 @@ def test_splitmix64_constants_are_spelled_only_in_rng():
                for path in sorted(PACKAGE.glob("*.py"))}
     assert spelled.pop("rng.py") == list(constants)
     assert not any(spelled.values()), spelled
+
+
+def test_precheck_thresholds_are_laurent_names():
+    # Each threshold of factor()'s precheck is a named laurent constant, the
+    # ones verify_all and the positivity rule read too.
+    tree = ast.parse((PACKAGE / "factorize.py").read_text(encoding="utf-8"))
+    (precheck,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "_require_factorable"]
+    literals = [node.value for node in ast.walk(precheck) if isinstance(node, ast.Constant)
+                and type(node.value) in (int, float, complex)]
+    assert literals == []
