@@ -32,9 +32,10 @@ coefficientwise:
 representative of its unitary equivalence class whose value at z = 0 is
 lower triangular with strictly positive diagonal; :func:`factor` runs it on
 the Newton and root routes' factors and returns the doubling's exactly as
-the Cholesky made it, without a unitary solve.  Both paths take the one
-guard on rho_0, ``laurent._canonical_leading``.  The canonical form lives in
-``laurent`` so that ``testgen`` canonicalizes without loading this module.
+the Cholesky made it, taking only the one guard on rho_0,
+``laurent._canonical_leading``, which canonicalization takes too.  The
+canonical form lives in ``laurent`` so that ``testgen`` canonicalizes
+without loading this module.
 
 Each route has one core, ``(S, opts) -> (coefficients, count, warnings)``,
 returning exactly m + 1 coefficients; the table ``_ROUTES`` maps each
@@ -257,7 +258,9 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
         del lower
         left = inverse @ A
         drop = left.conj().T @ left
-        previous, change = change, float(np.linalg.norm(drop) / np.linalg.norm(Q - drop))
+        updated = Q - drop
+        previous, change = change, float(_frobenius(drop) / _frobenius(updated))
+        del drop
         # A change below the tolerance ends the run at once where it is at
         # most sqrt(tol) times the previous one (the quadratic regime), else
         # it buys one confirming step, which is the last.  Before the
@@ -266,8 +269,7 @@ def _bauer_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions,
         converged = previous < tol or (change < tol and change <= root_tol * previous)
         stalled = not converged and previous <= change and change < root_tol
         if not stalled:
-            Q -= drop
-            del drop
+            Q = updated
             if not converged:
                 right = inverse @ A.conj().T
                 del inverse, A

@@ -25,9 +25,9 @@ per-lag sum, because the golden fixtures pin its bytes.
 The kernels that ``factorize``, ``verify`` and ``testgen`` share live here
 too, so that each loads only the modules it runs: the canonical form
 :func:`canonical_normalize` with its guard on rho_0, ``_canonical_leading``
-(refusing a condition number above ``LEADING_COND_MAX``), and the det-root
-kernels ``_det_coefficients``, ``_det_roots`` and
-:func:`check_outer_determinant`.
+(refusing a condition number above ``LEADING_COND_MAX``, and choosing the
+Cholesky or the QR route), and the det-root kernels ``_det_coefficients``,
+``_det_roots`` and :func:`check_outer_determinant`.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -35,6 +35,7 @@ function.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,18 +134,20 @@ def trim_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """Drop trailing coefficients whose norm is below the trim threshold.
 
     Always keeps index 0, so the zero polynomial trims to a single zero
-    coefficient.  Raises ``ValueError`` when a coefficient norm overflows to
-    ``inf`` (entries beyond about 1e154), or when every norm underflows to 0
-    though an entry is not (entries below about 1e-162): either would
-    otherwise trim away every coefficient above index 0.
+    coefficient.  The rule compares the norms of the stack divided by its
+    largest |entry|, so a squared norm that underflows cannot drop a
+    coefficient.  Raises ``ValueError`` when a coefficient norm overflows
+    to ``inf`` (entries beyond about 1e154), or when every norm underflows
+    to 0 though an entry is not (entries below about 1e-162).
     """
     with np.errstate(over="ignore"):
         norms = _frobenius(coeffs)
     if not np.all(np.isfinite(norms)):
         raise ValueError("coefficient norms overflow double precision")
-    if norms.max() == 0 and np.any(coeffs):
+    peak = np.abs(coeffs).max()
+    if norms.max() == 0 and peak:
         raise ValueError("coefficient norms underflow double precision")
-    return coeffs[: _trimmed_length(norms)]
+    return coeffs[: _trimmed_length(_frobenius(coeffs / peak) if peak else norms)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,7 +352,8 @@ def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
     ``ZOOM_LEVELS`` levels evaluates S at ``ZOOM_POINTS`` angles across a
     bracket of the minimizer (first theta_j +- 2 pi/K) and re-centres on the
     smallest eigenvalue, so a zero or a dip between grid points is still
-    seen; ``min_det`` includes the value at the refined minimizer."""
+    seen; ``min_det``, quietly ``inf`` where it overflows, includes the
+    value at the refined minimizer."""
     K = len(S_vals)
     eigs = _hermitian_scan(S_vals)
     min_eig = float(eigs[:, 0].min())
@@ -362,8 +366,9 @@ def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
         min_eig = min(min_eig, float(batch_eigs[best, 0]))
         center = theta[best]
         half_width *= 2.0 / (ZOOM_POINTS - 1)
-    min_det = min(float(np.abs(eigs).prod(axis=-1).min()),
-                  float(np.abs(batch_eigs[best]).prod()))
+    with np.errstate(over="ignore"):
+        min_det = min(float(np.abs(eigs).prod(axis=-1).min()),
+                      float(np.abs(batch_eigs[best]).prod()))
     return max(0.0, -min_eig) / _coefficient_scale(S.coeffs), min_eig, min_det
 
 
@@ -399,23 +404,23 @@ def sample_on_grid(p, K: int) -> np.ndarray:
     """Values ``p(z_j)`` on the K-point unit-circle grid, a (K, r, r) array,
     via FFT.
 
-    K must pass :func:`_require_grid` for the order of p.
+    K must pass :func:`_require_grid` for the order of p.  No sample needs a
+    scan: each is below 2m + 1 times the largest coefficient norm, which
+    :func:`trim_coefficients` keeps below about 1.34e154, so it is finite.
     """
     _require_grid(K, p.m)
-    values = sample_values_on_grid(_band_coefficient_buffer(p, K))
-    if not np.all(np.isfinite(values)):
-        raise ValueError("samples contain non-finite entries")
-    return values
+    return sample_values_on_grid(_band_coefficient_buffer(p, K))
 
 
 def coefficients_from_values(values: np.ndarray, hi: int) -> np.ndarray:
     """Fourier coefficients c_0..c_hi of the trigonometric interpolant of raw
-    grid values, a view of the transform; c_{-n} is c_{K-n}, so ``hi = K - 1``
-    returns the whole transform."""
+    grid values, a view of the transform, which divides by K itself
+    (``norm="forward"``); c_{-n} is c_{K-n}, so ``hi = K - 1`` returns the
+    whole transform."""
     K = values.shape[0]
     if hi >= K:
         raise ValueError(f"coefficient window [0, {hi}] is wider than the grid (K={K})")
-    return (np.fft.fft(values, axis=0) / K)[: hi + 1]
+    return np.fft.fft(values, axis=0, norm="forward")[: hi + 1]
 
 
 def _causal_product_window(a: np.ndarray, b: np.ndarray, lo: int) -> np.ndarray:
@@ -448,15 +453,15 @@ def _residual_band_norms(sigma: np.ndarray, factor_coeffs: np.ndarray) -> np.nda
 
     Coefficients 0..m of ``X X^*`` are coefficients m..2m of the causal
     product ``X(z) z^m X^*(z)``, whose stack is X's reversed and adjoined.
-    A norm beyond double precision reads ``inf``, without a warning.
+    A product or norm that overflows reads ``inf`` or ``nan``, quietly.
     """
     c = factor_coeffs
-    product = _causal_product_window(c, c[::-1].conj().transpose(0, 2, 1), len(c) - 1)
-    order = max(len(sigma), len(product))
-    gap = np.zeros((order,) + sigma.shape[1:], dtype=np.complex128)
-    gap[: len(sigma)] = sigma
-    gap[: len(product)] -= product
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = _causal_product_window(c, c[::-1].conj().transpose(0, 2, 1), len(c) - 1)
+        order = max(len(sigma), len(product))
+        gap = np.zeros((order,) + sigma.shape[1:], dtype=np.complex128)
+        gap[: len(sigma)] = sigma
+        gap[: len(product)] -= product
         return _frobenius(gap)
 
 
@@ -494,42 +499,35 @@ def canonical_normalize(x: MatrixPolynomial) -> tuple[MatrixPolynomial, np.ndarr
     factors.
     """
     rho0 = x.coeffs[0]
-    leading = _canonical_leading(rho0)
-    if leading is None:
+    U = None
+    if _canonical_leading(rho0):
+        gram = rho0 @ rho0.conj().T
+        with suppress(np.linalg.LinAlgError):
+            U = np.linalg.solve(rho0, np.linalg.cholesky(0.5 * (gram + gram.conj().T)))
+    if U is None:
         # rho0^* = Q R gives rho0 Q = R^*, lower triangular; D, the phases
         # of R's diagonal, makes the diagonal of R^* D real and positive.
         q, upper = np.linalg.qr(rho0.conj().T)
         diagonal = np.diagonal(upper)
         U = q * (diagonal / np.abs(diagonal))
-    else:
-        U = np.linalg.solve(rho0, leading)
     return MatrixPolynomial(x.coeffs @ U), U
 
 
-def _canonical_leading(rho0: np.ndarray) -> np.ndarray | None:
-    """The canonical value at z = 0 of a factor whose value there is rho0,
-    the lower Cholesky factor of ``rho0 rho0^*``, or ``None`` above
-    ``CHOLESKY_COND_MAX`` or where that Cholesky fails: it squares rho0's
-    condition number, so the U solved from it drifts from unitary long
-    before it fails (from about 1e8 on), and :func:`canonical_normalize`
-    then reads the canonical form off a QR of ``rho0^*`` instead.  Raises
-    ``SingularLeadingCoefficient`` when rho0's condition number exceeds
-    ``LEADING_COND_MAX``: the guard of every factor ``factor()`` returns,
-    canonicalized or canonical by construction."""
+def _canonical_leading(rho0: np.ndarray) -> bool:
+    """The guard on rho0, the value at z = 0 of every factor ``factor()``
+    returns: raises ``SingularLeadingCoefficient`` above ``LEADING_COND_MAX``.
+    Returns whether cond(rho0) is at most ``CHOLESKY_COND_MAX``, where
+    :func:`canonical_normalize` may take the Cholesky of ``rho0 rho0^*``.
+    That squares the condition number, so the U solved from it drifts from
+    unitary long before it fails (from about 1e8 on); above the cap, or
+    where it fails, the canonical form is read off a QR of ``rho0^*``."""
     cond = np.linalg.cond(rho0)
     if not np.isfinite(cond) or cond > LEADING_COND_MAX:
         raise SingularLeadingCoefficient(
             f"constant coefficient has condition number {cond:.3e}; "
             "no stable canonical representative"
         )
-    if cond > CHOLESKY_COND_MAX:
-        return None
-    gram = rho0 @ rho0.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    try:
-        return np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
+    return cond <= CHOLESKY_COND_MAX
 
 
 def _det_coefficients(x: MatrixPolynomial) -> np.ndarray:

@@ -38,7 +38,9 @@ give, by Taylor's theorem on each arc between nodes, a lower bound
 ``sigma_lb`` on the smallest singular value of X over the whole circle (see
 ``_Grid``).  Positivity: by Weyl's inequality the minimum eigenvalue of S is
 at least ``sigma_lb^2 - ||E||`` (see :func:`_positivity_bound`); a bound
-above ``NEAR_SINGULAR_TOL`` times the scale passes the entry.  Causal:
+above ``NEAR_SINGULAR_TOL`` times the scale passes the entry, else it is
+the deficit of :func:`check_positivity`'s scan, ``laurent._positivity_scan``.
+Causal:
 ``X^{-1} S - X^* = X^{-1} E`` bounds the gap and, by Parseval, the
 anticausal mass on both grids and its change by ``||E|| / sigma_lb`` when
 deg X <= m (see :func:`_causal_bound`).  For such a factor a bound within
@@ -209,10 +211,10 @@ class _Grid:
 
     On the check grid K: X and ``z X' / m``, sampled by ``_causal_values``
     from their (2, m + 1, r, r) coefficients into one (2, K, r, r) array,
-    so each is a C-contiguous (K, r, r) stack that no consumer copies (a
-    non-finite sample raises ``ValueError``); X's pointwise inverse before
-    the guard, ``None`` when inversion fails; and ``sigma_lb``, a lower bound
-    on the smallest singular value of X over the whole circle read off them.
+    so each is a C-contiguous (K, r, r) stack that no consumer copies; X's
+    pointwise inverse before the guard, ``None`` when inversion fails; and
+    ``sigma_lb``, a lower bound on the smallest singular value of X over the
+    whole circle read off them.
     In coefficient space: the coefficient scale of S, the Frobenius norms of
     the coefficients of ``E = S - X X^*`` and their sum over the band,
     ``spread = ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``, which bounds
@@ -250,8 +252,6 @@ class _Grid:
         stack[0] = x.coeffs
         stack[1] = np.arange(x.m + 1)[:, None, None] / max(x.m, 1) * x.coeffs
         self._samples = _causal_values(stack, K)
-        if not np.all(np.isfinite(self._samples)):
-            raise ValueError("samples contain non-finite entries")
         self.x_vals, self.derivative_vals = self._samples
         self._inverse = _pointwise_inverse(self.x_vals)
         self.sigma_lb = -np.inf
@@ -372,8 +372,7 @@ def _measure_positivity(S, x, grid):
     if np.isfinite(bound) and bound > threshold:
         return [(0.0, f"min eigenvalue >= {bound:.3e} on the whole circle, "
                       f"from S = X X* + E", False)]
-    min_eig, min_det = check_positivity(S)
-    deficit = max(0.0, -min_eig) / grid.scale
+    deficit, min_eig, min_det = _positivity_scan(S, sample_on_grid(S, default_verify_grid(S.m)))
     near_singular = min_eig <= threshold
     detail = (f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
               + ("; nearly singular on the circle" if near_singular else ""))

@@ -264,6 +264,14 @@ class TestInvariants:
             cls(np.full((5, 2, 2), 1e-170, dtype=complex))
         assert cls(np.zeros((3, 2, 2), dtype=complex)).m == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cls", [MatrixPolynomial, HermitianLaurentPolynomial])
+    def test_trim_keeps_a_coefficient_whose_squared_norm_underflows(self, cls):
+        # 1e-163 squared underflows to 0 while 1e-155 squared does not, but
+        # their ratio, 1e-8, is above TRIM_RTOL: the trim rule keeps it.
+        assert cls(np.array([[[1e-155]], [[1e-163]]], dtype=complex)).m == 1
+        assert cls(np.array([[[1e-155]], [[1e-166]]], dtype=complex)).m == 0
+
     def test_default_grid_size(self):
         assert default_grid_size(0) == 8
         assert default_grid_size(3) == 32

@@ -11,9 +11,12 @@ every report of a reduced pool and digest it the same way twice, and a
 nudge to every measured value must move its full digest but not its
 verdict digest.  ``scripts/soak.py`` must class every draw of a reduced
 grid and list the factors above its bounds.  The splitmix64 constants are
-spelled in ``rng.py`` alone, and ``factor()``'s precheck spells no threshold.  ``specfact factor`` and ``specfact gen`` run
-with runtime warnings turned into errors, so a numpy warning between input
-and exit code fails their tests.  No public entry point but the grid samplers, and no module-level
+spelled in ``rng.py`` alone, no module of the package calls
+``np.linalg.norm`` (every Frobenius norm is ``laurent._frobenius``), and
+``factor()``'s precheck spells no threshold.  ``specfact factor``,
+``specfact verify`` and ``specfact gen`` run with runtime warnings turned
+into errors, so a numpy warning between input and exit code fails their
+tests.  No public entry point but the grid samplers, and no module-level
 function of the computing modules but the kernels that lay out, sample or
 check a grid, takes a grid size, and no module of the package, the tests or
 the scripts imports a name it never uses.  The README's exit-code table must
@@ -38,7 +41,7 @@ import pytest
 import specfact
 from specfact import factorize, laurent, testgen, verify
 from specfact.fileio import read_factor, write_factor, write_spectrum
-from specfact.laurent import MatrixPolynomial, multiply_by_adjoint
+from specfact.laurent import HermitianLaurentPolynomial, MatrixPolynomial, multiply_by_adjoint
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "specfact"
@@ -282,6 +285,23 @@ def test_forced_bauer_on_a_double_root_raises_no_runtime_warning(tmp_path):
     assert "stopped on roundoff" in run.stdout
 
 
+def test_verify_of_overflowing_products_raises_no_runtime_warning(tmp_path):
+    # Every coefficient (1 + 1j) 1e153 at r = 8, m = 16: the samples stay
+    # finite, while E's band and min |det S| overflow and fail their entries.
+    coeffs = np.full((17, 8, 8), (1 + 1j) * 1e153)
+    sigma = coeffs.copy()
+    sigma[0] = coeffs[0].real
+    write_spectrum(tmp_path / "p.spectrum", HermitianLaurentPolynomial(sigma))
+    write_factor(tmp_path / "p.factor", MatrixPolynomial(coeffs))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "specfact", "verify",
+         str(tmp_path / "p.spectrum"), str(tmp_path / "p.factor")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 4, run.stderr
+    assert run.stderr == ""
+
+
 def test_overflowing_spectrum_reports_only_its_own_error(tmp_path):
     spectrum = tmp_path / "huge.spectrum"
     spectrum.write_text('{"r": 1, "m": 1, "coeffs": {"0": [[[3e155,0]]], '
@@ -403,6 +423,12 @@ def test_splitmix64_constants_are_spelled_only_in_rng():
                for path in sorted(PACKAGE.glob("*.py"))}
     assert spelled.pop("rng.py") == list(constants)
     assert not any(spelled.values()), spelled
+
+
+def test_frobenius_norms_are_taken_only_by_laurent_frobenius():
+    spelled = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if "np.linalg.norm" in path.read_text(encoding="utf-8")]
+    assert spelled == []
 
 
 def test_precheck_thresholds_are_laurent_names():

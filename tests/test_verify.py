@@ -882,7 +882,31 @@ class TestConstantUnitaryEquivalence:
         assert bad_forward and bad_reverse
 
 
+def overflowing_pair(r, m):
+    """Every coefficient of X (1 + 1j) 1e153, just below the trim refusal,
+    and S the same stack with sigma_0 replaced by its Hermitian part."""
+    coeffs = np.full((m + 1, r, r), (1 + 1j) * 1e153)
+    sigma = coeffs.copy()
+    sigma[0] = coeffs[0].real
+    return HermitianLaurentPolynomial(sigma), MatrixPolynomial(coeffs)
+
+
 class TestVerifyAll:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r, m", [(8, 16), (8, 64), (4, 32)])
+    def test_overflowing_products_fail_their_entries_without_a_warning(self, r, m):
+        # Samples stay below (2m + 1) times the largest coefficient norm, so
+        # they are finite with no scan; E's band and min |det S| overflow.
+        S, x = overflowing_pair(r, m)
+        K = default_verify_grid(m)
+        for p in (S, x):
+            for size in (K, 2 * K):
+                assert np.all(np.isfinite(sample_on_grid(p, size)))
+        assert np.all(np.isfinite(_Grid(S, x)._samples))
+        report = verify_all(S, x)
+        assert [entry.status for entry in report.checks] == [
+            "fail", "fail", "pass", "fail", "fail", "fail", "fail"]
+
     def test_passes_on_exact_pair(self):
         report = verify_all(S_SCALAR, X_GOOD)
         assert report.overall
