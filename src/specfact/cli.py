@@ -17,9 +17,9 @@ Each command loads only the modules it runs: ``factor`` never imports
 ``verify``, ``testgen`` or ``rng``, ``verify`` never imports ``factorize``,
 ``testgen`` or ``rng``, and ``gen`` imports neither ``factorize`` nor
 ``verify``.  The library entry points are resolved by the module
-``__getattr__`` on first use, and the commands call them as attributes of
-this module, so a name patched on it (by a test or a tracer) is the one
-called.
+``__getattr__`` on first use, through the package's ``_submodule``, and the
+commands call them as attributes of this module, so a name patched on it
+(by a test or a tracer) is the one called.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
+from . import _submodule
 from .errors import NoConvergence, SpectralFactorError
 from .fileio import dumps_document, read_factor, read_spectrum, write_factor, write_spectrum
 
@@ -99,11 +100,7 @@ def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module, attribute = _LAZY[name]
-    # ``from .<module> import <attribute>``, spelled as the call that
-    # statement makes: ``python -X importtime`` lists the module, as it does
-    # not for ``importlib.import_module``.
-    value = getattr(__import__(module, globals(), None, (attribute,), 1), attribute)
-    globals()[name] = value
+    globals()[name] = value = getattr(_submodule(module), attribute)
     return value
 
 

@@ -384,6 +384,8 @@ def _cluster_boundary_roots(roots: list[complex]) -> list[list[complex]]:
 def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     """Root-based factorization; returns ``(coefficients, 0, warnings)``.
 
+    Refuses sigma_0 <= 0, sigma_0 being the circle average of S, at every
+    order: the amplitude below takes |sigma_m|, so -S would pass for S.
     z^m S(z) is a degree-2m polynomial whose roots pair as (a, 1/conj(a));
     the causal factor takes the roots with |a| > 1 plus half of every
     boundary cluster, scaled to reproduce sigma_m exactly.  At m = 0 there
@@ -393,8 +395,8 @@ def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions
         raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
     m = S.m
     sigma = S.coeffs[:, 0, 0]
-    if m == 0 and sigma[0].real <= 0:
-        raise NotPositiveDefinite(f"constant scalar spectrum {sigma[0].real:.3e} is not positive")
+    if sigma[0].real <= 0:
+        raise NotPositiveDefinite(f"circle average sigma_0 = {sigma[0].real:.3e} is not positive")
 
     # Coefficients of z^m S(z), low to high: sigma_{-m}..sigma_m.
     full = np.concatenate([sigma[m:0:-1].conj(), sigma])

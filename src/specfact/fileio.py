@@ -15,7 +15,9 @@ entry; a negative index, when present, is cross-checked against the conjugate
 transpose of its mirror (tools that export both sides stay compatible, but
 cannot smuggle in an asymmetry).
 Each index appears at most once (``"0"`` and ``"-0"`` are one), every entry
-is a numeric ``[re, im]`` pair, and ``m`` only bounds the indices.
+is a numeric ``[re, im]`` pair, and ``m`` only bounds the indices.  A key
+appears at most once in any object: the readers refuse a repeated key, which
+``json.loads`` alone would resolve to its last value.
 
 Factor file: same shape plus a ``metadata`` block (algorithm, residual,
 warnings, tool version).
@@ -93,12 +95,27 @@ def _pairs_to_matrix(node: Any, r: int, label: str) -> np.ndarray:
 
 
 def _parse_document(text: str, label: str) -> dict:
+    # json.loads would keep the last value of a repeated key; note each object
+    # that repeats one, with its first repeat, so that no value silently wins.
+    repeats = []
+
+    def build(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeats.append((obj, next(key for i, key in enumerate(keys) if key in keys[:i])))
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=build)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{label}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{label}: top level must be an object")
+    if repeats:
+        obj, key = repeats[0]
+        name = f"coefficient index {key}" if obj is doc.get("coeffs") else f"key '{key}'"
+        raise ValueError(f"{label}: {name} is given twice")
     for key in ("r", "m", "coeffs"):
         if key not in doc:
             raise ValueError(f"{label}: missing required field '{key}'")

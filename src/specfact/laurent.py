@@ -151,17 +151,14 @@ def trim_coefficients(coeffs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixPolynomial:
-    """Causal matrix polynomial ``X(z) = sum_{n=0}^{m} rho_n z^n``.
-
-    ``coeffs`` holds ``rho_n`` at index ``n``.  The stack is trimmed on
-    construction so the reported degree is tight.
-    """
+class _CoefficientStack:
+    """Both polynomial families: a read-only (m + 1, r, r) stack ``coeffs``,
+    index n holding the coefficient of z^n, which each subclass validates and
+    trims in ``__post_init__`` and stores by ``_freeze``."""
 
     coeffs: np.ndarray
 
-    def __post_init__(self):
-        stack = trim_coefficients(_as_coefficient_stack(self.coeffs)).copy()
+    def _freeze(self, stack: np.ndarray) -> None:
         stack.setflags(write=False)
         object.__setattr__(self, "coeffs", stack)
 
@@ -173,12 +170,24 @@ class MatrixPolynomial:
     def m(self) -> int:
         return len(self.coeffs) - 1
 
+
+@dataclass(frozen=True, eq=False)
+class MatrixPolynomial(_CoefficientStack):
+    """Causal matrix polynomial ``X(z) = sum_{n=0}^{m} rho_n z^n``.
+
+    ``coeffs`` holds ``rho_n`` at index ``n``.  The stack is trimmed on
+    construction so the reported degree is tight.
+    """
+
+    def __post_init__(self):
+        self._freeze(trim_coefficients(_as_coefficient_stack(self.coeffs)).copy())
+
     def is_zero(self) -> bool:
         return self.m == 0 and not np.any(self.coeffs[0])
 
 
 @dataclass(frozen=True, eq=False)
-class HermitianLaurentPolynomial:
+class HermitianLaurentPolynomial(_CoefficientStack):
     """Para-Hermitian spectrum ``S(z) = sum_{n=-m}^{m} sigma_n z^n``.
 
     Stores ``sigma_n`` for ``n = 0..m`` only; ``sigma_{-n}`` is always the
@@ -187,8 +196,6 @@ class HermitianLaurentPolynomial:
     ``(sigma_0 + sigma_0^*) / 2``, so it is exactly Hermitian and so is
     ``S(z)`` at every point of the unit circle.
     """
-
-    coeffs: np.ndarray
 
     def __post_init__(self):
         stack = _as_coefficient_stack(self.coeffs)
@@ -200,16 +207,7 @@ class HermitianLaurentPolynomial:
             )
         stack = trim_coefficients(stack).copy()
         stack[0] = 0.5 * (stack[0] + stack[0].conj().T)
-        stack.setflags(write=False)
-        object.__setattr__(self, "coeffs", stack)
-
-    @property
-    def r(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def m(self) -> int:
-        return len(self.coeffs) - 1
+        self._freeze(stack)
 
 
 def unit_circle_grid(K: int) -> np.ndarray:

@@ -158,11 +158,16 @@ def check_positivity(S: HermitianLaurentPolynomial):
     return _positivity_scan(S, sample_on_grid(S, default_verify_grid(S.m)))[1:]
 
 
+def _require_same_dimension(S: HermitianLaurentPolynomial, x: MatrixPolynomial) -> None:
+    """The rule every (S, X) check shares: S and X are both r x r."""
+    if S.r != x.r:
+        raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
+
+
 def check_factorization(S: HermitianLaurentPolynomial, x: MatrixPolynomial) -> float:
     """Relative coefficientwise residual of the identity S = X X^*, the same
     ``_residual_against`` that ``factor()`` reports."""
-    if S.r != x.r:
-        raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
+    _require_same_dimension(S, x)
     return _residual_against(S.coeffs, x.coeffs)
 
 
@@ -190,8 +195,7 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
     bound where it does, which each measured value exceeds by rounding at
     most.
     """
-    if S.r != x.r:
-        raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
+    _require_same_dimension(S, x)
     K = default_verify_grid(max(S.m, x.m))
     x_vals = sample_on_grid(x, 2 * K)
     inverse = _guarded_inverse(x_vals, GRID_COND_MAX, SingularFactorOnGrid, "factor")
@@ -438,8 +442,7 @@ def verify_all(S: HermitianLaurentPolynomial, x: MatrixPolynomial,
     ``default_verify_grid(max(S.m, x.m))``, so a factor of any degree is
     sampled without aliasing.  A dimension mismatch raises ``ValueError``.
     """
-    if S.r != x.r:
-        raise ValueError(f"dimension mismatch: spectrum r={S.r}, factor r={x.r}")
+    _require_same_dimension(S, x)
     grid = _Grid(S, x)
     checks = (
         (_measure_positivity, {"positivity": POSITIVITY_TOL}),

@@ -377,7 +377,7 @@ class TestScalarRoots:
         # The root path would return sqrt(|sigma_0|); the guard refuses first.
         with pytest.raises(NotPositiveDefinite) as caught:
             scalar_root_factor(scalar_laurent(value))
-        assert str(caught.value) == f"constant scalar spectrum {shown} is not positive"
+        assert str(caught.value) == f"circle average sigma_0 = {shown} is not positive"
 
     def test_sigma_m_reproduced_exactly(self):
         bundle = generate_instance(1, 3, seed=4)
@@ -386,6 +386,35 @@ class TestScalarRoots:
         top = bundle.spectrum.m
         assert abs(reproduced.coeffs[top, 0, 0]) == pytest.approx(
             abs(bundle.spectrum.coeffs[top, 0, 0]), rel=1e-9)
+
+
+# -(X X^*) for X = 1 + z/2 and X = 1 + z/2 + z^2/5: negative definite on the circle.
+NEGATIVE_SCALAR = {1: [1.0, 0.5], 2: [1.0, 0.5, 0.2]}
+
+
+@pytest.mark.parametrize("m", sorted(NEGATIVE_SCALAR))
+class TestNegativeDefiniteScalarSpectrum:
+    """Every public route refuses -(X X^*).  The root route needs its
+    sigma_0 guard for it: its amplitude reads |sigma_m|, blind to the sign."""
+
+    @pytest.fixture
+    def spectrum(self, m):
+        x = MatrixPolynomial(np.array(NEGATIVE_SCALAR[m], dtype=complex).reshape(-1, 1, 1))
+        return HermitianLaurentPolynomial(-multiply_by_adjoint(x).coeffs)
+
+    def test_bauer_breaks_down(self, spectrum):
+        with pytest.raises(CholeskyBreakdown):
+            bauer_factor(spectrum)
+
+    def test_wilson_refuses(self, spectrum):
+        with pytest.raises(NotPositiveDefinite):
+            wilson_factor(spectrum)
+
+    def test_scalar_roots_refuses(self, spectrum):
+        with pytest.raises(NotPositiveDefinite) as caught:
+            scalar_root_factor(spectrum)
+        sigma_0 = spectrum.coeffs[0, 0, 0].real
+        assert str(caught.value) == f"circle average sigma_0 = {sigma_0:.3e} is not positive"
 
 
 class TestCanonicalNormalize:
@@ -815,6 +844,19 @@ def test_auto_reports_the_doublings_best_iterate_at_its_budget(r, m, seed):
         factor(S)
     assert excinfo.value.algorithm == "bauer"
     assert verify_all(S, excinfo.value.best_factor).overall
+
+
+@pytest.mark.parametrize("r, m, seed", [(2, 4, 0), (3, 2, 5), (1, 3, 2), (8, 4, 3)])
+def test_auto_is_exactly_scale_covariant_under_powers_of_four(r, m, seed):
+    # Scaling S by 4^k is exact in binary, and every rule of the doubling is
+    # relative, so its route, count, warnings and factor bits follow S.
+    S = generate_instance(r, m, seed=seed).spectrum
+    base = factor(S)
+    for k in range(-60, 61):
+        result = factor(HermitianLaurentPolynomial(S.coeffs * 4.0 ** k))
+        assert (result.algorithm_used, result.iterations_or_blocks, result.warnings) == \
+            (base.algorithm_used, base.iterations_or_blocks, base.warnings), k
+        assert np.array_equal(result.factor.coeffs, base.factor.coeffs * 2.0 ** k), k
 
 
 @pytest.mark.parametrize("n", [1, 5, 32, 33, 48, 136])

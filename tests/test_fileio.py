@@ -183,6 +183,21 @@ class TestSpectrumValidation:
         with pytest.raises(ValueError, match=f": coefficient index {index} is given twice$"):
             reader(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"r": 1, "m": 1, "coeffs": {"0": [[[5, 0]]], "1": [[[2, 0]]], "1": [[[9, 0]]]}}',
+         "coefficient index 1 is given twice"),
+        ('{"r": 1, "m": 1, "m": 2, "coeffs": {"0": [[[5, 0]]]}}', "key 'm' is given twice"),
+        ('{"r": 1, "m": 0, "coeffs": {"0": [[[5, 0]]]}, "metadata": {"a": 1, "a": 2}}',
+         "key 'a' is given twice"),
+    ], ids=["coeffs", "top-level", "metadata"])
+    @pytest.mark.parametrize("reader", [read_spectrum, read_factor])
+    def test_repeated_key_rejected(self, tmp_path, reader, text, message):
+        # json.loads alone keeps the last value, so sigma_1 would read as 9.
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^\w+ file {path}: {message}$"):
+            reader(path)
+
     @pytest.mark.parametrize("entry", [{"x": 1}, [[["a", 0]]], [[[1, 0], [1]]],
                                        [[["5", "0"]]], [[[1, True]]], [[[False, 0]]],
                                        [[[None, 0]]]],

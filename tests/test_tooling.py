@@ -3,15 +3,16 @@
 ``perfbench/tracing.py`` wraps ``(module, attribute)`` pairs by
 ``setattr``; a name that a refactor removes makes ``--trace 1`` fail with
 ``AttributeError``.  The file is loaded by path, so nothing else under
-``perfbench/`` is imported.  Every module-qualified name that README.md
-puts in backticks, such as ``laurent._guarded_inverse``, stays bound too.
+``perfbench/`` is imported.  Every module-qualified name that README.md puts
+in backticks, such as ``laurent._guarded_inverse``, stays bound too.
 ``scripts/make_fixtures.py``, loaded the same way, must write the committed
 golden fixtures byte for byte, and ``scripts/report_digests.py`` must count
 every report of a reduced pool and digest it the same way twice, and a
-nudge to every measured value must move its full digest but not its
-verdict digest.  ``scripts/soak.py`` must class every draw of a reduced
-grid and list the factors above its bounds.  The splitmix64 constants are
-spelled in ``rng.py`` alone, no module of the package calls
+nudge to every measured value must move its full digest but not its verdict
+digest.  ``scripts/soak.py`` must class every draw of a reduced grid and
+list the factors above its bounds.  The splitmix64 constants are spelled in
+``rng.py`` alone, ``__import__(`` in the package's ``__init__.py`` alone
+(its ``_submodule`` makes every lazy load), no module of the package calls
 ``np.linalg.norm`` (every Frobenius norm is ``laurent._frobenius``), and
 ``factor()``'s precheck spells no threshold.  ``specfact factor``,
 ``specfact verify`` and ``specfact gen`` run with runtime warnings turned
@@ -423,6 +424,13 @@ def test_splitmix64_constants_are_spelled_only_in_rng():
                for path in sorted(PACKAGE.glob("*.py"))}
     assert spelled.pop("rng.py") == list(constants)
     assert not any(spelled.values()), spelled
+
+
+def test_dynamic_imports_are_spelled_only_in_the_package_init():
+    # Every lazy load goes through the package's _submodule.
+    spelled = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if "__import__(" in path.read_text(encoding="utf-8")]
+    assert spelled == ["__init__.py"]
 
 
 def test_frobenius_norms_are_taken_only_by_laurent_frobenius():
