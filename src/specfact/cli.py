@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 from . import _submodule
 from .errors import NoConvergence, SpectralFactorError
 from .fileio import dumps_document, read_factor, read_spectrum, write_factor, write_spectrum
+from .laurent import RESIDUAL_TOL
 
 if TYPE_CHECKING:
     from .verify import VerificationReport
@@ -73,14 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("input", help="spectrum file to factor")
     p_factor.add_argument("output", help="factor file to write")
     p_factor.add_argument("--algorithm", choices=sorted(_ALGORITHM_FLAGS), default="auto")
-    p_factor.add_argument("--tol", type=float, default=1e-9, metavar="REAL",
-                          help="relative residual tolerance (default 1e-9)")
+    p_factor.add_argument("--tol", type=float, default=RESIDUAL_TOL, metavar="REAL",
+                          help="relative residual tolerance (default %(default)g)")
 
     p_verify = sub.add_parser("verify", help="check a (spectrum, factor) file pair")
     p_verify.add_argument("spectrum", help="spectrum file")
     p_verify.add_argument("factor", help="factor file")
-    p_verify.add_argument("--tol", type=float, default=1e-9, metavar="REAL",
-                          help="factorization residual tolerance (default 1e-9)")
+    p_verify.add_argument("--tol", type=float, default=RESIDUAL_TOL, metavar="REAL",
+                          help="factorization residual tolerance (default %(default)g)")
     p_verify.add_argument("--json", action="store_true",
                           help="print the report as JSON instead of a table")
 

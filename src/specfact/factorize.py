@@ -21,9 +21,9 @@ coefficientwise:
   the grid: the product with ``X_k`` and the residual band of ``X_k X_k^*``
   are products of degree-m polynomials, formed in coefficient space by
   ``laurent._causal_product_window``.  ``X_k`` counts as singular when
-  ``laurent._guarded_inverse``, the grid guard ``verify`` uses too, finds
-  its worst grid 1-norm condition number above ``NEWTON_COND_MAX``.
-  Quadratically convergent near the solution.
+  ``laurent._guarded_inverse``, the one grid guard, which ``verify`` takes
+  on factors too, finds its worst grid 1-norm condition number above
+  ``laurent.GRID_COND_MAX``.  Quadratically convergent near the solution.
 * :func:`scalar_root_factor` -- for r = 1 only: factor through the roots of
   ``z^m S(z)``, which pair as (a, 1/conj(a)); the factor collects the roots
   outside the closed unit disk plus half of each boundary cluster.
@@ -74,6 +74,7 @@ from .laurent import (
     DEGENERATE_RTOL,
     NEAR_SINGULAR_TOL,
     POSITIVITY_TOL,
+    RESIDUAL_TOL,
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _band_coefficient_buffer,
@@ -95,9 +96,6 @@ from .laurent import (
 
 # Roots of det X this close to the unit circle are treated as boundary cases.
 BOUNDARY_ROOT_TOL = 1e-7
-
-# Grid 1-norm condition-number cap before a Newton iterate counts as singular.
-NEWTON_COND_MAX = 1e12
 
 # Iteration cap of the Newton (Wilson) route.
 NEWTON_MAX_ITERS = 60
@@ -131,7 +129,7 @@ class FactorizationOptions:
     and ``DOUBLING_MAX_STEPS``."""
 
     algorithm: str = "auto"
-    residual_tol: float = 1e-9
+    residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -344,8 +342,8 @@ def _wilson_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions):
     for iteration in range(1, NEWTON_MAX_ITERS + 1):
         converged = residual < tol
         buf[: m + 1] = chi
-        inverse = _guarded_inverse(sample_values_on_grid(buf), NEWTON_COND_MAX,
-                                   SingularIterate, f"iterate {iteration}")
+        inverse = _guarded_inverse(sample_values_on_grid(buf), SingularIterate,
+                                   f"iterate {iteration}")
         G = inverse @ S_vals @ inverse.conj().transpose(0, 2, 1) + eye
         # [G]_+: the window [0, m] of G with its index-0 term halved.
         plus = coefficients_from_values(G, m)

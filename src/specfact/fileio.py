@@ -14,9 +14,10 @@ Only the nonnegative indices are required, and ``coeffs`` holds at least one
 entry; a negative index, when present, is cross-checked against the conjugate
 transpose of its mirror (tools that export both sides stay compatible, but
 cannot smuggle in an asymmetry).
-Each index appears at most once (``"0"`` and ``"-0"`` are one), every entry
-is a numeric ``[re, im]`` pair, and ``m`` only bounds the indices.  A key
-appears at most once in any object: the readers refuse a repeated key, which
+Each index is an optional sign and ASCII digits and appears at most once
+(``"0"`` and ``"-0"`` are one), every entry is a numeric ``[re, im]`` pair
+within double range, and ``m`` only bounds the indices.  A key appears at
+most once in any object: the readers refuse a repeated key, which
 ``json.loads`` alone would resolve to its last value.
 
 Factor file: same shape plus a ``metadata`` block (algorithm, residual,
@@ -26,6 +27,7 @@ warnings, tool version).
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 import numpy as np
@@ -77,7 +79,7 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list:
 def _pairs_to_matrix(node: Any, r: int, label: str) -> np.ndarray:
     try:
         arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{label}: expected numeric [re, im] pairs ({exc})") from None
     if arr.shape != (r, r, 2):
         raise ValueError(
@@ -108,7 +110,7 @@ def _parse_document(text: str, label: str) -> dict:
 
     try:
         doc = json.loads(text, object_pairs_hook=build)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"{label}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{label}: top level must be an object")
@@ -139,6 +141,9 @@ def _collect_coefficients(doc: dict, label: str, allow_negative: bool) -> np.nda
     parsed: dict[int, np.ndarray] = {}
     for key, node in doc["coeffs"].items():
         try:
+            # int() alone also reads "1_0", " 1 " and non-ASCII digits.
+            if not re.fullmatch(r"[+-]?[0-9]+", key):
+                raise ValueError(key)
             index = int(key)
         except ValueError:
             raise ValueError(f"{label}: coefficient index '{key}' is not an integer") from None

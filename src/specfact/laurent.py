@@ -81,6 +81,13 @@ LEADING_COND_MAX = 1e12
 # of rho_0^*, not off the Cholesky of rho_0 rho_0^* (see _canonical_leading).
 CHOLESKY_COND_MAX = 1e4
 
+# Cap of the grid guard, _guarded_inverse, on the worst grid 1-norm condition
+# number before a Newton iterate or a factor counts as singular on the grid.
+GRID_COND_MAX = 1e10
+
+# Default relative residual tolerance of factor(), verify_all and the CLI.
+RESIDUAL_TOL = 1e-9
+
 
 def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
@@ -319,22 +326,15 @@ def _worst_condition(values: np.ndarray, inverse: np.ndarray | None) -> float:
     return worst if np.isfinite(worst) else float("inf")
 
 
-def _require_conditioned(values: np.ndarray, inverse: np.ndarray | None, cap: float,
-                         error: type[Exception], what: str) -> np.ndarray:
-    """The "is X singular on the grid" guard on an inverse already in hand,
-    the :func:`_pointwise_inverse` of ``values``: raise ``error`` when its
-    :func:`_worst_condition` exceeds ``cap``, else return it."""
+def _guarded_inverse(values: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
+    """The "is X singular on the grid" guard: the :func:`_pointwise_inverse`
+    of ``values``, or ``error`` raised when its :func:`_worst_condition`
+    exceeds ``GRID_COND_MAX``."""
+    inverse = _pointwise_inverse(values)
     cond = _worst_condition(values, inverse)
-    if cond > cap:
-        raise error(f"{what} condition number {cond:.3e} on the grid exceeds {cap:.1e}")
+    if cond > GRID_COND_MAX:
+        raise error(f"{what} condition number {cond:.3e} on the grid exceeds {GRID_COND_MAX:.1e}")
     return inverse
-
-
-def _guarded_inverse(values: np.ndarray, cap: float, error: type[Exception],
-                     what: str) -> np.ndarray:
-    """The guard on a fresh inverse: :func:`_require_conditioned` of the
-    :func:`_pointwise_inverse` of ``values``."""
-    return _require_conditioned(values, _pointwise_inverse(values), cap, error, what)
 
 
 def _hermitian_scan(values: np.ndarray) -> np.ndarray:

@@ -55,12 +55,13 @@ band around the circle whose roots it reports as boundary warnings.  Those
 roots come from ``laurent.check_outer_determinant``, which the generator
 shares.
 Checks that divide by a factor use its pointwise grid inverse, whose worst
-1-norm condition number must stay below ``GRID_COND_MAX``.  On K,
-``sigma_lb`` proves that where it counts, and the outer entry takes the
-condition number only where it does not, from the same inverse.  A refusal
-raises ``SingularFactorOnGrid``: the outer entry then reads the roots of
-det X, and the causal entries fail with the guard's message.  Failures inside
-:func:`verify_all` are reported as failed entries, never raised.
+1-norm condition number the one grid guard, ``laurent._guarded_inverse``,
+caps at ``GRID_COND_MAX``.  ``_Grid`` forms its verdict on K once:
+``sigma_lb`` proves it where it counts; elsewhere ``_Grid`` measures it and
+drops a refused inverse, and the roots of det X decide the outer entry.  In
+the public checks a refusal raises ``SingularFactorOnGrid``, which fails
+the causal entries with its message.  Failures inside :func:`verify_all`
+are reported as failed entries, never raised.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ import numpy as np
 
 from .errors import SingularFactorOnGrid, SpectralFactorError
 from .laurent import (
+    GRID_COND_MAX,
     NEAR_SINGULAR_TOL,
     POSITIVITY_TOL,
+    RESIDUAL_TOL,
     HermitianLaurentPolynomial,
     MatrixPolynomial,
     _causal_values,
@@ -81,19 +84,15 @@ from .laurent import (
     _guarded_inverse,
     _pointwise_inverse,
     _positivity_scan,
-    _require_conditioned,
     _require_tolerance,
     _residual_against,
     _residual_band_norms,
+    _worst_condition,
     check_outer_determinant,
     coefficients_from_values,
     default_verify_grid,
     sample_on_grid,
 )
-
-# Cap on the worst grid 1-norm condition number ||X(z_j)||_1 ||X(z_j)^{-1}||_1,
-# taken from the pointwise inverse, before a factor counts as singular.
-GRID_COND_MAX = 1e10
 
 # Tolerances of the verify_all entries other than the factorization residual
 # and positivity (laurent.POSITIVITY_TOL): causal-identity gap and anticausal
@@ -116,7 +115,7 @@ class VerifyOptions:
     """Factorization-residual tolerance for :func:`verify_all`; the other
     tolerances are module constants."""
 
-    residual_tol: float = 1e-9
+    residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
         _require_tolerance(self.residual_tol)
@@ -198,7 +197,7 @@ def check_causal_identity(S: HermitianLaurentPolynomial, x: MatrixPolynomial):
     _require_same_dimension(S, x)
     K = default_verify_grid(max(S.m, x.m))
     x_vals = sample_on_grid(x, 2 * K)
-    inverse = _guarded_inverse(x_vals, GRID_COND_MAX, SingularFactorOnGrid, "factor")
+    inverse = _guarded_inverse(x_vals, SingularFactorOnGrid, "factor")
     left = inverse @ sample_on_grid(S, 2 * K)
     scale = _coefficient_scale(S.coeffs)
     gaps = _causal_gap(left[::2], x_vals[::2])
@@ -216,9 +215,9 @@ class _Grid:
     On the check grid K: X and ``z X' / m``, sampled by ``_causal_values``
     from their (2, m + 1, r, r) coefficients into one (2, K, r, r) array,
     so each is a C-contiguous (K, r, r) stack that no consumer copies; X's
-    pointwise inverse before the guard, ``None`` when inversion fails; and
-    ``sigma_lb``, a lower bound on the smallest singular value of X over the
-    whole circle read off them.
+    pointwise inverse, ``None`` when inversion fails or the grid guard
+    refuses it; and ``sigma_lb``, a lower bound on the smallest singular
+    value of X over the whole circle read off them.
     In coefficient space: the coefficient scale of S, the Frobenius norms of
     the coefficients of ``E = S - X X^*`` and their sum over the band,
     ``spread = ||e_0||_F + 2 sum_{n>=1} ||e_n||_F``, which bounds
@@ -237,9 +236,9 @@ class _Grid:
     most ``r sum_n ||rho_n||_F / sigma_lb``, since ``||A||_1 ||A^{-1}||_1 <=
     r ||A||_2 / sigma_min(A)`` and ``||X(z)||_2 <= sum_n ||rho_n||_F``.  The
     bound counts only when that is within ``GRID_COND_MAX``, so a factor it
-    passes is one the guard accepts on any grid, the K nodes included, and
-    where it does not count, the outer entry measures the guard on the
-    K-node inverse.  It holds up to the rounding of the inverse.
+    passes is one the guard accepts on any grid, the K nodes included; where
+    it does not count, the guard measures the K-node inverse and drops it on
+    a refusal.  It holds up to the rounding of the inverse.
     """
 
     def __init__(self, S: HermitianLaurentPolynomial, x: MatrixPolynomial):
@@ -268,6 +267,8 @@ class _Grid:
                 bound = nodes.min() - h * h / 2 * (np.arange(x.m + 1) ** 2 @ norms)
                 if bound > 0 and x.r * norms.sum() <= GRID_COND_MAX * bound:
                     self.sigma_lb = float(bound)
+        if self.sigma_lb < 0 and _worst_condition(self.x_vals, self._inverse) > GRID_COND_MAX:
+            self._inverse = None
 
 
 def _causal_gap(left: np.ndarray, x_vals: np.ndarray) -> np.ndarray:
@@ -299,15 +300,13 @@ def _winding_number(grid: _Grid):
     coefficient over the indices 3K/8..5K/8 (physical ``|k| >= 3K/8``), is
     small; at K = 256 a tail of 1e-3 needs every root about 0.075 or more
     from the circle.  ``z X'`` is sampled divided by m, so its coefficients
-    ``(n/m) rho_n`` stay within X's own range.  The K-node inverse is taken
-    as it is where ``sigma_lb`` counts, which proves the grid guard's
-    verdict; elsewhere the guard measures it and raises
-    ``SingularFactorOnGrid`` where it refuses.
+    ``(n/m) rho_n`` stay within X's own range.  Without a K-node inverse,
+    which the grid guard refused, it reads ``(inf, inf)``.
     """
+    if grid._inverse is None:
+        return np.inf, np.inf
     K = grid.K
-    inverse = grid._inverse if grid.sigma_lb > 0 else _require_conditioned(
-        grid.x_vals, grid._inverse, GRID_COND_MAX, SingularFactorOnGrid, "factor")
-    f = max(grid.x.m, 1) * np.einsum("kij,kji->k", inverse, grid.derivative_vals)
+    f = max(grid.x.m, 1) * np.einsum("kij,kji->k", grid._inverse, grid.derivative_vals)
     coeffs = np.abs(coefficients_from_values(f, K - 1))
     return float(coeffs[0]), float(coeffs[3 * K // 8 : 5 * K // 8 + 1].max())
 
@@ -323,7 +322,7 @@ def check_constant_unitary_equivalence(x1: MatrixPolynomial, x2: MatrixPolynomia
     K = default_verify_grid(max(x1.m, x2.m))
     v1 = sample_on_grid(x1, K)
     v2 = sample_on_grid(x2, K)
-    U = _guarded_inverse(v1, GRID_COND_MAX, SingularFactorOnGrid, "left factor") @ v2
+    U = _guarded_inverse(v1, SingularFactorOnGrid, "left factor") @ v2
     mean = U.mean(axis=0)
     constancy_gap = float(_frobenius(U - mean).max())
     eye = np.eye(x1.r)
@@ -395,10 +394,7 @@ def _measure_degree(S, x, grid):
 
 
 def _measure_outer(S, x, grid):
-    try:
-        count, tail = _winding_number(grid)
-    except SingularFactorOnGrid:  # without the K-node inverse the roots decide
-        count = tail = np.inf
+    count, tail = _winding_number(grid)
     if count <= WINDING_COUNT_TOL and tail <= WINDING_TAIL_TOL:
         K = grid.K
         return [(0.0, f"no det root in the closed unit disk: winding number "

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from specfact import cli, factorize
+from specfact import cli, factorize, laurent
 from specfact.cli import main
 from specfact.errors import (
     CholeskyBreakdown,
@@ -24,6 +24,7 @@ from specfact.errors import (
 from specfact.fileio import read_factor, write_factor, write_spectrum
 from specfact.laurent import HermitianLaurentPolynomial, MatrixPolynomial, multiply_by_adjoint
 from specfact.testgen import generate_instance
+from specfact.verify import VerifyOptions
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -483,6 +484,14 @@ class TestGenCommand:
                      "--margin", "-0.5"]) == 1
         assert main(["gen", "1", "0", str(tmp_path / "x"), "--seed", "1",
                      "--boundary"]) == 1
+
+
+def test_every_default_tolerance_is_the_one_constant():
+    # The constant itself, not an equal literal spelled again.
+    parser = cli._build_parser()
+    defaults = [factorize.FactorizationOptions().residual_tol, VerifyOptions().residual_tol,
+                *(parser.parse_args([command, "a", "b"]).tol for command in ("factor", "verify"))]
+    assert all(default is laurent.RESIDUAL_TOL for default in defaults)
 
 
 @pytest.mark.parametrize("command, name, document, message", [

@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from specfact.fileio import (
     dumps_document,
@@ -141,6 +142,31 @@ class TestSpectrumValidation:
         with pytest.raises(ValueError, match="JSON"):
             read_spectrum(path)
 
+    # json.loads raises RecursionError on the first and a ValueError that is
+    # not a JSONDecodeError on the second, an integer beyond its digit limit.
+    @pytest.mark.parametrize("text", [
+        '{"r": 1, "m": 0, "coeffs": {"0": ' + "[" * 100_000 + "]" * 100_000 + "}}",
+        '{"r": 1, "m": 1' + "0" * 5000 + ', "coeffs": {"0": [[[5, 0]]]}}',
+    ], ids=["nested", "long-integer"])
+    @pytest.mark.parametrize("reader", [read_spectrum, read_factor])
+    def test_json_beyond_the_parser_rejected(self, tmp_path, reader, text):
+        path = tmp_path / "beyond.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^\w+ file {path}: not valid JSON \("):
+            reader(path)
+
+    # int() alone reads "1_0" as 10, and " 1 " and a fullwidth one as 1.
+    @pytest.mark.parametrize("key", ["1_0", " 1 ", "\uff11"],
+                             ids=["underscore", "spaces", "fullwidth"])
+    @pytest.mark.parametrize("reader", [read_spectrum, read_factor])
+    def test_index_is_a_sign_and_ascii_digits(self, tmp_path, reader, key):
+        path = tmp_path / "key.json"
+        path.write_text('{"r": 1, "m": 10, "coeffs": {"0": [[[5, 0]]], "%s": [[[1, 0]]]}}' % key,
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^\w+ file {path}: coefficient index "
+                                             rf"'{key}' is not an integer$"):
+            reader(path)
+
     @pytest.mark.parametrize("metadata", ['{"note": 1}', "[]", '"text"'])
     def test_spectrum_file_ignores_a_metadata_member(self, tmp_path, metadata):
         path = tmp_path / "s.spectrum"
@@ -200,9 +226,9 @@ class TestSpectrumValidation:
 
     @pytest.mark.parametrize("entry", [{"x": 1}, [[["a", 0]]], [[[1, 0], [1]]],
                                        [[["5", "0"]]], [[[1, True]]], [[[False, 0]]],
-                                       [[[None, 0]]]],
+                                       [[[None, 0]]], [[[10**400, 0]]]],
                              ids=["object", "string", "ragged", "numeric-string", "true",
-                                  "false", "null"])
+                                  "false", "null", "int-beyond-double"])
     @pytest.mark.parametrize("reader", [read_spectrum, read_factor])
     def test_malformed_coefficient_names_file_and_index(self, tmp_path, reader, entry):
         path = tmp_path / "malformed.json"
@@ -231,6 +257,32 @@ class TestSpectrumValidation:
         path.write_text(json.dumps({"r": 2**40, "m": 0, "coeffs": {}}))
         with pytest.raises(ValueError, match=rf"^\w+ file {path}: coeffs holds no coefficient$"):
             reader(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=8)
+
+
+@given(entry=JSON_VALUES, key=st.text())
+@example(entry=[[[10**400, 0]]], key="0")
+@example(entry=[[[1, 0]]], key="1_0")
+@settings(max_examples=200, deadline=None)
+def test_readers_return_or_raise_value_error(tmp_path_factory, entry, key):
+    # Any JSON value as an entry and any text as a key: each reader returns,
+    # and then the key is an optional sign and ASCII digits, or it raises
+    # ValueError.
+    path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+    path.write_text(json.dumps({"r": 1, "m": 10, "coeffs": {"0": [[[5, 0]]], key: entry}}))
+    digits = key[1:] if key[:1] in ("+", "-") else key
+    for reader in (read_spectrum, read_factor):
+        try:
+            reader(path)
+        except ValueError:
+            continue
+        assert digits.isascii() and digits.isdigit()
 
 
 class TestGoldenFixtures:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from specfact.laurent import (
     HermitianLaurentPolynomial,
     MatrixPolynomial,
+    _guarded_inverse,
     _pointwise_inverse,
-    _require_conditioned,
     _trimmed_length,
     _worst_condition,
     coefficients_from_values,
@@ -149,13 +149,12 @@ class TestInverseOnGrid:
             assert _worst_condition(values, _pointwise_inverse(values)) == float("inf")
 
     def test_guard_returns_the_inverse_in_hand_or_raises(self):
-        # diag(1, 1e-12) has 1-norm condition number 1e12.
+        # diag(1, 1e-12) has 1-norm condition number 1e12, its 1 x 1 slice 1.
         values = np.diag([1.0, 1e-12]).astype(complex)[None]
-        inverse = _pointwise_inverse(values)
-        assert _require_conditioned(values, inverse, 1e13, ValueError, "stack") is inverse
+        assert _guarded_inverse(values[:, :1, :1], ValueError, "stack").tolist() == [[[1]]]
         with pytest.raises(ValueError, match=r"^stack condition number 1\.000e\+12 "
                                              r"on the grid exceeds 1\.0e\+10$"):
-            _require_conditioned(values, inverse, 1e10, ValueError, "stack")
+            _guarded_inverse(values, ValueError, "stack")
 
 
 class TestCoefficientsFromSamples:

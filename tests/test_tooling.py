@@ -314,7 +314,8 @@ def test_overflowing_spectrum_reports_only_its_own_error(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("entry", ['{"x": 1}', '[[["a", 0]]]'], ids=["object", "string"])
+@pytest.mark.parametrize("entry", ['{"x": 1}', '[[["a", 0]]]', "[[[1" + "0" * 400 + ", 0]]]"],
+                         ids=["object", "string", "int-beyond-double"])
 def test_malformed_coefficient_reports_only_its_own_error(tmp_path, entry):
     spectrum = tmp_path / "malformed.spectrum"
     spectrum.write_text('{"r": 1, "m": 0, "coeffs": {"0": ' + entry + '}}')

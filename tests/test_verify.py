@@ -268,6 +268,7 @@ def count_work(monkeypatch):
     monkeypatch.setattr("specfact.verify.sample_on_grid", counting_sample)
     monkeypatch.setattr("specfact.verify._guarded_inverse", counting_inverse)
     monkeypatch.setattr("specfact.verify._pointwise_inverse", counting_pointwise_inverse)
+    monkeypatch.setattr("specfact.verify._worst_condition", counting_condition)
     monkeypatch.setattr("specfact.laurent._worst_condition", counting_condition)
     return sampled, inverted, conditioned
 
@@ -433,8 +434,8 @@ class TestCausalCertificate:
         sampled, inverted, conditioned = count_work(monkeypatch)
         report = quiet_report(S, x)
         assert inverted == [(256, 2, 2), (512, 2, 2)]
-        # The outer entry's guard measures the K-node inverse it has, then
-        # the public check measures its batch.
+        # _Grid's guard measures the K-node inverse it has, then the public
+        # check measures its batch.
         assert conditioned == [(256, 2, 2), (512, 2, 2)]
         # The outer entry's roots sample X on their own, smaller grid.
         assert [call for call in sampled if call[1] >= 256] == [
