@@ -26,8 +26,11 @@ class SingularIterate(SpectralFactorError):
 
 
 class OddBoundaryMultiplicity(SpectralFactorError):
-    """A root cluster on the unit circle has odd multiplicity; the input is not
-    a consistent para-Hermitian spectrum."""
+    """The roots of z^m S(z) on the scalar route do not pair: a root cluster
+    on the unit circle has odd multiplicity, or the counts of roots inside
+    and outside the circle differ.  Either the input is not a consistent
+    para-Hermitian spectrum, or a repeated root on or near the circle came
+    out of ``np.roots`` scattered off the boundary band."""
 
 
 class SingularLeadingCoefficient(SpectralFactorError):

@@ -25,8 +25,9 @@ coefficientwise:
   on factors too, finds its worst grid 1-norm condition number above
   ``laurent.GRID_COND_MAX``.  Quadratically convergent near the solution.
 * :func:`scalar_root_factor` -- for r = 1 only: factor through the roots of
-  ``z^m S(z)``, which pair as (a, 1/conj(a)); the factor collects the roots
-  outside the closed unit disk plus half of each boundary cluster.
+  ``z^m S(z)``, read by the det-root kernel ``laurent._det_roots``, which
+  pair as (a, 1/conj(a)); the factor collects the roots outside the closed
+  unit disk plus half of each boundary cluster.
 
 ``laurent.canonical_normalize`` maps any factor to the unique
 representative of its unitary equivalence class whose value at z = 0 is
@@ -80,6 +81,7 @@ from .laurent import (
     _band_coefficient_buffer,
     _canonical_leading,
     _causal_product_window,
+    _det_roots,
     _frobenius,
     _guarded_inverse,
     _hermitian_scan,
@@ -387,7 +389,10 @@ def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions
     z^m S(z) is a degree-2m polynomial whose roots pair as (a, 1/conj(a));
     the causal factor takes the roots with |a| > 1 plus half of every
     boundary cluster, scaled to reproduce sigma_m exactly.  At m = 0 there
-    are no roots, and the scaling alone gives sqrt(sigma_0).
+    are no roots, and the scaling alone gives sqrt(sigma_0).  The roots come
+    from ``_det_roots``; where they do not pair, as when ``np.roots``
+    scatters a repeated root on or near the circle off the boundary band,
+    it raises ``OddBoundaryMultiplicity`` with their counts.
     """
     if S.r != 1:
         raise ValueError("scalar_roots requires a scalar (r = 1) spectrum")
@@ -398,7 +403,7 @@ def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions
 
     # Coefficients of z^m S(z), low to high: sigma_{-m}..sigma_m.
     full = np.concatenate([sigma[m:0:-1].conj(), sigma])
-    roots = np.roots(full[::-1])
+    _, roots = _det_roots(full)
 
     outside: list[complex] = []
     boundary: list[complex] = []
@@ -430,8 +435,10 @@ def _scalar_roots_core(S: HermitianLaurentPolynomial, opts: FactorizationOptions
             selected.extend([complex(rep)] * (len(cluster) // 2))
     if len(selected) != m or inside != len(outside):
         raise OddBoundaryMultiplicity(
-            f"root pairing failed: {len(outside)} outside, {inside} inside, "
-            f"{len(boundary)} boundary for order m={m}; input is not a consistent spectrum"
+            f"the roots of z^m S(z) did not pair: {len(outside)} outside, {inside} "
+            f"inside, {len(boundary)} boundary for order m={m}; either S is not a "
+            "consistent spectrum or a repeated root on or near the unit circle "
+            "scattered off the boundary band"
         )
 
     monic = np.polynomial.polynomial.polyfromroots(selected)

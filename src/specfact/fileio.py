@@ -160,7 +160,9 @@ def _collect_coefficients(doc: dict, label: str, allow_negative: bool) -> np.nda
     for n, matrix in sorted(parsed.items()):
         stack[abs(n)] = matrix if n >= 0 else matrix.conj().T
         if n > 0 and -n in parsed:
-            gap = np.max(np.abs(parsed[-n] - matrix.conj().T))
+            # A gap beyond double precision reads inf, and is refused, quietly.
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = np.max(np.abs(parsed[-n] - matrix.conj().T))
             if gap > MIRROR_ATOL:
                 raise ValueError(
                     f"{label}: sigma_{-n} disagrees with the conjugate transpose of "

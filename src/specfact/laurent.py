@@ -26,8 +26,10 @@ The kernels that ``factorize``, ``verify`` and ``testgen`` share live here
 too, so that each loads only the modules it runs: the canonical form
 :func:`canonical_normalize` with its guard on rho_0, ``_canonical_leading``
 (refusing a condition number above ``LEADING_COND_MAX``, and choosing the
-Cholesky or the QR route), and the det-root kernels ``_det_coefficients``,
-``_det_roots`` and :func:`check_outer_determinant`.
+Cholesky or the QR route), the det-root kernels ``_det_coefficients``,
+``_det_roots`` (which also reads the roots of ``z^m S(z)`` for the scalar
+route) and :func:`check_outer_determinant`, and the eigenvalue kernel
+``_hermitian_scan`` with the positivity scan built on it.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -206,7 +208,9 @@ class HermitianLaurentPolynomial(_CoefficientStack):
 
     def __post_init__(self):
         stack = _as_coefficient_stack(self.coeffs)
-        asym = np.max(np.abs(stack[0] - stack[0].conj().T))
+        # A gap beyond double precision reads inf, and is refused, quietly.
+        with np.errstate(over="ignore", invalid="ignore"):
+            asym = np.max(np.abs(stack[0] - stack[0].conj().T))
         if asym > HERMITIAN_ATOL:
             raise ValueError(
                 "sigma_0 violates the Hermitian symmetry invariant "
@@ -224,12 +228,14 @@ def unit_circle_grid(K: int) -> np.ndarray:
 
 def _values_at_angles(S: HermitianLaurentPolynomial, theta: np.ndarray) -> np.ndarray:
     """Values S(exp(i theta)) at a vector of angles, one matmul over the
-    coefficient stack; exactly Hermitian, since sigma_0 is stored symmetrized
-    and the rest is a sum of a tail and its adjoint."""
+    coefficient stack; exactly Hermitian.  sigma_0 is stored symmetrized, and
+    the tail and its adjoint are summed first: ``a + conj(a)^T`` is Hermitian
+    bit for bit, and so is its sum with a Hermitian sigma_0, while
+    ``(sigma_0 + tail) + tail^*`` rounds its two mirrored entries apart."""
     r = S.r
     powers = np.exp(1j * np.outer(theta, np.arange(1, S.m + 1)))
     tail = (powers @ S.coeffs[1:].reshape(S.m, r * r)).reshape(len(theta), r, r)
-    return S.coeffs[0] + tail + tail.conj().transpose(0, 2, 1)
+    return S.coeffs[0] + (tail + tail.conj().transpose(0, 2, 1))
 
 
 def evaluate_at(p, z: complex) -> np.ndarray:
@@ -238,8 +244,9 @@ def evaluate_at(p, z: complex) -> np.ndarray:
     ``MatrixPolynomial`` accepts any finite z and is evaluated by Horner
     recursion.  ``HermitianLaurentPolynomial`` requires |z| = 1 (to
     ``UNIT_CIRCLE_ATOL``) because the negative powers are evaluated as
-    conjugates; it is evaluated at the angle of z, where the result is
-    exactly Hermitian.
+    conjugates; it is evaluated at the angle of z by
+    :func:`_values_at_angles`, so the result equals its conjugate transpose
+    bit for bit.
     """
     z = complex(z)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
@@ -343,23 +350,25 @@ def _hermitian_scan(values: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (values + values.conj().transpose(0, 2, 1)))
 
 
-def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
+def _positivity_scan(S: HermitianLaurentPolynomial):
     """``(deficit, min_eig, min_det)`` of S on the circle; S is semidefinite
     when ``deficit = max(0, -min_eig) / _coefficient_scale`` is at most
-    ``POSITIVITY_TOL``.  Scans S's values on a grid of K points, then each of
+    ``POSITIVITY_TOL``.  Samples S on the check grid of
+    ``K = default_verify_grid(S.m)`` points and scans it, then each of
     ``ZOOM_LEVELS`` levels evaluates S at ``ZOOM_POINTS`` angles across a
     bracket of the minimizer (first theta_j +- 2 pi/K) and re-centres on the
     smallest eigenvalue, so a zero or a dip between grid points is still
-    seen; ``min_det``, quietly ``inf`` where it overflows, includes the
-    value at the refined minimizer."""
-    K = len(S_vals)
-    eigs = _hermitian_scan(S_vals)
+    seen.  Every eigenvalue, on the grid and in the zoom, comes from
+    :func:`_hermitian_scan`.  ``min_det``, quietly ``inf`` where it
+    overflows, includes the value at the refined minimizer."""
+    K = default_verify_grid(S.m)
+    eigs = _hermitian_scan(sample_on_grid(S, K))
     min_eig = float(eigs[:, 0].min())
     center = 2.0 * np.pi * int(np.argmin(eigs[:, 0])) / K
     half_width = 2.0 * np.pi / K
     for _ in range(ZOOM_LEVELS):
         theta = center + np.linspace(-half_width, half_width, ZOOM_POINTS)
-        batch_eigs = np.linalg.eigvalsh(_values_at_angles(S, theta))
+        batch_eigs = _hermitian_scan(_values_at_angles(S, theta))
         best = int(np.argmin(batch_eigs[:, 0]))
         min_eig = min(min_eig, float(batch_eigs[best, 0]))
         center = theta[best]
@@ -372,8 +381,8 @@ def _positivity_scan(S: HermitianLaurentPolynomial, S_vals: np.ndarray):
 
 def _require_semidefinite(S: HermitianLaurentPolynomial, error: type[Exception], what: str):
     """The one positivity rule, of ``verify_all`` and Bauer's doubling: raise
-    ``error`` when :func:`_positivity_scan` of the check grid finds S indefinite."""
-    deficit, min_eig, _ = _positivity_scan(S, sample_on_grid(S, default_verify_grid(S.m)))
+    ``error`` when :func:`_positivity_scan` finds S indefinite."""
+    deficit, min_eig, _ = _positivity_scan(S)
     if deficit > POSITIVITY_TOL:
         raise error(f"{what}: S has eigenvalue {min_eig:.3e} on the unit circle, "
                     f"below -{POSITIVITY_TOL:.0e} * scale; the spectrum is indefinite")

@@ -15,10 +15,11 @@ factor ``X`` on a finite unit-circle grid:
 
 All functions are rational with known band or degree bounds, so a
 sufficiently fine grid is decisive up to conditioning.  No check takes a grid:
-:func:`check_positivity` samples S on the check grid
-:func:`~specfact.laurent.default_verify_grid` (the smallest power of two
->= max(256, 8(m+1)), the grid ``factor()``'s hypothesis precheck and the
-generator's condition estimate use too) at the order of S, and the checks that
+:func:`check_positivity` runs ``laurent._positivity_scan``, which samples S
+on the check grid :func:`~specfact.laurent.default_verify_grid` (the smallest
+power of two >= max(256, 8(m+1)), the grid ``factor()``'s hypothesis
+precheck and the generator's condition estimate use too) at the order of S
+itself, and the checks that
 sample a factor run on the check grid K at the larger of the orders of S and
 X.  The causal check samples S and X once, on the doubled grid 2K, and
 inverts X at every 2K node in one batch; from one transform of ``X^{-1} S``
@@ -152,9 +153,9 @@ class VerificationReport:
 
 def check_positivity(S: HermitianLaurentPolynomial):
     """Minimum eigenvalue and minimum |det| of S over the circle, by the zoomed
-    scan of the check grid, ``laurent._positivity_scan``, which still sees a
-    boundary zero that falls between grid points."""
-    return _positivity_scan(S, sample_on_grid(S, default_verify_grid(S.m)))[1:]
+    scan ``laurent._positivity_scan``, which samples S on the check grid and
+    still sees a boundary zero that falls between grid points."""
+    return _positivity_scan(S)[1:]
 
 
 def _require_same_dimension(S: HermitianLaurentPolynomial, x: MatrixPolynomial) -> None:
@@ -375,7 +376,7 @@ def _measure_positivity(S, x, grid):
     if np.isfinite(bound) and bound > threshold:
         return [(0.0, f"min eigenvalue >= {bound:.3e} on the whole circle, "
                       f"from S = X X* + E", False)]
-    deficit, min_eig, min_det = _positivity_scan(S, sample_on_grid(S, default_verify_grid(S.m)))
+    deficit, min_eig, min_det = _positivity_scan(S)
     near_singular = min_eig <= threshold
     detail = (f"min eigenvalue {min_eig:.3e}, min |det| {min_det:.3e}"
               + ("; nearly singular on the circle" if near_singular else ""))

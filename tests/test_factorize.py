@@ -363,6 +363,16 @@ class TestScalarRoots:
         with pytest.raises(OddBoundaryMultiplicity):
             scalar_root_factor(scalar_laurent(1.9, 1.0))
 
+    def test_unpaired_roots_are_refused_with_their_counts(self, monkeypatch):
+        # Stands in for np.roots scattering a repeated root on the circle,
+        # as at (1 + z)^5: two roots outside and none inside for m = 1.
+        monkeypatch.setattr(np, "roots", lambda coeffs: np.array([2.0 + 0j, 3.0 + 0j]))
+        with pytest.raises(OddBoundaryMultiplicity) as caught:
+            factor(scalar_laurent(2.5, 1.0), FactorizationOptions(algorithm="scalar_roots"))
+        assert str(caught.value).startswith(
+            "the roots of z^m S(z) did not pair: 2 outside, 0 inside, 0 boundary "
+            "for order m=1; ")
+
     def test_matches_ground_truth(self):
         bundle = generate_instance(1, 5, seed=21)
         x = scalar_root_factor(bundle.spectrum)
@@ -857,6 +867,56 @@ def test_auto_is_exactly_scale_covariant_under_powers_of_four(r, m, seed):
         assert (result.algorithm_used, result.iterations_or_blocks, result.warnings) == \
             (base.algorithm_used, base.iterations_or_blocks, base.warnings), k
         assert np.array_equal(result.factor.coeffs, base.factor.coeffs * 2.0 ** k), k
+
+
+QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def symmetry_transforms(r: int):
+    """Each exact symmetry of the problem as (name, map of a spectrum's
+    coefficients, map of a factor to the transformed spectrum's canonical
+    factor): conjugation, rotation by i, a fixed unitary congruence and the
+    reversal permutation."""
+    V = unitary(np.random.default_rng(7), r)
+    P = np.eye(r)[::-1]
+    rotate = lambda c: QUARTER_TURNS[np.arange(len(c)) % 4, None, None] * c
+    congruence = lambda W: (lambda c: W @ c @ W.conj().T,
+                            lambda c: canonical_normalize(MatrixPolynomial(W @ c))[0].coeffs)
+    return [
+        ("conjugation", np.conj, np.conj),
+        ("rotation-by-i", rotate, rotate),
+        ("unitary-congruence", *congruence(V)),
+        ("reversal", *congruence(P)),
+    ]
+
+
+def verdicts(report):
+    return [(entry.name, entry.passed, entry.warning) for entry in report.checks]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_auto_is_covariant_under_the_symmetries_of_the_problem(r, m):
+    # S(i z), conj(sigma_n), V S V^* and P S P^T have the factors X(i z),
+    # conj(rho_n), canonical(V X) and canonical(P X): auto must take the
+    # same route, count, warnings and verdicts, and keep its accuracy.
+    for seed in (0, 1):
+        bundle = generate_instance(r, m, seed)
+        S, truth = bundle.spectrum, bundle.ground_truth
+        base = factor(S)
+        base_verdicts = verdicts(verify_all(S, base.factor))
+        bound = 100 * max(forward_error(base.factor, truth), 1e-16)
+        for name, on_spectrum, on_factor in symmetry_transforms(r):
+            where = (seed, name)
+            S_t = HermitianLaurentPolynomial(on_spectrum(S.coeffs))
+            result = factor(S_t)
+            assert (result.algorithm_used, result.iterations_or_blocks, result.warnings) == \
+                (base.algorithm_used, base.iterations_or_blocks, base.warnings), where
+            assert verdicts(verify_all(S_t, result.factor)) == base_verdicts, where
+            truth_t = MatrixPolynomial(on_factor(truth.coeffs))
+            assert forward_error(result.factor, truth_t) <= bound, where
+            if name == "conjugation":
+                assert np.array_equal(result.factor.coeffs, np.conj(base.factor.coeffs)), seed
 
 
 @pytest.mark.parametrize("n", [1, 5, 32, 33, 48, 136])

@@ -20,6 +20,7 @@ from specfact.laurent import (
     sample_on_grid,
     unit_circle_grid,
 )
+from specfact.testgen import generate_instance
 
 
 def scalar_laurent(*values):
@@ -74,6 +75,16 @@ class TestEvaluateAt:
         for z in (0.3 - 0.7j, 1.0, np.exp(0.4j)):
             expected = horner_reference(x.coeffs, z)
             assert np.max(np.abs(evaluate_at(x, z) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_laurent_value_is_hermitian_bit_for_bit(self, r):
+        # sigma_0 + (tail + tail^*): the sum grouped the other way rounds
+        # mirrored entries apart.
+        for seed in range(5):
+            S = generate_instance(r, 4, seed).spectrum
+            for theta in np.linspace(0.1, 2 * np.pi + 0.1, 50, endpoint=False):
+                value = evaluate_at(S, np.exp(1j * theta))
+                assert np.array_equal(value, value.conj().T), (seed, theta)
 
     def test_linearity(self):
         rng = np.random.default_rng(4)

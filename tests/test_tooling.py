@@ -13,8 +13,10 @@ digest.  ``scripts/soak.py`` must class every draw of a reduced grid and
 list the factors above its bounds.  The splitmix64 constants are spelled in
 ``rng.py`` alone, ``__import__(`` in the package's ``__init__.py`` alone
 (its ``_submodule`` makes every lazy load), no module of the package calls
-``np.linalg.norm`` (every Frobenius norm is ``laurent._frobenius``), and
-``factor()``'s precheck spells no threshold.  ``specfact factor``,
+``np.linalg.norm`` (every Frobenius norm is ``laurent._frobenius``), only
+``laurent._hermitian_scan`` calls ``np.linalg.eigvalsh`` and only
+``laurent._det_roots`` calls ``np.roots``, and ``factor()``'s precheck
+spells no threshold.  ``specfact factor``,
 ``specfact verify`` and ``specfact gen`` run with runtime warnings turned
 into errors, so a numpy warning between input and exit code fails their
 tests.  No public entry point but the grid samplers, and no module-level
@@ -303,15 +305,24 @@ def test_verify_of_overflowing_products_raises_no_runtime_warning(tmp_path):
     assert run.stderr == ""
 
 
-def test_overflowing_spectrum_reports_only_its_own_error(tmp_path):
+@pytest.mark.parametrize("text, reason", [
+    ('{"r": 1, "m": 1, "coeffs": {"0": [[[3e155,0]]], "1": [[[1e155,0]]]}}',
+     "coefficient norms overflow double precision"),
+    ('{"r": 1, "m": 0, "coeffs": {"0": [[[1, 1e308]]]}}',
+     "sigma_0 violates the Hermitian symmetry invariant "
+     "(max |entry - conj transpose| = inf > 1.0e-12)"),
+    ('{"r": 1, "m": 1, "coeffs": {"0": [[[4, 0]]], "1": [[[1e308, 0]]], '
+     '"-1": [[[-1e308, 0]]]}}',
+     "sigma_-1 disagrees with the conjugate transpose of sigma_1 "
+     "(max entry gap inf > 1.0e-09)"),
+], ids=["norms", "hermitian-gap", "mirror-gap"])
+def test_overflowing_spectrum_reports_only_its_own_error(tmp_path, text, reason):
+    # A gap between finite entries may overflow; it reads inf and is refused.
     spectrum = tmp_path / "huge.spectrum"
-    spectrum.write_text('{"r": 1, "m": 1, "coeffs": {"0": [[[3e155,0]]], '
-                        '"1": [[[1e155,0]]]}}')
+    spectrum.write_text(text)
     run = factor_with_runtime_warnings_as_errors(spectrum, tmp_path / "x.factor")
     assert run.returncode == 1
-    assert run.stderr.splitlines() == [
-        f"specfact: error: spectrum file {spectrum}: coefficient norms overflow double precision"
-    ]
+    assert run.stderr.splitlines() == [f"specfact: error: spectrum file {spectrum}: {reason}"]
 
 
 @pytest.mark.parametrize("entry", ['{"x": 1}', '[[["a", 0]]]', "[[[1" + "0" * 400 + ", 0]]]"],
@@ -438,6 +449,31 @@ def test_frobenius_norms_are_taken_only_by_laurent_frobenius():
     spelled = [path.name for path in sorted(PACKAGE.glob("*.py"))
                if "np.linalg.norm" in path.read_text(encoding="utf-8")]
     assert spelled == []
+
+
+def functions_calling(dotted: str) -> list[str]:
+    """``module.function`` of the innermost function around each spelling of
+    ``dotted`` as an attribute of the package's code (not of its docstrings);
+    ``module`` alone for one outside every function."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == dotted:
+                around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                inner = max(around, key=lambda f: f.lineno, default=None)
+                found.append(path.stem + ("." + inner.name if inner else ""))
+    return found
+
+
+def test_eigenvalues_are_taken_only_by_laurent_hermitian_scan():
+    assert functions_calling("np.linalg.eigvalsh") == ["laurent._hermitian_scan"]
+
+
+def test_roots_are_taken_only_by_laurent_det_roots():
+    assert functions_calling("np.roots") == ["laurent._det_roots"]
 
 
 def test_precheck_thresholds_are_laurent_names():

@@ -243,8 +243,9 @@ def assert_K_samples_match_the_transform(grid):
 
 
 def count_work(monkeypatch):
-    """Record, from here on, every ``sample_on_grid`` call of the verify module
-    as ("S" or "X", grid size), the shape of every stack it inverts, guarded
+    """Record, from here on, every ``sample_on_grid`` call of the verify and
+    laurent modules (the positivity scan samples S in laurent) as ("S" or
+    "X", grid size), the shape of every stack it inverts, guarded
     or not, and the shape of every stack whose condition number the grid
     guard takes, on a fresh inverse or on one in hand."""
     sampled, inverted, conditioned = [], [], []
@@ -266,6 +267,7 @@ def count_work(monkeypatch):
         return _worst_condition(values, inverse)
 
     monkeypatch.setattr("specfact.verify.sample_on_grid", counting_sample)
+    monkeypatch.setattr("specfact.laurent.sample_on_grid", counting_sample)
     monkeypatch.setattr("specfact.verify._guarded_inverse", counting_inverse)
     monkeypatch.setattr("specfact.verify._pointwise_inverse", counting_pointwise_inverse)
     monkeypatch.setattr("specfact.verify._worst_condition", counting_condition)
